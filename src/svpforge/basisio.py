@@ -99,6 +99,8 @@ def profile_to_json(prof: ReductionProfile) -> dict:
 
 
 def profile_from_json(d: dict) -> ReductionProfile:
+    if not isinstance(d, dict):
+        raise SvpforgeError("sidecar profile must be a JSON object")
     try:
         return ReductionProfile(
             p=_p_from_json(d["p"]),
@@ -169,17 +171,29 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
         payload = json.loads(Path(sidecar_path).read_text())
     except json.JSONDecodeError as exc:
         raise SvpforgeError(f"sidecar is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SvpforgeError("sidecar must be a JSON object")
     if payload.get("format") != FORMAT_NAME:
         raise SvpforgeError("sidecar format tag does not match")
     if payload.get("version") != FORMAT_VERSION:
         raise SvpforgeError(f"unsupported sidecar version {payload.get('version')!r}")
 
+    missing = [k for k in ("csp", "profile", "row_provenance") if k not in payload]
+    if missing:
+        raise SvpforgeError(f"sidecar is missing {', '.join(map(repr, missing))}")
+    if not isinstance(payload["csp"], str):
+        raise SvpforgeError("sidecar 'csp' must be the instance text")
     csp = parse_csp(payload["csp"])
     prof = profile_from_json(payload["profile"])
     basis = parse_basis(basis_path.read_text())
-    provenance = tuple(
-        (int(t), tuple(int(a) for a in tup)) for t, tup in payload["row_provenance"]
-    )
+    try:
+        provenance = tuple(
+            (int(t), tuple(int(a) for a in tup)) for t, tup in payload["row_provenance"]
+        )
+    except (TypeError, ValueError):
+        raise SvpforgeError(
+            "row provenance must list [constraint, [symbol, ...]] pairs"
+        ) from None
     if len(provenance) != len(basis):
         raise SvpforgeError("row provenance length does not match the basis")
     if len(basis[0]) != prof.nprime:

@@ -57,33 +57,62 @@ def smallest_prime_geq(n: int) -> int:
     return cand
 
 
-@dataclass(frozen=True)
 class ReducedVandermonde:
     """The (a-1) x b matrix with row i (1-based) equal to (i**0, ..., i**(b-1)) mod a.
 
     For prime a and b < a, every b x b row-induced submatrix is nonsingular,
     so a nonzero integer vector orthogonal to all b columns must have more
     than b nonzero entries.
+
+    Rows are computed on demand: ``row(i)`` costs O(b) and ``num_rows`` costs
+    nothing, so a caller that reads k rows pays for k rows, not for a-1.
+    ``rows`` materializes the whole matrix on first access and caches it;
+    only the certification helpers, which sweep every row, need it.  Rows
+    passed to the constructor (a doctored matrix, say) are used as given.
     """
 
-    modulus: int
-    width: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("modulus", "width", "_rows")
+
+    def __init__(
+        self,
+        modulus: int,
+        width: int,
+        rows: Optional[tuple[tuple[int, ...], ...]] = None,
+    ):
+        self.modulus = modulus
+        self.width = width
+        self._rows = rows
+
+    def __repr__(self) -> str:
+        return f"ReducedVandermonde(modulus={self.modulus}, width={self.width})"
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self.modulus - 1 if self._rows is None else len(self._rows)
+
+    def row(self, i: int) -> tuple[int, ...]:
+        """Row i, 0-based: ((i+1)**0, ..., (i+1)**(b-1)) mod a."""
+        if not 0 <= i < self.num_rows:
+            raise IndexError(f"row {i} outside 0..{self.num_rows - 1}")
+        if self._rows is not None:
+            return self._rows[i]
+        return tuple(pow(i + 1, j, self.modulus) for j in range(self.width))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Every row, built on first access and cached."""
+        if self._rows is None:
+            self._rows = tuple(self.row(i) for i in range(self.modulus - 1))
+        return self._rows
 
 
 def reduced_vandermonde(a: int, b: int) -> ReducedVandermonde:
+    """Validate (a prime, 1 <= b < a) and return the lazy matrix in O(1)."""
     if not is_prime(a):
         raise ValueError(f"modulus {a} is not prime")
     if not (1 <= b < a):
         raise ValueError(f"width must satisfy 1 <= b < a, got b={b}, a={a}")
-    rows = tuple(
-        tuple(pow(i, j, a) for j in range(b)) for i in range(1, a)
-    )
-    return ReducedVandermonde(a, b, rows)
+    return ReducedVandermonde(a, b)
 
 
 def first_singular_submatrix(vm: ReducedVandermonde) -> Optional[tuple[int, ...]]:
@@ -108,7 +137,7 @@ def kernel_support_check(vm: ReducedVandermonde, v: Sequence[int]) -> bool:
     image = [0] * vm.width
     for i in support:
         vi = v[i]
-        row = vm.rows[i]
+        row = vm.row(i)
         for j in range(vm.width):
             image[j] += vi * row[j]
     if any(image):

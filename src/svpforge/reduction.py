@@ -13,6 +13,11 @@ The basis G = [consistency | support | spread] has one candidate row per
       constraint's column block and indexed by the tuple's rank, so rows of
       one constraint are mutually orthogonal there.
 
+Both Vandermonde blocks read only the rows they place (rows 1..rows_full for
+support, rows 1..max occurrences of one (variable, symbol) pair for
+consistency), computed on demand, so the cost and memory of a reduction
+scale with the basis it emits, not with the prime (about rows_full**2).
+
 Candidate rows whose consistency part is all zero (tuples the constraint
 rejects) are deleted.  Short lattice vectors then correspond to consistent
 assignments: the scaled blocks are expensive to touch, and the spread block
@@ -285,7 +290,7 @@ def build_consistency_block(
                     raise ProfileError(
                         f"column {matrix.col_index[col]} has more than {vm.num_rows} occurrences"
                     )
-                vrow = vm.rows[j - 1]
+                vrow = vm.row(j - 1)
                 base = col * width
                 for t in range(width):
                     out[r][base + t] = prof.scale * vrow[t]
@@ -297,9 +302,7 @@ def build_support_block(prof: ReductionProfile) -> list[list[int]]:
     vm = reduced_vandermonde(prof.prime, prof.support_width)
     if prof.rows_full > vm.num_rows:
         raise ProfileError("prime too small for the support block")
-    return [
-        [prof.scale * x for x in vm.rows[i]] for i in range(prof.rows_full)
-    ]
+    return [[prof.scale * x for x in vm.row(i)] for i in range(prof.rows_full)]
 
 
 def tuple_rank(tup: Sequence[int], sigma: int) -> int:
@@ -416,16 +419,16 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
     for r, (t, tup) in enumerate(matrix.row_index):
         alive = any(consistency[r])
         satisfied = tup in inst.constraints[t].accepted_set
-        assert alive == satisfied, "zero-row deletion must match the accept sets"
+        if alive != satisfied:
+            raise ProfileError("zero-row deletion must match the accept sets")
         if alive:
             basis.append(tuple(consistency[r] + support[r] + spread[r]))
             provenance.append((t, tup))
-    inst_out = GapSvpInstance(
+    if basis and len(basis[0]) != prof.nprime:
+        raise ProfileError("basis width must equal the profile's column count")
+    return GapSvpInstance(
         csp=inst,
         profile=prof,
         basis=tuple(basis),
         row_provenance=tuple(provenance),
     )
-    if basis:
-        assert len(basis[0]) == prof.nprime
-    return inst_out

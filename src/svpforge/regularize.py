@@ -367,13 +367,15 @@ def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
         )
         new_constraints.append(Constraint(tuple(scope), accepted))
     for x, d in enumerate(degrees):
-        assert seen[x] == d
+        if seen[x] != d:
+            raise RegularizeError(f"variable {x} occurs {seen[x]} times, expected degree {d}")
 
     out = CspInstance(
         total, sigma, q * w, tuple(new_constraints), inst.soundness
     )
     out_degrees = set(out.degrees())
-    assert out_degrees == {fprime}, f"output degrees {out_degrees} != {fprime}"
+    if out_degrees != {fprime}:
+        raise RegularizeError(f"output degrees {out_degrees} != {fprime}")
     return RegularizedCsp(
         instance=out,
         source=inst,

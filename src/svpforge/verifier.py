@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import kernels
 from .csp import evaluate
-from .errors import BudgetExceededError, WitnessNotFoundError
+from .errors import BudgetExceededError, SvpforgeError, WitnessNotFoundError
 from .reduction import GapSvpInstance, normalize_p
 
 DEFAULT_COLLISION_BUDGET = 2_000_000
@@ -154,8 +154,10 @@ def witness_from_assignment(
     for r, s in zip(selected, found):
         v[r] = s
     image = apply_coefficients(v, inst.basis)
-    assert all(image[j] == 0 for j in range(lo, hi)), "scaled blocks must cancel"
-    assert lp_norm_power(image, None) == 1, "witness must reach max-norm exactly 1"
+    if any(image[j] for j in range(lo, hi)):
+        raise SvpforgeError("scaled blocks must cancel")
+    if lp_norm_power(image, None) != 1:
+        raise SvpforgeError("witness must reach max-norm exactly 1")
     return tuple(v)
 
 

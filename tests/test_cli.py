@@ -112,6 +112,34 @@ def test_sidecar_mismatch_detected(tmp_path, capsys):
         basisio.load_instance(basis)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("csp", None),  # None deletes the key
+        ("profile", None),
+        ("row_provenance", None),
+        ("row_provenance", [0, 0, 0]),  # entries are not pairs
+        ("row_provenance", [[0], [0], [1]]),  # entries lack their tuple
+        ("csp", 7),
+    ],
+)
+def test_sidecar_schema_errors_exit_2(tmp_path, capsys, key, value):
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    sidecar = tmp_path / "toy1.basis.json"
+    payload = json.loads(sidecar.read_text())
+    if value is None:
+        del payload[key]
+    else:
+        payload[key] = value
+    sidecar.write_text(json.dumps(payload))
+    with pytest.raises(SvpforgeError):
+        basisio.load_instance(basis)
+    code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_witness_enumerate_extract_audit(tmp_path, capsys):
     basis = tmp_path / "toy1.basis"
     run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)

@@ -50,6 +50,35 @@ def test_vandermonde_entries():
     assert vm.rows == ((1, 1), (1, 2), (1, 3), (1, 4))
 
 
+def test_vandermonde_lazy_rows_match_materialized():
+    for a, b in ((2, 1), (5, 2), (13, 3), (67, 1), (101, 4)):
+        vm = reduced_vandermonde(a, b)
+        assert vm.num_rows == a - 1
+        rows = [vm.row(i) for i in range(a - 1)]
+        assert tuple(rows) == vm.rows
+        assert all(vm.row(i) == vm.rows[i] for i in range(a - 1))
+        with pytest.raises(IndexError):
+            vm.row(a - 1)
+        with pytest.raises(IndexError):
+            vm.row(-1)
+    # a single row of a huge matrix is computed without building the others
+    big = reduced_vandermonde(1_000_000_007, 3)
+    assert big.num_rows == 1_000_000_006
+    assert big.row(1_000_000_005) == (1, 1_000_000_006, 1)
+
+
+def test_vandermonde_explicit_rows_are_used_as_given():
+    given = ((1, 1), (1, 1), (1, 2))
+    positional = ReducedVandermonde(5, 2, given)
+    by_keyword = ReducedVandermonde(modulus=5, width=2, rows=given)
+    for bad in (positional, by_keyword):
+        assert bad.num_rows == 3
+        assert [bad.row(i) for i in range(3)] == list(given)
+        assert bad.rows == given
+        with pytest.raises(IndexError):
+            bad.row(3)
+
+
 def test_vandermonde_rejects_bad_params():
     with pytest.raises(ValueError):
         reduced_vandermonde(6, 2)  # composite modulus

@@ -1,5 +1,6 @@
 """Profile derivation and basis assembly."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,21 @@ def test_reduce_toy1_pinned_basis(toy1_reduced):
         (0, s, 0, s, s, 1, 1, 1, 1, 0, 0, 0, 0),
         (s, 0, s, 0, s, 0, 0, 0, 0, 1, -1, -1, 1),
     )
+
+
+def test_reduce_cost_does_not_grow_with_the_prime(toy1, toy1_reduced):
+    # With unit widths every Vandermonde entry is 1, so a huge prime leaves the
+    # basis unchanged.  Reading only the rows the blocks use keeps this instant;
+    # building every row of the matrix would take 10**9 rows.
+    prof = derive_profile(
+        toy1, p=3, mode="explicit",
+        consistency_width=1, support_width=1, scale=SCALE, prime=1_000_000_007,
+    )
+    start = time.perf_counter()
+    out = reduce_csp(toy1, prof)
+    assert time.perf_counter() - start < 2.0
+    assert out.basis == toy1_reduced.basis
+    assert out.row_provenance == toy1_reduced.row_provenance
 
 
 def test_reduce_unsat_shape(unsat_reduced):
