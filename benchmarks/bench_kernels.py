@@ -1,17 +1,18 @@
-"""Compare the compiled and pure kernel backends on fixed workloads.
+"""Time the exact kernels on fixed workloads.
 
-Usage: python3 benchmarks/bench_kernels.py [--repeat N]
+Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 
-Workloads are deterministic, so the two backends compute identical results;
-the table reports best-of-N wall times and the speedup.
+Prints best-of-N wall times.  Each determinant sweep result is checked
+against the big-integer sweep, which shares no arithmetic with the int64
+suffix-product path it times.
 """
 
 import argparse
 import random
 import time
 
+from svpforge import kernels
 from svpforge.gadgets import reduced_vandermonde
-from svpforge.kernels import compiled, pure
 
 
 def _time(fn, repeat):
@@ -26,9 +27,9 @@ def _time(fn, repeat):
 
 
 def det_workloads():
-    for width in (3, 4):
-        vm = reduced_vandermonde(101, width)
-        yield f"det sweep (101, {width})", vm.rows, width
+    for prime, width in ((101, 3), (101, 4), (211, 3)):
+        vm = reduced_vandermonde(prime, width)
+        yield f"det sweep ({prime}, {width})", vm.rows, width
 
 
 def box_workload():
@@ -42,55 +43,21 @@ def main():
     parser.add_argument("--repeat", type=int, default=3, help="timing repetitions")
     args = parser.parse_args()
 
-    backends = [("pure", pure)]
-    if compiled is not None:
-        backends.insert(0, ("compiled", compiled))
-    else:
-        print("note: compiled extension unavailable, timing pure backend only")
-
-    rows_fmt = "{:<24} {:>12} {:>12} {:>9}"
-    print(rows_fmt.format("workload", *(n for n, _ in backends), "speedup")
-          if len(backends) == 2 else rows_fmt.format("workload", "pure", "", ""))
+    rows_fmt = "{:<24} {:>12}"
+    print(rows_fmt.format("workload", kernels.backend_name()))
 
     for name, rows, width in det_workloads():
-        times = {}
-        results = {}
-        for bname, backend in backends:
-            times[bname], results[bname] = _time(
-                lambda b=backend: b.det_sweep(rows, width), args.repeat
-            )
-        if len(results) == 2:
-            assert results["compiled"] == results["pure"]
-            speedup = times["pure"] / times["compiled"]
-            print(rows_fmt.format(
-                name, f"{times['compiled']*1e3:.1f} ms",
-                f"{times['pure']*1e3:.1f} ms", f"{speedup:.1f}x",
-            ))
-        else:
-            print(rows_fmt.format(name, f"{times['pure']*1e3:.1f} ms", "", ""))
+        dt, result = _time(lambda: kernels.det_sweep(rows, width), args.repeat)
+        assert result == kernels._det_sweep_bigint(rows, width), name
+        print(rows_fmt.format(name, f"{dt*1e3:.1f} ms"))
 
     rows = box_workload()
     loose = list(range(len(rows[0])))
-    times = {}
-    results = {}
-    for bname, backend in backends:
-        times[bname], results[bname] = _time(
-            lambda b=backend: b.box_minimum(rows, 1, 3, [], loose, 10**9),
-            args.repeat,
-        )
-    name = "box minimum 3^12, p=3"
-    if len(results) == 2:
-        assert results["compiled"] == results["pure"]
-        speedup = times["pure"] / times["compiled"]
-        print(rows_fmt.format(
-            name, f"{times['compiled']*1e3:.1f} ms",
-            f"{times['pure']*1e3:.1f} ms", f"{speedup:.1f}x",
-        ))
-        nodes = results["compiled"][2]
-    else:
-        print(rows_fmt.format(name, f"{times['pure']*1e3:.1f} ms", "", ""))
-        nodes = results["pure"][2]
-    print(f"\nbox nodes visited: {nodes}")
+    dt, result = _time(
+        lambda: kernels.box_minimum(rows, 1, 3, [], loose, 10**9), args.repeat
+    )
+    print(rows_fmt.format("box minimum 3^12, p=3", f"{dt*1e3:.1f} ms"))
+    print(f"\nbox nodes visited: {result[2]}")
 
 
 if __name__ == "__main__":

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .csp import emit_csp, parse_csp
-from .errors import SvpforgeError
-from .reduction import INFINITY, GapSvpInstance, ReductionProfile
+from .csp import CspInstance, emit_csp, parse_csp
+from .errors import ProfileError, SvpforgeError
+from .reduction import INFINITY, GapSvpInstance, ReductionProfile, derive_profile
 
 FORMAT_NAME = "svpforge-basis"
 FORMAT_VERSION = 1
@@ -75,7 +76,7 @@ def _p_json(p: Optional[int]):
 def _p_from_json(value) -> Optional[int]:
     if value == INFINITY:
         return None
-    if isinstance(value, int) and value >= 1:
+    if type(value) is int and value >= 1:
         return value
     raise SvpforgeError(f"bad norm index {value!r} in sidecar")
 
@@ -98,27 +99,68 @@ def profile_to_json(prof: ReductionProfile) -> dict:
     }
 
 
-def profile_from_json(d: dict) -> ReductionProfile:
+_PROFILE_INTS = (
+    "prime",
+    "scale",
+    "consistency_width",
+    "support_width",
+    "num_vars",
+    "num_constraints",
+    "arity",
+    "alphabet_size",
+    "degree",
+    "padded_alphabet",
+)
+
+
+def profile_from_json(d: dict, csp: CspInstance) -> ReductionProfile:
+    """Type-check a sidecar profile and check it against its embedded instance.
+
+    The profile must be exactly the one ``derive_profile`` gives for ``csp``
+    with the stored knobs, so the shape fields (num_vars through
+    padded_alphabet, and soundness) must match the instance and the knobs
+    must pass the same validation as a fresh reduction.
+    """
     if not isinstance(d, dict):
         raise SvpforgeError("sidecar profile must be a JSON object")
+    missing = [k for k in ("p", "mode", "soundness", *_PROFILE_INTS) if k not in d]
+    if missing:
+        raise SvpforgeError(f"sidecar profile is missing {missing[0]!r}")
+    for key in _PROFILE_INTS:
+        if type(d[key]) is not int:  # bool is an int subclass; reject it too
+            raise SvpforgeError(f"sidecar profile {key!r} must be an integer, got {d[key]!r}")
+    if d["mode"] not in ("asymptotic-default", "explicit"):
+        raise SvpforgeError(f"sidecar profile has unknown mode {d['mode']!r}")
+    if not isinstance(d["soundness"], str):
+        raise SvpforgeError("sidecar profile 'soundness' must be a 'NUM/DEN' string")
     try:
-        return ReductionProfile(
-            p=_p_from_json(d["p"]),
-            prime=d["prime"],
-            scale=d["scale"],
-            consistency_width=d["consistency_width"],
-            support_width=d["support_width"],
-            mode=d["mode"],
-            soundness=Fraction(d["soundness"]),
-            num_vars=d["num_vars"],
-            num_constraints=d["num_constraints"],
-            arity=d["arity"],
-            alphabet_size=d["alphabet_size"],
-            degree=d["degree"],
-            padded_alphabet=d["padded_alphabet"],
+        soundness = Fraction(d["soundness"])
+    except (ValueError, ZeroDivisionError):
+        raise SvpforgeError(f"bad soundness {d['soundness']!r} in sidecar") from None
+    prof = ReductionProfile(
+        p=_p_from_json(d["p"]),
+        soundness=soundness,
+        mode=d["mode"],
+        **{key: d[key] for key in _PROFILE_INTS},
+    )
+    try:
+        expected = derive_profile(
+            csp,
+            p=prof.p,
+            mode=prof.mode,
+            prime=prof.prime,
+            scale=prof.scale,
+            consistency_width=prof.consistency_width,
+            support_width=prof.support_width,
         )
-    except KeyError as exc:
-        raise SvpforgeError(f"sidecar profile is missing {exc.args[0]!r}") from None
+    except (ProfileError, ValueError) as exc:  # is_prime refuses moduli >= 3.3e24
+        raise SvpforgeError(f"sidecar profile is invalid: {exc}") from None
+    if prof != expected:
+        bad = [f.name for f in fields(prof) if getattr(prof, f.name) != getattr(expected, f.name)]
+        raise SvpforgeError(
+            f"sidecar profile does not match the embedded instance: {', '.join(bad)}"
+        )
+    return prof
 
 
 def sidecar_json(
@@ -184,7 +226,7 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     if not isinstance(payload["csp"], str):
         raise SvpforgeError("sidecar 'csp' must be the instance text")
     csp = parse_csp(payload["csp"])
-    prof = profile_from_json(payload["profile"])
+    prof = profile_from_json(payload["profile"], csp)
     basis = parse_basis(basis_path.read_text())
     try:
         provenance = tuple(

@@ -25,7 +25,6 @@ from .gadgets import (
     hadamard_gram_ok,
     reduced_vandermonde,
 )
-from .kernels import pure as pure_kernels
 from .reduction import derive_profile, reduce_csp
 from .regularize import RegularizeParams, lineage_json, regularize
 from .verifier import (
@@ -238,12 +237,24 @@ def _selftest_checks(seed: int):
     def kernel_differential() -> bool:
         rng = random.Random(seed + 1)
         rows = [[rng.randint(-50, 50) for _ in range(3)] for _ in range(12)]
-        if kernels.det_sweep(rows, 3) != pure_kernels.det_sweep(rows, 3):
+        rows[9] = [2 * x for x in rows[4]]  # plant a singular combination
+        singular = (
+            combo
+            for combo in itertools.combinations(range(len(rows)), 3)
+            if kernels.det_exact([rows[i] for i in combo]) == 0
+        )
+        if kernels.det_sweep(rows, 3) != next(singular, None):
             return False
         box_rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
-        got = kernels.box_minimum(box_rows, 1, 3, [], list(range(5)), 10**6)
-        want = pure_kernels.box_minimum(box_rows, 1, 3, [], list(range(5)), 10**6)
-        return got == want
+        power, vector, _nodes = kernels.box_minimum(
+            box_rows, 1, 3, [], list(range(5)), 10**6
+        )
+        brute = min(
+            (sum(abs(x) ** 3 for x in apply_coefficients(v, box_rows)), v)
+            for v in itertools.product((-1, 0, 1), repeat=len(box_rows))
+            if any(v)
+        )
+        return (power, vector) == brute
 
     return [
         ("vandermonde-minors", vandermonde_minors),
@@ -353,7 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SvpforgeError, ValueError, FileNotFoundError) as exc:
+    except (SvpforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,11 @@
-"""Pure backend for the hot kernels: exact, no compiled extension.
-
-Two entry points mirror the compiled module:
+"""The exact kernels behind certification and box enumeration.
 
   det_sweep(rows, width)   -> first singular width x width row combination, or None
   box_minimum(...)         -> exhaustive norm minimum over a coefficient box
 
-Determinants use numpy int64 vectorization when a proven overflow bound
-holds, and Python big integers otherwise, so results are exact either way.
-Arbitrary precision is slower than the compiled version; it exists for
-correctness comparison and as the fallback when the extension is absent.
+Determinants use NumPy int64 arithmetic when a proven overflow bound holds,
+and Python big integers otherwise, so results are exact either way.  The box
+enumeration is a plain depth-first search over Python integers.
 """
 
 from __future__ import annotations
@@ -19,14 +16,23 @@ import numpy as np
 
 from svpforge.errors import BudgetExceededError
 
-BACKEND = "pure"
-
 # Largest |entry| for which the int64 determinant formulas cannot overflow:
 # the b=4 expansion sums 6 products of two 2x2 minors, each minor at most
-# 2*maxabs**2, so |any intermediate| <= 24*maxabs**4; similar counts below.
+# 2*maxabs**2, so |any intermediate| <= 24*maxabs**4; b=3 dots a row with a
+# cross product (entries at most 2*maxabs**2), so |any intermediate| <=
+# 6*maxabs**3.
 INT64_DET_MAXABS = {1: (1 << 62), 2: 2_000_000_000, 3: 1_000_000, 4: 20_000}
 
-_CHUNK = 1 << 17
+# Laplace expansion of a 4x4 determinant over rows (0,1 | 2,3): the minor of
+# rows 0-1 on column pair _PAIRS[k] multiplies the minor of rows 2-3 on the
+# complementary pair _PAIRS[5-k], with sign _LAPLACE_SIGNS[k].
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+_LAPLACE_SIGNS = np.array([1, -1, 1, 1, -1, 1], dtype=np.int64)
+
+
+def backend_name() -> str:
+    """The kernel implementation that runs, as reported by ``enumerate``."""
+    return "pure"
 
 
 def det_sweep(rows, width):
@@ -43,52 +49,54 @@ def det_sweep(rows, width):
         raise ValueError("rows must be exactly width long")
     maxabs = max((abs(x) for row in rows for x in row), default=0)
     if width <= 4 and maxabs <= INT64_DET_MAXABS[width]:
-        return _det_sweep_numpy(rows, width)
+        return _det_sweep_int64(rows, width)
     return _det_sweep_bigint(rows, width)
 
 
-def _det_sweep_numpy(rows, b):
+def _det_sweep_int64(rows, b):
+    """Suffix-product sweep: one matrix-vector product per (b-2)-row prefix.
+
+    Each row pair (i < j) gets a "tail" vector, chosen so that the
+    determinant of prefix + (i, j) is tail(i, j) . head(prefix).  Pairs are
+    listed in lexicographic order, so the pairs that can follow a prefix
+    ending at row r are the contiguous suffix starting at the first pair
+    whose first row is r + 1, and the first zero of that product, taken over
+    prefixes in lexicographic order, is the first singular combination.
+    """
     arr = np.array(rows, dtype=np.int64)
-    combos = itertools.combinations(range(len(rows)), b)
-    while True:
-        chunk = list(itertools.islice(combos, _CHUNK))
-        if not chunk:
-            return None
-        idx = np.array(chunk, dtype=np.intp)
-        s = arr[idx]  # (K, b, b)
-        dets = _det_int64(s, b)
-        zeros = np.flatnonzero(dets == 0)
-        if zeros.size:
-            return chunk[int(zeros[0])]
-
-
-def _det_int64(s, b):
+    n = len(rows)
     if b == 1:
-        return s[:, 0, 0]
+        zeros = np.flatnonzero(arr[:, 0] == 0)
+        return (int(zeros[0]),) if zeros.size else None
+    first, second = np.triu_indices(n, 1)
+    # start[i]: index of the first pair whose first row is >= i
+    start = np.searchsorted(first, np.arange(n + 1)).tolist()
+    r, s = arr[first], arr[second]
     if b == 2:
-        return s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    if b == 3:
-        return (
-            s[:, 0, 0] * (s[:, 1, 1] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 1])
-            - s[:, 0, 1] * (s[:, 1, 0] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 0])
-            + s[:, 0, 2] * (s[:, 1, 0] * s[:, 2, 1] - s[:, 1, 1] * s[:, 2, 0])
+        tail = (r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0])[:, None]
+        heads = np.ones((1, 1), dtype=np.int64)
+    elif b == 3:
+        tail = np.cross(r, s)  # det(a, i, j) = row a . (row i x row j)
+        heads = arr
+    else:
+        minors = np.stack(
+            [r[:, k] * s[:, l] - r[:, l] * s[:, k] for k, l in _PAIRS], axis=1
         )
-    # b == 4: Laplace expansion along the first two rows; pij and qij are the
-    # 2x2 minors of rows (0,1) and rows (2,3) on column pair (i,j).
-    def p(i, j):
-        return s[:, 0, i] * s[:, 1, j] - s[:, 0, j] * s[:, 1, i]
-
-    def q(i, j):
-        return s[:, 2, i] * s[:, 3, j] - s[:, 2, j] * s[:, 3, i]
-
-    return (
-        p(0, 1) * q(2, 3)
-        - p(0, 2) * q(1, 3)
-        + p(0, 3) * q(1, 2)
-        + p(1, 2) * q(0, 3)
-        - p(1, 3) * q(0, 2)
-        + p(2, 3) * q(0, 1)
-    )
+        tail = minors[:, ::-1] * _LAPLACE_SIGNS
+        heads = minors
+    for prefix in itertools.combinations(range(n - 2), b - 2):
+        if b == 2:
+            lo, head = 0, heads[0]
+        elif b == 3:
+            lo, head = start[prefix[0] + 1], heads[prefix[0]]
+        else:
+            a, c = prefix
+            lo, head = start[c + 1], heads[start[a] + c - a - 1]
+        dets = tail[lo:] @ head
+        if not dets.all():
+            k = lo + int(np.flatnonzero(dets == 0)[0])
+            return prefix + (int(first[k]), int(second[k]))
+    return None
 
 
 def _det_sweep_bigint(rows, b):

@@ -193,10 +193,14 @@ def enumerate_box(
     ]
     loose = list(range(0, inst.spread_span[0]))
     rows = [list(r) for r in inst.basis]
-    backend = kernels.box_backend(rows, box, pn)
     power, vector, nodes = kernels.box_minimum(rows, box, pn, groups, loose, budget)
     return EnumerationResult(
-        power=power, vector=vector, p=pn, box=box, nodes=nodes, backend=backend
+        power=power,
+        vector=vector,
+        p=pn,
+        box=box,
+        nodes=nodes,
+        backend=kernels.backend_name(),
     )
 
 

@@ -50,6 +50,12 @@ def test_validate_missing_file(capsys):
     assert "error:" in err
 
 
+def test_validate_directory(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_reduce_writes_basis_and_sidecar(tmp_path, capsys):
     basis = tmp_path / "toy1.basis"
     code, out, _ = run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
@@ -115,12 +121,22 @@ def test_sidecar_mismatch_detected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("csp", None),  # None deletes the key
+        ("csp", None),
         ("profile", None),
         ("row_provenance", None),
         ("row_provenance", [0, 0, 0]),  # entries are not pairs
         ("row_provenance", [[0], [0], [1]]),  # entries lack their tuple
         ("csp", 7),
+        # dotted keys set one profile field, None included (JSON null)
+        ("profile.consistency_width", "1"),
+        ("profile.scale", None),
+        ("profile.soundness", 5),
+        ("profile.prime", 7.0),
+        ("profile.prime", 69),  # not prime
+        ("profile.p", True),
+        ("profile.mode", "fast"),
+        ("profile.degree", 3),  # the embedded instance has degree 2
+        ("profile.soundness", "1/2"),  # the embedded instance claims 1
     ],
 )
 def test_sidecar_schema_errors_exit_2(tmp_path, capsys, key, value):
@@ -128,7 +144,10 @@ def test_sidecar_schema_errors_exit_2(tmp_path, capsys, key, value):
     run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
     sidecar = tmp_path / "toy1.basis.json"
     payload = json.loads(sidecar.read_text())
-    if value is None:
+    if "." in key:
+        outer, field = key.split(".")
+        payload[outer][field] = value
+    elif value is None:  # None deletes a top-level key
         del payload[key]
     else:
         payload[key] = value

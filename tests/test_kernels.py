@@ -1,18 +1,14 @@
-"""Differential tests: dispatcher vs pure backend vs naive oracles."""
+"""Differential tests: the kernels against naive oracles."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svpforge import kernels
 from svpforge.errors import BudgetExceededError
-from svpforge.kernels import pure
-
-compiled = kernels.compiled
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled extension not available"
-)
 
 
 def _naive_det(m):
@@ -66,9 +62,34 @@ def test_det_sweep_differential(width):
         ]
         if trial % 3 == 0 and nrows > width:
             rows[-1] = rows[0][:]  # plant a guaranteed singular combination
-        want = _naive_det_sweep(rows, width)
-        assert pure.det_sweep(rows, width) == want
-        assert kernels.det_sweep(rows, width) == want
+        assert kernels.det_sweep(rows, width) == _naive_det_sweep(rows, width)
+
+
+@st.composite
+def _det_sweep_inputs(draw):
+    """Rows up to the int64 edge, with planted repeated or proportional rows."""
+    width = draw(st.integers(1, 4))
+    edge = kernels.INT64_DET_MAXABS[width]
+    entry = st.one_of(
+        st.integers(-edge, edge),
+        st.sampled_from([-edge, -edge + 1, -1, 0, 1, edge - 1, edge]),
+    )
+    nrows = draw(st.integers(width, width + 5))
+    rows = [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2))):
+        src = draw(st.integers(0, nrows - 1))
+        dst = draw(st.integers(0, nrows - 1))
+        factor = draw(st.sampled_from([1, -1, 2, -3]))
+        if all(abs(factor * x) <= edge for x in rows[src]):
+            rows[dst] = [factor * x for x in rows[src]]
+    return rows, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_det_sweep_inputs())
+def test_det_sweep_matches_naive_up_to_int64_edge(case):
+    rows, width = case
+    assert kernels.det_sweep(rows, width) == _naive_det_sweep(rows, width)
 
 
 def test_det_sweep_finds_first_combination():
@@ -81,8 +102,7 @@ def test_det_sweep_bigint_path():
     # entries far beyond the int64-safe window must still be exact
     big = 10**20
     rows = [[big, 1], [big, 2], [2 * big, 2]]
-    assert pure.det_sweep(rows, 2) == (0, 2)  # rows 0 and 2 are proportional
-    assert kernels.det_sweep(rows, 2) == (0, 2)
+    assert kernels.det_sweep(rows, 2) == (0, 2)  # rows 0 and 2 are proportional
     rows_ok = [[big, 1], [big, 2], [big, 4]]
     assert kernels.det_sweep(rows_ok, 2) is None
 
@@ -91,7 +111,7 @@ def test_det_exact_matches_naive():
     rng = random.Random(7)
     for n in (1, 2, 3, 4, 5):
         m = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-        assert pure.det_exact(m) == _naive_det(m)
+        assert kernels.det_exact(m) == _naive_det(m)
 
 
 @pytest.mark.parametrize("p", [3, 4, None])
@@ -106,12 +126,10 @@ def test_box_minimum_differential(p, c):
             rows[0][0] = 1
         want_norm, _ = _naive_box_minimum(rows, c, p)
         loose = list(range(ncols))
-        got_pure = pure.box_minimum(rows, c, p, [], loose, 10**7)
-        got_disp = kernels.box_minimum(rows, c, p, [], loose, 10**7)
-        assert got_pure[0] == want_norm
-        assert got_disp[:2] == got_pure[:2]
+        got = kernels.box_minimum(rows, c, p, [], loose, 10**7)
+        assert got[0] == want_norm
         # the reported argmin must achieve the reported norm
-        v = got_pure[1]
+        v = got[1]
         image = [sum(v[i] * rows[i][j] for i in range(m)) for j in range(ncols)]
         norm = (
             max(abs(x) for x in image)
@@ -148,32 +166,16 @@ def test_box_minimum_grouped_matches_loose():
 def test_box_minimum_budget():
     rows = [[1, 0], [0, 1], [1, 1], [1, -1]]
     with pytest.raises(BudgetExceededError):
-        pure.box_minimum(rows, 2, 3, [], [0, 1], budget=3)
-    with pytest.raises(BudgetExceededError):
         kernels.box_minimum(rows, 2, 3, [], [0, 1], budget=3)
 
 
-def test_dispatcher_routes_wide_entries_to_pure():
+def test_box_minimum_exact_on_wide_entries():
+    # 2**62 entries overflow any fixed-width accumulator; the result stays exact
     big = 1 << 62
     rows = [[big, 0], [0, 1]]
-    assert kernels.box_backend(rows, 1, 3) == "pure"
     power, vec, _ = kernels.box_minimum(rows, 1, 3, [], [0, 1], 10**6)
     assert power == 1 and vec == (0, -1)
 
 
-@needs_compiled
-def test_compiled_reports_same_nodes_as_pure():
-    rows = [[2, 1, 0], [1, 1, 1], [0, 3, 1]]
-    a = pure.box_minimum(rows, 1, 3, [], [0, 1, 2], 10**6)
-    b = compiled.box_minimum(rows, 1, 3, [], [0, 1, 2], 10**6)
-    assert a == b  # identical minimum, argmin, and node count
-
-
-@needs_compiled
-def test_compiled_det_sweep_rejects_untracked_width():
-    with pytest.raises(ValueError):
-        compiled.det_sweep([[1] * 5] * 5, 5)
-
-
 def test_backend_name_reports():
-    assert kernels.backend_name() in ("pure", "compiled")
+    assert kernels.backend_name() == "pure"
