@@ -4,7 +4,9 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 
 Prints best-of-N wall times.  Each determinant sweep result is checked
 against the big-integer sweep, which shares no arithmetic with the int64
-suffix-product path it times.
+suffix-product path it times.  Each box enumeration must report its pinned
+node count: the ungrouped box prunes nothing, the grouped one prunes on
+finalized groups the way spread blocks do.
 """
 
 import argparse
@@ -32,10 +34,26 @@ def det_workloads():
         yield f"det sweep ({prime}, {width})", vm.rows, width
 
 
-def box_workload():
+def box_workloads():
+    """(name, rows, p, groups, loose columns, pinned node count)."""
     rng = random.Random(9)
     rows = [[rng.randint(-3, 3) for _ in range(18)] for _ in range(12)]
-    return rows
+    yield "box 3^12, p=3", rows, 3, [], list(range(18)), 797160
+    # six groups of three rows with four private +-1 columns each, as in a
+    # spread block, plus seven loose columns
+    rng = random.Random(3)
+    ngroups, size, private, nloose = 6, 3, 4, 7
+    ncols = nloose + ngroups * private
+    rows, groups = [], []
+    for g in range(ngroups):
+        c0 = nloose + g * private
+        groups.append((g * size, (g + 1) * size, c0, c0 + private))
+        for _ in range(size):
+            row = [rng.randint(-2, 2) for _ in range(nloose)] + [0] * (ncols - nloose)
+            for j in range(c0, c0 + private):
+                row[j] = rng.choice((-1, 1))
+            rows.append(row)
+    yield "box 3^18 grouped, max", rows, None, groups, list(range(nloose)), 323037
 
 
 def main():
@@ -51,13 +69,12 @@ def main():
         assert result == kernels._det_sweep_bigint(rows, width), name
         print(rows_fmt.format(name, f"{dt*1e3:.1f} ms"))
 
-    rows = box_workload()
-    loose = list(range(len(rows[0])))
-    dt, result = _time(
-        lambda: kernels.box_minimum(rows, 1, 3, [], loose, 10**9), args.repeat
-    )
-    print(rows_fmt.format("box minimum 3^12, p=3", f"{dt*1e3:.1f} ms"))
-    print(f"\nbox nodes visited: {result[2]}")
+    for name, rows, p, groups, loose, nodes in box_workloads():
+        dt, result = _time(
+            lambda: kernels.box_minimum(rows, 1, p, groups, loose, 10**9), args.repeat
+        )
+        assert result[2] == nodes, f"{name}: {result[2]} nodes, pinned {nodes}"
+        print(rows_fmt.format(name, f"{dt*1e3:.1f} ms"))
 
 
 if __name__ == "__main__":

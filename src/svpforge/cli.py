@@ -67,6 +67,13 @@ def _parse_p(text: str):
         raise SvpforgeError(f"norm index must be an integer or 'inf': {text!r}") from None
 
 
+def _parse_beta(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SvpforgeError(f"beta must be a fraction NUM/DEN: {text!r}") from None
+
+
 def _read_csp(path: str) -> CspInstance:
     return parse_csp(Path(path).read_text())
 
@@ -94,7 +101,7 @@ def cmd_regularize(args) -> int:
     if args.spread is not None:
         overrides["spread"] = args.spread
     if args.beta is not None:
-        overrides["beta"] = Fraction(args.beta)
+        overrides["beta"] = args.beta
     if args.right_degree is not None:
         overrides["right_degree"] = args.right_degree
     overrides["strategy"] = args.strategy
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lineage", help="write the variable/constraint lineage as JSON")
     sp.add_argument("--duplication", type=int, help="copies of each constraint")
     sp.add_argument("--spread", type=int, help="copies of each scope variable read")
-    sp.add_argument("--beta", help="disperser parameter as NUM/DEN")
+    sp.add_argument("--beta", type=_parse_beta, help="disperser parameter as NUM/DEN")
     sp.add_argument("--right-degree", type=int, help="common output degree")
     sp.add_argument(
         "--strategy",
@@ -361,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (SvpforgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

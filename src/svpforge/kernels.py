@@ -5,7 +5,11 @@
 
 Determinants use NumPy int64 arithmetic when a proven overflow bound holds,
 and Python big integers otherwise, so results are exact either way.  The box
-enumeration is a plain depth-first search over Python integers.
+enumeration is a depth-first search over the upper rows in Python integers
+that hands each entry into the last rows to one NumPy evaluation of every
+remaining combination, int64 under a proven bound and Python integers in
+object arrays otherwise; minima, argmins and node counts are those of the
+plain depth-first search over all rows.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ from svpforge.errors import BudgetExceededError
 # cross product (entries at most 2*maxabs**2), so |any intermediate| <=
 # 6*maxabs**3.
 INT64_DET_MAXABS = {1: (1 << 62), 2: 2_000_000_000, 3: 1_000_000, 4: 20_000}
+
+# Leaves per block of a box enumeration: the last T rows are evaluated
+# together, T the largest with (2c+1)**T <= BLOCK_LEAVES (0 for c >= 365).
+BLOCK_LEAVES = 729
 
 # Laplace expansion of a 4x4 determinant over rows (0,1 | 2,3): the minor of
 # rows 0-1 on column pair _PAIRS[k] multiplies the minor of rows 2-3 on the
@@ -154,6 +162,11 @@ def box_minimum(rows, c, p, groups, loose_cols, budget):
     only strict improvements are kept, so ties resolve to the
     lexicographically smallest vector.
 
+    The first m-T rows are searched depth first; the last T rows, with
+    (2c+1)**T <= BLOCK_LEAVES, are evaluated as one block of every
+    combination at once (see ``_LeafBlock``).  Results and node counts are
+    those of the depth-first search over all m rows.
+
     Returns (best_power, best_vector, nodes); ``nodes`` counts coefficient
     assignments and is compared against ``budget``.
     """
@@ -165,32 +178,23 @@ def box_minimum(rows, c, p, groups, loose_cols, budget):
     ncols = len(rows[0])
     support = [tuple((j, row[j]) for j in range(ncols) if row[j]) for row in rows]
     finalize_at = {r1: (c0, c1) for (_r0, r1, c0, c1) in groups}
+    block = _LeafBlock(rows, c, p, finalize_at, loose_cols)
+    top = m - block.size
     acc = [0] * ncols
     coeffs = [0] * m
     state = {"best": None, "vec": None, "nodes": 0}
     inf = p is None
 
     def dfs(depth, finalized, nonzero):
-        if depth == m:
-            if not nonzero:
-                return
-            total = finalized
-            if inf:
-                for j in loose_cols:
-                    a = acc[j]
-                    if a < 0:
-                        a = -a
-                    if a > total:
-                        total = a
-            else:
-                for j in loose_cols:
-                    a = acc[j]
-                    if a < 0:
-                        a = -a
-                    total += a**p
-            if state["best"] is None or total < state["best"]:
-                state["best"] = total
-                state["vec"] = tuple(coeffs)
+        if depth == top:
+            best = block.cap if state["best"] is None else state["best"]
+            power, tail, nodes = block.evaluate(acc, finalized, nonzero, best)
+            state["nodes"] += nodes
+            if state["nodes"] > budget:
+                raise BudgetExceededError(f"box enumeration exceeded {budget} nodes")
+            if tail is not None:
+                state["best"] = power
+                state["vec"] = tuple(coeffs[:top]) + tail
             return
         sup = support[depth]
         bound = finalize_at.get(depth + 1)
@@ -229,3 +233,105 @@ def box_minimum(rows, c, p, groups, loose_cols, budget):
 
     dfs(0, 0, False)
     return state["best"], state["vec"], state["nodes"]
+
+
+class _LeafBlock:
+    """The last ``size`` rows of a box enumeration, evaluated as one table.
+
+    Built once per ``box_minimum`` call.  ``coeffs`` lists every coefficient
+    combination of the block rows in lexicographic order.  Each column still
+    open when the search reaches the block is read at one level k (the
+    number of block rows assigned): a group's columns when the group ends,
+    the loose columns at the leaves.  Its table holds the contribution of
+    the first k block rows for each of the (2c+1)**k prefixes of level k, so
+    a group is finalized once per prefix rather than once per leaf.
+
+    Column values use int64 when |any column| <= m*c*maxabs is below 2**62,
+    and norm totals when ``cap``, which exceeds every total (one term per
+    loose or group column), is at most 2**62.  Otherwise they are Python
+    integers in object arrays, through the same code.
+    """
+
+    def __init__(self, rows, c, p, finalize_at, loose_cols):
+        m = len(rows)
+        width = 2 * c + 1
+        size = 0
+        while size < m and width ** (size + 1) <= BLOCK_LEAVES:
+            size += 1
+        top = m - size
+        colmax = m * c * max(abs(x) for row in rows for x in row)
+        if p is None:
+            cap = colmax + 1
+        else:
+            terms = len(loose_cols) + sum(len(range(*span)) for span in finalize_at.values())
+            cap = terms * colmax**p + 1
+        entry_dtype = np.int64 if colmax < 1 << 62 else object
+        self.width, self.size, self.p, self.cap = width, size, p, cap
+        self.dtype = np.int64 if cap <= 1 << 62 else object
+        self.coeffs = np.array(
+            list(itertools.product(range(-c, c + 1), repeat=size)), dtype=np.int64
+        ).reshape(width**size, size)
+        self.zero = width**size // 2  # the all-zero combination
+
+        def table(level, cols):
+            prefixes = self.coeffs[:: width ** (size - level), :level]
+            block = np.array(
+                [[rows[r][j] for j in cols] for r in range(top, top + level)],
+                dtype=entry_dtype,
+            ).reshape(level, len(cols))
+            return cols, prefixes.astype(entry_dtype) @ block
+
+        self.groups = {
+            r1 - top: table(r1 - top, range(c0, c1))
+            for r1, (c0, c1) in finalize_at.items()
+            if top < r1 <= m
+        }
+        self.loose = table(size, list(loose_cols))
+
+    def _norms(self, cols, contrib, acc):
+        """Each prefix's norm (max or sum of p-th powers) over ``cols``."""
+        mags = np.abs(contrib + np.array([acc[j] for j in cols], dtype=contrib.dtype))
+        if self.p is None:
+            return mags.max(axis=1, initial=0)
+        return (mags.astype(self.dtype, copy=False) ** self.p).sum(axis=1)
+
+    def _combine(self, a, b):
+        return np.maximum(a, b) if self.p is None else a + b
+
+    def evaluate(self, acc, finalized, nonzero, best):
+        """Every leaf below one entry into the block, at once.
+
+        ``finalized`` is the entry's finalized value, which is below
+        ``best`` (``cap`` when nothing was found yet).  Returns (power,
+        tail, nodes): the first minimal leaf and its block coefficients when
+        it improves on ``best`` (tail None otherwise), and the number of
+        block nodes the row search would visit.  That search visits leaves
+        in table order and descends into a prefix iff its finalized value is
+        below the best leaf before the prefix's first leaf; a leaf it prunes
+        is never below that best, so the running minimum over all earlier
+        leaves equals the running best, and the first argmin is the leaf it
+        keeps.
+        """
+        fin = np.full(1, finalized, dtype=self.dtype)
+        prefix_fin = []  # per level: the finalized value of each prefix
+        for level in range(1, self.size + 1):
+            prefix_fin.append(fin)
+            fin = np.repeat(fin, self.width)
+            if level in self.groups:
+                fin = self._combine(fin, self._norms(*self.groups[level], acc))
+        total = self._combine(fin, self._norms(*self.loose, acc))
+        if not nonzero:
+            total[self.zero] = self.cap
+        running = np.empty_like(total)
+        running[0] = best
+        running[1:] = total[:-1]
+        np.minimum.accumulate(running, out=running)
+        descended = sum(
+            int(np.count_nonzero(f < running[:: len(total) // len(f)]))
+            for f in prefix_fin
+        )
+        nodes = self.width * descended
+        k = int(np.argmin(total))
+        if total[k] < best:
+            return int(total[k]), tuple(self.coeffs[k].tolist()), nodes
+        return best, None, nodes

@@ -1,6 +1,7 @@
 """Command line pipeline, file formats, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -216,6 +217,21 @@ def test_regularize_command(tmp_path, capsys):
     assert lineage["duplication"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regularize", TOY1, "--beta", "1/0"],
+        ["regularize", TOY1, "--beta", "x"],
+        ["reduce", TOY1, "--out", "unused.basis", "--p", "foo"],
+    ],
+    ids=["beta-zero-denominator", "beta-not-a-fraction", "p-not-an-integer"],
+)
+def test_bad_option_values_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_regularize_to_stdout(capsys):
     code, out, _ = run(
         capsys, "regularize", TOY1, "--duplication", "2", "--spread", "2", "--beta", "1/2"
@@ -237,6 +253,24 @@ def test_alphabet_padding_end_to_end(tmp_path, capsys):
     code, out, _ = run(capsys, "enumerate", str(basis), "--box", "1")
     assert code == 0
     assert "minimum power:" in out
+
+
+def test_enumerate_huge_box_refuses_on_budget(tmp_path, capsys):
+    # a radius past the leaf block's limit must stay lazy: the budget stops
+    # the search before anything of size 2c+1 is built
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    tracemalloc.start()
+    try:
+        code, _, err = run(
+            capsys, "enumerate", str(basis), "--box", "1000000000", "--budget", "1000"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "error: box enumeration exceeded 1000 nodes" in err
+    assert peak < 5_000_000
 
 
 def test_witness_bad_assignment_is_an_error(tmp_path, capsys):

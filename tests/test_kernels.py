@@ -52,6 +52,51 @@ def _naive_box_minimum(rows, c, p):
     return best, best_vec
 
 
+def _reference_box_dfs(rows, c, p, groups, loose_cols, budget):
+    """The row-by-row search ``kernels.box_minimum`` must reproduce exactly:
+    the same minimum, lexicographically first argmin, node count and budget
+    refusal."""
+    m = len(rows)
+    ncols = len(rows[0])
+    support = [tuple((j, row[j]) for j in range(ncols) if row[j]) for row in rows]
+    finalize_at = {r1: (c0, c1) for (_r0, r1, c0, c1) in groups}
+    acc = [0] * ncols
+    coeffs = [0] * m
+    state = {"best": None, "vec": None, "nodes": 0}
+
+    def norm(cols):
+        mags = [abs(acc[j]) for j in cols]
+        return max(mags, default=0) if p is None else sum(a**p for a in mags)
+
+    def combine(a, b):
+        return max(a, b) if p is None else a + b
+
+    def dfs(depth, finalized, nonzero):
+        if depth == m:
+            total = combine(finalized, norm(loose_cols))
+            if nonzero and (state["best"] is None or total < state["best"]):
+                state["best"] = total
+                state["vec"] = tuple(coeffs)
+            return
+        bound = finalize_at.get(depth + 1)
+        for t in range(-c, c + 1):
+            state["nodes"] += 1
+            if state["nodes"] > budget:
+                raise BudgetExceededError(f"box enumeration exceeded {budget} nodes")
+            coeffs[depth] = t
+            for j, val in support[depth]:
+                acc[j] += t * val
+            nf = finalized if bound is None else combine(finalized, norm(range(*bound)))
+            if state["best"] is None or nf < state["best"]:
+                dfs(depth + 1, nf, nonzero or t != 0)
+            for j, val in support[depth]:
+                acc[j] -= t * val
+        coeffs[depth] = 0
+
+    dfs(0, 0, False)
+    return state["best"], state["vec"], state["nodes"]
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_det_sweep_differential(width):
     rng = random.Random(100 + width)
@@ -179,3 +224,81 @@ def test_box_minimum_exact_on_wide_entries():
 
 def test_backend_name_reports():
     assert kernels.backend_name() == "pure"
+
+
+@st.composite
+def _box_inputs(draw):
+    """Contiguous row groups, each with private columns, plus loose columns.
+
+    Up to two rows more than the leaf block, so entries into the block come
+    from all-zero and nonzero prefixes and groups end on both sides of it.
+    """
+    c = draw(st.integers(1, 3))
+    block = {1: 6, 2: 4, 3: 3}[c]
+    m = draw(st.one_of(st.integers(1, block), st.integers(block + 1, block + 2)))
+    p = draw(st.sampled_from([None, 1, 2, 3]))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=m - 1))) if m > 1 else []
+    bounds = [0] + cuts + [m]
+    # small entries, totals past int64 (p > 1), and entries past int64
+    small = st.integers(-3, 3)
+    huge = 1 << 62
+    entry = draw(st.sampled_from([
+        small,
+        st.integers(-10**6, 10**6),
+        st.one_of(small, st.sampled_from([-huge, huge, huge + 1])),
+    ]))
+    nloose = draw(st.integers(0, 3))
+    loose_first = draw(st.booleans())
+    ncols = nloose
+    spans = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        width = draw(st.integers(0, 2))
+        spans.append((r0, r1, width))
+        ncols += width
+    if ncols == 0:
+        nloose = ncols = 1
+    rows = [[0] * ncols for _ in range(m)]
+    loose_cols = list(range(nloose)) if loose_first else list(range(ncols - nloose, ncols))
+    col = nloose if loose_first else 0
+    groups = []
+    for r0, r1, width in spans:
+        groups.append((r0, r1, col, col + width))
+        for r in range(r0, r1):
+            for j in list(range(col, col + width)) + loose_cols:
+                rows[r][j] = draw(entry)
+        col += width
+    budget = draw(st.one_of(st.integers(0, 2000), st.just(10**9)))
+    return rows, c, p, groups, loose_cols, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box_inputs())
+def test_box_minimum_matches_reference_dfs(case):
+    try:
+        want = _reference_box_dfs(*case)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            kernels.box_minimum(*case)
+        return
+    assert kernels.box_minimum(*case) == want
+    # the refusal fires exactly past the node count
+    *args, _budget = case
+    assert kernels.box_minimum(*args, want[2]) == want
+    with pytest.raises(BudgetExceededError):
+        kernels.box_minimum(*args, want[2] - 1)
+
+
+def test_box_minimum_without_leaf_block():
+    # 2c+1 > BLOCK_LEAVES leaves no block rows: the row search reaches the
+    # leaves, here on Python integers
+    c = (kernels.BLOCK_LEAVES + 1) // 2
+    rows = [[1 << 62, 1, 0], [0, 2, 7]]
+    groups = [(0, 1, 0, 1), (1, 2, 2, 3)]
+    for p in (None, 3):
+        single = ([rows[0][:2]], c, p, [], [0, 1], 10**6)
+        assert kernels.box_minimum(*single) == _reference_box_dfs(*single)
+        pair = (rows, c, p, groups, [1], 5000)
+        with pytest.raises(BudgetExceededError):
+            _reference_box_dfs(*pair)
+        with pytest.raises(BudgetExceededError):
+            kernels.box_minimum(*pair)

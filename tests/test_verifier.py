@@ -112,6 +112,23 @@ def test_enumerate_unsat(unsat_reduced):
     assert res.vector == (-1, -1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "fixture, box, power, nodes",
+    [
+        ("toy1_reduced", 1, 8, 30),
+        ("toy1_reduced", 2, 8, 85),
+        ("toy1_reduced", 3, 8, 168),
+        ("unsat_reduced", 1, 32, 120),
+        ("unsat_reduced", 2, 32, 480),
+        ("unsat_reduced", 3, 32, 1456),
+    ],
+)
+def test_enumerate_node_counts_pinned(request, fixture, box, power, nodes):
+    # the row search's node counts, which budgets are measured against
+    res = enumerate_box(request.getfixturevalue(fixture), box)
+    assert (res.power, res.nodes) == (power, nodes)
+
+
 def test_enumerate_budget(unsat_reduced):
     with pytest.raises(BudgetExceededError):
         enumerate_box(unsat_reduced, 1, budget=2)
