@@ -11,6 +11,9 @@ The sidecar is a JSON object carrying everything needed to reconstruct the
 reduction output exactly: the profile, the embedded source instance text,
 row provenance, and column spans.  All rationals are serialized as
 "numerator/denominator" strings.
+
+The sidecar alone fixes the basis: ``load_instance`` rebuilds the reduction
+and accepts the basis file only when it is that basis, byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from typing import Optional, Sequence
 
 from .csp import CspInstance, emit_csp, parse_csp
 from .errors import ProfileError, SvpforgeError
-from .reduction import INFINITY, GapSvpInstance, ReductionProfile, derive_profile
+from .reduction import (
+    INFINITY,
+    GapSvpInstance,
+    ReductionProfile,
+    derive_profile,
+    reduce_csp,
+)
 
 FORMAT_NAME = "svpforge-basis"
 FORMAT_VERSION = 1
@@ -205,7 +214,12 @@ def save_instance(
 
 
 def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
-    """Rebuild a reduction output from a basis file and its sidecar."""
+    """Rebuild a reduction output from its sidecar's instance and profile.
+
+    The basis file must be ``emit_basis`` of the rebuilt basis, and the
+    sidecar's row provenance the rebuilt one; the text is parsed only to
+    report a mismatch.
+    """
     basis_path = Path(basis_path)
     if sidecar_path is None:
         sidecar_path = basis_path.with_name(basis_path.name + ".json")
@@ -227,24 +241,29 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
         raise SvpforgeError("sidecar 'csp' must be the instance text")
     csp = parse_csp(payload["csp"])
     prof = profile_from_json(payload["profile"], csp)
-    basis = parse_basis(basis_path.read_text())
-    try:
-        provenance = tuple(
-            (int(t), tuple(int(a) for a in tup)) for t, tup in payload["row_provenance"]
-        )
-    except (TypeError, ValueError):
+    text = basis_path.read_text()
+    rows = sum(len(con.accepted_set) for con in csp.constraints)
+    if rows == 0:
+        raise SvpforgeError("the sidecar's instance accepts no tuple, so it has no basis")
+    # An emitted row takes at least 2 * nprime + 1 characters; refusing a
+    # shorter file before the rebuild keeps a small file next to a large
+    # sidecar cheap.
+    if len(text) < rows * (2 * prof.nprime + 1):
         raise SvpforgeError(
-            "row provenance must list [constraint, [symbol, ...]] pairs"
-        ) from None
-    if len(provenance) != len(basis):
-        raise SvpforgeError("row provenance length does not match the basis")
-    if len(basis[0]) != prof.nprime:
-        raise SvpforgeError("basis width does not match the profile")
-    for t, tup in provenance:
-        if not (0 <= t < csp.num_constraints):
-            raise SvpforgeError(f"provenance names a missing constraint {t}")
-        if tup not in csp.constraints[t].accepted_set:
-            raise SvpforgeError(f"provenance tuple {tup} is not accepted by constraint {t}")
-    return GapSvpInstance(
-        csp=csp, profile=prof, basis=basis, row_provenance=provenance
-    )
+            f"basis file is too short for the {rows} x {prof.nprime} basis its sidecar describes"
+        )
+    out = reduce_csp(csp, prof)
+    if text != emit_basis(out.basis):
+        raise SvpforgeError(_basis_mismatch(parse_basis(text), out.basis))
+    if payload["row_provenance"] != [[t, list(tup)] for t, tup in out.row_provenance]:
+        raise SvpforgeError("sidecar row provenance does not match the reduction's rows")
+    return out
+
+
+def _basis_mismatch(rows, expected) -> str:
+    for r, (got, want) in enumerate(zip(rows, expected)):
+        if got != want:
+            return f"basis row {r} is not row {r} of the sidecar's reduction"
+    if len(rows) != len(expected):
+        return f"basis has {len(rows)} rows; the sidecar's reduction has {len(expected)}"
+    return "basis text is not laid out as emit_basis writes it"

@@ -1,27 +1,27 @@
 """Compile a regular CSP into a gapped shortest-vector lattice basis.
 
-The basis G = [consistency | support | spread] has one candidate row per
-(constraint, accepted tuple) pair:
+The basis G = [consistency | support | spread] has one row per (constraint,
+accepted tuple) pair, constraints ascending and tuples lexicographic:
 
   consistency: per (variable, symbol) column block, the j-th row referencing
-      that pair (in global row order) carries row j of a reduced Vandermonde
-      matrix, scaled.  A cancellation inside one block therefore needs more
-      than ``consistency_width`` participating rows.
-  support: row i carries row i of another reduced Vandermonde matrix, scaled,
-      forcing any cancellation to use more than ``support_width`` rows.
+      that pair (in row order) carries row j of a reduced Vandermonde matrix,
+      scaled.  A cancellation inside one block therefore needs more than
+      ``consistency_width`` participating rows.
+  support: row (t, tuple) carries row t * SIGMA**q + rank(tuple) of another
+      reduced Vandermonde matrix, scaled, forcing any cancellation to use
+      more than ``support_width`` rows.
   spread: a full +-1 Hadamard row per basis row, placed in the owning
       constraint's column block and indexed by the tuple's rank, so rows of
       one constraint are mutually orthogonal there.
 
-Both Vandermonde blocks read only the rows they place (rows 1..rows_full for
-support, rows 1..max occurrences of one (variable, symbol) pair for
-consistency), computed on demand, so the cost and memory of a reduction
-scale with the basis it emits, not with the prime (about rows_full**2).
-
-Candidate rows whose consistency part is all zero (tuples the constraint
-rejects) are deleted.  Short lattice vectors then correspond to consistent
-assignments: the scaled blocks are expensive to touch, and the spread block
-prices whatever cannot cancel.
+That is what remains of all M * SIGMA**q candidate rows once those with an
+all-zero consistency part (the rejected tuples) are deleted; only the kept
+rows are built.  Both Vandermonde blocks read only the rows they place, so
+cost and memory scale with the basis, not with the prime (about
+rows_full**2).  A basis is a function of (CSP, profile), which is how
+``basisio.load_instance`` checks one.  Short lattice vectors correspond to
+consistent assignments: the scaled blocks are expensive to touch, and the
+spread block prices whatever cannot cancel.
 """
 
 from __future__ import annotations
@@ -32,14 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .csp import (
-    CspInstance,
-    IndicatorMatrix,
-    candidate_rows,
-    indicator_matrix,
-    validate_regular,
-)
-from .errors import ProfileError
+from .csp import DEFAULT_MATRIX_CELL_BUDGET, CspInstance, validate_regular
+from .errors import BudgetExceededError, ProfileError
 from .gadgets import hadamard, is_prime, reduced_vandermonde, smallest_prime_geq
 
 log = logging.getLogger(__name__)
@@ -265,44 +259,53 @@ def _validate_profile(prof: ReductionProfile) -> None:
         raise ProfileError("widths must stay below the prime")
 
 
-def build_consistency_block(
-    inst: CspInstance, prof: ReductionProfile, matrix: Optional[IndicatorMatrix] = None
-) -> list[list[int]]:
-    """Vandermonde-tagged copy of the indicator matrix.
+def _kept_rows(inst: CspInstance) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The (constraint, accepted tuple) pairs behind the basis rows, in row
+    order: constraints ascending, accepted tuples in lexicographic order."""
+    return tuple(
+        (t, tup)
+        for t, con in enumerate(inst.constraints)
+        for tup in sorted(con.accepted_set)
+    )
 
-    Column block (x, a) spans consistency_width columns; in global row order,
-    the j-th row with an indicator 1 in column (x, a) receives scaled
+
+def build_consistency_block(inst: CspInstance, prof: ReductionProfile) -> list[list[int]]:
+    """Vandermonde-tagged copy of the indicator matrix, one row per kept row.
+
+    Column block (x, a) spans consistency_width columns; in row order, the
+    j-th row whose tuple assigns symbol a to variable x receives scaled
     Vandermonde row j there (j is 1-based, rows of the same block distinct).
     """
-    if matrix is None:
-        matrix = indicator_matrix(inst)
     width = prof.consistency_width
+    sigma = inst.alphabet_size
     vm = reduced_vandermonde(prof.prime, width)
-    out = [[0] * (matrix.num_cols * width) for _ in range(matrix.num_rows)]
-    occurrences = [0] * matrix.num_cols
-    for r in range(matrix.num_rows):
-        row = matrix.entries[r]
-        for col in range(matrix.num_cols):
-            if row[col]:
-                occurrences[col] += 1
-                j = occurrences[col]
-                if j > vm.num_rows:
-                    raise ProfileError(
-                        f"column {matrix.col_index[col]} has more than {vm.num_rows} occurrences"
-                    )
-                vrow = vm.row(j - 1)
-                base = col * width
-                for t in range(width):
-                    out[r][base + t] = prof.scale * vrow[t]
+    occurrences = [0] * (inst.num_vars * sigma)
+    out = []
+    for t, tup in _kept_rows(inst):
+        row = [0] * (len(occurrences) * width)
+        for x, a in zip(inst.constraints[t].variables, tup):
+            col = x * sigma + a
+            occurrences[col] += 1
+            if occurrences[col] > vm.num_rows:
+                raise ProfileError(f"column {(x, a)} has more than {vm.num_rows} occurrences")
+            vrow = vm.row(occurrences[col] - 1)
+            row[col * width : (col + 1) * width] = [prof.scale * v for v in vrow]
+        out.append(row)
     return out
 
 
-def build_support_block(prof: ReductionProfile) -> list[list[int]]:
-    """Rows 1..rows_full of the (prime, support_width) reduced Vandermonde, scaled."""
+def build_support_block(inst: CspInstance, prof: ReductionProfile) -> list[list[int]]:
+    """Scaled rows of the (prime, support_width) reduced Vandermonde, one per
+    kept row: the row of candidate index t * SIGMA**q + rank(tuple), so each
+    kept row carries the row it has among all rows_full candidates."""
     vm = reduced_vandermonde(prof.prime, prof.support_width)
     if prof.rows_full > vm.num_rows:
         raise ProfileError("prime too small for the support block")
-    return [[prof.scale * x for x in vm.row(i)] for i in range(prof.rows_full)]
+    sigma, stride = inst.alphabet_size, inst.alphabet_size**inst.arity
+    return [
+        [prof.scale * x for x in vm.row(t * stride + tuple_rank(tup, sigma))]
+        for t, tup in _kept_rows(inst)
+    ]
 
 
 def tuple_rank(tup: Sequence[int], sigma: int) -> int:
@@ -314,7 +317,7 @@ def tuple_rank(tup: Sequence[int], sigma: int) -> int:
 
 
 def build_spread_block(inst: CspInstance, prof: ReductionProfile) -> list[list[int]]:
-    """Block-diagonal Hadamard rows: basis row (t, tuple) places the Hadamard
+    """Block-diagonal Hadamard rows: kept row (t, tuple) places the Hadamard
     row indexed by the tuple's rank into constraint t's column block.
 
     When the alphabet is padded, the Hadamard order grows but row indexing
@@ -325,14 +328,10 @@ def build_spread_block(inst: CspInstance, prof: ReductionProfile) -> list[list[i
     if 1 << k != per:
         raise ProfileError("spread block width per constraint must be a power of two")
     h = hadamard(k)
-    sigma, q, m = inst.alphabet_size, inst.arity, inst.num_constraints
     out = []
-    for t, tup in candidate_rows(inst):
-        row = [0] * (m * per)
-        hrow = h.rows[tuple_rank(tup, sigma)]
-        base = t * per
-        for j in range(per):
-            row[base + j] = hrow[j]
+    for t, tup in _kept_rows(inst):
+        row = [0] * (inst.num_constraints * per)
+        row[t * per : (t + 1) * per] = h.rows[tuple_rank(tup, inst.alphabet_size)]
         out.append(row)
     return out
 
@@ -396,11 +395,11 @@ class GapSvpInstance:
 
 
 def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
-    """Assemble the basis and delete rows with an all-zero consistency part.
+    """Assemble the basis from the kept rows, one per (constraint, accepted tuple).
 
-    Surviving rows are exactly the (constraint, accepted tuple) pairs: every
-    inserted Vandermonde row starts with a 1 (the zeroth power), so a row's
-    consistency part vanishes iff its tuple is rejected.
+    Every placed Vandermonde row starts with a 1 (the zeroth power), so a
+    kept row's consistency part is nonzero, and only a rejected tuple's
+    would vanish; the first is checked.
     """
     if (
         prof.num_vars,
@@ -409,26 +408,23 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
         prof.alphabet_size,
     ) != (inst.num_vars, inst.num_constraints, inst.arity, inst.alphabet_size):
         raise ProfileError("profile was derived for a different instance shape")
-    matrix = indicator_matrix(inst)
-    consistency = build_consistency_block(inst, prof, matrix)
-    support = build_support_block(prof)
+    cells = prof.rows_full * inst.num_vars * inst.alphabet_size
+    if cells > DEFAULT_MATRIX_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"{prof.rows_full} candidate rows x {inst.num_vars * inst.alphabet_size} "
+            f"(variable, symbol) columns exceed budget {DEFAULT_MATRIX_CELL_BUDGET} cells"
+        )
+    consistency = build_consistency_block(inst, prof)
+    support = build_support_block(inst, prof)
     spread = build_spread_block(inst, prof)
-
-    basis = []
-    provenance = []
-    for r, (t, tup) in enumerate(matrix.row_index):
-        alive = any(consistency[r])
-        satisfied = tup in inst.constraints[t].accepted_set
-        if alive != satisfied:
-            raise ProfileError("zero-row deletion must match the accept sets")
-        if alive:
-            basis.append(tuple(consistency[r] + support[r] + spread[r]))
-            provenance.append((t, tup))
+    if not all(any(row) for row in consistency):
+        raise ProfileError("zero-row deletion must match the accept sets")
+    basis = tuple(tuple(c + s + h) for c, s, h in zip(consistency, support, spread))
     if basis and len(basis[0]) != prof.nprime:
         raise ProfileError("basis width must equal the profile's column count")
     return GapSvpInstance(
         csp=inst,
         profile=prof,
-        basis=tuple(basis),
-        row_provenance=tuple(provenance),
+        basis=basis,
+        row_provenance=_kept_rows(inst),
     )

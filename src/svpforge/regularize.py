@@ -234,32 +234,16 @@ def _default_right_size(a: int, w: int, beta: Fraction) -> int:
 
 
 def _canonical_candidates(a, b, w, f):
-    """Deterministic candidate stream for greedy-verified: a cyclic-shift
-    graph when it is bi-regular, then the staircase graph."""
-    if w <= b:
-        shift = [tuple(sorted((i + j) % b for j in range(w))) for i in range(a)]
-        counts = [0] * b
-        for nbrs in shift:
-            for r in nbrs:
-                counts[r] += 1
-        if all(cnt == f for cnt in counts):
-            yield BipartiteBiregular(a, b, w, f, tuple(shift))
-    stair = []
-    ok = True
-    for i in range(a):
-        nbrs = tuple(sorted((i * w + j) % b for j in range(w)))
-        if len(set(nbrs)) != w:
-            ok = False
-            break
-        stair.append(nbrs)
-    if ok:
-        counts = [0] * b
-        for nbrs in stair:
-            for r in nbrs:
-                counts[r] += 1
-        if all(cnt == f for cnt in counts):
-            candidate = BipartiteBiregular(a, b, w, f, tuple(stair))
-            yield candidate
+    """Deterministic candidate stream for greedy-verified: the cyclic-shift
+    graph, then the staircase graph, each when it is bi-regular (which the
+    BipartiteBiregular constructor checks)."""
+    for step in (1, w):
+        adj = tuple(tuple(sorted((i * step + j) % b for j in range(w))) for i in range(a))
+        try:
+            graph = BipartiteBiregular(a, b, w, f, adj)
+        except ValueError:
+            continue
+        yield graph
 
 
 def _search_certified(a, b, w, f, delta, beta, leaf_budget, subset_budget):

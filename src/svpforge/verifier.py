@@ -257,7 +257,12 @@ class StructuralFacts:
 
 
 def structural_facts(v: Sequence[int], inst: GapSvpInstance) -> StructuralFacts:
-    image = apply_coefficients(v, inst.basis)
+    return _structural_facts(apply_coefficients(v, inst.basis), indicated_view(v, inst), inst)
+
+
+def _structural_facts(
+    image: Sequence[int], view: IndicatedView, inst: GapSvpInstance
+) -> StructuralFacts:
     scale = inst.profile.scale
     s_lo, s_hi = inst.support_span
     c_lo, c_hi = inst.consistency_span
@@ -271,15 +276,8 @@ def structural_facts(v: Sequence[int], inst: GapSvpInstance) -> StructuralFacts:
     block_holds = True
     offending = []
     if consistency_zero:
-        counts: Counter = Counter()
-        for coeff, (t, tup) in zip(v, inst.row_provenance):
-            if coeff == 0:
-                continue
-            scope = inst.csp.constraints[t].variables
-            for x, a in zip(scope, tup):
-                counts[(x, a)] += 1
         width = inst.profile.consistency_width
-        for pair, cnt in sorted(counts.items()):
+        for pair, cnt in sorted(view.tuple_multiplicity.items()):
             if 0 < cnt <= width:
                 offending.append(pair)
         block_holds = not offending
@@ -404,7 +402,7 @@ def audit_vector(v: Sequence[int], inst: GapSvpInstance) -> AuditReport:
         indicated_constraints=view.num_constraints,
         indicated_distinct_tuples=view.num_distinct_tuples,
         checks=tuple(checks),
-        facts=structural_facts(v, inst),
+        facts=_structural_facts(image, view, inst),
     )
 
 

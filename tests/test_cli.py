@@ -7,8 +7,9 @@ import pytest
 
 from svpforge import basisio
 from svpforge.cli import main
-from svpforge.csp import parse_csp
+from svpforge.csp import emit_csp, parse_csp
 from svpforge.errors import SvpforgeError
+from svpforge.reduction import derive_profile
 
 from conftest import DATA
 
@@ -128,6 +129,7 @@ def test_sidecar_mismatch_detected(tmp_path, capsys):
         ("row_provenance", [0, 0, 0]),  # entries are not pairs
         ("row_provenance", [[0], [0], [1]]),  # entries lack their tuple
         ("csp", 7),
+        ("csp", "csp 2 2 2 2\ncon 0 1\ncon 0 1\n"),  # accepts nothing: no basis
         # dotted keys set one profile field, None included (JSON null)
         ("profile.consistency_width", "1"),
         ("profile.scale", None),
@@ -158,6 +160,86 @@ def test_sidecar_schema_errors_exit_2(tmp_path, capsys, key, value):
     code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _edit_one_entry(basis, payload):
+    basis.write_text(basis.read_text().replace("1000000", "999999", 1))
+
+
+def _swap_two_rows(basis, payload):
+    # rows 0 and 1 both belong to constraint 0, so each provenance entry
+    # still names an accepted tuple
+    rows = list(basisio.parse_basis(basis.read_text()))
+    rows[0], rows[1] = rows[1], rows[0]
+    basis.write_text(basisio.emit_basis(rows))
+    prov = payload["row_provenance"]
+    prov[0], prov[1] = prov[1], prov[0]
+
+
+def _drop_last_row(basis, payload):
+    rows = basisio.parse_basis(basis.read_text())
+    basis.write_text(basisio.emit_basis(rows[:-1]))
+
+
+def _double_spaces(basis, payload):
+    basis.write_text(basis.read_text().replace(" ", "  "))
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_edit_one_entry, "basis row 0 is not row 0"),
+        (_swap_two_rows, "basis row 0 is not row 0"),
+        (_drop_last_row, "basis has 2 rows; the sidecar's reduction has 3"),
+        (_double_spaces, "not laid out as emit_basis writes it"),
+    ],
+    ids=["one-entry-edited", "rows-swapped-with-provenance", "row-dropped", "reformatted"],
+)
+def test_tampered_basis_exits_2(tmp_path, capsys, tamper, message):
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    sidecar = tmp_path / "toy1.basis.json"
+    payload = json.loads(sidecar.read_text())
+    tamper(basis, payload)
+    sidecar.write_text(json.dumps(payload))
+    with pytest.raises(SvpforgeError, match=message):
+        basisio.load_instance(basis)
+    code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_short_basis_next_to_large_sidecar_is_refused(tmp_path, capsys):
+    # 1024 constraints accepting all four tuples: a 4096-row basis of over
+    # 10**7 cells, which a one-row file cannot be; refusing it must not
+    # rebuild that basis first
+    n = 1024
+    text = f"csp {n} {n} 2 2\n" + "".join(
+        f"con {i} {(i + 1) % n}\nacc 0 0\nacc 0 1\nacc 1 0\nacc 1 1\n" for i in range(n)
+    )
+    csp = parse_csp(text)
+    prof = derive_profile(
+        csp, p=3, mode="explicit", consistency_width=1, support_width=1, scale=10**6
+    )
+    assert 4 * n * prof.nprime >= 10**7
+    basis = tmp_path / "big.basis"
+    basis.write_text("[[1 2 3]\n]\n")
+    (tmp_path / "big.basis.json").write_text(json.dumps({
+        "format": basisio.FORMAT_NAME,
+        "version": basisio.FORMAT_VERSION,
+        "profile": basisio.profile_to_json(prof),
+        "row_provenance": [],
+        "csp": emit_csp(csp),
+    }))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and not out
+    assert err.startswith("error: basis file is too short")
+    assert peak < 5_000_000
 
 
 def test_witness_enumerate_extract_audit(tmp_path, capsys):

@@ -1,12 +1,19 @@
 """Profile derivation and basis assembly."""
 
+import itertools
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svpforge.csp import parse_csp
-from svpforge.errors import ProfileError
+from svpforge.basisio import load_instance, save_instance
+from svpforge.csp import Constraint, CspInstance, indicator_matrix, parse_csp
+from svpforge.errors import BudgetExceededError, ProfileError
+from svpforge.gadgets import hadamard, reduced_vandermonde
 from svpforge.reduction import (
     GapFactor,
     build_spread_block,
@@ -176,12 +183,28 @@ def test_spread_block_padding():
     assert out.num_rows == 6
     assert out.num_cols == prof.nprime == 2 * 3 * 1 + 1 + 2 * 16
     rows = build_spread_block(inst, prof)
-    # candidate rows carry the Hadamard row of their rank over the original alphabet
-    nonzero = [r for r in rows if any(r)]
-    assert len(nonzero) == 18  # every candidate tuple, accepted or not
+    assert len(rows) == 6  # one per kept row: rejected tuples get none
+    h = hadamard(4)
+    blocks = {0: set(), 1: set()}
+    for row, (t, (a, b)) in zip(rows, out.row_provenance):
+        # the Hadamard row of the tuple's rank over the original alphabet 3
+        assert row[16 * t : 16 * (t + 1)] == list(h.rows[3 * a + b])
+        assert not any(row[: 16 * t] + row[16 * (t + 1) :])
+        blocks[t].add(tuple(row))
     # distinct tuples map to distinct Hadamard rows inside one constraint block
-    first_block = [tuple(r[:16]) for r in rows[:9]]
-    assert len(set(first_block)) == 9
+    assert len(blocks[0]) == len(blocks[1]) == 3
+
+
+def test_reduce_refuses_past_the_cell_budget():
+    # 1500 constraints over 1500 binary variables: 6000 candidate rows x 3000
+    # (variable, symbol) columns = 18e6 cells, over the 2**24 budget
+    n = 1500
+    inst = parse_csp(
+        f"csp {n} {n} 2 2\n" + "".join(f"con {i} {(i + 1) % n}\nacc 0 0\n" for i in range(n))
+    )
+    prof = derive_profile(inst, p=3, mode="explicit", consistency_width=1, support_width=1)
+    with pytest.raises(BudgetExceededError, match="6000 candidate rows x 3000"):
+        reduce_csp(inst, prof)
 
 
 def test_reduce_rejects_profile_mismatch(toy1, toy_unsat):
@@ -205,3 +228,86 @@ def test_scaled_blocks_dominate(toy1_reduced):
     for row in inst.basis:
         for j in range(*inst.spread_span):
             assert row[j] in (-1, 0, 1)
+
+
+def _reference_reduce(inst, prof):
+    """The dense reduction: build every candidate row of the indicator matrix
+    in all three blocks, then delete rows whose consistency part is zero.
+    Returns (basis, row_provenance)."""
+    matrix = indicator_matrix(inst)
+    width, scale = prof.consistency_width, prof.scale
+    vc = reduced_vandermonde(prof.prime, width)
+    vs = reduced_vandermonde(prof.prime, prof.support_width)
+    per = prof.spread_cols_per_constraint
+    h = hadamard(per.bit_length() - 1)
+    stride = inst.alphabet_size**inst.arity
+    consistency = [[0] * (matrix.num_cols * width) for _ in range(matrix.num_rows)]
+    occurrences = [0] * matrix.num_cols
+    for r in range(matrix.num_rows):
+        for col in range(matrix.num_cols):
+            if matrix.entries[r][col]:
+                occurrences[col] += 1
+                vrow = vc.row(occurrences[col] - 1)
+                for k in range(width):
+                    consistency[r][col * width + k] = scale * vrow[k]
+    support = [[scale * x for x in vs.row(r)] for r in range(matrix.num_rows)]
+    spread = []
+    for r, (t, _tup) in enumerate(matrix.row_index):
+        row = [0] * (inst.num_constraints * per)
+        row[t * per : (t + 1) * per] = h.rows[r - t * stride]  # the tuple's rank
+        spread.append(row)
+    basis, provenance = [], []
+    for r, pair in enumerate(matrix.row_index):
+        if any(consistency[r]):
+            basis.append(tuple(consistency[r] + support[r] + spread[r]))
+            provenance.append(pair)
+    return tuple(basis), tuple(provenance)
+
+
+@st.composite
+def _regular_reductions(draw):
+    """A small regular CSP (cyclic scopes, one or two shifts, relabelled
+    variables, random accept sets in random order) and a profile for it."""
+    q = draw(st.integers(2, 3))
+    sigma = draw(st.integers(1, 3))
+    steps = draw(st.sampled_from([(1,), (1, 2)]))
+    n = draw(st.integers(2 * q - 1 if len(steps) == 2 else q, 6))
+    label = draw(st.permutations(range(n)))
+    candidates = list(itertools.product(range(sigma), repeat=q))
+    constraints = []
+    for step in steps:
+        for i in range(n):
+            scope = tuple(label[(i + step * k) % n] for k in range(q))
+            picks = draw(st.lists(st.sampled_from(candidates), unique=True))
+            constraints.append(Constraint(scope, tuple(picks)))
+    soundness = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
+    inst = CspInstance(n, sigma, q, tuple(constraints), soundness)
+    p = draw(st.sampled_from([3, 4, "inf"]))
+    if draw(st.booleans()):
+        prof = derive_profile(inst, p=p)
+    else:
+        prof = derive_profile(
+            inst, p=p, mode="explicit",
+            consistency_width=draw(st.integers(1, len(steps) * q)),
+            support_width=draw(st.integers(1, len(constraints))),
+            scale=draw(st.integers(1, 10**6)),
+        )
+    return inst, prof
+
+
+@settings(max_examples=150, deadline=None)
+@given(_regular_reductions())
+def test_reduce_matches_dense_reference(case):
+    inst, prof = case
+    out = reduce_csp(inst, prof)
+    # equal integer rows emit equal bytes
+    assert (out.basis, out.row_provenance) == _reference_reduce(inst, prof)
+    kept = set(out.row_provenance)
+    assert len(kept) == out.num_rows
+    for t, con in enumerate(inst.constraints):
+        for tup in itertools.product(range(inst.alphabet_size), repeat=inst.arity):
+            assert ((t, tup) in kept) == (tup in con.accepted_set)
+    if out.num_rows:
+        with tempfile.TemporaryDirectory() as tmp:
+            basis_path, _ = save_instance(out, Path(tmp) / "case.basis")
+            assert load_instance(basis_path) == out
