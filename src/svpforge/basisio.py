@@ -7,20 +7,20 @@ A basis file holds one bracketed row per line inside an outer bracket pair
     [0 2 -1]
     ]
 
-The sidecar is a JSON object carrying everything needed to reconstruct the
-reduction output exactly: the profile, the embedded source instance text,
-row provenance, and column spans.  All rationals are serialized as
-"numerator/denominator" strings.
+The sidecar is a JSON object describing the reduction output: the profile,
+the embedded source instance text, row provenance, and column spans.  All
+rationals are serialized as "numerator/denominator" strings.
 
-The sidecar alone fixes the basis: ``load_instance`` rebuilds the reduction
-and accepts the basis file only when it is that basis, byte for byte.
+The sidecar's instance and profile knobs fix both files: ``load_instance``
+rebuilds the reduction and accepts the pair only when each file is, byte for
+byte, what ``save_instance`` writes for it (the sidecar's ``basis_file`` and
+``seed`` aside).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -108,68 +108,32 @@ def profile_to_json(prof: ReductionProfile) -> dict:
     }
 
 
-_PROFILE_INTS = (
-    "prime",
-    "scale",
-    "consistency_width",
-    "support_width",
-    "num_vars",
-    "num_constraints",
-    "arity",
-    "alphabet_size",
-    "degree",
-    "padded_alphabet",
-)
+_KNOB_INTS = ("prime", "scale", "consistency_width", "support_width")
 
 
 def profile_from_json(d: dict, csp: CspInstance) -> ReductionProfile:
-    """Type-check a sidecar profile and check it against its embedded instance.
+    """Type-check a sidecar profile's six knobs and derive the profile they
+    give for ``csp``.
 
-    The profile must be exactly the one ``derive_profile`` gives for ``csp``
-    with the stored knobs, so the shape fields (num_vars through
-    padded_alphabet, and soundness) must match the instance and the knobs
-    must pass the same validation as a fresh reduction.
+    Only p, mode, prime, scale, consistency_width and support_width are read;
+    the stored soundness and shape fields are checked by ``load_instance``,
+    which compares the whole sidecar with the one the rebuilt reduction gives.
     """
     if not isinstance(d, dict):
         raise SvpforgeError("sidecar profile must be a JSON object")
-    missing = [k for k in ("p", "mode", "soundness", *_PROFILE_INTS) if k not in d]
+    missing = [k for k in ("p", "mode", *_KNOB_INTS) if k not in d]
     if missing:
         raise SvpforgeError(f"sidecar profile is missing {missing[0]!r}")
-    for key in _PROFILE_INTS:
+    for key in _KNOB_INTS:
         if type(d[key]) is not int:  # bool is an int subclass; reject it too
             raise SvpforgeError(f"sidecar profile {key!r} must be an integer, got {d[key]!r}")
     if d["mode"] not in ("asymptotic-default", "explicit"):
         raise SvpforgeError(f"sidecar profile has unknown mode {d['mode']!r}")
-    if not isinstance(d["soundness"], str):
-        raise SvpforgeError("sidecar profile 'soundness' must be a 'NUM/DEN' string")
+    p = _p_from_json(d["p"])
     try:
-        soundness = Fraction(d["soundness"])
-    except (ValueError, ZeroDivisionError):
-        raise SvpforgeError(f"bad soundness {d['soundness']!r} in sidecar") from None
-    prof = ReductionProfile(
-        p=_p_from_json(d["p"]),
-        soundness=soundness,
-        mode=d["mode"],
-        **{key: d[key] for key in _PROFILE_INTS},
-    )
-    try:
-        expected = derive_profile(
-            csp,
-            p=prof.p,
-            mode=prof.mode,
-            prime=prof.prime,
-            scale=prof.scale,
-            consistency_width=prof.consistency_width,
-            support_width=prof.support_width,
-        )
+        return derive_profile(csp, p=p, mode=d["mode"], **{key: d[key] for key in _KNOB_INTS})
     except (ProfileError, ValueError) as exc:  # is_prime refuses moduli >= 3.3e24
         raise SvpforgeError(f"sidecar profile is invalid: {exc}") from None
-    if prof != expected:
-        bad = [f.name for f in fields(prof) if getattr(prof, f.name) != getattr(expected, f.name)]
-        raise SvpforgeError(
-            f"sidecar profile does not match the embedded instance: {', '.join(bad)}"
-        )
-    return prof
 
 
 def sidecar_json(
@@ -214,17 +178,21 @@ def save_instance(
 
 
 def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
-    """Rebuild a reduction output from its sidecar's instance and profile.
+    """Rebuild a reduction output from its sidecar's instance and profile knobs.
 
-    The basis file must be ``emit_basis`` of the rebuilt basis, and the
-    sidecar's row provenance the rebuilt one; the text is parsed only to
-    report a mismatch.
+    Both files must be exactly what ``save_instance`` writes for the rebuilt
+    reduction: the basis file ``emit_basis`` of its basis, and the sidecar
+    ``sidecar_json`` of it laid out by ``json.dumps(indent=2)``.  The
+    sidecar's ``basis_file`` and ``seed`` are the only free fields, so a pair
+    renamed together still loads.  The basis text is parsed only to report a
+    mismatch.
     """
     basis_path = Path(basis_path)
     if sidecar_path is None:
         sidecar_path = basis_path.with_name(basis_path.name + ".json")
+    sidecar_text = Path(sidecar_path).read_text()
     try:
-        payload = json.loads(Path(sidecar_path).read_text())
+        payload = json.loads(sidecar_text)
     except json.JSONDecodeError as exc:
         raise SvpforgeError(f"sidecar is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -234,7 +202,7 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     if payload.get("version") != FORMAT_VERSION:
         raise SvpforgeError(f"unsupported sidecar version {payload.get('version')!r}")
 
-    missing = [k for k in ("csp", "profile", "row_provenance") if k not in payload]
+    missing = [k for k in ("csp", "profile") if k not in payload]
     if missing:
         raise SvpforgeError(f"sidecar is missing {', '.join(map(repr, missing))}")
     if not isinstance(payload["csp"], str):
@@ -252,11 +220,17 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
         raise SvpforgeError(
             f"basis file is too short for the {rows} x {prof.nprime} basis its sidecar describes"
         )
+    basis_file, seed = payload.get("basis_file"), payload.get("seed")
+    if not isinstance(basis_file, str):
+        raise SvpforgeError(f"sidecar 'basis_file' must be a string, got {basis_file!r}")
+    if seed is not None and type(seed) is not int:
+        raise SvpforgeError(f"sidecar 'seed' must be an integer or null, got {seed!r}")
     out = reduce_csp(csp, prof)
     if text != emit_basis(out.basis):
         raise SvpforgeError(_basis_mismatch(parse_basis(text), out.basis))
-    if payload["row_provenance"] != [[t, list(tup)] for t, tup in out.row_provenance]:
-        raise SvpforgeError("sidecar row provenance does not match the reduction's rows")
+    expected = sidecar_json(out, basis_file, seed)
+    if sidecar_text != json.dumps(expected, indent=2) + "\n":
+        raise SvpforgeError(_sidecar_mismatch(payload, expected))
     return out
 
 
@@ -267,3 +241,10 @@ def _basis_mismatch(rows, expected) -> str:
     if len(rows) != len(expected):
         return f"basis has {len(rows)} rows; the sidecar's reduction has {len(expected)}"
     return "basis text is not laid out as emit_basis writes it"
+
+
+def _sidecar_mismatch(payload: dict, expected: dict) -> str:
+    for key, want in expected.items():
+        if key not in payload or payload[key] != want:
+            return f"sidecar {key!r} does not match the reduction it describes"
+    return "sidecar is not laid out as save_instance writes it"

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import kernels
 from .errors import BudgetExceededError
@@ -123,28 +123,6 @@ def first_singular_submatrix(vm: ReducedVandermonde) -> Optional[tuple[int, ...]
     return kernels.det_sweep(vm.rows, vm.width)
 
 
-def kernel_support_check(vm: ReducedVandermonde, v: Sequence[int]) -> bool:
-    """True unless v is a nonzero kernel vector with support <= width.
-
-    This is the executable form of the submatrix rank property: such a
-    vector cannot exist, so False pinpoints a counterexample.
-    """
-    if len(v) != vm.num_rows:
-        raise ValueError("vector length must match the row count")
-    support = [i for i, x in enumerate(v) if x]
-    if not support:
-        return True
-    image = [0] * vm.width
-    for i in support:
-        vi = v[i]
-        row = vm.row(i)
-        for j in range(vm.width):
-            image[j] += vi * row[j]
-    if any(image):
-        return True
-    return len(support) > vm.width
-
-
 def search_kernel_support_counterexample(
     vm: ReducedVandermonde,
     max_support: int,
@@ -209,29 +187,6 @@ def hadamard_gram_ok(h: HadamardMatrix) -> bool:
             if dot != (n if i == j else 0):
                 return False
     return True
-
-
-def kronecker(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Kronecker product: entry ((i1, i2), (j1, j2)) = a[i1][j1] * b[i2][j2]."""
-    ra, ca = len(a), len(a[0]) if a else 0
-    rb, cb = len(b), len(b[0]) if b else 0
-    out = [[0] * (ca * cb) for _ in range(ra * rb)]
-    for i1 in range(ra):
-        for j1 in range(ca):
-            aij = a[i1][j1]
-            if aij == 0:
-                continue
-            for i2 in range(rb):
-                row = out[i1 * rb + i2]
-                brow = b[i2]
-                base = j1 * cb
-                for j2 in range(cb):
-                    row[base + j2] = aij * brow[j2]
-    return out
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)

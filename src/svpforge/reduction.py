@@ -19,7 +19,7 @@ all-zero consistency part (the rejected tuples) are deleted; only the kept
 rows are built.  Both Vandermonde blocks read only the rows they place, so
 cost and memory scale with the basis, not with the prime (about
 rows_full**2).  A basis is a function of (CSP, profile), which is how
-``basisio.load_instance`` checks one.  Short lattice vectors correspond to
+``basisio.load_instance`` checks a saved basis and its sidecar.  Short lattice vectors correspond to
 consistent assignments: the scaled blocks are expensive to touch, and the
 spread block prices whatever cannot cancel.
 """

@@ -3,7 +3,7 @@
 Everything that decides anything works in exact integer or rational
 arithmetic: norm powers are integer sums, threshold comparisons
 cross-multiply integer powers, and enumeration minima are exact.  Floats
-appear only in explicitly approximate helpers and report fields.
+appear only in report fields.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ def lp_norm_power(w: Sequence[int], p) -> int:
     if pn is None:
         return max((abs(x) for x in w), default=0)
     return sum(abs(x) ** pn for x in w)
-
-
-def lp_norm_approx(w: Sequence[int], p: float) -> float:
-    """Float norm for non-integer p.  Approximate by construction; never use
-    the result in a verdict."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return sum(abs(x) ** p for x in w) ** (1.0 / p)
 
 
 def holder_check(w: Sequence[int], p) -> bool:

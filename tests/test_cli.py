@@ -115,7 +115,7 @@ def test_sidecar_mismatch_detected(tmp_path, capsys):
     sidecar = tmp_path / "toy1.basis.json"
     payload = json.loads(sidecar.read_text())
     payload["row_provenance"][0] = [0, [0, 1]]  # tuple (0, 1) is not accepted
-    sidecar.write_text(json.dumps(payload))
+    sidecar.write_text(json.dumps(payload, indent=2) + "\n")
     with pytest.raises(SvpforgeError):
         basisio.load_instance(basis)
 
@@ -154,12 +154,70 @@ def test_sidecar_schema_errors_exit_2(tmp_path, capsys, key, value):
         del payload[key]
     else:
         payload[key] = value
-    sidecar.write_text(json.dumps(payload))
+    sidecar.write_text(json.dumps(payload, indent=2) + "\n")
     with pytest.raises(SvpforgeError):
         basisio.load_instance(basis)
     code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, field, value",
+    [
+        ("threshold", "nprime", 99),
+        ("gap_factor", "floor", 5),
+        ("shape", None, {"rows": 1, "cols": 2}),
+        ("col_spans", "spread", [0, 1]),
+        ("seed", None, "7"),
+        ("basis_file", None, 7),
+    ],
+    ids=["threshold", "gap_factor", "shape", "col_spans", "seed", "basis_file"],
+)
+def test_sidecar_field_edits_exit_2(tmp_path, capsys, key, field, value):
+    # each edit keeps save_instance's layout, so only the value is wrong
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    sidecar = tmp_path / "toy1.basis.json"
+    payload = json.loads(sidecar.read_text())
+    if field is None:
+        payload[key] = value
+    else:
+        payload[key][field] = value
+    sidecar.write_text(json.dumps(payload, indent=2) + "\n")
+    with pytest.raises(SvpforgeError, match=f"sidecar '{key}'"):
+        basisio.load_instance(basis)
+    code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"'{key}'" in err
+
+
+def test_sidecar_relaid_out_is_refused(tmp_path, capsys):
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    sidecar = tmp_path / "toy1.basis.json"
+    sidecar.write_text(json.dumps(json.loads(sidecar.read_text())))
+    with pytest.raises(SvpforgeError, match="not laid out as save_instance writes it"):
+        basisio.load_instance(basis)
+    code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_pair_renamed_together_still_loads(tmp_path, capsys):
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    code, before, _ = run(capsys, "enumerate", str(basis), "--box", "1")
+    assert code == 0
+    moved = tmp_path / "moved.basis"
+    basis.rename(moved)
+    (tmp_path / "toy1.basis.json").rename(tmp_path / "moved.basis.json")
+    # the sidecar still names toy1.basis
+    assert json.loads((tmp_path / "moved.basis.json").read_text())["basis_file"] == "toy1.basis"
+    code, after, _ = run(capsys, "enumerate", str(moved), "--box", "1")
+    assert code == 0
+    assert after == before
 
 
 def _edit_one_entry(basis, payload):
@@ -201,7 +259,7 @@ def test_tampered_basis_exits_2(tmp_path, capsys, tamper, message):
     sidecar = tmp_path / "toy1.basis.json"
     payload = json.loads(sidecar.read_text())
     tamper(basis, payload)
-    sidecar.write_text(json.dumps(payload))
+    sidecar.write_text(json.dumps(payload, indent=2) + "\n")
     with pytest.raises(SvpforgeError, match=message):
         basisio.load_instance(basis)
     code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")

@@ -12,10 +12,7 @@ from svpforge.gadgets import (
     first_singular_submatrix,
     hadamard,
     hadamard_gram_ok,
-    identity,
     is_prime,
-    kernel_support_check,
-    kronecker,
     reduced_vandermonde,
     search_kernel_support_counterexample,
     smallest_prime_geq,
@@ -101,15 +98,6 @@ def test_singular_detection_on_doctored_matrix():
     assert first_singular_submatrix(vm) == (0, 1)
 
 
-def test_kernel_support_check():
-    vm = reduced_vandermonde(5, 2)
-    # (1, -2, 1) kills rows 1..3 of the (5, 2) matrix and has support 3 > width
-    assert kernel_support_check(vm, (1, -2, 1, 0))
-    # a doctored matrix with duplicate rows admits a support-2 kernel vector
-    bad = ReducedVandermonde(modulus=5, width=2, rows=((1, 1), (1, 1), (1, 2)))
-    assert not kernel_support_check(bad, (1, -1, 0))
-
-
 def test_kernel_support_counterexample_search():
     for a, b in ((11, 2), (7, 3)):
         vm = reduced_vandermonde(a, b)
@@ -153,26 +141,6 @@ def test_hadamard_orders_and_gram():
 def test_hadamard_gram_rejects_doctored():
     h = HadamardMatrix(1, ((1, 1), (1, 1)))
     assert not hadamard_gram_ok(h)
-
-
-def test_kronecker():
-    a = [[1, 2], [3, 4]]
-    b = [[0, 1], [1, 0]]
-    assert kronecker(a, b) == [
-        [0, 1, 0, 2],
-        [1, 0, 2, 0],
-        [0, 3, 0, 4],
-        [3, 0, 4, 0],
-    ]
-    # identity (x) M is the block-diagonal stack of M
-    h = hadamard(1)
-    blocks = kronecker(identity(2), [list(r) for r in h.rows])
-    assert blocks == [
-        [1, -1, 0, 0],
-        [1, 1, 0, 0],
-        [0, 0, 1, -1],
-        [0, 0, 1, 1],
-    ]
 
 
 def test_biregular_validation():

@@ -1,18 +1,20 @@
 """Profile derivation and basis assembly."""
 
 import itertools
+import json
 import tempfile
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svpforge.basisio import load_instance, save_instance
 from svpforge.csp import Constraint, CspInstance, indicator_matrix, parse_csp
-from svpforge.errors import BudgetExceededError, ProfileError
+from svpforge.errors import BudgetExceededError, ProfileError, SvpforgeError
 from svpforge.gadgets import hadamard, reduced_vandermonde
 from svpforge.reduction import (
     GapFactor,
@@ -311,3 +313,57 @@ def test_reduce_matches_dense_reference(case):
         with tempfile.TemporaryDirectory() as tmp:
             basis_path, _ = save_instance(out, Path(tmp) / "case.basis")
             assert load_instance(basis_path) == out
+
+
+def _leaves(node, path):
+    """(path, value) for every scalar inside a JSON value."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def _changed(value):
+    """A different scalar: null becomes 0, a string gains a trailing space,
+    a number grows by 1 (which makes every odd prime even)."""
+    if value is None:
+        return 0
+    if isinstance(value, str):
+        return value + " "
+    return value + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_regular_reductions(), st.one_of(st.none(), st.integers(0, 2**70)), st.data())
+def test_sidecar_leaf_edits_are_refused(case, seed, data):
+    inst, prof = case
+    out = reduce_csp(inst, prof)
+    assume(out.num_rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        basis_path, sidecar_path = save_instance(out, Path(tmp) / "case.basis", seed=seed)
+        assert load_instance(basis_path) == out
+        payload = json.loads(sidecar_path.read_text())
+        key = data.draw(st.sampled_from(sorted(payload)))
+        path, value = data.draw(st.sampled_from(list(_leaves(payload[key], (key,)))))
+        if path == ("profile", "mode"):
+            new = "explicit" if value == "asymptotic-default" else "asymptotic-default"
+        else:
+            new = _changed(value)
+        node = payload
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = new
+        sidecar_path.write_text(json.dumps(payload, indent=2) + "\n")
+        if key in ("basis_file", "seed"):  # the free fields
+            assert load_instance(basis_path) == out
+        elif path == ("profile", "mode"):
+            # all four knobs are stored, so the mode is only a label
+            relabelled = replace(out, profile=replace(prof, mode=new))
+            assert load_instance(basis_path) == relabelled
+        else:
+            with pytest.raises(SvpforgeError):
+                load_instance(basis_path)

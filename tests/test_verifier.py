@@ -15,7 +15,6 @@ from svpforge.verifier import (
     extract_assignment,
     holder_check,
     indicated_view,
-    lp_norm_approx,
     lp_norm_power,
     structural_facts,
     witness_from_assignment,
@@ -32,12 +31,6 @@ def test_lp_norm_power():
     assert lp_norm_power((1, -2, 3), None) == 3
     assert lp_norm_power((1, -2, 3), "inf") == 3
     assert lp_norm_power((), None) == 0
-
-
-def test_lp_norm_approx():
-    assert lp_norm_approx((3, 4), 2.0) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        lp_norm_approx((1,), 0.0)
 
 
 def test_holder_check():
