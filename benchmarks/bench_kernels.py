@@ -6,7 +6,8 @@ Prints best-of-N wall times.  Each determinant sweep result is checked
 against the big-integer sweep, which shares no arithmetic with the int64
 suffix-product path it times.  Each box enumeration must report its pinned
 node count: the ungrouped box prunes nothing, the grouped one prunes on
-finalized groups the way spread blocks do.
+finalized groups the way spread blocks do.  The witness search must reach
+max-norm 1 and the kernel-support search must certify its matrix.
 """
 
 import argparse
@@ -14,7 +15,10 @@ import random
 import time
 
 from svpforge import kernels
-from svpforge.gadgets import reduced_vandermonde
+from svpforge.csp import Constraint, CspInstance
+from svpforge.gadgets import reduced_vandermonde, search_kernel_support_counterexample
+from svpforge.reduction import derive_profile, reduce_csp
+from svpforge.verifier import apply_coefficients, lp_norm_power, witness_from_assignment
 
 
 def _time(fn, repeat):
@@ -56,6 +60,19 @@ def box_workloads():
     yield "box 3^18 grouped, max", rows, None, groups, list(range(nloose)), 323037
 
 
+def witness_instance():
+    """20 binary constraints on scopes (i, i+1) and (i, i+2) of a 10-cycle,
+    each accepting (0, 0) and (1, 1): the all-zero assignment satisfies it,
+    and its collision search covers 3^10 sign combinations per half."""
+    n = 10
+    scopes = [(i, (i + s) % n) for s in (1, 2) for i in range(n)]
+    inst = CspInstance(n, 2, 2, tuple(Constraint(sc, ((0, 0), (1, 1))) for sc in scopes))
+    prof = derive_profile(
+        inst, p=3, mode="explicit", consistency_width=1, support_width=1, scale=10**6
+    )
+    return reduce_csp(inst, prof), (0,) * n
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3, help="timing repetitions")
@@ -75,6 +92,16 @@ def main():
         )
         assert result[2] == nodes, f"{name}: {result[2]} nodes, pinned {nodes}"
         print(rows_fmt.format(name, f"{dt*1e3:.1f} ms"))
+
+    out, assignment = witness_instance()
+    dt, v = _time(lambda: witness_from_assignment(out, assignment), args.repeat)
+    assert lp_norm_power(apply_coefficients(v, out.basis), None) == 1, "witness 3^10"
+    print(rows_fmt.format("witness 3^10", f"{dt*1e3:.1f} ms"))
+
+    vm = reduced_vandermonde(13, 3)
+    dt, hit = _time(lambda: search_kernel_support_counterexample(vm, 3, 5), args.repeat)
+    assert hit is None, f"kernel support vm(13,3): counterexample {hit}"
+    print(rows_fmt.format("kernel support vm(13,3)", f"{dt*1e3:.1f} ms"))
 
 
 if __name__ == "__main__":

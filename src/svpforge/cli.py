@@ -20,10 +20,12 @@ from . import basisio, kernels
 from .csp import CspInstance, emit_csp, parse_csp, validate_regular
 from .errors import SvpforgeError
 from .gadgets import (
+    ReducedVandermonde,
     first_singular_submatrix,
     hadamard,
     hadamard_gram_ok,
     reduced_vandermonde,
+    search_kernel_support_counterexample,
 )
 from .reduction import derive_profile, reduce_csp
 from .regularize import RegularizeParams, lineage_json, regularize
@@ -263,12 +265,34 @@ def _selftest_checks(seed: int):
         )
         return (power, vector) == brute
 
+    def kernel_support() -> bool:
+        if search_kernel_support_counterexample(reduced_vandermonde(7, 2), 2, 5) is not None:
+            return False
+        rng = random.Random(seed + 2)
+        rows = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)]
+        rows[4] = (2 * rows[1][0], 2 * rows[1][1])  # plant a support-2 kernel vector
+        entries = [x for x in range(-3, 4) if x]
+        hits = (
+            (support, values)
+            for k in (1, 2)
+            for support in itertools.combinations(range(len(rows)), k)
+            for values in itertools.product(entries, repeat=k)
+            if not any(sum(x * rows[i][j] for x, i in zip(values, support)) for j in range(2))
+        )
+        support, values = next(hits)
+        brute = [0] * len(rows)
+        for i, x in zip(support, values):
+            brute[i] = x
+        doctored = ReducedVandermonde(7, 2, tuple(rows))
+        return search_kernel_support_counterexample(doctored, 2, 3) == tuple(brute)
+
     return [
         ("vandermonde-minors", vandermonde_minors),
         ("hadamard-gram", hadamard_gram),
         ("holder-fuzz", holder_fuzz),
         ("toy-pipeline", toy_pipeline),
         ("kernel-differential", kernel_differential),
+        ("kernel-support", kernel_support),
     ]
 
 

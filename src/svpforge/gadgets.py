@@ -12,10 +12,15 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
+import numpy as np
+
 from . import kernels
 from .errors import BudgetExceededError
 
 DEFAULT_SUBSET_BUDGET = 1 << 22
+
+# Image entries computed per batch of a kernel-support search.
+_KERNEL_CHUNK_CELLS = 1 << 15
 
 # Deterministic Miller-Rabin witness set, valid for all n below 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -133,6 +138,12 @@ def search_kernel_support_counterexample(
 
     Entries range over [-entry_bound, entry_bound].  Returns the first
     counterexample found or None; None is a certification over the whole box.
+    Candidates are taken support size k ascending, supports in lexicographic
+    order, nonzero values in ``itertools.product`` order.  Each chunk of
+    supports of one size is one batched product of every value tuple with
+    their rows, whose first zero image is a flat argmax.  The arithmetic is
+    int64 when ``max_support * entry_bound * max|entry| < 2**63`` and Python
+    integers in object arrays otherwise.
     """
     n = vm.num_rows
     nonzero_entries = [x for x in range(-entry_bound, entry_bound + 1) if x]
@@ -141,18 +152,29 @@ def search_kernel_support_counterexample(
     )
     if work > budget:
         raise BudgetExceededError(f"{work} candidate vectors exceed budget {budget}")
-    for k in range(1, max_support + 1):
-        for support in itertools.combinations(range(n), k):
-            rows = [vm.rows[i] for i in support]
-            for values in itertools.product(nonzero_entries, repeat=k):
-                if all(
-                    sum(values[t] * rows[t][j] for t in range(k)) == 0
-                    for j in range(vm.width)
-                ):
-                    v = [0] * n
-                    for i, val in zip(support, values):
-                        v[i] = val
-                    return tuple(v)
+    if not nonzero_entries:
+        return None
+    top = min(max_support, n)
+    maxabs = max((abs(x) for row in vm.rows for x in row), default=0)
+    dtype = np.int64 if top * entry_bound * maxabs < 1 << 63 else object
+    rows = np.array(vm.rows, dtype=dtype).reshape(n, vm.width)
+    for k in range(1, top + 1):
+        values = np.array(
+            list(itertools.product(nonzero_entries, repeat=k)), dtype=dtype
+        )
+        chunk = max(1, _KERNEL_CHUNK_CELLS // (len(values) * max(vm.width, 1)))
+        supports = itertools.combinations(range(n), k)
+        while batch := list(itertools.islice(supports, chunk)):
+            # images[s, v] is the image of value tuple v on support s
+            images = values @ rows[np.array(batch)]
+            zero = ~(images != 0).any(axis=2).ravel()
+            first = int(zero.argmax())
+            if zero[first]:
+                s, i = divmod(first, len(values))
+                v = [0] * n
+                for r, val in zip(batch[s], values[i].tolist()):
+                    v[r] = val
+                return tuple(v)
     return None
 
 
@@ -179,14 +201,17 @@ def hadamard(k: int) -> HadamardMatrix:
 
 
 def hadamard_gram_ok(h: HadamardMatrix) -> bool:
-    """Exact check that H * H^T equals order * identity."""
+    """Exact check that H * H^T equals order * identity.
+
+    One int64 product when ``len(row) * max|entry|**2 < 2**63`` bounds every
+    dot product, Python integers otherwise.
+    """
     n = h.order
-    for i in range(n):
-        for j in range(i, n):
-            dot = sum(a * b for a, b in zip(h.rows[i], h.rows[j]))
-            if dot != (n if i == j else 0):
-                return False
-    return True
+    width = max((len(row) for row in h.rows), default=0)
+    maxabs = max((abs(x) for row in h.rows for x in row), default=0)
+    dtype = np.int64 if width * maxabs**2 < 1 << 63 else object
+    mat = np.array(h.rows, dtype=dtype)
+    return np.array_equal(mat @ mat.T, n * np.identity(n, dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import kernels
 from .csp import evaluate
 from .errors import BudgetExceededError, SvpforgeError, WitnessNotFoundError
@@ -24,6 +26,9 @@ DEFAULT_COLLISION_BUDGET = 2_000_000
 DEFAULT_BOX_BUDGET = 20_000_000
 DEFAULT_EXHAUSTIVE_COMBOS = 1 << 16
 DEFAULT_SAMPLES = 1024
+
+# Image entries computed per chunk of right-half sign combinations.
+_PROBE_CELLS = 1 << 16
 
 BOX_CAVEAT = "minimum over the coefficient box only, not a certified lattice minimum"
 
@@ -70,6 +75,14 @@ def apply_coefficients(v: Sequence[int], basis: Sequence[Sequence[int]]) -> tupl
     return tuple(out)
 
 
+def _row_keys(arr: np.ndarray) -> list:
+    """One hashable key per row, equal exactly when the rows are equal."""
+    if arr.dtype == object:
+        return list(map(tuple, arr.tolist()))
+    arr = np.ascontiguousarray(arr)
+    return arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel().tolist()
+
+
 def witness_from_assignment(
     inst: GapSvpInstance,
     assignment: Sequence[int],
@@ -80,8 +93,17 @@ def witness_from_assignment(
     Picks the one basis row per constraint selected by a satisfying
     assignment, then finds a signed combination cancelling the scaled blocks
     by a meet-in-the-middle collision over the two halves of the row set
-    (complete over all {-1, 0, 1} combinations of the selected rows).  The
-    scan order is fixed, so the witness is deterministic.
+    (complete over all {-1, 0, 1} combinations of the selected rows).
+
+    Sign combinations are taken in ``itertools.product((-1, 0, 1), ...)``
+    order, so the witness is deterministic: the first nonzero left
+    combination that cancels on its own, with zeros on the right; failing
+    that, the first nonzero right combination whose negated image some left
+    combination reaches, paired with the first such left combination.  The
+    left images are one product of a sign table with the left rows, and the
+    right half is probed in chunks of the same table.  The arithmetic is
+    int64 when ``max(half, m - half) * max|entry| < 2**63`` bounds every
+    image entry, and Python integers in object arrays otherwise.
     """
     csp = inst.csp
     if evaluate(csp, assignment) != 1:
@@ -98,44 +120,45 @@ def witness_from_assignment(
         for j in range(lo, hi)
         if any(inst.basis[r][j] for r in selected)
     ]
-    images = [tuple(inst.basis[r][j] for j in cols) for r in selected]
-
     m = len(selected)
     half = m // 2
-    left, right = images[:half], images[half:]
-    if 3 ** len(left) + 3 ** len(right) > budget:
+    wide = m - half
+    if 3**half + 3**wide > budget:
         raise BudgetExceededError(
             f"collision search over {m} rows exceeds budget {budget}"
         )
+    maxabs = max(abs(inst.basis[r][j]) for r in selected for j in cols)
+    dtype = np.int64 if wide * maxabs < 1 << 63 else object
+    images = np.array(
+        [[inst.basis[r][j] for j in cols] for r in selected], dtype=dtype
+    ).reshape(m, len(cols))
+    # Row i of an h-digit table is the i-th element of
+    # itertools.product((-1, 0, 1), repeat=h); the first 3**half rows of the
+    # wide table, stripped of their leading -1 columns, are the half table.
+    signs = np.indices((3,) * wide).reshape(wide, 3**wide).T - 1
+    left_signs = signs[: 3**half, wide - half :]
 
-    def combine(side, signs):
-        acc = [0] * len(cols)
-        for s, img in zip(signs, side):
-            if s:
-                for j, val in enumerate(img):
-                    acc[j] += s * val
-        return tuple(acc)
-
-    zero = (0,) * len(cols)
-    table: dict[tuple, tuple] = {}
-    nonzero_zero_key = None
-    for signs in itertools.product((-1, 0, 1), repeat=len(left)):
-        key = combine(left, signs)
-        if key not in table:
-            table[key] = signs
-        if nonzero_zero_key is None and key == zero and any(signs):
-            nonzero_zero_key = signs
+    left = left_signs @ images[:half]
     found = None
-    if nonzero_zero_key is not None:
-        found = nonzero_zero_key + (0,) * len(right)
+    cancelling = np.flatnonzero(~(left != 0).any(axis=1))
+    cancelling = cancelling[cancelling != (3**half - 1) // 2]
+    if cancelling.size:
+        found = tuple(left_signs[cancelling[0]].tolist()) + (0,) * wide
     else:
-        for signs in itertools.product((-1, 0, 1), repeat=len(right)):
-            if not any(signs):
-                continue
-            need = combine(right, tuple(-s for s in signs))
-            hit = table.get(need)
-            if hit is not None:
-                found = hit + signs
+        # Later duplicates overwrite earlier ones, so inserting in reverse
+        # keeps each key's first combination.
+        keys = _row_keys(left)
+        table = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        chunk = max(1, _PROBE_CELLS // len(cols))
+        zero_row = (3**wide - 1) // 2
+        for start in range(0, 3**wide, chunk):
+            block = signs[start : start + chunk]
+            for i, key in enumerate(_row_keys(-(block @ images[half:]))):
+                hit = table.get(key)
+                if hit is not None and start + i != zero_row:
+                    found = tuple(left_signs[hit].tolist()) + tuple(block[i].tolist())
+                    break
+            if found is not None:
                 break
     if found is None:
         raise WitnessNotFoundError(

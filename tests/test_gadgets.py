@@ -1,9 +1,14 @@
 """Number-theoretic and combinatorial gadgets."""
 
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svpforge import gadgets
 from svpforge.errors import BudgetExceededError
 from svpforge.gadgets import (
     BipartiteBiregular,
@@ -114,8 +119,97 @@ def test_kernel_support_counterexample_search():
 
 def test_kernel_search_budget():
     vm = reduced_vandermonde(13, 3)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(
+        BudgetExceededError, match="^226720 candidate vectors exceed budget 10$"
+    ):
         search_kernel_support_counterexample(vm, 3, 5, budget=10)
+
+
+def _reference_kernel_support_search(vm, max_support, entry_bound):
+    """The candidate-by-candidate loop the batched search replaced."""
+    n = vm.num_rows
+    nonzero_entries = [x for x in range(-entry_bound, entry_bound + 1) if x]
+    for k in range(1, max_support + 1):
+        for support in itertools.combinations(range(n), k):
+            rows = [vm.rows[i] for i in support]
+            for values in itertools.product(nonzero_entries, repeat=k):
+                if all(
+                    sum(values[t] * rows[t][j] for t in range(k)) == 0
+                    for j in range(vm.width)
+                ):
+                    v = [0] * n
+                    for i, val in zip(support, values):
+                        v[i] = val
+                    return tuple(v)
+    return None
+
+
+def _planted(rows, width=3):
+    return ReducedVandermonde(modulus=13, width=width, rows=tuple(map(tuple, rows)))
+
+
+_CLEAN = [list(r) for r in reduced_vandermonde(13, 3).rows]
+
+
+@pytest.mark.parametrize(
+    "vm, max_support",
+    [
+        # k = 1: a zero row
+        (_planted(_CLEAN[:4] + [[0, 0, 0]] + _CLEAN[5:]), 3),
+        # k = 2: row 7 is twice row 3
+        (_planted(_CLEAN[:7] + [[2 * x for x in _CLEAN[3]]] + _CLEAN[8:]), 3),
+        # k = 3: row 11 is row 1 minus row 6
+        (_planted(_CLEAN[:11] + [[a - b for a, b in zip(_CLEAN[1], _CLEAN[6])]]), 3),
+        # several hits: two zero rows and a repeated row; row 2 must win
+        (_planted(_CLEAN[:2] + [[0, 0, 0], _CLEAN[0], [0, 0, 0]] + _CLEAN[5:]), 2),
+        # one width-1 matrix where many pairs cancel
+        (_planted([[3], [6], [2], [4], [9]], width=1), 2),
+        # entries whose int64 products would wrap to zero: no kernel at all
+        (_planted([[2**62]], width=1), 1),
+        (_planted([[2**62], [-(2**62)]], width=1), 2),
+    ],
+)
+@pytest.mark.parametrize("entry_bound", [1, 2, 3, 4, 5])
+def test_kernel_support_search_matches_reference(vm, max_support, entry_bound):
+    got = search_kernel_support_counterexample(vm, max_support, entry_bound)
+    assert got == _reference_kernel_support_search(vm, max_support, entry_bound)
+
+
+def test_kernel_support_hit_in_a_later_chunk():
+    # supports (0, 1, 2), ... hold no kernel; row 11 = row 9 + row 10 plants
+    # one on the last support, many chunks into the k = 3 sweep
+    vm = _planted(_CLEAN[:11] + [[a + b for a, b in zip(_CLEAN[9], _CLEAN[10])]])
+    hit = search_kernel_support_counterexample(vm, 3, 5)
+    assert hit == _reference_kernel_support_search(vm, 3, 5)
+    support = tuple(i for i, x in enumerate(hit) if x)
+    per_chunk = gadgets._KERNEL_CHUNK_CELLS // (10**3 * 3)
+    position = list(itertools.combinations(range(12), 3)).index(support)
+    assert position >= 4 * per_chunk
+
+
+@pytest.mark.parametrize("a", [7, 11, 13])
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_kernel_support_clean_vandermonde(a, b):
+    vm = reduced_vandermonde(a, b)
+    assert search_kernel_support_counterexample(vm, b, 5) is None
+    if comb(a - 1, b) * 10**b <= 30_000:
+        assert _reference_kernel_support_search(vm, b, 5) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda w: st.lists(
+            st.lists(st.integers(-3, 3), min_size=w, max_size=w), min_size=1, max_size=7
+        )
+    ),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_kernel_support_search_random_matrices(rows, max_support, entry_bound):
+    vm = _planted(rows, width=len(rows[0]))
+    got = search_kernel_support_counterexample(vm, max_support, entry_bound)
+    assert got == _reference_kernel_support_search(vm, max_support, entry_bound)
 
 
 def test_hadamard_base_cases():
@@ -141,6 +235,17 @@ def test_hadamard_orders_and_gram():
 def test_hadamard_gram_rejects_doctored():
     h = HadamardMatrix(1, ((1, 1), (1, 1)))
     assert not hadamard_gram_ok(h)
+
+
+def test_hadamard_gram_on_doctored_rows():
+    # the check is H * H^T == order * I, nothing more: 2 * I of order 4 passes
+    assert hadamard_gram_ok(HadamardMatrix(2, tuple(
+        tuple(2 * (i == j) for j in range(4)) for i in range(4)
+    )))
+    assert not hadamard_gram_ok(HadamardMatrix(2, hadamard(2).rows[:3] + ((1, 1, 1, -1),)))
+    # each squared row norm is 2 * 2**64 + 2, which int64 would wrap to 2
+    a, b = 2**32 + 1, 2**32 - 1
+    assert not hadamard_gram_ok(HadamardMatrix(1, ((a, b), (-b, a))))
 
 
 def test_biregular_validation():

@@ -1,13 +1,16 @@
 """Witness search, box enumeration, audits, extraction."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svpforge.csp import parse_csp
+from svpforge.csp import Constraint, CspInstance, evaluate, parse_csp
 from svpforge.errors import BudgetExceededError, WitnessNotFoundError
-from svpforge.reduction import GapSvpInstance, reduce_csp
+from svpforge.reduction import GapSvpInstance, derive_profile, reduce_csp
 from svpforge.verifier import (
     apply_coefficients,
     audit_vector,
@@ -80,6 +83,202 @@ def test_witness_not_found_on_single_constraint():
     out = reduce_csp(inst, explicit_profile(inst))
     with pytest.raises(WitnessNotFoundError):
         witness_from_assignment(out, (0, 0))  # one row cannot cancel its own blocks
+
+
+def _reference_witness(inst, assignment, budget):
+    """The row-by-row collision search ``witness_from_assignment`` replaced:
+    every left sign combination rebuilt by a Python loop and kept in a dict,
+    then the right half probed in ``itertools.product`` order."""
+    csp = inst.csp
+    if evaluate(csp, assignment) != 1:
+        raise ValueError("witness needs an assignment satisfying every constraint")
+    row_of = {prov: r for r, prov in enumerate(inst.row_provenance)}
+    selected = [
+        row_of[(t, tuple(assignment[x] for x in con.variables))]
+        for t, con in enumerate(csp.constraints)
+    ]
+    lo, hi = inst.consistency_span[0], inst.support_span[1]
+    cols = [j for j in range(lo, hi) if any(inst.basis[r][j] for r in selected)]
+    images = [tuple(inst.basis[r][j] for j in cols) for r in selected]
+    half = len(selected) // 2
+    left, right = images[:half], images[half:]
+    if 3 ** len(left) + 3 ** len(right) > budget:
+        raise BudgetExceededError(
+            f"collision search over {len(selected)} rows exceeds budget {budget}"
+        )
+
+    def combine(side, signs):
+        acc = [0] * len(cols)
+        for s, img in zip(signs, side):
+            if s:
+                for j, val in enumerate(img):
+                    acc[j] += s * val
+        return tuple(acc)
+
+    zero = (0,) * len(cols)
+    table = {}
+    nonzero_zero_key = None
+    for signs in itertools.product((-1, 0, 1), repeat=len(left)):
+        key = combine(left, signs)
+        if key not in table:
+            table[key] = signs
+        if nonzero_zero_key is None and key == zero and any(signs):
+            nonzero_zero_key = signs
+    found = None
+    if nonzero_zero_key is not None:
+        found = nonzero_zero_key + (0,) * len(right)
+    else:
+        for signs in itertools.product((-1, 0, 1), repeat=len(right)):
+            if not any(signs):
+                continue
+            hit = table.get(combine(right, tuple(-s for s in signs)))
+            if hit is not None:
+                found = hit + signs
+                break
+    if found is None:
+        raise WitnessNotFoundError(
+            "no nonzero signed combination of the selected rows cancels the scaled blocks"
+        )
+    v = [0] * inst.num_rows
+    for r, s in zip(selected, found):
+        v[r] = s
+    return tuple(v)
+
+
+def _outcome(fn, *args):
+    """The return value, or the type and message of what was raised."""
+    try:
+        return fn(*args)
+    except (BudgetExceededError, WitnessNotFoundError) as exc:
+        return type(exc), str(exc)
+
+
+def _cyclic_csp(num_vars, steps, accepts, alphabet=2):
+    """Scopes (i, i + step) for each step, constraints in that order."""
+    scopes = [(i, (i + s) % num_vars) for s in steps for i in range(num_vars)]
+    return CspInstance(
+        num_vars, alphabet, 2, tuple(Constraint(sc, acc) for sc, acc in zip(scopes, accepts))
+    )
+
+
+@st.composite
+def _satisfiable_reductions(draw):
+    """A small satisfiable regular CSP, an assignment satisfying it, and its
+    reduction: one scope, or 3 to 14 cyclic scopes with one or two shifts,
+    each accepting the assignment's tuple plus random others."""
+    q = draw(st.integers(2, 3))
+    sigma = draw(st.integers(1, 3))
+    steps = draw(st.sampled_from([(), (1,), (1, 2)]))
+    if not steps:
+        n, scopes = q, [tuple(range(q))]
+    else:
+        n = draw(st.integers(2 * q - 1, 7) if len(steps) == 2 else st.integers(q, 14))
+        scopes = [
+            tuple((i + step * k) % n for k in range(q)) for step in steps for i in range(n)
+        ]
+    label = draw(st.permutations(range(n)))
+    assignment = tuple(draw(st.lists(st.integers(0, sigma - 1), min_size=n, max_size=n)))
+    candidates = list(itertools.product(range(sigma), repeat=q))
+    constraints = []
+    for scope in scopes:
+        scope = tuple(label[x] for x in scope)
+        own = tuple(assignment[x] for x in scope)
+        picks = draw(st.lists(st.sampled_from(candidates), unique=True))
+        if own not in picks:
+            picks.insert(draw(st.integers(0, len(picks))), own)
+        constraints.append(Constraint(scope, tuple(picks)))
+    inst = CspInstance(n, sigma, q, tuple(constraints))
+    prof = derive_profile(
+        inst, p=draw(st.sampled_from([3, 4, "inf"])), mode="explicit",
+        consistency_width=1,
+        support_width=draw(st.integers(1, len(constraints))),
+        scale=draw(st.integers(1, 10**6)),
+    )
+    return reduce_csp(inst, prof), assignment
+
+
+def _budget_floor(inst):
+    m = inst.csp.num_constraints
+    return 3 ** (m // 2) + 3 ** (m - m // 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_satisfiable_reductions(), st.sampled_from([-1, 0, None]))
+def test_witness_matches_reference(case, slack):
+    out, assignment = case
+    budget = 2_000_000 if slack is None else _budget_floor(out) + slack
+    got = _outcome(witness_from_assignment, out, assignment, budget)
+    assert got == _outcome(_reference_witness, out, assignment, budget)
+    if slack == -1:
+        assert got[0] is BudgetExceededError
+    elif got[0] not in (BudgetExceededError, WitnessNotFoundError):
+        assert lp_norm_power(apply_coefficients(got, out.basis), None) == 1
+
+
+def _left_and_right(out, assignment):
+    v = witness_from_assignment(out, assignment)
+    assert v == _reference_witness(out, assignment, 2_000_000)
+    row_of = {prov: r for r, prov in enumerate(out.row_provenance)}
+    selected = [
+        v[row_of[(t, tuple(assignment[x] for x in con.variables))]]
+        for t, con in enumerate(out.csp.constraints)
+    ]
+    half = len(selected) // 2
+    return selected[:half], selected[half:]
+
+
+def test_witness_left_only_cancellation():
+    # 12 constraints: the first six selected rows cancel among themselves
+    inst = _cyclic_csp(6, (1, 2), [((0, 0), (1, 1))] * 12)
+    out = reduce_csp(inst, explicit_profile(inst))
+    left, right = _left_and_right(out, (0,) * 6)
+    assert any(left) and not any(right)
+
+
+def test_witness_cancellation_found_on_the_right(toy1_reduced):
+    left, right = _left_and_right(toy1_reduced, (0, 0))
+    assert left == [1] and right == [-1]
+
+
+def test_witness_pairs_the_first_left_combination():
+    # Doctored scaled images 2, 1 | 1, 0 in one column, and a private spread
+    # column per row.  Left signs (0, 1) and (1, -1) both reach image 1, and
+    # the first right signs, (-1, -1), need it: the first of the two wins.
+    inst = _cyclic_csp(4, (1,), [((0, 0),)] * 4)
+    out = reduce_csp(inst, explicit_profile(inst))
+    basis = []
+    for t, image in enumerate((2, 1, 1, 0)):
+        row = [0] * out.num_cols
+        row[0] = image
+        row[out.spread_col_span(t)[0]] = 1
+        basis.append(tuple(row))
+    doctored = replace(out, basis=tuple(basis))
+    v = witness_from_assignment(doctored, (0,) * 4)
+    assert v == _reference_witness(doctored, (0,) * 4, 2_000_000) == (0, 1, -1, -1)
+
+
+def test_witness_exact_integer_path():
+    # at scale 10**18 the selected rows' support entries times the 4 rows
+    # of a half pass 2**63, so the search runs on Python integers
+    inst = _cyclic_csp(4, (1, 2), [((0, 0), (0, 1))] * 8)
+    prof = derive_profile(
+        inst, p=3, mode="explicit", consistency_width=1, support_width=2, scale=10**18
+    )
+    out = reduce_csp(inst, prof)
+    selected = [out.row_provenance.index((t, (0, 0))) for t in range(8)]
+    lo, hi = out.consistency_span[0], out.support_span[1]
+    assert 4 * max(abs(out.basis[r][j]) for r in selected for j in range(lo, hi)) >= 2**63
+    left, right = _left_and_right(out, (0,) * 4)
+    assert any(left) and any(right)
+    v = witness_from_assignment(out, (0,) * 4)
+    assert lp_norm_power(apply_coefficients(v, out.basis), None) == 1
+
+
+def test_witness_budget_boundary(toy1_reduced):
+    assert _budget_floor(toy1_reduced) == 3 + 3
+    assert witness_from_assignment(toy1_reduced, (0, 0), budget=6) == (1, 0, -1)
+    with pytest.raises(BudgetExceededError, match="over 2 rows exceeds budget 5"):
+        witness_from_assignment(toy1_reduced, (0, 0), budget=5)
 
 
 def test_enumerate_toy1(toy1_reduced):
