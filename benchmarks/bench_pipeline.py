@@ -1,0 +1,123 @@
+"""Time the compile pipeline stage by stage on a ladder of cyclic instances.
+
+Usage: PYTHONPATH=src python3 benchmarks/bench_pipeline.py [--repeat N] [--out FILE]
+
+Each rung is a cyclic regular CSP on N variables: M = 2N binary constraints
+with scopes (i, i+1) and (i, i+2) mod N, each accepting (0, 0) and one seeded
+other tuple, reduced under the default profile at p = inf.  For every rung it
+prints best-of-N wall times of ``reduce_csp``, ``emit_basis``, the emitter as
+first written (``str`` of every entry, the "before" column), ``save_instance``,
+``load_instance`` and ``audit_vector`` on the known short vector, plus the
+basis rows, columns and nonzeros.
+
+Checks: both emitters give text with the same sha256, the loaded basis is the
+built one, and the known vector audits to max-norm 1 with support M.  With
+``--out`` the table is also written as JSON.
+"""
+
+import argparse
+import hashlib
+import json
+import platform
+import random
+import tempfile
+import time
+from pathlib import Path
+
+from svpforge import kernels
+from svpforge.basisio import emit_basis, load_instance, save_instance
+from svpforge.csp import Constraint, CspInstance
+from svpforge.reduction import derive_profile, reduce_csp
+from svpforge.verifier import audit_vector
+
+LADDER = (32, 128, 512)
+STAGES = ("reduce_csp", "emit_basis", "emit_basis_before", "save_instance",
+          "load_instance", "audit_vector")
+
+
+def _time(fn, repeat):
+    best = None
+    result = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = fn()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best, result
+
+
+def _emit_basis_before(basis):
+    lines = ["[" + " ".join(str(x) for x in row) + "]" for row in basis]
+    return "[" + "\n".join(lines) + "\n]\n"
+
+
+def cyclic_instance(n):
+    """The cyclic regular CSP on n variables and its known short vector:
+    +1 on the (0, 0) row of every step-1 constraint, -1 on that of every
+    step-2 constraint, 0 on the other rows."""
+    rng = random.Random(n)
+    scopes = [(i, (i + s) % n) for s in (1, 2) for i in range(n)]
+    others = [(0, 1), (1, 0), (1, 1)]
+    cons = tuple(Constraint(sc, ((0, 0), rng.choice(others))) for sc in scopes)
+    vec = tuple(x for t in range(2 * n) for x in ((1 if t < n else -1), 0))
+    return CspInstance(n, 2, 2, cons), vec
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def bench_rung(n, repeat, workdir):
+    csp, vec = cyclic_instance(n)
+    prof = derive_profile(csp, p=None)
+    row = {"n": n}
+    row["reduce_csp"], out = _time(lambda: reduce_csp(csp, prof), repeat)
+    basis = out.basis
+    row["rows"], row["cols"] = out.num_rows, out.num_cols
+    row["nnz"] = sum(len(r) - r.count(0) for r in basis)
+
+    row["emit_basis"], text = _time(lambda: emit_basis(basis), repeat)
+    row["emit_basis_before"], before = _time(lambda: _emit_basis_before(basis), repeat)
+    assert _sha(text) == _sha(before), f"N={n}: the two emitters differ"
+    del before
+
+    path = Path(workdir) / f"c{n}.basis"
+    row["save_instance"], _ = _time(lambda: save_instance(out, path), repeat)
+    row["load_instance"], loaded = _time(lambda: load_instance(path), repeat)
+    assert loaded.basis == basis, f"N={n}: loaded basis differs"
+    row["audit_vector"], report = _time(lambda: audit_vector(vec, loaded), repeat)
+    assert report.max_abs == 1 and report.support == 2 * n, f"N={n}: audit {report}"
+    row["text_bytes"] = len(text)
+    return row
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeat", type=int, default=3, help="timing repetitions")
+    parser.add_argument("--out", type=Path, help="also write the table as JSON here")
+    args = parser.parse_args()
+
+    fmt = "{:>5} {:>14} {:>8}" + " {:>17}" * len(STAGES)
+    print(fmt.format("N", "rows x cols", "nnz", *STAGES))
+    rungs = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in LADDER:
+            row = bench_rung(n, args.repeat, workdir)
+            rungs.append(row)
+            times = [f"{row[s] * 1e3:.1f} ms" for s in STAGES]
+            print(fmt.format(n, f"{row['rows']} x {row['cols']}", row["nnz"], *times))
+
+    if args.out:
+        payload = {
+            "script": "benchmarks/bench_pipeline.py",
+            "repeat": args.repeat,
+            "backend": kernels.backend_name(),
+            "python": platform.python_version(),
+            "unit": "s, best of repeat",
+            "rungs": rungs,
+        }
+        args.out.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,10 +43,30 @@ _ROW_RE = re.compile(r"\[([^\[\]]*)\]")
 
 
 def emit_basis(basis: Sequence[Sequence[int]]) -> str:
+    """The basis as text: one bracketed row per line, entries separated by
+    single spaces, inside an outer bracket pair.
+
+    Only nonzero entries are turned into strings; each run of k zeros is the
+    slice ``zeros[:2*k]`` of one ``"0 " * width`` string.  The text is the
+    same as joining ``str`` of every entry.
+    """
     if not basis:
         raise SvpforgeError("refusing to emit an empty basis")
-    lines = ["[" + " ".join(str(x) for x in row) + "]" for row in basis]
-    return "[" + "\n".join(lines) + "\n]\n"
+    zeros = "0 " * max(map(len, basis))
+    parts = ["["]
+    for row in basis:
+        parts.append("[")
+        start = 0
+        for j in compress(range(len(row)), row):
+            parts += (zeros[: 2 * (j - start)], str(row[j]), " ")
+            start = j + 1
+        if start < len(row):
+            parts.append(zeros[: 2 * (len(row) - start) - 1])
+        elif start:
+            parts.pop()  # the space after a nonzero last entry
+        parts.append("]\n")
+    parts.append("]\n")
+    return "".join(parts)
 
 
 def parse_basis(text: str) -> tuple[tuple[int, ...], ...]:

@@ -176,7 +176,7 @@ def box_minimum(rows, c, p, groups, loose_cols, budget):
     if c < 1:
         raise ValueError("box radius must be at least 1")
     ncols = len(rows[0])
-    support = [tuple((j, row[j]) for j in range(ncols) if row[j]) for row in rows]
+    support = [tuple((j, row[j]) for j in itertools.compress(range(ncols), row)) for row in rows]
     finalize_at = {r1: (c0, c1) for (_r0, r1, c0, c1) in groups}
     block = _LeafBlock(rows, c, p, finalize_at, loose_cols)
     top = m - block.size

@@ -69,9 +69,8 @@ def apply_coefficients(v: Sequence[int], basis: Sequence[Sequence[int]]) -> tupl
     out = [0] * ncols
     for coeff, row in zip(v, basis):
         if coeff:
-            for j in range(ncols):
-                if row[j]:
-                    out[j] += coeff * row[j]
+            for j in itertools.compress(range(ncols), row):
+                out[j] += coeff * row[j]
     return tuple(out)
 
 

@@ -4,6 +4,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from svpforge import basisio
 from svpforge.cli import main
@@ -94,6 +96,26 @@ def test_basis_round_trip(tmp_path, capsys):
     assert inst.row_provenance[0] == (0, (0, 0))
     # emit -> parse is the identity on the basis matrix
     assert basisio.parse_basis(basisio.emit_basis(inst.basis)) == inst.basis
+
+
+def _reference_emit_basis(basis):
+    """The emitter as first written: ``str`` of every entry."""
+    lines = ["[" + " ".join(str(x) for x in row) + "]" for row in basis]
+    return "[" + "\n".join(lines) + "\n]\n"
+
+
+_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_ENTRIES, max_size=12), min_size=1, max_size=6))
+@example([[], [0, 0, 0], [0]])
+@example([[5, 0, 0, -7], [0, 0, 9], [-1, 0, 0]])
+@example([[2**64 + 1, 0, -(2**65)], [0, 0, 0, 0, 0, 0, 0, 2**64], [3]])
+def test_emit_basis_matches_reference(rows):
+    # ragged widths on purpose: each row is written at its own length
+    assert basisio.emit_basis(rows) == _reference_emit_basis(rows)
+    assert basisio.emit_basis(tuple(map(tuple, rows))) == _reference_emit_basis(rows)
 
 
 def test_parse_basis_errors():
@@ -243,6 +265,13 @@ def _double_spaces(basis, payload):
     basis.write_text(basis.read_text().replace(" ", "  "))
 
 
+def _sign_a_zero_in_a_run(basis, payload):
+    # "-0" parses to the same integer, so only the layout differs
+    text = basis.read_text()
+    assert " 0 0 " in text
+    basis.write_text(text.replace(" 0 0 ", " 0 -0 ", 1))
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -250,8 +279,15 @@ def _double_spaces(basis, payload):
         (_swap_two_rows, "basis row 0 is not row 0"),
         (_drop_last_row, "basis has 2 rows; the sidecar's reduction has 3"),
         (_double_spaces, "not laid out as emit_basis writes it"),
+        (_sign_a_zero_in_a_run, "not laid out as emit_basis writes it"),
     ],
-    ids=["one-entry-edited", "rows-swapped-with-provenance", "row-dropped", "reformatted"],
+    ids=[
+        "one-entry-edited",
+        "rows-swapped-with-provenance",
+        "row-dropped",
+        "reformatted",
+        "zero-in-run-signed",
+    ],
 )
 def test_tampered_basis_exits_2(tmp_path, capsys, tamper, message):
     basis = tmp_path / "toy1.basis"
