@@ -6,8 +6,10 @@ Prints best-of-N wall times.  Each determinant sweep result is checked
 against the big-integer sweep, which shares no arithmetic with the int64
 suffix-product path it times.  Each box enumeration must report its pinned
 node count: the ungrouped box prunes nothing, the grouped one prunes on
-finalized groups the way spread blocks do.  The witness search must reach
-max-norm 1 and the kernel-support search must certify its matrix.
+finalized groups the way spread blocks do, and the p=3 odd-cycle basis at
+scale 10**6 runs the leaf block on Python integers until its best leaf allows
+clipped int64 totals.  The witness search must reach max-norm 1 and the
+kernel-support search must certify its matrix.
 """
 
 import argparse
@@ -58,6 +60,23 @@ def box_workloads():
                 row[j] = rng.choice((-1, 1))
             rows.append(row)
     yield "box 3^18 grouped, max", rows, None, groups, list(range(nloose)), 323037
+    out = odd_cycle_instance()
+    groups = [(r0, r1) + out.spread_col_span(t) for t, r0, r1 in out.constraint_row_groups()]
+    loose = list(range(out.spread_span[0]))
+    yield "box odd cycle 12, p=3", [list(r) for r in out.basis], 3, groups, loose, 24102
+
+
+def odd_cycle_instance():
+    """The unsatisfiable "not equal" instance on a 3-cycle, with step-1 and
+    step-2 scopes: 12 rows at p=3 and scale 10**6, whose box search starts
+    on Python integers and finishes on the clipped int64 leaf block."""
+    n = 3
+    scopes = [(i, (i + s) % n) for s in (1, 2) for i in range(n)]
+    inst = CspInstance(n, 2, 2, tuple(Constraint(sc, ((0, 1), (1, 0))) for sc in scopes))
+    prof = derive_profile(
+        inst, p=3, mode="explicit", consistency_width=1, support_width=1, scale=10**6
+    )
+    return reduce_csp(inst, prof)
 
 
 def witness_instance():

@@ -9,7 +9,14 @@ enumeration is a depth-first search over the upper rows in Python integers
 that hands each entry into the last rows to one NumPy evaluation of every
 remaining combination, int64 under a proven bound and Python integers in
 object arrays otherwise; minima, argmins and node counts are those of the
-plain depth-first search over all rows.
+plain depth-first search over all rows.  The bound is checked per entry: a
+p-norm entry whose totals could pass int64 still runs in int64 once the best
+leaf so far is small enough, with every magnitude clipped to the p-th root R
+of that best (rounded up).  A value below the best has no term as large as
+R**p, so clipping leaves it alone, and clipping keeps every other value at
+or above the best, which is all an entry compares with.  Entries before the
+first leaf is found, and entries whose best has ``best * (terms + 1) >=
+2**62`` (``terms`` the number of norm columns), stay on Python integers.
 """
 
 from __future__ import annotations
@@ -246,10 +253,16 @@ class _LeafBlock:
     the first k block rows for each of the (2c+1)**k prefixes of level k, so
     a group is finalized once per prefix rather than once per leaf.
 
-    Column values use int64 when |any column| <= m*c*maxabs is below 2**62,
-    and norm totals when ``cap``, which exceeds every total (one term per
-    loose or group column), is at most 2**62.  Otherwise they are Python
-    integers in object arrays, through the same code.
+    Column values use int64 when |any column| <= m*c*maxabs is below 2**62.
+    Norm totals use int64 for the whole block when ``cap``, which exceeds
+    every total (one term per loose or group column, ``terms`` in all), is
+    at most 2**62.  Otherwise each ``evaluate`` call picks its own dtype: a
+    p-norm call runs in int64 when ``best + terms * R**p < 2**62``, R the
+    smallest integer with R**p >= ``best``, with every magnitude clipped to
+    R (see ``_call_dtype``).  The calls left on Python integers in object
+    arrays, through the same code, are the max-norm ones, the entries made
+    before the first leaf is found, and any with ``best * (terms + 1) >=
+    2**62``.
     """
 
     def __init__(self, rows, c, p, finalize_at, loose_cols):
@@ -260,13 +273,10 @@ class _LeafBlock:
             size += 1
         top = m - size
         colmax = m * c * max(abs(x) for row in rows for x in row)
-        if p is None:
-            cap = colmax + 1
-        else:
-            terms = len(loose_cols) + sum(len(range(*span)) for span in finalize_at.values())
-            cap = terms * colmax**p + 1
+        terms = len(loose_cols) + sum(len(range(*span)) for span in finalize_at.values())
+        cap = colmax + 1 if p is None else terms * colmax**p + 1
         entry_dtype = np.int64 if colmax < 1 << 62 else object
-        self.width, self.size, self.p, self.cap = width, size, p, cap
+        self.width, self.size, self.p, self.cap, self.terms = width, size, p, cap, terms
         self.dtype = np.int64 if cap <= 1 << 62 else object
         self.coeffs = np.array(
             list(itertools.product(range(-c, c + 1), repeat=size)), dtype=np.int64
@@ -288,12 +298,34 @@ class _LeafBlock:
         }
         self.loose = table(size, list(loose_cols))
 
-    def _norms(self, cols, contrib, acc):
-        """Each prefix's norm (max or sum of p-th powers) over ``cols``."""
+    def _norms(self, cols, contrib, acc, dtype, clip):
+        """Each prefix's norm (max or sum of p-th powers) over ``cols``, in
+        ``dtype``, with every magnitude first clipped to ``clip`` if given."""
         mags = np.abs(contrib + np.array([acc[j] for j in cols], dtype=contrib.dtype))
         if self.p is None:
             return mags.max(axis=1, initial=0)
-        return (mags.astype(self.dtype, copy=False) ** self.p).sum(axis=1)
+        if clip is not None:
+            mags = np.minimum(mags, clip)
+        return (mags.astype(dtype, copy=False) ** self.p).sum(axis=1)
+
+    def _call_dtype(self, best):
+        """The dtype of one call's totals, and the magnitude clip it needs.
+
+        A call into an object-dtype p-norm block runs in int64 when, with R
+        the smallest integer with R**p >= ``best``, ``best + terms * R**p``
+        is below 2**62: every magnitude is clipped to R before the power,
+        which changes no value below ``best`` (none of its terms reaches
+        R**p) and leaves every other value at or above ``best`` (one clipped
+        term is enough), and the call compares only with minima at most
+        ``best``.  The first check is implied by that bound and keeps the
+        root off huge ``best`` values.
+        """
+        if self.dtype is not object or self.p is None or best * (self.terms + 1) >= 1 << 62:
+            return self.dtype, None
+        root = _ceil_root(best, self.p)
+        if best + self.terms * root**self.p < 1 << 62:
+            return np.int64, root
+        return object, None
 
     def _combine(self, a, b):
         return np.maximum(a, b) if self.p is None else a + b
@@ -312,16 +344,17 @@ class _LeafBlock:
         leaves equals the running best, and the first argmin is the leaf it
         keeps.
         """
-        fin = np.full(1, finalized, dtype=self.dtype)
+        dtype, clip = self._call_dtype(best)
+        fin = np.full(1, finalized, dtype=dtype)
         prefix_fin = []  # per level: the finalized value of each prefix
         for level in range(1, self.size + 1):
             prefix_fin.append(fin)
             fin = np.repeat(fin, self.width)
             if level in self.groups:
-                fin = self._combine(fin, self._norms(*self.groups[level], acc))
-        total = self._combine(fin, self._norms(*self.loose, acc))
+                fin = self._combine(fin, self._norms(*self.groups[level], acc, dtype, clip))
+        total = self._combine(fin, self._norms(*self.loose, acc, dtype, clip))
         if not nonzero:
-            total[self.zero] = self.cap
+            total[self.zero] = best  # never kept, and lowers no running minimum
         running = np.empty_like(total)
         running[0] = best
         running[1:] = total[:-1]
@@ -335,3 +368,19 @@ class _LeafBlock:
         if total[k] < best:
             return int(total[k]), tuple(self.coeffs[k].tolist()), nodes
         return best, None, nodes
+
+
+def _ceil_root(n, p):
+    """The smallest integer r >= 0 with r**p >= n, for 0 <= n < 2**62.
+
+    The float seed is within one of the answer for p >= 2 at this size, and
+    the loops make it exact.
+    """
+    if p == 1:
+        return n
+    r = round(n ** (1 / p))
+    while r**p < n:
+        r += 1
+    while r and (r - 1) ** p >= n:
+        r -= 1
+    return r

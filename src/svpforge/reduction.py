@@ -419,7 +419,7 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
     spread = build_spread_block(inst, prof)
     if not all(any(row) for row in consistency):
         raise ProfileError("zero-row deletion must match the accept sets")
-    basis = tuple(tuple(c + s + h) for c, s, h in zip(consistency, support, spread))
+    basis = tuple((*c, *s, *h) for c, s, h in zip(consistency, support, spread))
     if basis and len(basis[0]) != prof.nprime:
         raise ProfileError("basis width must equal the profile's column count")
     return GapSvpInstance(

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,21 +272,28 @@ def _box_inputs(draw):
     return rows, c, p, groups, loose_cols, budget
 
 
-@settings(max_examples=300, deadline=None)
-@given(_box_inputs())
-def test_box_minimum_matches_reference_dfs(case):
+def _assert_matches_reference(case):
+    """``box_minimum`` equals ``_reference_box_dfs`` on ``case``: result or
+    budget refusal, and returns the reference result (None if refused)."""
     try:
         want = _reference_box_dfs(*case)
     except BudgetExceededError:
         with pytest.raises(BudgetExceededError):
             kernels.box_minimum(*case)
-        return
+        return None
     assert kernels.box_minimum(*case) == want
     # the refusal fires exactly past the node count
     *args, _budget = case
     assert kernels.box_minimum(*args, want[2]) == want
     with pytest.raises(BudgetExceededError):
         kernels.box_minimum(*args, want[2] - 1)
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box_inputs())
+def test_box_minimum_matches_reference_dfs(case):
+    _assert_matches_reference(case)
 
 
 def test_box_minimum_without_leaf_block():
@@ -302,3 +310,89 @@ def test_box_minimum_without_leaf_block():
             _reference_box_dfs(*pair)
         with pytest.raises(BudgetExceededError):
             kernels.box_minimum(*pair)
+
+
+@st.composite
+def _scaled_box_inputs(draw):
+    """Spread-block layouts at scale 10**6: loose columns of multiples of
+    10**6 that cancel when rows repeat or negate a pooled pattern, plus +-1
+    private columns per row group.  With p >= 3 the leaf block starts on
+    Python integers, and the best leaf, once it cancels the scaled columns,
+    brings later entries onto the clipped int64 path."""
+    c = draw(st.integers(1, 2))
+    block = {1: 6, 2: 4}[c]
+    m = draw(st.integers(block + 1, block + 2))
+    p = draw(st.sampled_from([3, 4]))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=m - 1)))
+    bounds = [0] + cuts + [m]
+    nloose = draw(st.integers(1, 3))
+    scaled = st.lists(st.integers(-2, 2), min_size=nloose, max_size=nloose)
+    pool = draw(st.lists(scaled, min_size=1, max_size=3))
+    loose_first = draw(st.booleans())
+    widths = [draw(st.integers(0, 2)) for _ in bounds[1:]]
+    ncols = nloose + sum(widths)
+    loose_cols = list(range(nloose)) if loose_first else list(range(ncols - nloose, ncols))
+    col = nloose if loose_first else 0
+    rows, groups = [], []
+    for r0, r1, width in zip(bounds, bounds[1:], widths):
+        groups.append((r0, r1, col, col + width))
+        for _ in range(r0, r1):
+            row = [0] * ncols
+            sign = draw(st.sampled_from([-1, 1]))
+            for j, x in zip(loose_cols, draw(st.sampled_from(pool))):
+                row[j] = sign * x * 10**6
+            for j in range(col, col + width):
+                row[j] = draw(st.sampled_from([-1, 0, 1]))
+            rows.append(row)
+        col += width
+    budget = draw(st.one_of(st.integers(0, 3000), st.just(10**9)))
+    return rows, c, p, groups, loose_cols, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scaled_box_inputs())
+def test_box_minimum_scaled_matches_reference_dfs(case):
+    _assert_matches_reference(case)
+
+
+@pytest.mark.parametrize("last, dtype", [(0, np.int64), (1, object)])
+def test_box_minimum_clip_threshold(last, dtype):
+    """A leaf of power ``best`` = 726808**3 + 71823**3 + 6612**3 + 462**3
+    (+ 1) is found in the first entry into the block, and the later entries
+    run with it: best + terms * R**3 is 2**62 - 1 (clipped int64) or 2**62
+    (Python integers), R = 727042 the smallest with R**3 >= best."""
+    first = [726808, 71823, 6612, 462, last]
+    rng = random.Random(5)
+    rows = [first + [0] * 6]
+    for i in range(6):
+        # a private column of 2**20 > R keeps every other vector above best
+        rows.append([rng.randint(-3, 3) * 10**5 for _ in first] + [0] * 6)
+        rows[-1][len(first) + i] = 1 << 20
+    terms, best, root = len(rows[0]), sum(x**3 for x in first), 727042
+    assert (root - 1) ** 3 < best <= root**3
+    assert best + terms * root**3 == (1 << 62) - 1 + last
+    block = kernels._LeafBlock(rows, 1, 3, {}, range(terms))
+    assert block.dtype is object
+    assert block._call_dtype(best) == (dtype, root if last == 0 else None)
+    want = _assert_matches_reference((rows, 1, 3, [], list(range(terms)), 10**9))
+    assert want[:2] == (best, (-1,) + (0,) * 6)
+
+
+@st.composite
+def _root_inputs(draw):
+    """A power p and a value below 2**62, often a perfect p-th power or one
+    away from one."""
+    p = draw(st.integers(1, 5))
+    r = draw(st.integers(0, 2 ** (62 // p)))
+    n = draw(st.one_of(
+        st.integers(0, (1 << 62) - 1), st.sampled_from([r**p - 1, r**p, r**p + 1])
+    ))
+    return p, min(max(n, 0), (1 << 62) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_root_inputs())
+def test_ceil_root(case):
+    p, n = case
+    r = kernels._ceil_root(n, p)
+    assert r**p >= n and (r == 0 or (r - 1) ** p < n)
