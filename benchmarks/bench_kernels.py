@@ -114,7 +114,7 @@ def main():
 
     out, assignment = witness_instance()
     dt, v = _time(lambda: witness_from_assignment(out, assignment), args.repeat)
-    assert lp_norm_power(apply_coefficients(v, out.basis), None) == 1, "witness 3^10"
+    assert lp_norm_power(apply_coefficients(v, out.rows, out.num_cols), None) == 1, "witness 3^10"
     print(rows_fmt.format("witness 3^10", f"{dt*1e3:.1f} ms"))
 
     vm = reduced_vandermonde(13, 3)

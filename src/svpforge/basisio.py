@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import compress
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,26 +41,33 @@ FORMAT_VERSION = 1
 _ROW_RE = re.compile(r"\[([^\[\]]*)\]")
 
 
-def emit_basis(basis: Sequence[Sequence[int]]) -> str:
+def emit_basis(rows: Sequence[Sequence], width: Optional[int] = None) -> str:
     """The basis as text: one bracketed row per line, entries separated by
     single spaces, inside an outer bracket pair.
 
-    Only nonzero entries are turned into strings; each run of k zeros is the
-    slice ``zeros[:2*k]`` of one ``"0 " * width`` string.  The text is the
-    same as joining ``str`` of every entry.
+    ``rows`` holds each row's (column, value) entries, columns strictly
+    ascending and below ``width``, values nonzero, as ``GapSvpInstance.rows``
+    does.  Only those values are turned into strings; each run of k zeros is
+    the slice ``zeros[:2*k]`` of one ``"0 " * width`` string.  The text is
+    the same as joining ``str`` of every entry of the dense rows.  Called
+    without a width, ``rows`` are dense rows of one width, every entry
+    listed, and are reduced to their entries first.
     """
-    if not basis:
+    if not rows:
         raise SvpforgeError("refusing to emit an empty basis")
-    zeros = "0 " * max(map(len, basis))
+    if width is None:
+        width = len(rows[0])
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    zeros = "0 " * width
     parts = ["["]
-    for row in basis:
+    for entries in rows:
         parts.append("[")
         start = 0
-        for j in compress(range(len(row)), row):
-            parts += (zeros[: 2 * (j - start)], str(row[j]), " ")
+        for j, x in entries:
+            parts += (zeros[: 2 * (j - start)], str(x), " ")
             start = j + 1
-        if start < len(row):
-            parts.append(zeros[: 2 * (len(row) - start) - 1])
+        if start < width:
+            parts.append(zeros[: 2 * (width - start) - 1])
         elif start:
             parts.pop()  # the space after a nonzero last entry
         parts.append("]\n")
@@ -192,7 +198,7 @@ def save_instance(
     """Write the basis and its sidecar; the sidecar sits next to the basis."""
     basis_path = Path(basis_path)
     sidecar_path = basis_path.with_name(basis_path.name + ".json")
-    basis_path.write_text(emit_basis(inst.basis))
+    basis_path.write_text(emit_basis(inst.rows, inst.num_cols))
     payload = sidecar_json(inst, basis_path.name, seed=seed)
     sidecar_path.write_text(json.dumps(payload, indent=2) + "\n")
     return basis_path, sidecar_path
@@ -202,7 +208,7 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     """Rebuild a reduction output from its sidecar's instance and profile knobs.
 
     Both files must be exactly what ``save_instance`` writes for the rebuilt
-    reduction: the basis file ``emit_basis`` of its basis, and the sidecar
+    reduction: the basis file ``emit_basis`` of its rows, and the sidecar
     ``sidecar_json`` of it laid out by ``json.dumps(indent=2)``.  The
     sidecar's ``basis_file`` and ``seed`` are the only free fields, so a pair
     renamed together still loads.  The basis text is parsed only to report a
@@ -247,7 +253,7 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     if seed is not None and type(seed) is not int:
         raise SvpforgeError(f"sidecar 'seed' must be an integer or null, got {seed!r}")
     out = reduce_csp(csp, prof)
-    if text != emit_basis(out.basis):
+    if text != emit_basis(out.rows, out.num_cols):
         raise SvpforgeError(_basis_mismatch(parse_basis(text), out.basis))
     expected = sidecar_json(out, basis_file, seed)
     if sidecar_text != json.dumps(expected, indent=2) + "\n":

@@ -158,7 +158,7 @@ def cmd_witness(args) -> int:
     assignment = _parse_ints(args.assignment)
     v = witness_from_assignment(inst, assignment, budget=args.budget)
     print("witness:", " ".join(str(x) for x in v))
-    image = apply_coefficients(v, inst.basis)
+    image = apply_coefficients(v, inst.rows, inst.num_cols)
     print(f"image max-norm: {lp_norm_power(image, None)}")
     return 0
 
@@ -258,8 +258,9 @@ def _selftest_checks(seed: int):
         power, vector, _nodes = kernels.box_minimum(
             box_rows, 1, 3, [], list(range(5)), 10**6
         )
+        entries = [[(j, x) for j, x in enumerate(row) if x] for row in box_rows]
         brute = min(
-            (sum(abs(x) ** 3 for x in apply_coefficients(v, box_rows)), v)
+            (sum(abs(x) ** 3 for x in apply_coefficients(v, entries, 5)), v)
             for v in itertools.product((-1, 0, 1), repeat=len(box_rows))
             if any(v)
         )

@@ -16,12 +16,13 @@ accepted tuple) pair, constraints ascending and tuples lexicographic:
 
 That is what remains of all M * SIGMA**q candidate rows once those with an
 all-zero consistency part (the rejected tuples) are deleted; only the kept
-rows are built.  Both Vandermonde blocks read only the rows they place, so
-cost and memory scale with the basis, not with the prime (about
-rows_full**2).  A basis is a function of (CSP, profile), which is how
-``basisio.load_instance`` checks a saved basis and its sidecar.  Short lattice vectors correspond to
-consistent assignments: the scaled blocks are expensive to touch, and the
-spread block prices whatever cannot cancel.
+rows are built, and each only as its nonzero (column, value) entries.  Both
+Vandermonde blocks read only the rows they place, so cost and memory scale
+with the basis's nonzeros, not with the prime (about rows_full**2) or the
+dense row width.  A basis is a function of (CSP, profile), which is how
+``basisio.load_instance`` checks a saved basis and its sidecar.  Short
+lattice vectors correspond to consistent assignments: the scaled blocks are
+expensive to touch, and the spread block prices whatever cannot cancel.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .csp import DEFAULT_MATRIX_CELL_BUDGET, CspInstance, validate_regular
@@ -269,7 +271,9 @@ def _kept_rows(inst: CspInstance) -> tuple[tuple[int, tuple[int, ...]], ...]:
     )
 
 
-def build_consistency_block(inst: CspInstance, prof: ReductionProfile) -> list[list[int]]:
+def build_consistency_block(
+    inst: CspInstance, prof: ReductionProfile
+) -> list[tuple[tuple[int, int], ...]]:
     """Vandermonde-tagged copy of the indicator matrix, one row per kept row.
 
     Column block (x, a) spans consistency_width columns; in row order, the
@@ -282,19 +286,24 @@ def build_consistency_block(inst: CspInstance, prof: ReductionProfile) -> list[l
     occurrences = [0] * (inst.num_vars * sigma)
     out = []
     for t, tup in _kept_rows(inst):
-        row = [0] * (len(occurrences) * width)
+        placed = []
         for x, a in zip(inst.constraints[t].variables, tup):
             col = x * sigma + a
             occurrences[col] += 1
             if occurrences[col] > vm.num_rows:
                 raise ProfileError(f"column {(x, a)} has more than {vm.num_rows} occurrences")
-            vrow = vm.row(occurrences[col] - 1)
-            row[col * width : (col + 1) * width] = [prof.scale * v for v in vrow]
-        out.append(row)
+            placed.append(col)
+        out.append(tuple(
+            (col * width + k, prof.scale * v)
+            for col in sorted(placed)
+            for k, v in enumerate(vm.row(occurrences[col] - 1))
+        ))
     return out
 
 
-def build_support_block(inst: CspInstance, prof: ReductionProfile) -> list[list[int]]:
+def build_support_block(
+    inst: CspInstance, prof: ReductionProfile
+) -> list[tuple[tuple[int, int], ...]]:
     """Scaled rows of the (prime, support_width) reduced Vandermonde, one per
     kept row: the row of candidate index t * SIGMA**q + rank(tuple), so each
     kept row carries the row it has among all rows_full candidates."""
@@ -303,7 +312,7 @@ def build_support_block(inst: CspInstance, prof: ReductionProfile) -> list[list[
         raise ProfileError("prime too small for the support block")
     sigma, stride = inst.alphabet_size, inst.alphabet_size**inst.arity
     return [
-        [prof.scale * x for x in vm.row(t * stride + tuple_rank(tup, sigma))]
+        tuple(enumerate(prof.scale * x for x in vm.row(t * stride + tuple_rank(tup, sigma))))
         for t, tup in _kept_rows(inst)
     ]
 
@@ -316,7 +325,9 @@ def tuple_rank(tup: Sequence[int], sigma: int) -> int:
     return rank
 
 
-def build_spread_block(inst: CspInstance, prof: ReductionProfile) -> list[list[int]]:
+def build_spread_block(
+    inst: CspInstance, prof: ReductionProfile
+) -> list[tuple[tuple[int, int], ...]]:
     """Block-diagonal Hadamard rows: kept row (t, tuple) places the Hadamard
     row indexed by the tuple's rank into constraint t's column block.
 
@@ -328,19 +339,19 @@ def build_spread_block(inst: CspInstance, prof: ReductionProfile) -> list[list[i
     if 1 << k != per:
         raise ProfileError("spread block width per constraint must be a power of two")
     h = hadamard(k)
-    out = []
-    for t, tup in _kept_rows(inst):
-        row = [0] * (inst.num_constraints * per)
-        row[t * per : (t + 1) * per] = h.rows[tuple_rank(tup, inst.alphabet_size)]
-        out.append(row)
-    return out
+    return [
+        tuple(zip(range(t * per, (t + 1) * per), h.rows[tuple_rank(tup, inst.alphabet_size)]))
+        for t, tup in _kept_rows(inst)
+    ]
 
 
 @dataclass(frozen=True)
 class GapSvpInstance:
     """A lattice basis with provenance back to the CSP that produced it.
 
-    Rows are integer basis vectors (the lattice is their integer row span);
+    The lattice is the integer row span of the basis.  ``rows`` holds each
+    basis row as its (column, value) entries, columns strictly ascending and
+    below ``num_cols``, values nonzero; every other entry is zero.
     row_provenance records the (constraint, accepted tuple) pair behind each
     surviving row, in construction order (constraints ascending, tuples in
     lexicographic order within a constraint).
@@ -348,12 +359,27 @@ class GapSvpInstance:
 
     csp: CspInstance
     profile: ReductionProfile
-    basis: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
     row_provenance: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The dense view of ``rows``, built on first access and cached.
+
+        Only the box search, which walks dense rows, and the messages naming
+        a mismatched row need it.
+        """
+        dense = []
+        for entries in self.rows:
+            row = [0] * self.num_cols
+            for j, x in entries:
+                row[j] = x
+            dense.append(tuple(row))
+        return tuple(dense)
 
     @property
     def num_rows(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def num_cols(self) -> int:
@@ -399,7 +425,9 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
 
     Every placed Vandermonde row starts with a 1 (the zeroth power), so a
     kept row's consistency part is nonzero, and only a rejected tuple's
-    would vanish; the first is checked.
+    would vanish; the first is checked.  Each block builder gives a row as
+    its (column, value) entries with columns counted inside the block; the
+    row is their concatenation, shifted by the block offsets.
     """
     if (
         prof.num_vars,
@@ -417,14 +445,19 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
     consistency = build_consistency_block(inst, prof)
     support = build_support_block(inst, prof)
     spread = build_spread_block(inst, prof)
-    if not all(any(row) for row in consistency):
+    if not all(consistency):
         raise ProfileError("zero-row deletion must match the accept sets")
-    basis = tuple((*c, *s, *h) for c, s, h in zip(consistency, support, spread))
-    if basis and len(basis[0]) != prof.nprime:
-        raise ProfileError("basis width must equal the profile's column count")
+    s_lo = prof.consistency_cols
+    h_lo = s_lo + prof.support_cols
+    rows = tuple(
+        (*c, *[(s_lo + j, x) for j, x in s], *[(h_lo + j, x) for j, x in h])
+        for c, s, h in zip(consistency, support, spread)
+    )
+    if any(row[-1][0] >= prof.nprime for row in rows):
+        raise ProfileError("basis entries must lie within the profile's column count")
     return GapSvpInstance(
         csp=inst,
         profile=prof,
-        basis=basis,
+        rows=rows,
         row_provenance=_kept_rows(inst),
     )

@@ -61,16 +61,18 @@ def holder_check(w: Sequence[int], p) -> bool:
     return power**2 * n ** (pn - 2) >= sum_sq**pn
 
 
-def apply_coefficients(v: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The row vector v * basis, exactly."""
-    if len(v) != len(basis):
+def apply_coefficients(
+    v: Sequence[int], rows: Sequence[Sequence[tuple[int, int]]], width: int
+) -> tuple[int, ...]:
+    """The row vector v * G, exactly, for the ``width``-column basis G whose
+    row r has the (column, value) entries ``rows[r]`` (``GapSvpInstance.rows``)."""
+    if len(v) != len(rows):
         raise ValueError("coefficient count must match the row count")
-    ncols = len(basis[0]) if basis else 0
-    out = [0] * ncols
-    for coeff, row in zip(v, basis):
+    out = [0] * width
+    for coeff, entries in zip(v, rows):
         if coeff:
-            for j in itertools.compress(range(ncols), row):
-                out[j] += coeff * row[j]
+            for j, x in entries:
+                out[j] += coeff * x
     return tuple(out)
 
 
@@ -114,11 +116,8 @@ def witness_from_assignment(
         selected.append(row_of[(t, tup)])
 
     lo, hi = inst.consistency_span[0], inst.support_span[1]
-    cols = [
-        j
-        for j in range(lo, hi)
-        if any(inst.basis[r][j] for r in selected)
-    ]
+    scaled = [[(j, x) for j, x in inst.rows[r] if lo <= j < hi] for r in selected]
+    cols = sorted({j for entries in scaled for j, _x in entries})
     m = len(selected)
     half = m // 2
     wide = m - half
@@ -126,11 +125,13 @@ def witness_from_assignment(
         raise BudgetExceededError(
             f"collision search over {m} rows exceeds budget {budget}"
         )
-    maxabs = max(abs(inst.basis[r][j]) for r in selected for j in cols)
+    maxabs = max(abs(x) for entries in scaled for _j, x in entries)
     dtype = np.int64 if wide * maxabs < 1 << 63 else object
-    images = np.array(
-        [[inst.basis[r][j] for j in cols] for r in selected], dtype=dtype
-    ).reshape(m, len(cols))
+    images = np.zeros((m, len(cols)), dtype=dtype)
+    position = {j: k for k, j in enumerate(cols)}
+    for i, entries in enumerate(scaled):
+        for j, x in entries:
+            images[i, position[j]] = x
     # Row i of an h-digit table is the i-th element of
     # itertools.product((-1, 0, 1), repeat=h); the first 3**half rows of the
     # wide table, stripped of their leading -1 columns, are the half table.
@@ -167,7 +168,7 @@ def witness_from_assignment(
     v = [0] * inst.num_rows
     for r, s in zip(selected, found):
         v[r] = s
-    image = apply_coefficients(v, inst.basis)
+    image = apply_coefficients(v, inst.rows, inst.num_cols)
     if any(image[j] for j in range(lo, hi)):
         raise SvpforgeError("scaled blocks must cancel")
     if lp_norm_power(image, None) != 1:
@@ -271,7 +272,8 @@ class StructuralFacts:
 
 
 def structural_facts(v: Sequence[int], inst: GapSvpInstance) -> StructuralFacts:
-    return _structural_facts(apply_coefficients(v, inst.basis), indicated_view(v, inst), inst)
+    image = apply_coefficients(v, inst.rows, inst.num_cols)
+    return _structural_facts(image, indicated_view(v, inst), inst)
 
 
 def _structural_facts(
@@ -361,7 +363,7 @@ def audit_vector(v: Sequence[int], inst: GapSvpInstance) -> AuditReport:
     prof = inst.profile
     gap = prof.gap_factor
     p = prof.p
-    image = apply_coefficients(v, inst.basis)
+    image = apply_coefficients(v, inst.rows, inst.num_cols)
     support = sum(1 for x in v if x)
     power = lp_norm_power(image, p)
     max_abs = lp_norm_power(image, None)

@@ -11,6 +11,12 @@ from svpforge.reduction import derive_profile, reduce_csp
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
+def sparse_rows(dense):
+    """Dense rows as ``GapSvpInstance.rows`` holds them: the (column, value)
+    pairs of each row's nonzero entries, columns ascending."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in dense)
+
+
 def explicit_profile(inst, p=3):
     """The pinned desk-scale profile: unit widths, scale 10**6."""
     return derive_profile(

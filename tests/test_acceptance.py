@@ -51,7 +51,7 @@ def _box_oracle(inst):
     for v in itertools.product((-1, 0, 1), repeat=inst.num_rows):
         if not any(v):
             continue
-        image = apply_coefficients(v, inst.basis)
+        image = apply_coefficients(v, inst.rows, inst.num_cols)
         power = (
             max(abs(x) for x in image)
             if p is None
@@ -117,7 +117,7 @@ def test_criterion_05_completeness_via_cli(cli_toy1_basis, capsys):
 
     inst = basisio.load_instance(cli_toy1_basis)
     assert inst.profile.prime == 67
-    image = apply_coefficients(v, inst.basis)
+    image = apply_coefficients(v, inst.rows, inst.num_cols)
     assert max(abs(x) for x in image) == 1
     power = sum(abs(x) ** 3 for x in image)
     assert power <= THRESHOLD_POWER
@@ -148,7 +148,7 @@ def test_criterion_07_structural_facts_zero_violations(toy1_reduced, unsat_reduc
                 continue
             facts = structural_facts(v, inst)
             if facts.support_price_applicable:
-                image = apply_coefficients(v, inst.basis)
+                image = apply_coefficients(v, inst.rows, inst.num_cols)
                 assert max(abs(x) for x in image) >= SCALE, v
             if facts.block_gap_applicable:
                 assert facts.block_gap_holds, (v, facts.offending_blocks)

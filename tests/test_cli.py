@@ -13,7 +13,7 @@ from svpforge.csp import emit_csp, parse_csp
 from svpforge.errors import SvpforgeError
 from svpforge.reduction import derive_profile
 
-from conftest import DATA
+from conftest import DATA, sparse_rows
 
 TOY1 = str(DATA / "toy1.csp")
 TOY_UNSAT = str(DATA / "toy_unsat.csp")
@@ -95,7 +95,7 @@ def test_basis_round_trip(tmp_path, capsys):
     assert inst.profile.scale == 10**6
     assert inst.row_provenance[0] == (0, (0, 0))
     # emit -> parse is the identity on the basis matrix
-    assert basisio.parse_basis(basisio.emit_basis(inst.basis)) == inst.basis
+    assert basisio.parse_basis(basisio.emit_basis(inst.rows, inst.num_cols)) == inst.basis
 
 
 def _reference_emit_basis(basis):
@@ -107,15 +107,26 @@ def _reference_emit_basis(basis):
 _ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
 
 
+@st.composite
+def _dense_bases(draw):
+    width = draw(st.integers(0, 12))
+    row = st.lists(_ENTRIES, min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_ENTRIES, max_size=12), min_size=1, max_size=6))
-@example([[], [0, 0, 0], [0]])
-@example([[5, 0, 0, -7], [0, 0, 9], [-1, 0, 0]])
-@example([[2**64 + 1, 0, -(2**65)], [0, 0, 0, 0, 0, 0, 0, 2**64], [3]])
+@given(_dense_bases())
+@example([[], [], []])
+@example([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+@example([[5, 0, 0, -7], [0, 0, 9, 0], [-1, 0, 0, 0]])
+@example([[2**64 + 1, 0, -(2**65), 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 2**64], [3] + [0] * 7])
 def test_emit_basis_matches_reference(rows):
-    # ragged widths on purpose: each row is written at its own length
-    assert basisio.emit_basis(rows) == _reference_emit_basis(rows)
-    assert basisio.emit_basis(tuple(map(tuple, rows))) == _reference_emit_basis(rows)
+    width = len(rows[0])
+    expected = _reference_emit_basis(rows)
+    assert basisio.emit_basis(sparse_rows(rows), width) == expected
+    assert basisio.emit_basis([list(r) for r in sparse_rows(rows)], width) == expected
+    # dense rows are reduced to their entries first
+    assert basisio.emit_basis(rows) == expected
 
 
 def test_parse_basis_errors():
@@ -251,14 +262,14 @@ def _swap_two_rows(basis, payload):
     # still names an accepted tuple
     rows = list(basisio.parse_basis(basis.read_text()))
     rows[0], rows[1] = rows[1], rows[0]
-    basis.write_text(basisio.emit_basis(rows))
+    basis.write_text(basisio.emit_basis(sparse_rows(rows), len(rows[0])))
     prov = payload["row_provenance"]
     prov[0], prov[1] = prov[1], prov[0]
 
 
 def _drop_last_row(basis, payload):
     rows = basisio.parse_basis(basis.read_text())
-    basis.write_text(basisio.emit_basis(rows[:-1]))
+    basis.write_text(basisio.emit_basis(sparse_rows(rows[:-1]), len(rows[0])))
 
 
 def _double_spaces(basis, payload):

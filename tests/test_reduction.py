@@ -188,11 +188,11 @@ def test_spread_block_padding():
     assert len(rows) == 6  # one per kept row: rejected tuples get none
     h = hadamard(4)
     blocks = {0: set(), 1: set()}
-    for row, (t, (a, b)) in zip(rows, out.row_provenance):
-        # the Hadamard row of the tuple's rank over the original alphabet 3
-        assert row[16 * t : 16 * (t + 1)] == list(h.rows[3 * a + b])
-        assert not any(row[: 16 * t] + row[16 * (t + 1) :])
-        blocks[t].add(tuple(row))
+    for entries, (t, (a, b)) in zip(rows, out.row_provenance):
+        # the Hadamard row of the tuple's rank over the original alphabet 3,
+        # in constraint t's 16 columns and nowhere else
+        assert entries == tuple(zip(range(16 * t, 16 * (t + 1)), h.rows[3 * a + b]))
+        blocks[t].add(entries)
     # distinct tuples map to distinct Hadamard rows inside one constraint block
     assert len(blocks[0]) == len(blocks[1]) == 3
 
@@ -313,6 +313,20 @@ def test_reduce_matches_dense_reference(case):
         with tempfile.TemporaryDirectory() as tmp:
             basis_path, _ = save_instance(out, Path(tmp) / "case.basis")
             assert load_instance(basis_path) == out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_regular_reductions())
+def test_reduce_rows_are_ascending_nonzero_entries(case):
+    inst, prof = case
+    out = reduce_csp(inst, prof)
+    for entries in out.rows:
+        cols = [j for j, _x in entries]
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+        assert all(0 <= j < prof.nprime for j in cols)
+        assert all(x != 0 for _j, x in entries)
+    assert "basis" not in out.__dict__  # the dense view is built on demand
+    assert out.basis == _reference_reduce(inst, prof)[0]
 
 
 def _leaves(node, path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svpforge.basisio import load_instance, save_instance
 from svpforge.csp import Constraint, CspInstance, evaluate, parse_csp
 from svpforge.errors import BudgetExceededError, WitnessNotFoundError
 from svpforge.reduction import GapSvpInstance, derive_profile, reduce_csp
@@ -23,7 +24,7 @@ from svpforge.verifier import (
     witness_from_assignment,
 )
 
-from conftest import explicit_profile
+from conftest import explicit_profile, sparse_rows
 
 SCALE = 10**6
 
@@ -53,17 +54,17 @@ def test_holder_tightness_on_constant_vectors():
 
 
 def test_apply_coefficients(toy1_reduced):
-    image = apply_coefficients((1, 0, -1), toy1_reduced.basis)
+    image = apply_coefficients((1, 0, -1), toy1_reduced.rows, toy1_reduced.num_cols)
     assert image[:5] == (0, 0, 0, 0, 0)
     assert image[5:] == (1, -1, -1, 1, -1, 1, 1, -1)
     with pytest.raises(ValueError):
-        apply_coefficients((1, 0), toy1_reduced.basis)
+        apply_coefficients((1, 0), toy1_reduced.rows, toy1_reduced.num_cols)
 
 
 def test_witness_toy1(toy1_reduced):
     v = witness_from_assignment(toy1_reduced, (0, 0))
     assert v == (1, 0, -1)
-    image = apply_coefficients(v, toy1_reduced.basis)
+    image = apply_coefficients(v, toy1_reduced.rows, toy1_reduced.num_cols)
     assert lp_norm_power(image, None) == 1
     assert lp_norm_power(image, 3) == 8
 
@@ -212,7 +213,7 @@ def test_witness_matches_reference(case, slack):
     if slack == -1:
         assert got[0] is BudgetExceededError
     elif got[0] not in (BudgetExceededError, WitnessNotFoundError):
-        assert lp_norm_power(apply_coefficients(got, out.basis), None) == 1
+        assert lp_norm_power(apply_coefficients(got, out.rows, out.num_cols), None) == 1
 
 
 def _left_and_right(out, assignment):
@@ -252,7 +253,7 @@ def test_witness_pairs_the_first_left_combination():
         row[0] = image
         row[out.spread_col_span(t)[0]] = 1
         basis.append(tuple(row))
-    doctored = replace(out, basis=tuple(basis))
+    doctored = replace(out, rows=sparse_rows(basis))
     v = witness_from_assignment(doctored, (0,) * 4)
     assert v == _reference_witness(doctored, (0,) * 4, 2_000_000) == (0, 1, -1, -1)
 
@@ -271,7 +272,7 @@ def test_witness_exact_integer_path():
     left, right = _left_and_right(out, (0,) * 4)
     assert any(left) and any(right)
     v = witness_from_assignment(out, (0,) * 4)
-    assert lp_norm_power(apply_coefficients(v, out.basis), None) == 1
+    assert lp_norm_power(apply_coefficients(v, out.rows, out.num_cols), None) == 1
 
 
 def test_witness_budget_boundary(toy1_reduced):
@@ -279,6 +280,19 @@ def test_witness_budget_boundary(toy1_reduced):
     assert witness_from_assignment(toy1_reduced, (0, 0), budget=6) == (1, 0, -1)
     with pytest.raises(BudgetExceededError, match="over 2 rows exceeds budget 5"):
         witness_from_assignment(toy1_reduced, (0, 0), budget=5)
+
+
+def test_only_the_box_search_builds_the_dense_view(tmp_path, toy1):
+    out = reduce_csp(toy1, explicit_profile(toy1))
+    path, _ = save_instance(out, tmp_path / "toy1.basis")
+    inst = load_instance(path)
+    v = witness_from_assignment(inst, (0, 0))
+    assert audit_vector(v, inst).max_abs == 1
+    assert structural_facts(v, inst).block_gap_holds
+    assert extract_assignment(v, inst).fraction == 1
+    assert "basis" not in out.__dict__ and "basis" not in inst.__dict__
+    assert enumerate_box(inst, 1).power == 8
+    assert "basis" in inst.__dict__
 
 
 def test_enumerate_toy1(toy1_reduced):
@@ -364,7 +378,7 @@ def test_structural_facts_flag_doctored_instance(toy1_reduced):
     doctored = GapSvpInstance(
         csp=toy1_reduced.csp,
         profile=toy1_reduced.profile,
-        basis=tuple(tuple(r) for r in rows),
+        rows=sparse_rows(rows),
         row_provenance=toy1_reduced.row_provenance,
     )
     facts = structural_facts((0, 0, 1), doctored)
