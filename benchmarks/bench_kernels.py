@@ -3,13 +3,15 @@
 Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 
 Prints best-of-N wall times.  Each determinant sweep result is checked
-against the big-integer sweep, which shares no arithmetic with the int64
-suffix-product path it times.  Each box enumeration must report its pinned
-node count: the ungrouped box prunes nothing, the grouped one prunes on
-finalized groups the way spread blocks do, and the p=3 odd-cycle basis at
-scale 10**6 runs the leaf block on Python integers until its best leaf allows
-clipped int64 totals.  The witness search must reach max-norm 1 and the
-kernel-support search must certify its matrix.
+against the big-integer sweep, which shares no arithmetic with the grouped
+float64 or int64 products it times; the planted row's answer lies in a
+later group than the first zero the sweep meets, and the scaled row's
+products pass the float64 bound and run in int64.  Each box enumeration
+must report its pinned node count: the ungrouped box prunes nothing, the
+grouped one prunes on finalized groups the way spread blocks do, and the
+p=3 odd-cycle basis at scale 10**6 runs the leaf block on Python integers
+until its best leaf allows clipped int64 totals.  The witness search must
+reach max-norm 1 and the kernel-support search must certify its matrix.
 """
 
 import argparse
@@ -38,6 +40,15 @@ def det_workloads():
     for prime, width in ((101, 3), (101, 4), (211, 3)):
         vm = reduced_vandermonde(prime, width)
         yield f"det sweep ({prime}, {width})", vm.rows, width
+    # rows 100 = 3 + 4 + 5 and 101 = 0 + 7 + 8: the sweep meets (3, 4, 5, 100)
+    # in the group of last prefix row 4, but the answer is (0, 7, 8, 101),
+    # three groups later
+    rows = reduced_vandermonde(101, 4).rows
+    planted = [tuple(map(sum, zip(*(rows[i] for i in idx)))) for idx in ((3, 4, 5), (0, 7, 8))]
+    yield "det sweep (101, 4) planted", rows + tuple(planted), 4
+    # entries up to 10**6: the products pass the float64 bound and run in int64
+    rows = reduced_vandermonde(101, 3).rows
+    yield "det sweep (101, 3) x10^4", tuple(tuple(10**4 * x for x in r) for r in rows), 3
 
 
 def box_workloads():
@@ -97,7 +108,7 @@ def main():
     parser.add_argument("--repeat", type=int, default=3, help="timing repetitions")
     args = parser.parse_args()
 
-    rows_fmt = "{:<24} {:>12}"
+    rows_fmt = "{:<28} {:>12}"
     print(rows_fmt.format("workload", kernels.backend_name()))
 
     for name, rows, width in det_workloads():

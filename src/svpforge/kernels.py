@@ -3,13 +3,16 @@
   det_sweep(rows, width)   -> first singular width x width row combination, or None
   box_minimum(...)         -> exhaustive norm minimum over a coefficient box
 
-Determinants use NumPy int64 arithmetic when a proven overflow bound holds,
-and Python big integers otherwise, so results are exact either way.  The box
-enumeration is a depth-first search over the upper rows in Python integers
-that hands each entry into the last rows to one NumPy evaluation of every
-remaining combination, int64 under a proven bound and Python integers in
-object arrays otherwise; minima, argmins and node counts are those of the
-plain depth-first search over all rows.  The bound is checked per entry: a
+Determinant sweeps evaluate every combination that shares its last prefix
+row with one NumPy product, in float64 when a proven bound keeps every
+product and partial sum below 2**53 (then BLAS is exact), in int64 when a
+proven overflow bound holds, and in Python big integers otherwise, so
+results are exact either way.  The box enumeration is a depth-first search
+over the upper rows in Python integers that hands each entry into the last
+rows to one NumPy evaluation of every remaining combination, int64 under a
+proven bound and Python integers in object arrays otherwise; minima,
+argmins and node counts are those of the plain depth-first search over all
+rows.  The bound is checked per entry: a
 p-norm entry whose totals could pass int64 still runs in int64 once the best
 leaf so far is small enough, with every magnitude clipped to the p-th root R
 of that best (rounded up).  A value below the best has no term as large as
@@ -22,6 +25,7 @@ first leaf is found, and entries whose best has ``best * (terms + 1) >=
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -34,6 +38,9 @@ from svpforge.errors import BudgetExceededError
 # 6*maxabs**3.
 INT64_DET_MAXABS = {1: (1 << 62), 2: 2_000_000_000, 3: 1_000_000, 4: 20_000}
 
+# Integers of magnitude below this are exact in float64 (53-bit significand).
+FLOAT64_EXACT = 1 << 53
+
 # Leaves per block of a box enumeration: the last T rows are evaluated
 # together, T the largest with (2c+1)**T <= BLOCK_LEAVES (0 for c >= 365).
 BLOCK_LEAVES = 729
@@ -43,6 +50,8 @@ BLOCK_LEAVES = 729
 # complementary pair _PAIRS[5-k], with sign _LAPLACE_SIGNS[k].
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 _LAPLACE_SIGNS = np.array([1, -1, 1, 1, -1, 1], dtype=np.int64)
+# The cross product u x v is the 2x2 minors of rows (u, v) on these columns.
+_CROSS = ((1, 2), (2, 0), (0, 1))
 
 
 def backend_name() -> str:
@@ -69,14 +78,20 @@ def det_sweep(rows, width):
 
 
 def _det_sweep_int64(rows, b):
-    """Suffix-product sweep: one matrix-vector product per (b-2)-row prefix.
+    """Suffix-product sweep: one matrix product per last prefix row.
 
-    Each row pair (i < j) gets a "tail" vector, chosen so that the
-    determinant of prefix + (i, j) is tail(i, j) . head(prefix).  Pairs are
-    listed in lexicographic order, so the pairs that can follow a prefix
-    ending at row r are the contiguous suffix starting at the first pair
-    whose first row is r + 1, and the first zero of that product, taken over
-    prefixes in lexicographic order, is the first singular combination.
+    Each row pair (i < j) gets a "tail" vector and each (b-2)-row prefix a
+    "head", chosen so that the determinant of prefix + (i, j) is
+    tail(i, j) . head(prefix).  Pairs are listed in lexicographic order, so
+    the pairs that can follow a prefix ending at row c are the contiguous
+    suffix starting at the first pair whose first row is c + 1, the same for
+    every prefix ending at c.  Groups of prefixes sharing their last row c
+    run in order of c, each as one product of its heads (prefixes ascending)
+    with that suffix, and the first zero in (prefix, pair) order is the
+    group's candidate.  A prefix (a, c') of a later group sorts before the
+    candidate's prefix (a*, c) only when a < a* (for b = 3, never), so later
+    groups keep only those prefixes, and the sweep ends when none are left.
+    The product runs in float64 when ``_float64_exact`` proves it exact.
     """
     arr = np.array(rows, dtype=np.int64)
     n = len(rows)
@@ -84,34 +99,61 @@ def _det_sweep_int64(rows, b):
         zeros = np.flatnonzero(arr[:, 0] == 0)
         return (int(zeros[0]),) if zeros.size else None
     first, second = np.triu_indices(n, 1)
-    # start[i]: index of the first pair whose first row is >= i
-    start = np.searchsorted(first, np.arange(n + 1)).tolist()
     r, s = arr[first], arr[second]
     if b == 2:
-        tail = (r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0])[:, None]
-        heads = np.ones((1, 1), dtype=np.int64)
-    elif b == 3:
-        tail = np.cross(r, s)  # det(a, i, j) = row a . (row i x row j)
-        heads = arr
+        zeros = np.flatnonzero(r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0] == 0)
+        return (int(first[zeros[0]]), int(second[zeros[0]])) if zeros.size else None
+    # the 2x2 minors of every row pair, filled column by column to keep
+    # temporaries small
+    cols = _CROSS if b == 3 else _PAIRS
+    minors = np.empty((len(first), len(cols)), dtype=np.int64)
+    for m, (k, l) in enumerate(cols):
+        minors[:, m] = r[:, k] * s[:, l] - r[:, l] * s[:, k]
+    del r, s
+    if b == 3:
+        tail = minors  # det(c, i, j) = row c . (row i x row j)
+        heads = arr  # prefix (c,) has head row c
     else:
-        minors = np.stack(
-            [r[:, k] * s[:, l] - r[:, l] * s[:, k] for k, l in _PAIRS], axis=1
-        )
         tail = minors[:, ::-1] * _LAPLACE_SIGNS
-        heads = minors
-    for prefix in itertools.combinations(range(n - 2), b - 2):
-        if b == 2:
-            lo, head = 0, heads[0]
-        elif b == 3:
-            lo, head = start[prefix[0] + 1], heads[prefix[0]]
-        else:
-            a, c = prefix
-            lo, head = start[c + 1], heads[start[a] + c - a - 1]
-        dets = tail[lo:] @ head
-        if not dets.all():
-            k = lo + int(np.flatnonzero(dets == 0)[0])
-            return prefix + (int(first[k]), int(second[k]))
-    return None
+        # prefix (a, c) has head minor(a, c); ordered by c, then a
+        heads = minors[np.lexsort((first, second))]
+    if _float64_exact(tail, heads):
+        tail, heads = tail.astype(np.float64), heads.astype(np.float64)
+    # start[i]: index of the first pair whose first row is >= i
+    start = np.searchsorted(first, np.arange(n + 1)).tolist()
+    best = None
+    keep = n  # leading prefixes of each group that sort before ``best``
+    for c in range(b - 3, n - 2):
+        # comb(c, b-2) prefixes end before row c, comb(c, b-3) end at it
+        lo = math.comb(c, b - 2)
+        dets = heads[lo : lo + min(math.comb(c, b - 3), keep)] @ tail[start[c + 1] :].T
+        hits = np.flatnonzero(dets == 0)
+        if hits.size:
+            a, k = divmod(int(hits[0]), dets.shape[1])
+            k += start[c + 1]
+            prefix = (a, c) if b == 4 else (c,)  # for b = 3, a is 0
+            best = prefix + (int(first[k]), int(second[k]))
+            keep = a
+            if not keep:
+                break
+    return best
+
+
+def _float64_exact(tail, heads) -> bool:
+    """Whether every dot product of a tail row with a head is exact in float64.
+
+    Every product of two entries and every partial sum of such a dot
+    product, in any order and with fused multiply-adds, is an integer of
+    magnitude at most sum_k max|tail[:, k]| * max|heads[:, k]|.  When that
+    bound is below 2**53, so is every entry that meets a nonzero one (an
+    entry float64 cannot hold only ever multiplies zeros), and BLAS
+    computes each determinant exactly.
+    """
+    bound = sum(
+        int(t) * int(h)
+        for t, h in zip(np.abs(tail).max(axis=0), np.abs(heads).max(axis=0))
+    )
+    return bound < FLOAT64_EXACT
 
 
 def _det_sweep_bigint(rows, b):

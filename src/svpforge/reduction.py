@@ -34,13 +34,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .csp import DEFAULT_MATRIX_CELL_BUDGET, CspInstance, validate_regular
+from .csp import CspInstance, validate_regular
 from .errors import BudgetExceededError, ProfileError
 from .gadgets import hadamard, is_prime, reduced_vandermonde, smallest_prime_geq
 
 log = logging.getLogger(__name__)
 
 INFINITY = "inf"
+
+# Most (column, value) entries one reduction may build.  A kept row has
+# arity * consistency_width consistency entries (a scope names distinct
+# variables), support_width support entries and a full Hadamard row of
+# spread entries, all nonzero, so the count is known before building.
+ENTRY_BUDGET = 1 << 24
 
 
 def normalize_p(p) -> Optional[int]:
@@ -261,7 +267,10 @@ def _validate_profile(prof: ReductionProfile) -> None:
         raise ProfileError("widths must stay below the prime")
 
 
-def _kept_rows(inst: CspInstance) -> tuple[tuple[int, tuple[int, ...]], ...]:
+KeptRows = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _kept_rows(inst: CspInstance) -> KeptRows:
     """The (constraint, accepted tuple) pairs behind the basis rows, in row
     order: constraints ascending, accepted tuples in lexicographic order."""
     return tuple(
@@ -272,20 +281,23 @@ def _kept_rows(inst: CspInstance) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def build_consistency_block(
-    inst: CspInstance, prof: ReductionProfile
+    inst: CspInstance, prof: ReductionProfile, kept: Optional[KeptRows] = None
 ) -> list[tuple[tuple[int, int], ...]]:
     """Vandermonde-tagged copy of the indicator matrix, one row per kept row.
 
     Column block (x, a) spans consistency_width columns; in row order, the
     j-th row whose tuple assigns symbol a to variable x receives scaled
     Vandermonde row j there (j is 1-based, rows of the same block distinct).
+    ``kept`` is ``_kept_rows(inst)``, computed here when not given; the same
+    holds for the other two block builders.
     """
+    kept = _kept_rows(inst) if kept is None else kept
     width = prof.consistency_width
     sigma = inst.alphabet_size
     vm = reduced_vandermonde(prof.prime, width)
     occurrences = [0] * (inst.num_vars * sigma)
     out = []
-    for t, tup in _kept_rows(inst):
+    for t, tup in kept:
         placed = []
         for x, a in zip(inst.constraints[t].variables, tup):
             col = x * sigma + a
@@ -302,7 +314,7 @@ def build_consistency_block(
 
 
 def build_support_block(
-    inst: CspInstance, prof: ReductionProfile
+    inst: CspInstance, prof: ReductionProfile, kept: Optional[KeptRows] = None
 ) -> list[tuple[tuple[int, int], ...]]:
     """Scaled rows of the (prime, support_width) reduced Vandermonde, one per
     kept row: the row of candidate index t * SIGMA**q + rank(tuple), so each
@@ -310,10 +322,11 @@ def build_support_block(
     vm = reduced_vandermonde(prof.prime, prof.support_width)
     if prof.rows_full > vm.num_rows:
         raise ProfileError("prime too small for the support block")
+    kept = _kept_rows(inst) if kept is None else kept
     sigma, stride = inst.alphabet_size, inst.alphabet_size**inst.arity
     return [
         tuple(enumerate(prof.scale * x for x in vm.row(t * stride + tuple_rank(tup, sigma))))
-        for t, tup in _kept_rows(inst)
+        for t, tup in kept
     ]
 
 
@@ -326,7 +339,7 @@ def tuple_rank(tup: Sequence[int], sigma: int) -> int:
 
 
 def build_spread_block(
-    inst: CspInstance, prof: ReductionProfile
+    inst: CspInstance, prof: ReductionProfile, kept: Optional[KeptRows] = None
 ) -> list[tuple[tuple[int, int], ...]]:
     """Block-diagonal Hadamard rows: kept row (t, tuple) places the Hadamard
     row indexed by the tuple's rank into constraint t's column block.
@@ -338,10 +351,11 @@ def build_spread_block(
     k = per.bit_length() - 1
     if 1 << k != per:
         raise ProfileError("spread block width per constraint must be a power of two")
+    kept = _kept_rows(inst) if kept is None else kept
     h = hadamard(k)
     return [
         tuple(zip(range(t * per, (t + 1) * per), h.rows[tuple_rank(tup, inst.alphabet_size)]))
-        for t, tup in _kept_rows(inst)
+        for t, tup in kept
     ]
 
 
@@ -427,7 +441,8 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
     kept row's consistency part is nonzero, and only a rejected tuple's
     would vanish; the first is checked.  Each block builder gives a row as
     its (column, value) entries with columns counted inside the block; the
-    row is their concatenation, shifted by the block offsets.
+    row is their concatenation, shifted by the block offsets.  The entries
+    are counted before any is built, and more than ENTRY_BUDGET are refused.
     """
     if (
         prof.num_vars,
@@ -436,15 +451,19 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
         prof.alphabet_size,
     ) != (inst.num_vars, inst.num_constraints, inst.arity, inst.alphabet_size):
         raise ProfileError("profile was derived for a different instance shape")
-    cells = prof.rows_full * inst.num_vars * inst.alphabet_size
-    if cells > DEFAULT_MATRIX_CELL_BUDGET:
+    num_rows = sum(len(con.accepted_set) for con in inst.constraints)
+    per_row = (
+        prof.arity * prof.consistency_width + prof.support_cols + prof.spread_cols_per_constraint
+    )
+    if num_rows * per_row > ENTRY_BUDGET:
         raise BudgetExceededError(
-            f"{prof.rows_full} candidate rows x {inst.num_vars * inst.alphabet_size} "
-            f"(variable, symbol) columns exceed budget {DEFAULT_MATRIX_CELL_BUDGET} cells"
+            f"{num_rows} basis rows x {per_row} entries per row exceed budget "
+            f"{ENTRY_BUDGET} entries"
         )
-    consistency = build_consistency_block(inst, prof)
-    support = build_support_block(inst, prof)
-    spread = build_spread_block(inst, prof)
+    kept = _kept_rows(inst)
+    consistency = build_consistency_block(inst, prof, kept)
+    support = build_support_block(inst, prof, kept)
+    spread = build_spread_block(inst, prof, kept)
     if not all(consistency):
         raise ProfileError("zero-row deletion must match the accept sets")
     s_lo = prof.consistency_cols
@@ -455,9 +474,4 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
     )
     if any(row[-1][0] >= prof.nprime for row in rows):
         raise ProfileError("basis entries must lie within the profile's column count")
-    return GapSvpInstance(
-        csp=inst,
-        profile=prof,
-        rows=rows,
-        row_provenance=_kept_rows(inst),
-    )
+    return GapSvpInstance(csp=inst, profile=prof, rows=rows, row_provenance=kept)

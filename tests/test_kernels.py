@@ -113,21 +113,24 @@ def test_det_sweep_differential(width):
 
 @st.composite
 def _det_sweep_inputs(draw):
-    """Rows up to the int64 edge, with planted repeated or proportional rows."""
+    """Up to width + 10 rows, entries inside the float64 product bound or up
+    to the int64 edge, with planted dependent rows: a multiple of one row,
+    or that plus or minus another row."""
     width = draw(st.integers(1, 4))
-    edge = kernels.INT64_DET_MAXABS[width]
+    edge = draw(st.sampled_from([9, 3000, kernels.INT64_DET_MAXABS[width]]))
     entry = st.one_of(
         st.integers(-edge, edge),
         st.sampled_from([-edge, -edge + 1, -1, 0, 1, edge - 1, edge]),
     )
-    nrows = draw(st.integers(width, width + 5))
+    nrows = draw(st.integers(width, width + 10))
     rows = [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(nrows)]
-    for _ in range(draw(st.integers(0, 2))):
-        src = draw(st.integers(0, nrows - 1))
-        dst = draw(st.integers(0, nrows - 1))
+    for _ in range(draw(st.integers(0, 4))):
+        dst, src, other = (draw(st.integers(0, nrows - 1)) for _ in range(3))
         factor = draw(st.sampled_from([1, -1, 2, -3]))
-        if all(abs(factor * x) <= edge for x in rows[src]):
-            rows[dst] = [factor * x for x in rows[src]]
+        sign = draw(st.sampled_from([0, 1, -1]))
+        new = [factor * x + sign * y for x, y in zip(rows[src], rows[other])]
+        if all(abs(x) <= edge for x in new):
+            rows[dst] = new
     return rows, width
 
 
@@ -136,6 +139,134 @@ def _det_sweep_inputs(draw):
 def test_det_sweep_matches_naive_up_to_int64_edge(case):
     rows, width = case
     assert kernels.det_sweep(rows, width) == _naive_det_sweep(rows, width)
+
+
+# Singular at prefix (3, 4) through row 8 = rows 3 + 4 + 7, and at prefix
+# (0, 6) through row 9 = rows 0 + 6 + 7: the sweep meets (3, 4, 7, 8) in
+# the group of last prefix row 4 first, yet (0, 6, 7, 9) sorts before it.
+_LATER_GROUP_WINS = [
+    [1, 3, 9, 27], [1, 4, 16, 2], [1, 5, 25, 1], [1, 9, 19, 16], [1, 19, 20, 8],
+    [1, 25, 5, 1], [1, 26, 25, 30], [1, 28, 9, 4], [3, 56, 48, 28], [3, 57, 43, 61],
+]
+# Both zeros in the group of last prefix row 5: (0, 5, 8, 9) and (2, 5, 6, 7),
+# whose pair comes first in the pair list but whose prefix sorts second.
+_SAME_GROUP_PREFIX_ORDER = [
+    [1, 4, 16, 2], [1, 7, 18, 2], [1, 13, 14, 27], [1, 15, 8, 27], [1, 16, 8, 4],
+    [1, 21, 7, 23], [1, 25, 5, 1], [3, 59, 26, 51], [1, 30, 1, 30], [3, 55, 24, 55],
+]
+# b = 3: zeros (1, 3, 7) and (1, 6, 8) in one group, or (0, 7, 8) and (1, 2, 3)
+# in two, the later one with the earlier pair.
+_TWO_ZEROS_ONE_GROUP = [
+    [1, 1, 1], [1, 13, 14], [1, 14, 10], [1, 16, 8], [1, 20, 28], [1, 27, 16],
+    [1, 29, 4], [2, 29, 22], [2, 42, 18],
+]
+_TWO_ZEROS_TWO_GROUPS = [
+    [1, 9, 19], [1, 12, 20], [1, 20, 28], [2, 32, 48], [1, 23, 2], [1, 24, 18],
+    [1, 26, 25], [1, 28, 9], [2, 37, 28],
+]
+
+
+@pytest.mark.parametrize(
+    "rows, width, singular, first",
+    [
+        (_LATER_GROUP_WINS, 4, [(0, 6, 7, 9), (3, 4, 7, 8)], (0, 6, 7, 9)),
+        (_SAME_GROUP_PREFIX_ORDER, 4, [(0, 5, 8, 9), (2, 5, 6, 7)], (0, 5, 8, 9)),
+        (_TWO_ZEROS_ONE_GROUP, 3, [(1, 3, 7), (1, 6, 8)], (1, 3, 7)),
+        (_TWO_ZEROS_TWO_GROUPS, 3, [(0, 7, 8), (1, 2, 3)], (0, 7, 8)),
+    ],
+)
+def test_det_sweep_returns_the_first_of_several_zeros(rows, width, singular, first):
+    combos = itertools.combinations(range(len(rows)), width)
+    assert [c for c in combos if _naive_det([rows[i] for i in c]) == 0] == singular
+    assert kernels.det_sweep(rows, width) == first == _naive_det_sweep(rows, width)
+
+
+def _sweep_bound(rows, width):
+    """sum_k max|tail_k| * max|head_k| of the sweep, in Python integers: for
+    width 3 the cross products of row pairs against the rows, for width 4
+    the complementary 2x2 minors of row pairs against the minors."""
+    pairs = list(itertools.combinations(rows, 2))
+    if width == 3:
+        tails = [
+            (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+            for u, v in pairs
+        ]
+        heads = rows
+    else:
+        cols = list(itertools.combinations(range(4), 2))
+        heads = [[u[k] * v[l] - u[l] * v[k] for k, l in cols] for u, v in pairs]
+        tails = [m[::-1] for m in heads]
+    return sum(
+        max(abs(t[k]) for t in tails) * max(abs(h[k]) for h in heads)
+        for k in range(len(heads[0]))
+    )
+
+
+# Unimodular inputs whose bound lies 0.04% and 0.05% above 2**53, planted
+# inputs 0.09% and 0.05% below it, and unimodular inputs 18 and 19 times
+# above it.  Just above, a float64 product would still be exact (a partial
+# sum of a determinant of +-1 stays within (bound + 1) / 2 < 2**53), so the
+# verdict the sweep reaches is checked, and the gate itself below.  Far
+# above, a float64 product rounds the determinant to 0 (NumPy with OpenBLAS
+# on x86-64), so only the int64 product gets them right.
+_ABOVE_2_53 = {
+    3: [[412442, -378807, -215869], [-378279, 348193, 225837], [413549, -379799, -215546]],
+    4: [[1757, 560, -4793, -707], [-11040, 14134, -4128, 8319],
+        [9611, -15227, 9322, -7891], [12154, -19164, 11217, -9912]],
+}
+_BELOW_2_53 = {  # last row = row 0 - row 1 (+ row 2)
+    3: [[565546, -218522, -14767], [-333266, -71311, 17216], [385087, -96178, -12294],
+        [898812, -147211, -31983]],
+    4: [[18453, -19270, -1997, -18946], [-7470, 8513, 960, 8204],
+        [-10937, 16720, 2310, 15335], [-3189, 327, -293, 919],
+        [14986, -11063, -647, -11815]],
+}
+_FAR_ABOVE_2_53 = {
+    3: [[-255458, 724075, -231820], [-291129, 827583, -264665], [513465, -596047, 296086]],
+    4: [[8221, 9328, -9325, 11481], [15455, -5024, 5034, 18354],
+        [13121, 1211, -1203, 15945], [-15913, 3789, -3801, -17636]],
+}
+
+
+@pytest.fixture
+def float64_decisions(monkeypatch):
+    """The float64 verdicts det_sweep reaches, in call order."""
+    seen = []
+    real = kernels._float64_exact
+
+    def spy(tail, heads):
+        seen.append(real(tail, heads))
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "_float64_exact", spy)
+    return seen
+
+
+@pytest.mark.parametrize("width", [3, 4])
+@pytest.mark.parametrize(
+    "inputs, lo, hi, on_float64, first",
+    [
+        (_ABOVE_2_53, 2**53, 2**53 * 1.001, False, None),
+        (_BELOW_2_53, 2**53 * 0.999, 2**53 - 1, True, "planted"),
+        (_FAR_ABOVE_2_53, 2**57, 2**58, False, None),
+    ],
+    ids=["just-above", "just-below", "far-above"],
+)
+def test_det_sweep_float64_edge(float64_decisions, width, inputs, lo, hi, on_float64, first):
+    rows = inputs[width]
+    assert lo <= _sweep_bound(rows, width) <= hi
+    assert abs(kernels.det_exact(rows[:width])) == 1
+    expected = tuple(range(width - 1)) + (width,) if first == "planted" else None
+    assert kernels.det_sweep(rows, width) == expected == _naive_det_sweep(rows, width)
+    assert float64_decisions == [on_float64]
+
+
+@pytest.mark.parametrize("last, exact", [(2**27 - 1, True), (2**27, False), (2**27 + 1, False)])
+def test_float64_gate_is_strictly_below_2_53(last, exact):
+    # bound = 2**27 * (2**26 - 1) + 1 * |last| = 2**53 - 2**27 + |last|
+    tail = np.array([[-(2**27), 1], [5, -1]])
+    heads = np.array([[2**26 - 1, -last], [3, 0]])
+    assert kernels._float64_exact(tail, heads) is exact
 
 
 def test_det_sweep_finds_first_combination():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from svpforge import reduction
 from svpforge.basisio import load_instance, save_instance
 from svpforge.csp import Constraint, CspInstance, indicator_matrix, parse_csp
 from svpforge.errors import BudgetExceededError, ProfileError, SvpforgeError
@@ -197,15 +198,35 @@ def test_spread_block_padding():
     assert len(blocks[0]) == len(blocks[1]) == 3
 
 
-def test_reduce_refuses_past_the_cell_budget():
-    # 1500 constraints over 1500 binary variables: 6000 candidate rows x 3000
-    # (variable, symbol) columns = 18e6 cells, over the 2**24 budget
-    n = 1500
-    inst = parse_csp(
-        f"csp {n} {n} 2 2\n" + "".join(f"con {i} {(i + 1) % n}\nacc 0 0\n" for i in range(n))
+def _cycle_csp(n, accepted):
+    return parse_csp(
+        f"csp {n} {n} 2 2\n" + "".join(f"con {i} {(i + 1) % n}\n{accepted}" for i in range(n))
     )
+
+
+def test_reduce_budgets_the_entries_it_builds(monkeypatch):
+    # 1500 constraints over 1500 binary variables, one accepted tuple each:
+    # 6000 candidate rows x 3000 (variable, symbol) columns would be 18e6
+    # dense cells, but the basis has 1500 rows of 2 + 1 + 4 entries
+    inst = _cycle_csp(1500, "acc 0 0\n")
     prof = derive_profile(inst, p=3, mode="explicit", consistency_width=1, support_width=1)
-    with pytest.raises(BudgetExceededError, match="6000 candidate rows x 3000"):
+    out = reduce_csp(inst, prof)
+    assert out.num_rows == 1500
+    assert sum(map(len, out.rows)) == 1500 * 7
+    # 4096 constraints accepting all 4 tuples, support width 1024: 16384 rows
+    # of 2 + 1024 + 4 entries, 16.9e6 > 2**24, refused before any is built
+    inst = _cycle_csp(4096, "acc 0 0\nacc 0 1\nacc 1 0\nacc 1 1\n")
+    prof = derive_profile(inst, p=3, mode="explicit", consistency_width=1, support_width=1024)
+
+    def build(*args):
+        raise AssertionError("rows were built past the entry budget")
+
+    monkeypatch.setattr(reduction, "_kept_rows", build)
+    monkeypatch.setattr(reduction, "build_consistency_block", build)
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^16384 basis rows x 1030 entries per row exceed budget 16777216 entries$",
+    ):
         reduce_csp(inst, prof)
 
 
