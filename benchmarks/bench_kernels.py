@@ -7,10 +7,12 @@ against the big-integer sweep, which shares no arithmetic with the grouped
 float64 or int64 products it times; the planted row's answer lies in a
 later group than the first zero the sweep meets, and the scaled row's
 products pass the float64 bound and run in int64.  Each box enumeration
-must report its pinned node count: the ungrouped box prunes nothing, the
-grouped one prunes on finalized groups the way spread blocks do, and the
-p=3 odd-cycle basis at scale 10**6 runs the leaf block on Python integers
-until its best leaf allows clipped int64 totals.  The witness search must
+reads sparse rows and must report its pinned node count: in the dense 3^12
+box every column closes at the last row, so nothing is pruned; the grouped
+one prunes on each group's private columns the way spread blocks do, and on
+each shared column after its last nonzero entry; and the p=3 odd-cycle
+basis at scale 10**6 runs the leaf block on Python integers until its best
+leaf allows clipped int64 totals.  The witness search must
 reach max-norm 1 and the kernel-support search must certify its matrix.
 """
 
@@ -52,29 +54,22 @@ def det_workloads():
 
 
 def box_workloads():
-    """(name, rows, p, groups, loose columns, pinned node count)."""
+    """(name, rows as (column, value) entries, p, pinned node count)."""
     rng = random.Random(9)
-    rows = [[rng.randint(-3, 3) for _ in range(18)] for _ in range(12)]
-    yield "box 3^12, p=3", rows, 3, [], list(range(18)), 797160
+    rows = [[(j, x) for j in range(18) if (x := rng.randint(-3, 3))] for _ in range(12)]
+    yield "box 3^12, p=3", rows, 3, 797160
     # six groups of three rows with four private +-1 columns each, as in a
-    # spread block, plus seven loose columns
+    # spread block, plus seven shared columns
     rng = random.Random(3)
-    ngroups, size, private, nloose = 6, 3, 4, 7
-    ncols = nloose + ngroups * private
-    rows, groups = [], []
+    ngroups, size, private, nshared = 6, 3, 4, 7
+    rows = []
     for g in range(ngroups):
-        c0 = nloose + g * private
-        groups.append((g * size, (g + 1) * size, c0, c0 + private))
+        c0 = nshared + g * private
         for _ in range(size):
-            row = [rng.randint(-2, 2) for _ in range(nloose)] + [0] * (ncols - nloose)
-            for j in range(c0, c0 + private):
-                row[j] = rng.choice((-1, 1))
-            rows.append(row)
-    yield "box 3^18 grouped, max", rows, None, groups, list(range(nloose)), 323037
-    out = odd_cycle_instance()
-    groups = [(r0, r1) + out.spread_col_span(t) for t, r0, r1 in out.constraint_row_groups()]
-    loose = list(range(out.spread_span[0]))
-    yield "box odd cycle 12, p=3", [list(r) for r in out.basis], 3, groups, loose, 24102
+            shared = [(j, x) for j in range(nshared) if (x := rng.randint(-2, 2))]
+            rows.append(shared + [(j, rng.choice((-1, 1))) for j in range(c0, c0 + private)])
+    yield "box 3^18 grouped, max", rows, None, 127764
+    yield "box odd cycle 12, p=3", odd_cycle_instance().rows, 3, 3807
 
 
 def odd_cycle_instance():
@@ -116,10 +111,8 @@ def main():
         assert result == kernels._det_sweep_bigint(rows, width), name
         print(rows_fmt.format(name, f"{dt*1e3:.1f} ms"))
 
-    for name, rows, p, groups, loose, nodes in box_workloads():
-        dt, result = _time(
-            lambda: kernels.box_minimum(rows, 1, p, groups, loose, 10**9), args.repeat
-        )
+    for name, rows, p, nodes in box_workloads():
+        dt, result = _time(lambda: kernels.box_minimum(rows, 1, p, 10**9), args.repeat)
         assert result[2] == nodes, f"{name}: {result[2]} nodes, pinned {nodes}"
         print(rows_fmt.format(name, f"{dt*1e3:.1f} ms"))
 

@@ -31,6 +31,7 @@ from .reduction import (
     INFINITY,
     GapSvpInstance,
     ReductionProfile,
+    check_cell_budget,
     derive_profile,
     reduce_csp,
 )
@@ -51,13 +52,16 @@ def emit_basis(rows: Sequence[Sequence], width: Optional[int] = None) -> str:
     the slice ``zeros[:2*k]`` of one ``"0 " * width`` string.  The text is
     the same as joining ``str`` of every entry of the dense rows.  Called
     without a width, ``rows`` are dense rows of one width, every entry
-    listed, and are reduced to their entries first.
+    listed, and are reduced to their entries first.  A basis of more than
+    ``CELL_BUDGET`` rows x width cells is refused before any text is built,
+    which bounds what ``save_instance`` writes and ``load_instance`` compares.
     """
     if not rows:
         raise SvpforgeError("refusing to emit an empty basis")
     if width is None:
         width = len(rows[0])
         rows = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    check_cell_budget(len(rows), width)
     zeros = "0 " * width
     parts = ["["]
     for entries in rows:
@@ -254,16 +258,18 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
         raise SvpforgeError(f"sidecar 'seed' must be an integer or null, got {seed!r}")
     out = reduce_csp(csp, prof)
     if text != emit_basis(out.rows, out.num_cols):
-        raise SvpforgeError(_basis_mismatch(parse_basis(text), out.basis))
+        raise SvpforgeError(_basis_mismatch(parse_basis(text), out.rows, out.num_cols))
     expected = sidecar_json(out, basis_file, seed)
     if sidecar_text != json.dumps(expected, indent=2) + "\n":
         raise SvpforgeError(_sidecar_mismatch(payload, expected))
     return out
 
 
-def _basis_mismatch(rows, expected) -> str:
+def _basis_mismatch(rows, expected, width) -> str:
+    """Why parsed dense ``rows`` are not the ``width``-column basis whose
+    rows have the (column, value) entries ``expected``."""
     for r, (got, want) in enumerate(zip(rows, expected)):
-        if got != want:
+        if len(got) != width or tuple((j, x) for j, x in enumerate(got) if x) != want:
             return f"basis row {r} is not row {r} of the sidecar's reduction"
     if len(rows) != len(expected):
         return f"basis has {len(rows)} rows; the sidecar's reduction has {len(expected)}"

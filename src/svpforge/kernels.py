@@ -1,25 +1,26 @@
 """The exact kernels behind certification and box enumeration.
 
-  det_sweep(rows, width)   -> first singular width x width row combination, or None
-  box_minimum(...)         -> exhaustive norm minimum over a coefficient box
+  det_sweep(rows, width)          -> first singular width x width row combination, or None
+  box_minimum(rows, c, p, budget) -> exhaustive norm minimum over a coefficient box
 
 Determinant sweeps evaluate every combination that shares its last prefix
 row with one NumPy product, in float64 when a proven bound keeps every
 product and partial sum below 2**53 (then BLAS is exact), in int64 when a
 proven overflow bound holds, and in Python big integers otherwise, so
-results are exact either way.  The box enumeration is a depth-first search
-over the upper rows in Python integers that hands each entry into the last
-rows to one NumPy evaluation of every remaining combination, int64 under a
-proven bound and Python integers in object arrays otherwise; minima,
-argmins and node counts are those of the plain depth-first search over all
-rows.  The bound is checked per entry: a
+results are exact either way.  The box enumeration reads sparse rows and
+prunes on the columns whose last touching row has a coefficient.  It is a
+depth-first search over the upper rows in Python integers that hands each
+entry into the last rows to one NumPy evaluation of every remaining
+combination, int64 under a proven bound and Python integers in object
+arrays otherwise; minima, argmins and node counts are those of the plain
+depth-first search over all rows.  The bound is checked per entry: a
 p-norm entry whose totals could pass int64 still runs in int64 once the best
 leaf so far is small enough, with every magnitude clipped to the p-th root R
 of that best (rounded up).  A value below the best has no term as large as
 R**p, so clipping leaves it alone, and clipping keeps every other value at
 or above the best, which is all an entry compares with.  Entries before the
 first leaf is found, and entries whose best has ``best * (terms + 1) >=
-2**62`` (``terms`` the number of norm columns), stay on Python integers.
+2**62`` (``terms`` the number of touched columns), stay on Python integers.
 """
 
 from __future__ import annotations
@@ -197,19 +198,23 @@ def _det_bareiss(m):
     return sign * m[n - 1][n - 1]
 
 
-def box_minimum(rows, c, p, groups, loose_cols, budget):
+def box_minimum(rows, c, p, budget):
     """Minimum p-th power norm of v*rows over nonzero v in [-c, c]^m.
 
-    ``p`` is a positive integer, or None for the max-norm (the returned
-    "power" is then the max absolute entry itself).  ``groups`` is a list of
-    (row_start, row_end, col_start, col_end) spans with contiguous ascending
-    row ranges covering all rows; each span's columns must be touched only by
-    its own rows, so the span's contribution is final once its last row gets
-    a coefficient and a partial sum already at or above the best seen so far
-    prunes the subtree.  ``loose_cols`` are the remaining columns, summed at
-    the leaves.  Coefficient vectors are visited in lexicographic order and
-    only strict improvements are kept, so ties resolve to the
-    lexicographically smallest vector.
+    ``rows`` holds each row as its (column, value) entries with nonnegative
+    column indices, as ``GapSvpInstance.rows`` does; an absent entry is
+    zero.  ``p`` is a positive integer, or None for the max-norm (the
+    returned "power" is then the max absolute entry itself).  Coefficient
+    vectors are visited in lexicographic order and only strict improvements
+    are kept, so ties resolve to the lexicographically smallest vector.
+
+    Each column closes at its last touching row: once that row has a
+    coefficient, the column's entry of v*rows is final, and its term (its
+    magnitude, or that to the p-th power) joins the running value of the
+    closed columns.  Terms are nonnegative and never change afterwards, so
+    a running value already at or above the best seen so far prunes a
+    subtree that holds no strict improvement.  Columns no row touches are
+    zero and never counted.
 
     The first m-T rows are searched depth first; the last T rows, with
     (2c+1)**T <= BLOCK_LEAVES, are evaluated as one block of every
@@ -224,12 +229,10 @@ def box_minimum(rows, c, p, groups, loose_cols, budget):
         raise ValueError("need at least one row")
     if c < 1:
         raise ValueError("box radius must be at least 1")
-    ncols = len(rows[0])
-    support = [tuple((j, row[j]) for j in itertools.compress(range(ncols), row)) for row in rows]
-    finalize_at = {r1: (c0, c1) for (_r0, r1, c0, c1) in groups}
-    block = _LeafBlock(rows, c, p, finalize_at, loose_cols)
+    closing = _closing_columns(rows)
+    block = _LeafBlock(rows, c, p, closing)
     top = m - block.size
-    acc = [0] * ncols
+    acc = [0] * (max((j for row in rows for j, _x in row), default=-1) + 1)
     coeffs = [0] * m
     state = {"best": None, "vec": None, "nodes": 0}
     inf = p is None
@@ -245,8 +248,8 @@ def box_minimum(rows, c, p, groups, loose_cols, budget):
                 state["best"] = power
                 state["vec"] = tuple(coeffs[:top]) + tail
             return
-        sup = support[depth]
-        bound = finalize_at.get(depth + 1)
+        sup = rows[depth]
+        close = closing[depth]
         for t in range(-c, c + 1):
             state["nodes"] += 1
             if state["nodes"] > budget:
@@ -258,21 +261,19 @@ def box_minimum(rows, c, p, groups, loose_cols, budget):
                 for j, val in sup:
                     acc[j] += t * val
             nf = finalized
-            if bound is not None:
-                c0, c1 = bound
-                if inf:
-                    for j in range(c0, c1):
-                        a = acc[j]
-                        if a < 0:
-                            a = -a
-                        if a > nf:
-                            nf = a
-                else:
-                    for j in range(c0, c1):
-                        a = acc[j]
-                        if a < 0:
-                            a = -a
-                        nf += a**p
+            if inf:
+                for j in close:
+                    a = acc[j]
+                    if a < 0:
+                        a = -a
+                    if a > nf:
+                        nf = a
+            else:
+                for j in close:
+                    a = acc[j]
+                    if a < 0:
+                        a = -a
+                    nf += a**p
             if state["best"] is None or nf < state["best"]:
                 dfs(depth + 1, nf, nonzero or t != 0)
             if t:
@@ -284,38 +285,51 @@ def box_minimum(rows, c, p, groups, loose_cols, budget):
     return state["best"], state["vec"], state["nodes"]
 
 
+def _closing_columns(rows):
+    """closing[r]: the columns whose last touching row is r, ascending."""
+    last = {}
+    for r, entries in enumerate(rows):
+        for j, _x in entries:
+            last[j] = r
+    closing = [[] for _ in rows]
+    for j in sorted(last):
+        closing[last[j]].append(j)
+    return closing
+
+
 class _LeafBlock:
     """The last ``size`` rows of a box enumeration, evaluated as one table.
 
-    Built once per ``box_minimum`` call.  ``coeffs`` lists every coefficient
-    combination of the block rows in lexicographic order.  Each column still
-    open when the search reaches the block is read at one level k (the
-    number of block rows assigned): a group's columns when the group ends,
-    the loose columns at the leaves.  Its table holds the contribution of
-    the first k block rows for each of the (2c+1)**k prefixes of level k, so
-    a group is finalized once per prefix rather than once per leaf.
+    Built once per ``box_minimum`` call from its rows and ``closing`` lists
+    (``closing[r]``: the columns whose last touching row is r).  ``coeffs``
+    lists every coefficient combination of the block rows in lexicographic
+    order.  The columns that close at the k-th block row are read at level
+    k (the number of block rows assigned): their table holds the
+    contribution of the first k block rows for each of the (2c+1)**k
+    prefixes of level k, so a column is finalized once per prefix rather
+    than once per leaf.  The last level's columns are those still open at
+    the leaves.
 
     Column values use int64 when |any column| <= m*c*maxabs is below 2**62.
     Norm totals use int64 for the whole block when ``cap``, which exceeds
-    every total (one term per loose or group column, ``terms`` in all), is
-    at most 2**62.  Otherwise each ``evaluate`` call picks its own dtype: a
-    p-norm call runs in int64 when ``best + terms * R**p < 2**62``, R the
-    smallest integer with R**p >= ``best``, with every magnitude clipped to
-    R (see ``_call_dtype``).  The calls left on Python integers in object
-    arrays, through the same code, are the max-norm ones, the entries made
-    before the first leaf is found, and any with ``best * (terms + 1) >=
-    2**62``.
+    every total (one term per touched column, ``terms`` in all), is at most
+    2**62.  Otherwise each ``evaluate`` call picks its own dtype: a p-norm
+    call runs in int64 when ``best + terms * R**p < 2**62``, R the smallest
+    integer with R**p >= ``best``, with every magnitude clipped to R (see
+    ``_call_dtype``).  The calls left on Python integers in object arrays,
+    through the same code, are the max-norm ones, the entries made before
+    the first leaf is found, and any with ``best * (terms + 1) >= 2**62``.
     """
 
-    def __init__(self, rows, c, p, finalize_at, loose_cols):
+    def __init__(self, rows, c, p, closing):
         m = len(rows)
         width = 2 * c + 1
         size = 0
         while size < m and width ** (size + 1) <= BLOCK_LEAVES:
             size += 1
         top = m - size
-        colmax = m * c * max(abs(x) for row in rows for x in row)
-        terms = len(loose_cols) + sum(len(range(*span)) for span in finalize_at.values())
+        colmax = m * c * max((abs(x) for row in rows for _j, x in row), default=0)
+        terms = sum(map(len, closing))
         cap = colmax + 1 if p is None else terms * colmax**p + 1
         entry_dtype = np.int64 if colmax < 1 << 62 else object
         self.width, self.size, self.p, self.cap, self.terms = width, size, p, cap, terms
@@ -324,21 +338,20 @@ class _LeafBlock:
             list(itertools.product(range(-c, c + 1), repeat=size)), dtype=np.int64
         ).reshape(width**size, size)
         self.zero = width**size // 2  # the all-zero combination
+        values = [dict(row) for row in rows[top:]]
 
         def table(level, cols):
             prefixes = self.coeffs[:: width ** (size - level), :level]
             block = np.array(
-                [[rows[r][j] for j in cols] for r in range(top, top + level)],
-                dtype=entry_dtype,
+                [[v.get(j, 0) for j in cols] for v in values[:level]], dtype=entry_dtype
             ).reshape(level, len(cols))
             return cols, prefixes.astype(entry_dtype) @ block
 
-        self.groups = {
-            r1 - top: table(r1 - top, range(c0, c1))
-            for r1, (c0, c1) in finalize_at.items()
-            if top < r1 <= m
+        self.closing = {
+            level: table(level, closing[top + level - 1])
+            for level in range(1, size + 1)
+            if closing[top + level - 1]
         }
-        self.loose = table(size, list(loose_cols))
 
     def _norms(self, cols, contrib, acc, dtype, clip):
         """Each prefix's norm (max or sum of p-th powers) over ``cols``, in
@@ -375,26 +388,26 @@ class _LeafBlock:
     def evaluate(self, acc, finalized, nonzero, best):
         """Every leaf below one entry into the block, at once.
 
-        ``finalized`` is the entry's finalized value, which is below
-        ``best`` (``cap`` when nothing was found yet).  Returns (power,
-        tail, nodes): the first minimal leaf and its block coefficients when
-        it improves on ``best`` (tail None otherwise), and the number of
-        block nodes the row search would visit.  That search visits leaves
-        in table order and descends into a prefix iff its finalized value is
-        below the best leaf before the prefix's first leaf; a leaf it prunes
-        is never below that best, so the running minimum over all earlier
-        leaves equals the running best, and the first argmin is the leaf it
-        keeps.
+        ``finalized`` is the entry's value of the closed columns, which is
+        below ``best`` (``cap`` when nothing was found yet).  Returns
+        (power, tail, nodes): the first minimal leaf and its block
+        coefficients when it improves on ``best`` (tail None otherwise), and
+        the number of block nodes the row search would visit.  That search
+        visits leaves in table order and descends into a prefix iff its
+        closed columns' value is below the best leaf before the prefix's
+        first leaf; a leaf it prunes is never below that best, so the
+        running minimum over all earlier leaves equals the running best, and
+        the first argmin is the leaf it keeps.
         """
         dtype, clip = self._call_dtype(best)
         fin = np.full(1, finalized, dtype=dtype)
-        prefix_fin = []  # per level: the finalized value of each prefix
+        prefix_fin = []  # per level: the closed columns' value of each prefix
         for level in range(1, self.size + 1):
             prefix_fin.append(fin)
             fin = np.repeat(fin, self.width)
-            if level in self.groups:
-                fin = self._combine(fin, self._norms(*self.groups[level], acc, dtype, clip))
-        total = self._combine(fin, self._norms(*self.loose, acc, dtype, clip))
+            if level in self.closing:
+                fin = self._combine(fin, self._norms(*self.closing[level], acc, dtype, clip))
+        total = fin
         if not nonzero:
             total[self.zero] = best  # never kept, and lowers no running minimum
         running = np.empty_like(total)

@@ -48,6 +48,17 @@ INFINITY = "inf"
 # spread entries, all nonzero, so the count is known before building.
 ENTRY_BUDGET = 1 << 24
 
+# Most rows x cols cells a basis may have to be written as text or viewed
+# densely: the text takes about two bytes per cell.
+CELL_BUDGET = 1 << 26
+
+
+def check_cell_budget(rows: int, cols: int) -> None:
+    if rows * cols > CELL_BUDGET:
+        raise BudgetExceededError(
+            f"{rows} x {cols} basis exceeds budget {CELL_BUDGET} cells"
+        )
+
 
 def normalize_p(p) -> Optional[int]:
     """Accept int >= 1, the string 'inf', None, or float('inf'); None means max-norm."""
@@ -281,17 +292,15 @@ def _kept_rows(inst: CspInstance) -> KeptRows:
 
 
 def build_consistency_block(
-    inst: CspInstance, prof: ReductionProfile, kept: Optional[KeptRows] = None
+    inst: CspInstance, prof: ReductionProfile, kept: KeptRows
 ) -> list[tuple[tuple[int, int], ...]]:
     """Vandermonde-tagged copy of the indicator matrix, one row per kept row.
 
     Column block (x, a) spans consistency_width columns; in row order, the
     j-th row whose tuple assigns symbol a to variable x receives scaled
     Vandermonde row j there (j is 1-based, rows of the same block distinct).
-    ``kept`` is ``_kept_rows(inst)``, computed here when not given; the same
-    holds for the other two block builders.
+    ``kept`` is ``_kept_rows(inst)``, as for the other two block builders.
     """
-    kept = _kept_rows(inst) if kept is None else kept
     width = prof.consistency_width
     sigma = inst.alphabet_size
     vm = reduced_vandermonde(prof.prime, width)
@@ -314,7 +323,7 @@ def build_consistency_block(
 
 
 def build_support_block(
-    inst: CspInstance, prof: ReductionProfile, kept: Optional[KeptRows] = None
+    inst: CspInstance, prof: ReductionProfile, kept: KeptRows
 ) -> list[tuple[tuple[int, int], ...]]:
     """Scaled rows of the (prime, support_width) reduced Vandermonde, one per
     kept row: the row of candidate index t * SIGMA**q + rank(tuple), so each
@@ -322,7 +331,6 @@ def build_support_block(
     vm = reduced_vandermonde(prof.prime, prof.support_width)
     if prof.rows_full > vm.num_rows:
         raise ProfileError("prime too small for the support block")
-    kept = _kept_rows(inst) if kept is None else kept
     sigma, stride = inst.alphabet_size, inst.alphabet_size**inst.arity
     return [
         tuple(enumerate(prof.scale * x for x in vm.row(t * stride + tuple_rank(tup, sigma))))
@@ -339,7 +347,7 @@ def tuple_rank(tup: Sequence[int], sigma: int) -> int:
 
 
 def build_spread_block(
-    inst: CspInstance, prof: ReductionProfile, kept: Optional[KeptRows] = None
+    inst: CspInstance, prof: ReductionProfile, kept: KeptRows
 ) -> list[tuple[tuple[int, int], ...]]:
     """Block-diagonal Hadamard rows: kept row (t, tuple) places the Hadamard
     row indexed by the tuple's rank into constraint t's column block.
@@ -351,7 +359,6 @@ def build_spread_block(
     k = per.bit_length() - 1
     if 1 << k != per:
         raise ProfileError("spread block width per constraint must be a power of two")
-    kept = _kept_rows(inst) if kept is None else kept
     h = hadamard(k)
     return [
         tuple(zip(range(t * per, (t + 1) * per), h.rows[tuple_rank(tup, inst.alphabet_size)]))
@@ -380,9 +387,11 @@ class GapSvpInstance:
     def basis(self) -> tuple[tuple[int, ...], ...]:
         """The dense view of ``rows``, built on first access and cached.
 
-        Only the box search, which walks dense rows, and the messages naming
-        a mismatched row need it.
+        No path of the package reads it; it is kept for callers that want
+        dense rows (tests, benchmarks and their tracers).  A basis of more
+        than CELL_BUDGET cells is refused before anything is built.
         """
+        check_cell_budget(self.num_rows, self.num_cols)
         dense = []
         for entries in self.rows:
             row = [0] * self.num_cols
@@ -422,16 +431,6 @@ class GapSvpInstance:
         per = self.profile.spread_cols_per_constraint
         lo = self.spread_span[0] + constraint * per
         return lo, lo + per
-
-    def constraint_row_groups(self) -> tuple[tuple[int, int, int], ...]:
-        """Contiguous (constraint, row_start, row_end) groups of the basis."""
-        groups = []
-        for r, (t, _tup) in enumerate(self.row_provenance):
-            if groups and groups[-1][0] == t:
-                groups[-1][2] = r + 1
-            else:
-                groups.append([t, r, r + 1])
-        return tuple(tuple(g) for g in groups)
 
 
 def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -195,20 +195,16 @@ def enumerate_box(
 ) -> EnumerationResult:
     """Exact minimum of ||v*G||_p**p over nonzero v in [-box, box]^rows.
 
-    Visits coefficient vectors in lexicographic order with pruning that is
-    only ever applied to finalized per-constraint spread blocks, so the
-    result is the true box minimum and ties resolve lexicographically.
+    ``kernels.box_minimum`` runs on ``inst.rows``: it visits coefficient
+    vectors in lexicographic order and prunes only on columns whose last
+    touching row already has a coefficient (a constraint's spread columns,
+    and each consistency column after its last row), so the result is the
+    true box minimum and ties resolve lexicographically.
     """
     if inst.num_rows == 0:
         raise ValueError("the basis has no rows")
     pn = inst.profile.p if p == "profile" else normalize_p(p)
-    groups = [
-        (r0, r1) + inst.spread_col_span(t)
-        for t, r0, r1 in inst.constraint_row_groups()
-    ]
-    loose = list(range(0, inst.spread_span[0]))
-    rows = [list(r) for r in inst.basis]
-    power, vector, nodes = kernels.box_minimum(rows, box, pn, groups, loose, budget)
+    power, vector, nodes = kernels.box_minimum(inst.rows, box, pn, budget)
     return EnumerationResult(
         power=power,
         vector=vector,
@@ -332,30 +328,9 @@ class AuditReport:
     facts: StructuralFacts
 
     def to_json(self) -> dict:
-        return {
-            "support": self.support,
-            "norm_power": self.norm_power,
-            "max_abs": self.max_abs,
-            "exceeds_threshold": self.exceeds_threshold,
-            "indicated_constraints": self.indicated_constraints,
-            "indicated_distinct_tuples": self.indicated_distinct_tuples,
-            "checks": [
-                {
-                    "name": c.name,
-                    "hypothesis": c.hypothesis,
-                    "conclusion": c.conclusion,
-                    "details": c.details,
-                }
-                for c in self.checks
-            ],
-            "facts": {
-                "support_price_applicable": self.facts.support_price_applicable,
-                "support_price_holds": self.facts.support_price_holds,
-                "block_gap_applicable": self.facts.block_gap_applicable,
-                "block_gap_holds": self.facts.block_gap_holds,
-                "offending_blocks": [list(b) for b in self.facts.offending_blocks],
-            },
-        }
+        """The report as JSON-ready data: fields in declaration order, nested
+        reports as objects, tuples as arrays once serialized."""
+        return asdict(self)
 
 
 def audit_vector(v: Sequence[int], inst: GapSvpInstance) -> AuditReport:

@@ -272,6 +272,19 @@ def _drop_last_row(basis, payload):
     basis.write_text(basisio.emit_basis(sparse_rows(rows[:-1]), len(rows[0])))
 
 
+def _drop_a_zero_from_each_row(basis, payload):
+    # one column narrower: each row loses its last zero, which in row 0 is a
+    # trailing one, so row 0 keeps its nonzero entries and only its width
+    # tells it apart
+    rows = basisio.parse_basis(basis.read_text())
+    narrower = []
+    for row in rows:
+        j = max(k for k, x in enumerate(row) if x == 0)
+        narrower.append(row[:j] + row[j + 1 :])
+    assert sparse_rows(narrower)[0] == sparse_rows(rows)[0]
+    basis.write_text(basisio.emit_basis(sparse_rows(narrower), len(rows[0]) - 1))
+
+
 def _double_spaces(basis, payload):
     basis.write_text(basis.read_text().replace(" ", "  "))
 
@@ -289,6 +302,7 @@ def _sign_a_zero_in_a_run(basis, payload):
         (_edit_one_entry, "basis row 0 is not row 0"),
         (_swap_two_rows, "basis row 0 is not row 0"),
         (_drop_last_row, "basis has 2 rows; the sidecar's reduction has 3"),
+        (_drop_a_zero_from_each_row, "basis row 0 is not row 0"),
         (_double_spaces, "not laid out as emit_basis writes it"),
         (_sign_a_zero_in_a_run, "not laid out as emit_basis writes it"),
     ],
@@ -296,6 +310,7 @@ def _sign_a_zero_in_a_run(basis, payload):
         "one-entry-edited",
         "rows-swapped-with-provenance",
         "row-dropped",
+        "zero-column-dropped",
         "reformatted",
         "zero-in-run-signed",
     ],
@@ -345,6 +360,90 @@ def test_short_basis_next_to_large_sidecar_is_refused(tmp_path, capsys):
     assert code == 2 and not out
     assert err.startswith("error: basis file is too short")
     assert peak < 5_000_000
+
+
+def test_reduce_past_the_cell_budget_writes_nothing(tmp_path, capsys):
+    # the cyclic ladder at N=2048: 4096 binary constraints with scopes
+    # (i, i+1) and (i, i+2), each accepting (0, 0) and (1, 1), give an
+    # 8192 x 20482 basis of 57,344 entries but over 167M cells, past
+    # CELL_BUDGET, so neither the text nor the sidecar is written
+    n = 2048
+    scopes = [(i, (i + s) % n) for s in (1, 2) for i in range(n)]
+    src = tmp_path / "c2048.csp"
+    src.write_text(f"csp {n} {2 * n} 2 2\n" + "".join(
+        f"con {a} {b}\nacc 0 0\nacc 1 1\n" for a, b in scopes
+    ))
+    basis = tmp_path / "c2048.basis"
+    code, out, err = run(capsys, "reduce", str(src), "--out", str(basis))
+    assert code == 2 and not out
+    assert err.startswith("error: 8192 x 20482 basis exceeds budget 67108864 cells")
+    assert list(tmp_path.iterdir()) == [src]
+
+
+# ``audit --vector "1 0 -1"`` on toy1, byte for byte: keys in the report's
+# field order, nested reports as objects, tuples as arrays
+TOY1_AUDIT = """\
+{
+  "support": 2,
+  "norm_power": 8,
+  "max_abs": 1,
+  "exceeds_threshold": false,
+  "indicated_constraints": 2,
+  "indicated_distinct_tuples": 2,
+  "checks": [
+    {
+      "name": "small-support-blowup",
+      "hypothesis": false,
+      "conclusion": false,
+      "details": {
+        "support": 2,
+        "support_width": 1
+      }
+    },
+    {
+      "name": "large-support-blowup",
+      "hypothesis": true,
+      "conclusion": false,
+      "details": {
+        "support": 2,
+        "constraints": 2
+      }
+    },
+    {
+      "name": "constraint-concentration",
+      "hypothesis": true,
+      "conclusion": false,
+      "details": {
+        "indicated_constraints": 2,
+        "constraints": 2
+      }
+    },
+    {
+      "name": "tuple-spread-blowup",
+      "hypothesis": true,
+      "conclusion": false,
+      "details": {
+        "indicated_distinct_tuples": 2,
+        "variables": 2
+      }
+    }
+  ],
+  "facts": {
+    "support_price_applicable": false,
+    "support_price_holds": true,
+    "block_gap_applicable": true,
+    "block_gap_holds": true,
+    "offending_blocks": []
+  }
+}
+"""
+
+
+def test_audit_stdout_pinned(tmp_path, capsys):
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    code, out, err = run(capsys, "audit", str(basis), "--vector", "1 0 -1")
+    assert (code, out, err) == (0, TOY1_AUDIT, "")
 
 
 def test_witness_enumerate_extract_audit(tmp_path, capsys):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from svpforge import kernels
 from svpforge.errors import BudgetExceededError
 
+from conftest import sparse_rows
+
 
 def _naive_det(m):
     n = len(m)
@@ -32,65 +34,70 @@ def _naive_det_sweep(rows, width):
     return None
 
 
+def _image(v, rows):
+    """The nonzero entries of v * rows as a dict, rows as (column, value) entries."""
+    image = {}
+    for coeff, entries in zip(v, rows):
+        for j, x in entries:
+            image[j] = image.get(j, 0) + coeff * x
+    return image
+
+
 def _naive_box_minimum(rows, c, p):
-    m = len(rows)
-    ncols = len(rows[0])
+    """Minimum and first argmin over every nonzero vector of the box."""
     best = None
     best_vec = None
-    for v in itertools.product(range(-c, c + 1), repeat=m):
+    for v in itertools.product(range(-c, c + 1), repeat=len(rows)):
         if not any(v):
             continue
-        image = [
-            sum(v[i] * rows[i][j] for i in range(m)) for j in range(ncols)
-        ]
-        norm = (
-            max(abs(x) for x in image)
-            if p is None
-            else sum(abs(x) ** p for x in image)
-        )
+        mags = [abs(x) for x in _image(v, rows).values()]
+        norm = max(mags, default=0) if p is None else sum(a**p for a in mags)
         if best is None or norm < best:
             best, best_vec = norm, v
     return best, best_vec
 
 
-def _reference_box_dfs(rows, c, p, groups, loose_cols, budget):
+def _reference_box_dfs(rows, c, p, budget):
     """The row-by-row search ``kernels.box_minimum`` must reproduce exactly:
     the same minimum, lexicographically first argmin, node count and budget
-    refusal."""
+    refusal.  A column's term is added once its last touching row has a
+    coefficient, and a subtree is entered only while the added terms stay
+    below the best so far."""
     m = len(rows)
-    ncols = len(rows[0])
-    support = [tuple((j, row[j]) for j in range(ncols) if row[j]) for row in rows]
-    finalize_at = {r1: (c0, c1) for (_r0, r1, c0, c1) in groups}
-    acc = [0] * ncols
+    last = {}
+    for r, entries in enumerate(rows):
+        for j, _x in entries:
+            last[j] = r
+    acc = dict.fromkeys(last, 0)
     coeffs = [0] * m
     state = {"best": None, "vec": None, "nodes": 0}
-
-    def norm(cols):
-        mags = [abs(acc[j]) for j in cols]
-        return max(mags, default=0) if p is None else sum(a**p for a in mags)
 
     def combine(a, b):
         return max(a, b) if p is None else a + b
 
+    def term(j):
+        return abs(acc[j]) if p is None else abs(acc[j]) ** p
+
     def dfs(depth, finalized, nonzero):
         if depth == m:
-            total = combine(finalized, norm(loose_cols))
-            if nonzero and (state["best"] is None or total < state["best"]):
-                state["best"] = total
+            if nonzero and (state["best"] is None or finalized < state["best"]):
+                state["best"] = finalized
                 state["vec"] = tuple(coeffs)
             return
-        bound = finalize_at.get(depth + 1)
         for t in range(-c, c + 1):
             state["nodes"] += 1
             if state["nodes"] > budget:
                 raise BudgetExceededError(f"box enumeration exceeded {budget} nodes")
             coeffs[depth] = t
-            for j, val in support[depth]:
+            for j, val in rows[depth]:
                 acc[j] += t * val
-            nf = finalized if bound is None else combine(finalized, norm(range(*bound)))
+            nf = finalized
+            for j in last:
+                if last[j] == depth:
+                    nf = combine(nf, term(j))
             if state["best"] is None or nf < state["best"]:
                 dfs(depth + 1, nf, nonzero or t != 0)
-            for j, val in support[depth]:
+            for j, val in rows[depth]:
                 acc[j] -= t * val
         coeffs[depth] = 0
 
@@ -301,9 +308,9 @@ def test_box_minimum_differential(p, c):
         rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(m)]
         if all(not any(row) for row in rows):
             rows[0][0] = 1
-        want_norm, _ = _naive_box_minimum(rows, c, p)
-        loose = list(range(ncols))
-        got = kernels.box_minimum(rows, c, p, [], loose, 10**7)
+        entries = sparse_rows(rows)
+        want_norm, _ = _naive_box_minimum(entries, c, p)
+        got = kernels.box_minimum(entries, c, p, 10**7)
         assert got[0] == want_norm
         # the reported argmin must achieve the reported norm
         v = got[1]
@@ -318,39 +325,23 @@ def test_box_minimum_differential(p, c):
 
 def test_box_minimum_lex_smallest_argmin():
     # both signs of the same vector reach the minimum; lex order keeps -1 first
-    rows = [[1, 0], [1, 0]]
-    power, vec, _ = kernels.box_minimum(rows, 1, 3, [], [0, 1], 10**6)
+    rows = [((0, 1),), ((0, 1),)]
+    power, vec, _ = kernels.box_minimum(rows, 1, 3, 10**6)
     assert power == 0  # the difference cancels the image entirely
     assert vec == (-1, 1)
 
 
-def test_box_minimum_grouped_matches_loose():
-    # block structure: rows 0-1 live on cols 0-1, rows 2-3 on cols 2-3
-    rows = [
-        [3, 1, 0, 0],
-        [1, 2, 0, 0],
-        [0, 0, 2, 2],
-        [0, 0, 1, 3],
-    ]
-    groups = [(0, 2, 0, 2), (2, 4, 2, 4)]
-    for p in (3, None):
-        grouped = kernels.box_minimum(rows, 2, p, groups, [], 10**7)
-        loose = kernels.box_minimum(rows, 2, p, [], list(range(4)), 10**7)
-        naive = _naive_box_minimum(rows, 2, p)
-        assert grouped[:2] == loose[:2] == naive
-
-
 def test_box_minimum_budget():
-    rows = [[1, 0], [0, 1], [1, 1], [1, -1]]
+    rows = [((0, 1),), ((1, 1),), ((0, 1), (1, 1)), ((0, 1), (1, -1))]
     with pytest.raises(BudgetExceededError):
-        kernels.box_minimum(rows, 2, 3, [], [0, 1], budget=3)
+        kernels.box_minimum(rows, 2, 3, budget=3)
 
 
 def test_box_minimum_exact_on_wide_entries():
     # 2**62 entries overflow any fixed-width accumulator; the result stays exact
     big = 1 << 62
-    rows = [[big, 0], [0, 1]]
-    power, vec, _ = kernels.box_minimum(rows, 1, 3, [], [0, 1], 10**6)
+    rows = [((0, big),), ((1, 1),)]
+    power, vec, _ = kernels.box_minimum(rows, 1, 3, 10**6)
     assert power == 1 and vec == (0, -1)
 
 
@@ -360,7 +351,8 @@ def test_backend_name_reports():
 
 @st.composite
 def _box_inputs(draw):
-    """Contiguous row groups, each with private columns, plus loose columns.
+    """Contiguous row groups, each with private columns, plus columns every
+    row touches.
 
     Up to two rows more than the leaf block, so entries into the block come
     from all-zero and nonzero prefixes and groups end on both sides of it.
@@ -379,28 +371,21 @@ def _box_inputs(draw):
         st.integers(-10**6, 10**6),
         st.one_of(small, st.sampled_from([-huge, huge, huge + 1])),
     ]))
-    nloose = draw(st.integers(0, 3))
-    loose_first = draw(st.booleans())
-    ncols = nloose
-    spans = []
-    for r0, r1 in zip(bounds, bounds[1:]):
-        width = draw(st.integers(0, 2))
-        spans.append((r0, r1, width))
-        ncols += width
-    if ncols == 0:
-        nloose = ncols = 1
-    rows = [[0] * ncols for _ in range(m)]
-    loose_cols = list(range(nloose)) if loose_first else list(range(ncols - nloose, ncols))
-    col = nloose if loose_first else 0
-    groups = []
-    for r0, r1, width in spans:
-        groups.append((r0, r1, col, col + width))
-        for r in range(r0, r1):
-            for j in list(range(col, col + width)) + loose_cols:
-                rows[r][j] = draw(entry)
+    nshared = draw(st.integers(0, 3))
+    shared_first = draw(st.booleans())
+    widths = [draw(st.integers(0, 2)) for _ in bounds[1:]]
+    ncols = max(1, nshared + sum(widths))
+    nshared = ncols - sum(widths)
+    shared = list(range(nshared)) if shared_first else list(range(ncols - nshared, ncols))
+    col = nshared if shared_first else 0
+    rows = []
+    for r0, r1, width in zip(bounds, bounds[1:], widths):
+        for _ in range(r0, r1):
+            cols = sorted(list(range(col, col + width)) + shared)
+            rows.append(tuple((j, x) for j in cols if (x := draw(entry))))
         col += width
     budget = draw(st.one_of(st.integers(0, 2000), st.just(10**9)))
-    return rows, c, p, groups, loose_cols, budget
+    return rows, c, p, budget
 
 
 def _assert_matches_reference(case):
@@ -427,16 +412,43 @@ def test_box_minimum_matches_reference_dfs(case):
     _assert_matches_reference(case)
 
 
+@st.composite
+def _sparse_box_inputs(draw):
+    """Arbitrary sparse rows: each row touches any subset of the columns, so
+    columns end at any row, above or inside the leaf block, and some
+    columns are never touched at all (some rows may be empty)."""
+    c = draw(st.integers(1, 2))
+    m = draw(st.integers(1, {1: 8, 2: 5}[c]))  # up to two or one rows above the block
+    p = draw(st.sampled_from([None, 1, 3]))
+    ncols = draw(st.integers(1, 6))
+    value = st.one_of(
+        st.integers(-4, 4).filter(bool),
+        st.sampled_from([-(10**6), 10**6, 1 << 62]),
+    )
+    rows = [
+        tuple((j, draw(value)) for j in sorted(draw(st.sets(st.integers(0, ncols - 1)))))
+        for _ in range(m)
+    ]
+    return rows, c, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_box_inputs())
+def test_box_minimum_on_arbitrary_sparse_rows(case):
+    rows, c, p = case
+    want = _assert_matches_reference((rows, c, p, 10**9))
+    assert want[:2] == _naive_box_minimum(rows, c, p)
+
+
 def test_box_minimum_without_leaf_block():
     # 2c+1 > BLOCK_LEAVES leaves no block rows: the row search reaches the
     # leaves, here on Python integers
     c = (kernels.BLOCK_LEAVES + 1) // 2
-    rows = [[1 << 62, 1, 0], [0, 2, 7]]
-    groups = [(0, 1, 0, 1), (1, 2, 2, 3)]
+    rows = [((0, 1 << 62), (1, 1)), ((1, 2), (2, 7))]
     for p in (None, 3):
-        single = ([rows[0][:2]], c, p, [], [0, 1], 10**6)
+        single = (rows[:1], c, p, 10**6)
         assert kernels.box_minimum(*single) == _reference_box_dfs(*single)
-        pair = (rows, c, p, groups, [1], 5000)
+        pair = (rows, c, p, 5000)
         with pytest.raises(BudgetExceededError):
             _reference_box_dfs(*pair)
         with pytest.raises(BudgetExceededError):
@@ -445,7 +457,7 @@ def test_box_minimum_without_leaf_block():
 
 @st.composite
 def _scaled_box_inputs(draw):
-    """Spread-block layouts at scale 10**6: loose columns of multiples of
+    """Spread-block layouts at scale 10**6: shared columns of multiples of
     10**6 that cancel when rows repeat or negate a pooled pattern, plus +-1
     private columns per row group.  With p >= 3 the leaf block starts on
     Python integers, and the best leaf, once it cancels the scaled columns,
@@ -456,28 +468,24 @@ def _scaled_box_inputs(draw):
     p = draw(st.sampled_from([3, 4]))
     cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=m - 1)))
     bounds = [0] + cuts + [m]
-    nloose = draw(st.integers(1, 3))
-    scaled = st.lists(st.integers(-2, 2), min_size=nloose, max_size=nloose)
+    nshared = draw(st.integers(1, 3))
+    scaled = st.lists(st.integers(-2, 2), min_size=nshared, max_size=nshared)
     pool = draw(st.lists(scaled, min_size=1, max_size=3))
-    loose_first = draw(st.booleans())
+    shared_first = draw(st.booleans())
     widths = [draw(st.integers(0, 2)) for _ in bounds[1:]]
-    ncols = nloose + sum(widths)
-    loose_cols = list(range(nloose)) if loose_first else list(range(ncols - nloose, ncols))
-    col = nloose if loose_first else 0
-    rows, groups = [], []
+    ncols = nshared + sum(widths)
+    shared = list(range(nshared)) if shared_first else list(range(ncols - nshared, ncols))
+    col = nshared if shared_first else 0
+    rows = []
     for r0, r1, width in zip(bounds, bounds[1:], widths):
-        groups.append((r0, r1, col, col + width))
         for _ in range(r0, r1):
-            row = [0] * ncols
             sign = draw(st.sampled_from([-1, 1]))
-            for j, x in zip(loose_cols, draw(st.sampled_from(pool))):
-                row[j] = sign * x * 10**6
-            for j in range(col, col + width):
-                row[j] = draw(st.sampled_from([-1, 0, 1]))
-            rows.append(row)
+            entries = [(j, sign * x * 10**6) for j, x in zip(shared, draw(st.sampled_from(pool)))]
+            entries += [(j, draw(st.sampled_from([-1, 0, 1]))) for j in range(col, col + width)]
+            rows.append(tuple(sorted((j, x) for j, x in entries if x)))
         col += width
     budget = draw(st.one_of(st.integers(0, 3000), st.just(10**9)))
-    return rows, c, p, groups, loose_cols, budget
+    return rows, c, p, budget
 
 
 @settings(max_examples=150, deadline=None)
@@ -494,18 +502,20 @@ def test_box_minimum_clip_threshold(last, dtype):
     (Python integers), R = 727042 the smallest with R**3 >= best."""
     first = [726808, 71823, 6612, 462, last]
     rng = random.Random(5)
-    rows = [first + [0] * 6]
+    dense = [first + [0] * 6]
     for i in range(6):
         # a private column of 2**20 > R keeps every other vector above best
-        rows.append([rng.randint(-3, 3) * 10**5 for _ in first] + [0] * 6)
-        rows[-1][len(first) + i] = 1 << 20
-    terms, best, root = len(rows[0]), sum(x**3 for x in first), 727042
+        dense.append([rng.randint(-3, 3) * 10**5 for _ in first] + [0] * 6)
+        dense[-1][len(first) + i] = 1 << 20
+    rows = sparse_rows(dense)
+    terms, best, root = len(dense[0]), sum(x**3 for x in first), 727042
     assert (root - 1) ** 3 < best <= root**3
     assert best + terms * root**3 == (1 << 62) - 1 + last
-    block = kernels._LeafBlock(rows, 1, 3, {}, range(terms))
+    block = kernels._LeafBlock(rows, 1, 3, kernels._closing_columns(rows))
+    assert block.terms == terms
     assert block.dtype is object
     assert block._call_dtype(best) == (dtype, root if last == 0 else None)
-    want = _assert_matches_reference((rows, 1, 3, [], list(range(terms)), 10**9))
+    want = _assert_matches_reference((rows, 1, 3, 10**9))
     assert want[:2] == (best, (-1,) + (0,) * 6)
 
 

@@ -169,7 +169,6 @@ def test_spans_and_groups(toy1_reduced):
     assert inst.spread_span == (5, 13)
     assert inst.consistency_col_span(1, 0) == (2, 3)
     assert inst.spread_col_span(1) == (9, 13)
-    assert inst.constraint_row_groups() == ((0, 0, 2), (1, 2, 3))
 
 
 def test_spread_block_padding():
@@ -185,7 +184,7 @@ def test_spread_block_padding():
     out = reduce_csp(inst, prof)
     assert out.num_rows == 6
     assert out.num_cols == prof.nprime == 2 * 3 * 1 + 1 + 2 * 16
-    rows = build_spread_block(inst, prof)
+    rows = build_spread_block(inst, prof, reduction._kept_rows(inst))
     assert len(rows) == 6  # one per kept row: rejected tuples get none
     h = hadamard(4)
     blocks = {0: set(), 1: set()}
@@ -202,6 +201,17 @@ def _cycle_csp(n, accepted):
     return parse_csp(
         f"csp {n} {n} 2 2\n" + "".join(f"con {i} {(i + 1) % n}\n{accepted}" for i in range(n))
     )
+
+
+def test_dense_view_past_the_cell_budget_is_refused():
+    # 1700 constraints accepting all four tuples: 6800 rows x 10201 columns,
+    # past CELL_BUDGET, from only 47,600 entries
+    inst = _cycle_csp(1700, "acc 0 0\nacc 0 1\nacc 1 0\nacc 1 1\n")
+    out = reduce_csp(inst, explicit_profile(inst))
+    assert out.num_rows * out.num_cols > reduction.CELL_BUDGET
+    with pytest.raises(BudgetExceededError, match=r"^6800 x 10201 basis exceeds budget"):
+        out.basis
+    assert "basis" not in out.__dict__
 
 
 def test_reduce_budgets_the_entries_it_builds(monkeypatch):

@@ -25,6 +25,7 @@ from svpforge.verifier import (
 )
 
 from conftest import explicit_profile, sparse_rows
+from test_kernels import _reference_box_dfs
 
 SCALE = 10**6
 
@@ -282,7 +283,7 @@ def test_witness_budget_boundary(toy1_reduced):
         witness_from_assignment(toy1_reduced, (0, 0), budget=5)
 
 
-def test_only_the_box_search_builds_the_dense_view(tmp_path, toy1):
+def test_no_check_builds_the_dense_view(tmp_path, toy1):
     out = reduce_csp(toy1, explicit_profile(toy1))
     path, _ = save_instance(out, tmp_path / "toy1.basis")
     inst = load_instance(path)
@@ -290,9 +291,8 @@ def test_only_the_box_search_builds_the_dense_view(tmp_path, toy1):
     assert audit_vector(v, inst).max_abs == 1
     assert structural_facts(v, inst).block_gap_holds
     assert extract_assignment(v, inst).fraction == 1
-    assert "basis" not in out.__dict__ and "basis" not in inst.__dict__
     assert enumerate_box(inst, 1).power == 8
-    assert "basis" in inst.__dict__
+    assert "basis" not in out.__dict__ and "basis" not in inst.__dict__
 
 
 def test_enumerate_toy1(toy1_reduced):
@@ -318,8 +318,20 @@ def test_enumerate_unsat(unsat_reduced):
     assert res.vector == (-1, -1, 1, 1)
 
 
+# The row search's node counts, which budgets are measured against: each
+# column closes at its last touching row.
+NODES = {
+    ("toy1_reduced", 1): 24,
+    ("toy1_reduced", 2): 60,
+    ("toy1_reduced", 3): 112,
+    ("unsat_reduced", 1): 54,
+    ("unsat_reduced", 2): 145,
+    ("unsat_reduced", 3): 308,
+}
+
+
 @pytest.mark.parametrize(
-    "fixture, box, power, nodes",
+    "fixture, box, power, spans_only",
     [
         ("toy1_reduced", 1, 8, 30),
         ("toy1_reduced", 2, 8, 85),
@@ -329,10 +341,15 @@ def test_enumerate_unsat(unsat_reduced):
         ("unsat_reduced", 3, 32, 1456),
     ],
 )
-def test_enumerate_node_counts_pinned(request, fixture, box, power, nodes):
-    # the row search's node counts, which budgets are measured against
-    res = enumerate_box(request.getfixturevalue(fixture), box)
+def test_enumerate_node_counts_pinned(request, fixture, box, power, spans_only):
+    # ``spans_only``: the counts when only a constraint's spread columns
+    # closed early, which closing every column at its last row cannot exceed
+    inst = request.getfixturevalue(fixture)
+    res = enumerate_box(inst, box)
+    nodes = NODES[fixture, box]
     assert (res.power, res.nodes) == (power, nodes)
+    assert nodes <= spans_only
+    assert _reference_box_dfs(inst.rows, box, 3, 10**9) == (res.power, res.vector, nodes)
 
 
 def test_enumerate_budget(unsat_reduced):
@@ -454,6 +471,20 @@ def test_audit_json_round_trip(unsat_reduced):
     data = json.loads(json.dumps(report.to_json()))
     assert data["norm_power"] == 32
     assert len(data["checks"]) == 4
+
+
+def test_audit_json_writes_offending_blocks_as_arrays(toy1_reduced):
+    import json
+
+    # the doctored row of test_structural_facts_flag_doctored_instance
+    spread_lo = toy1_reduced.spread_span[0]
+    rows = list(toy1_reduced.rows)
+    rows[2] = tuple((j, x) for j, x in rows[2] if j >= spread_lo)
+    doctored = replace(toy1_reduced, rows=tuple(rows))
+    report = audit_vector((0, 0, 1), doctored)
+    assert report.facts.offending_blocks == ((0, 0), (1, 0))
+    text = json.dumps(report.to_json())
+    assert text.endswith('"block_gap_holds": false, "offending_blocks": [[0, 0], [1, 0]]}}')
 
 
 def test_extract_from_witness(toy1_reduced):
