@@ -11,9 +11,9 @@ reads sparse rows and must report its pinned node count: in the dense 3^12
 box every column closes at the last row, so nothing is pruned; the grouped
 one prunes on each group's private columns the way spread blocks do, and on
 each shared column after its last nonzero entry; and the p=3 odd-cycle
-basis at scale 10**6 runs the leaf block on Python integers until its best
-leaf allows clipped int64 totals.  The witness search must
-reach max-norm 1 and the kernel-support search must certify its matrix.
+basis at scale 10**6 is the 12-row unsatisfiable basis ``enumerate`` reads
+in the verify benchmark.  The witness search must reach max-norm 1 and the
+kernel-support search must certify its matrix.
 """
 
 import argparse
@@ -74,8 +74,8 @@ def box_workloads():
 
 def odd_cycle_instance():
     """The unsatisfiable "not equal" instance on a 3-cycle, with step-1 and
-    step-2 scopes: 12 rows at p=3 and scale 10**6, whose box search starts
-    on Python integers and finishes on the clipped int64 leaf block."""
+    step-2 scopes: 12 rows at p=3 and scale 10**6, whose p-th power
+    totals pass int64 (the box search runs on Python integers)."""
     n = 3
     scopes = [(i, (i + s) % n) for s in (1, 2) for i in range(n)]
     inst = CspInstance(n, 2, 2, tuple(Constraint(sc, ((0, 1), (1, 0))) for sc in scopes))

@@ -9,6 +9,7 @@ record it in their output.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -316,7 +317,10 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing keeps no
+    state between calls, each one fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="svpforge",
         description="Compile constraint satisfaction instances into gapped "

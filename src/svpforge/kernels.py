@@ -8,19 +8,10 @@ row with one NumPy product, in float64 when a proven bound keeps every
 product and partial sum below 2**53 (then BLAS is exact), in int64 when a
 proven overflow bound holds, and in Python big integers otherwise, so
 results are exact either way.  The box enumeration reads sparse rows and
-prunes on the columns whose last touching row has a coefficient.  It is a
-depth-first search over the upper rows in Python integers that hands each
-entry into the last rows to one NumPy evaluation of every remaining
-combination, int64 under a proven bound and Python integers in object
-arrays otherwise; minima, argmins and node counts are those of the plain
-depth-first search over all rows.  The bound is checked per entry: a
-p-norm entry whose totals could pass int64 still runs in int64 once the best
-leaf so far is small enough, with every magnitude clipped to the p-th root R
-of that best (rounded up).  A value below the best has no term as large as
-R**p, so clipping leaves it alone, and clipping keeps every other value at
-or above the best, which is all an entry compares with.  Entries before the
-first leaf is found, and entries whose best has ``best * (terms + 1) >=
-2**62`` (``terms`` the number of touched columns), stay on Python integers.
+is one iterative depth-first search over all rows in Python integers: it
+prunes on the columns whose last touching row has a coefficient, and keeps
+its state per level on an explicit stack, so its depth is not bounded by
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -41,10 +32,6 @@ INT64_DET_MAXABS = {1: (1 << 62), 2: 2_000_000_000, 3: 1_000_000, 4: 20_000}
 
 # Integers of magnitude below this are exact in float64 (53-bit significand).
 FLOAT64_EXACT = 1 << 53
-
-# Leaves per block of a box enumeration: the last T rows are evaluated
-# together, T the largest with (2c+1)**T <= BLOCK_LEAVES (0 for c >= 365).
-BLOCK_LEAVES = 729
 
 # Laplace expansion of a 4x4 determinant over rows (0,1 | 2,3): the minor of
 # rows 0-1 on column pair _PAIRS[k] multiplies the minor of rows 2-3 on the
@@ -216,13 +203,15 @@ def box_minimum(rows, c, p, budget):
     subtree that holds no strict improvement.  Columns no row touches are
     zero and never counted.
 
-    The first m-T rows are searched depth first; the last T rows, with
-    (2c+1)**T <= BLOCK_LEAVES, are evaluated as one block of every
-    combination at once (see ``_LeafBlock``).  Results and node counts are
-    those of the depth-first search over all m rows.
+    The search is depth first over all m rows, in Python integers, with an
+    explicit stack (no recursion, so any number of rows works).  Each level
+    keeps its coefficient, the closed value before its row and whether the
+    prefix is nonzero; the column values move by one row per step.
 
     Returns (best_power, best_vector, nodes); ``nodes`` counts coefficient
-    assignments and is compared against ``budget``.
+    assignments and is compared against ``budget``.  A level's 2c+1 nodes
+    are counted when it is entered, so the search refuses on entering the
+    level that would pass ``budget``.
     """
     m = len(rows)
     if m == 0:
@@ -230,59 +219,66 @@ def box_minimum(rows, c, p, budget):
     if c < 1:
         raise ValueError("box radius must be at least 1")
     closing = _closing_columns(rows)
-    block = _LeafBlock(rows, c, p, closing)
-    top = m - block.size
+    width = 2 * c + 1
     acc = [0] * (max((j for row in rows for j, _x in row), default=-1) + 1)
     coeffs = [0] * m
-    state = {"best": None, "vec": None, "nodes": 0}
+    closed = [0] * m  # closed[d]: the closed columns' value before row d
+    nonzero = [False] * m  # nonzero[d]: whether a coefficient before row d is
+    best = vec = None
     inf = p is None
-
-    def dfs(depth, finalized, nonzero):
-        if depth == top:
-            best = block.cap if state["best"] is None else state["best"]
-            power, tail, nodes = block.evaluate(acc, finalized, nonzero, best)
-            state["nodes"] += nodes
-            if state["nodes"] > budget:
-                raise BudgetExceededError(f"box enumeration exceeded {budget} nodes")
-            if tail is not None:
-                state["best"] = power
-                state["vec"] = tuple(coeffs[:top]) + tail
-            return
+    last = m - 1
+    nodes = 0
+    depth = 0
+    while True:
+        # enter level ``depth``: its coefficient starts one below -c
+        nodes += width
+        if nodes > budget:
+            raise BudgetExceededError(f"box enumeration exceeded {budget} nodes")
         sup = rows[depth]
-        close = closing[depth]
-        for t in range(-c, c + 1):
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise BudgetExceededError(
-                    f"box enumeration exceeded {budget} nodes"
-                )
-            coeffs[depth] = t
-            if t:
+        for j, val in sup:
+            acc[j] -= (c + 1) * val
+        coeffs[depth] = t = -c - 1
+        while True:
+            if t == c:
+                # leave the level, and step the one above
                 for j, val in sup:
-                    acc[j] += t * val
-            nf = finalized
+                    acc[j] -= c * val
+                coeffs[depth] = 0
+                if not depth:
+                    return best, vec, nodes
+                depth -= 1
+                sup = rows[depth]
+                t = coeffs[depth]
+                continue
+            t += 1
+            coeffs[depth] = t
+            for j, val in sup:
+                acc[j] += val
+            nf = closed[depth]
             if inf:
-                for j in close:
+                for j in closing[depth]:
                     a = acc[j]
                     if a < 0:
                         a = -a
                     if a > nf:
                         nf = a
             else:
-                for j in close:
+                for j in closing[depth]:
                     a = acc[j]
                     if a < 0:
                         a = -a
                     nf += a**p
-            if state["best"] is None or nf < state["best"]:
-                dfs(depth + 1, nf, nonzero or t != 0)
-            if t:
-                for j, val in sup:
-                    acc[j] -= t * val
-        coeffs[depth] = 0
-
-    dfs(0, 0, False)
-    return state["best"], state["vec"], state["nodes"]
+            if best is not None and nf >= best:
+                continue
+            nz = t != 0 or nonzero[depth]
+            if depth == last:
+                if nz:
+                    best, vec = nf, tuple(coeffs)
+                continue
+            depth += 1
+            closed[depth] = nf
+            nonzero[depth] = nz
+            break
 
 
 def _closing_columns(rows):
@@ -295,147 +291,3 @@ def _closing_columns(rows):
     for j in sorted(last):
         closing[last[j]].append(j)
     return closing
-
-
-class _LeafBlock:
-    """The last ``size`` rows of a box enumeration, evaluated as one table.
-
-    Built once per ``box_minimum`` call from its rows and ``closing`` lists
-    (``closing[r]``: the columns whose last touching row is r).  ``coeffs``
-    lists every coefficient combination of the block rows in lexicographic
-    order.  The columns that close at the k-th block row are read at level
-    k (the number of block rows assigned): their table holds the
-    contribution of the first k block rows for each of the (2c+1)**k
-    prefixes of level k, so a column is finalized once per prefix rather
-    than once per leaf.  The last level's columns are those still open at
-    the leaves.
-
-    Column values use int64 when |any column| <= m*c*maxabs is below 2**62.
-    Norm totals use int64 for the whole block when ``cap``, which exceeds
-    every total (one term per touched column, ``terms`` in all), is at most
-    2**62.  Otherwise each ``evaluate`` call picks its own dtype: a p-norm
-    call runs in int64 when ``best + terms * R**p < 2**62``, R the smallest
-    integer with R**p >= ``best``, with every magnitude clipped to R (see
-    ``_call_dtype``).  The calls left on Python integers in object arrays,
-    through the same code, are the max-norm ones, the entries made before
-    the first leaf is found, and any with ``best * (terms + 1) >= 2**62``.
-    """
-
-    def __init__(self, rows, c, p, closing):
-        m = len(rows)
-        width = 2 * c + 1
-        size = 0
-        while size < m and width ** (size + 1) <= BLOCK_LEAVES:
-            size += 1
-        top = m - size
-        colmax = m * c * max((abs(x) for row in rows for _j, x in row), default=0)
-        terms = sum(map(len, closing))
-        cap = colmax + 1 if p is None else terms * colmax**p + 1
-        entry_dtype = np.int64 if colmax < 1 << 62 else object
-        self.width, self.size, self.p, self.cap, self.terms = width, size, p, cap, terms
-        self.dtype = np.int64 if cap <= 1 << 62 else object
-        self.coeffs = np.array(
-            list(itertools.product(range(-c, c + 1), repeat=size)), dtype=np.int64
-        ).reshape(width**size, size)
-        self.zero = width**size // 2  # the all-zero combination
-        values = [dict(row) for row in rows[top:]]
-
-        def table(level, cols):
-            prefixes = self.coeffs[:: width ** (size - level), :level]
-            block = np.array(
-                [[v.get(j, 0) for j in cols] for v in values[:level]], dtype=entry_dtype
-            ).reshape(level, len(cols))
-            return cols, prefixes.astype(entry_dtype) @ block
-
-        self.closing = {
-            level: table(level, closing[top + level - 1])
-            for level in range(1, size + 1)
-            if closing[top + level - 1]
-        }
-
-    def _norms(self, cols, contrib, acc, dtype, clip):
-        """Each prefix's norm (max or sum of p-th powers) over ``cols``, in
-        ``dtype``, with every magnitude first clipped to ``clip`` if given."""
-        mags = np.abs(contrib + np.array([acc[j] for j in cols], dtype=contrib.dtype))
-        if self.p is None:
-            return mags.max(axis=1, initial=0)
-        if clip is not None:
-            mags = np.minimum(mags, clip)
-        return (mags.astype(dtype, copy=False) ** self.p).sum(axis=1)
-
-    def _call_dtype(self, best):
-        """The dtype of one call's totals, and the magnitude clip it needs.
-
-        A call into an object-dtype p-norm block runs in int64 when, with R
-        the smallest integer with R**p >= ``best``, ``best + terms * R**p``
-        is below 2**62: every magnitude is clipped to R before the power,
-        which changes no value below ``best`` (none of its terms reaches
-        R**p) and leaves every other value at or above ``best`` (one clipped
-        term is enough), and the call compares only with minima at most
-        ``best``.  The first check is implied by that bound and keeps the
-        root off huge ``best`` values.
-        """
-        if self.dtype is not object or self.p is None or best * (self.terms + 1) >= 1 << 62:
-            return self.dtype, None
-        root = _ceil_root(best, self.p)
-        if best + self.terms * root**self.p < 1 << 62:
-            return np.int64, root
-        return object, None
-
-    def _combine(self, a, b):
-        return np.maximum(a, b) if self.p is None else a + b
-
-    def evaluate(self, acc, finalized, nonzero, best):
-        """Every leaf below one entry into the block, at once.
-
-        ``finalized`` is the entry's value of the closed columns, which is
-        below ``best`` (``cap`` when nothing was found yet).  Returns
-        (power, tail, nodes): the first minimal leaf and its block
-        coefficients when it improves on ``best`` (tail None otherwise), and
-        the number of block nodes the row search would visit.  That search
-        visits leaves in table order and descends into a prefix iff its
-        closed columns' value is below the best leaf before the prefix's
-        first leaf; a leaf it prunes is never below that best, so the
-        running minimum over all earlier leaves equals the running best, and
-        the first argmin is the leaf it keeps.
-        """
-        dtype, clip = self._call_dtype(best)
-        fin = np.full(1, finalized, dtype=dtype)
-        prefix_fin = []  # per level: the closed columns' value of each prefix
-        for level in range(1, self.size + 1):
-            prefix_fin.append(fin)
-            fin = np.repeat(fin, self.width)
-            if level in self.closing:
-                fin = self._combine(fin, self._norms(*self.closing[level], acc, dtype, clip))
-        total = fin
-        if not nonzero:
-            total[self.zero] = best  # never kept, and lowers no running minimum
-        running = np.empty_like(total)
-        running[0] = best
-        running[1:] = total[:-1]
-        np.minimum.accumulate(running, out=running)
-        descended = sum(
-            int(np.count_nonzero(f < running[:: len(total) // len(f)]))
-            for f in prefix_fin
-        )
-        nodes = self.width * descended
-        k = int(np.argmin(total))
-        if total[k] < best:
-            return int(total[k]), tuple(self.coeffs[k].tolist()), nodes
-        return best, None, nodes
-
-
-def _ceil_root(n, p):
-    """The smallest integer r >= 0 with r**p >= n, for 0 <= n < 2**62.
-
-    The float seed is within one of the answer for p >= 2 at this size, and
-    the loops make it exact.
-    """
-    if p == 1:
-        return n
-    r = round(n ** (1 / p))
-    while r**p < n:
-        r += 1
-    while r and (r - 1) ** p >= n:
-        r -= 1
-    return r

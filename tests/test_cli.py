@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svpforge import basisio
+from svpforge import basisio, cli
 from svpforge.cli import main
 from svpforge.csp import emit_csp, parse_csp
 from svpforge.errors import SvpforgeError
@@ -542,8 +542,8 @@ def test_alphabet_padding_end_to_end(tmp_path, capsys):
 
 
 def test_enumerate_huge_box_refuses_on_budget(tmp_path, capsys):
-    # a radius past the leaf block's limit must stay lazy: the budget stops
-    # the search before anything of size 2c+1 is built
+    # a huge radius must stay lazy: the budget stops the search before
+    # anything of size 2c+1 is built
     basis = tmp_path / "toy1.basis"
     run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
     tracemalloc.start()
@@ -557,6 +557,52 @@ def test_enumerate_huge_box_refuses_on_budget(tmp_path, capsys):
     assert code == 2
     assert "error: box enumeration exceeded 1000 nodes" in err
     assert peak < 5_000_000
+
+
+def _cyclic_csp(n):
+    """Scopes (i, i+1) and (i, i+2) mod n, each accepting (0, 0) and (1, 1):
+    2n constraints and 4n basis rows."""
+    lines = [f"csp {n} {2 * n} 2 2"]
+    for step in (1, 2):
+        for i in range(n):
+            lines += [f"con {i} {(i + step) % n}", "acc 0 0", "acc 1 1"]
+    return "\n".join(lines) + "\n"
+
+
+def test_enumerate_deeper_than_the_recursion_limit_refuses_on_budget(tmp_path, capsys):
+    src = tmp_path / "c256.csp"
+    src.write_text(_cyclic_csp(256))
+    basis = tmp_path / "c256.basis"
+    flags = ["--p", "inf", "--b-var", "1", "--b-x", "1", "--scale", "1000000"]
+    code, out, _ = run(capsys, "reduce", str(src), "--out", str(basis), *flags)
+    assert code == 0 and "1024 rows" in out
+    code, _, err = run(capsys, "enumerate", str(basis), "--box", "1", "--budget", "5000")
+    assert code == 2
+    assert err.startswith("error: box enumeration exceeded 5000 nodes")
+    assert "Traceback" not in err
+
+
+def test_consecutive_calls_print_what_fresh_calls_print(tmp_path, capsys):
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    calls = [
+        ["enumerate", str(basis), "--box", "2"],
+        ["enumerate", str(basis), "--box", "1"],
+        ["enumerate", str(basis)],
+        ["witness", str(basis), "--assignment", "0 0"],
+        ["audit", str(basis), "--vector", "1 0 -1"],
+        ["enumerate", str(basis), "--p", "inf"],
+    ]
+    # one parser serves every call of a process
+    cli.build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert "box 2)" in reused[0][1] and "box 1)" in reused[1][1]
+    assert reused[1] == reused[2]  # the default box is 1 again
 
 
 def test_witness_bad_assignment_is_an_error(tmp_path, capsys):

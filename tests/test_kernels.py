@@ -354,8 +354,8 @@ def _box_inputs(draw):
     """Contiguous row groups, each with private columns, plus columns every
     row touches.
 
-    Up to two rows more than the leaf block, so entries into the block come
-    from all-zero and nonzero prefixes and groups end on both sides of it.
+    ``block`` is the largest T with (2c+1)**T <= 729, and m runs up to two
+    rows past it, with groups ending on both sides of row m - T.
     """
     c = draw(st.integers(1, 3))
     block = {1: 6, 2: 4, 3: 3}[c]
@@ -415,10 +415,10 @@ def test_box_minimum_matches_reference_dfs(case):
 @st.composite
 def _sparse_box_inputs(draw):
     """Arbitrary sparse rows: each row touches any subset of the columns, so
-    columns end at any row, above or inside the leaf block, and some
-    columns are never touched at all (some rows may be empty)."""
+    columns end at any row, and some columns are never touched at all (some
+    rows may be empty)."""
     c = draw(st.integers(1, 2))
-    m = draw(st.integers(1, {1: 8, 2: 5}[c]))  # up to two or one rows above the block
+    m = draw(st.integers(1, {1: 8, 2: 5}[c]))
     p = draw(st.sampled_from([None, 1, 3]))
     ncols = draw(st.integers(1, 6))
     value = st.one_of(
@@ -440,10 +440,9 @@ def test_box_minimum_on_arbitrary_sparse_rows(case):
     assert want[:2] == _naive_box_minimum(rows, c, p)
 
 
-def test_box_minimum_without_leaf_block():
-    # 2c+1 > BLOCK_LEAVES leaves no block rows: the row search reaches the
-    # leaves, here on Python integers
-    c = (kernels.BLOCK_LEAVES + 1) // 2
+def test_box_minimum_at_large_radius():
+    # 2c+1 = 731 values per row, on entries past int64
+    c = 365
     rows = [((0, 1 << 62), (1, 1)), ((1, 2), (2, 7))]
     for p in (None, 3):
         single = (rows[:1], c, p, 10**6)
@@ -455,13 +454,19 @@ def test_box_minimum_without_leaf_block():
             kernels.box_minimum(*pair)
 
 
+def test_box_minimum_deeper_than_the_recursion_limit():
+    # 1500 rows, each with a private column: the first path reaches the
+    # all -1 leaf, then the all-zero prefix is walked to the bottom once more
+    rows = [((i, 1),) for i in range(1500)]
+    assert kernels.box_minimum(rows, 1, None, 10**6) == (1, (-1,) * 1500, 8997)
+
+
 @st.composite
 def _scaled_box_inputs(draw):
     """Spread-block layouts at scale 10**6: shared columns of multiples of
     10**6 that cancel when rows repeat or negate a pooled pattern, plus +-1
-    private columns per row group.  With p >= 3 the leaf block starts on
-    Python integers, and the best leaf, once it cancels the scaled columns,
-    brings later entries onto the clipped int64 path."""
+    private columns per row group.  With p >= 3 the totals pass int64 until
+    the best leaf cancels the scaled columns."""
     c = draw(st.integers(1, 2))
     block = {1: 6, 2: 4}[c]
     m = draw(st.integers(block + 1, block + 2))
@@ -492,48 +497,3 @@ def _scaled_box_inputs(draw):
 @given(_scaled_box_inputs())
 def test_box_minimum_scaled_matches_reference_dfs(case):
     _assert_matches_reference(case)
-
-
-@pytest.mark.parametrize("last, dtype", [(0, np.int64), (1, object)])
-def test_box_minimum_clip_threshold(last, dtype):
-    """A leaf of power ``best`` = 726808**3 + 71823**3 + 6612**3 + 462**3
-    (+ 1) is found in the first entry into the block, and the later entries
-    run with it: best + terms * R**3 is 2**62 - 1 (clipped int64) or 2**62
-    (Python integers), R = 727042 the smallest with R**3 >= best."""
-    first = [726808, 71823, 6612, 462, last]
-    rng = random.Random(5)
-    dense = [first + [0] * 6]
-    for i in range(6):
-        # a private column of 2**20 > R keeps every other vector above best
-        dense.append([rng.randint(-3, 3) * 10**5 for _ in first] + [0] * 6)
-        dense[-1][len(first) + i] = 1 << 20
-    rows = sparse_rows(dense)
-    terms, best, root = len(dense[0]), sum(x**3 for x in first), 727042
-    assert (root - 1) ** 3 < best <= root**3
-    assert best + terms * root**3 == (1 << 62) - 1 + last
-    block = kernels._LeafBlock(rows, 1, 3, kernels._closing_columns(rows))
-    assert block.terms == terms
-    assert block.dtype is object
-    assert block._call_dtype(best) == (dtype, root if last == 0 else None)
-    want = _assert_matches_reference((rows, 1, 3, 10**9))
-    assert want[:2] == (best, (-1,) + (0,) * 6)
-
-
-@st.composite
-def _root_inputs(draw):
-    """A power p and a value below 2**62, often a perfect p-th power or one
-    away from one."""
-    p = draw(st.integers(1, 5))
-    r = draw(st.integers(0, 2 ** (62 // p)))
-    n = draw(st.one_of(
-        st.integers(0, (1 << 62) - 1), st.sampled_from([r**p - 1, r**p, r**p + 1])
-    ))
-    return p, min(max(n, 0), (1 << 62) - 1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_root_inputs())
-def test_ceil_root(case):
-    p, n = case
-    r = kernels._ceil_root(n, p)
-    assert r**p >= n and (r == 0 or (r - 1) ** p < n)
