@@ -8,7 +8,10 @@ other tuple, reduced under the default profile at p = inf.  For every rung it
 prints best-of-N wall times of ``reduce_csp``, ``emit_basis``, the emitter as
 first written (``str`` of every entry of the dense basis, the "before"
 column), ``save_instance``, ``load_instance`` and ``audit_vector`` on the
-known short vector, plus the basis rows, columns and nonzeros.
+known short vector, plus the basis rows, columns and nonzeros.  After the
+timed passes, a separate pass runs each stage once under tracemalloc and
+records its peak, in MB above the memory traced when the call started
+(tracemalloc slows allocation, so it never runs during the timed passes).
 
 Checks: both emitters give text with the same sha256, the loaded rows are the
 built ones, and the known vector audits to max-norm 1 with support M.  The
@@ -24,6 +27,7 @@ import platform
 import random
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from svpforge import kernels
@@ -70,29 +74,52 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _peak_mb(fn):
+    """Tracemalloc peak of one call of fn, in MB; tracing starts with the
+    call, so memory held before it is not counted."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def bench_rung(n, repeat, workdir):
     csp, vec = cyclic_instance(n)
     prof = derive_profile(csp, p=None)
+    path = Path(workdir) / f"c{n}.basis"
     row = {"n": n}
     row["reduce_csp"], out = _time(lambda: reduce_csp(csp, prof), repeat)
     row["rows"], row["cols"] = out.num_rows, out.num_cols
     row["nnz"] = sum(map(len, out.rows))
+    stages = {
+        "reduce_csp": lambda: reduce_csp(csp, prof),
+        "emit_basis": lambda: emit_basis(out.rows, out.num_cols),
+        "emit_basis_before": (lambda: _emit_basis_before(out.basis)) if n <= 512 else None,
+        "save_instance": lambda: save_instance(out, path),
+        "load_instance": lambda: load_instance(path),
+        "audit_vector": lambda: audit_vector(vec, out),
+    }
 
-    row["emit_basis"], text = _time(lambda: emit_basis(out.rows, out.num_cols), repeat)
+    row["emit_basis"], text = _time(stages["emit_basis"], repeat)
     row["emit_basis_before"] = None
     if n <= 512:
-        row["emit_basis_before"], before = _time(lambda: _emit_basis_before(out.basis), repeat)
+        row["emit_basis_before"], before = _time(stages["emit_basis_before"], repeat)
         assert _sha(text) == _sha(before), f"N={n}: the two emitters differ"
         del before
     row["text_bytes"] = len(text)
     del text  # save and load each build the text again
 
-    path = Path(workdir) / f"c{n}.basis"
-    row["save_instance"], _ = _time(lambda: save_instance(out, path), repeat)
-    row["load_instance"], loaded = _time(lambda: load_instance(path), repeat)
+    row["save_instance"], _ = _time(stages["save_instance"], repeat)
+    row["load_instance"], loaded = _time(stages["load_instance"], repeat)
     assert loaded.rows == out.rows, f"N={n}: loaded basis differs"
-    row["audit_vector"], report = _time(lambda: audit_vector(vec, loaded), repeat)
+    del loaded
+    row["audit_vector"], report = _time(stages["audit_vector"], repeat)
     assert report.max_abs == 1 and report.support == 2 * n, f"N={n}: audit {report}"
+
+    row["peak_mb"] = {name: None if fn is None else _peak_mb(fn) for name, fn in stages.items()}
     return row
 
 
@@ -111,6 +138,9 @@ def main():
             rungs.append(row)
             times = ["-" if row[s] is None else f"{row[s] * 1e3:.1f} ms" for s in STAGES]
             print(fmt.format(n, f"{row['rows']} x {row['cols']}", row["nnz"], *times))
+            peaks = row["peak_mb"]
+            peaks = ["-" if peaks[s] is None else f"{peaks[s]:.1f} MB" for s in STAGES]
+            print(fmt.format("", "tracemalloc peak", "", *peaks))
 
     if args.out:
         payload = {
@@ -118,7 +148,7 @@ def main():
             "repeat": args.repeat,
             "backend": kernels.backend_name(),
             "python": platform.python_version(),
-            "unit": "s, best of repeat",
+            "unit": "s, best of repeat; peak_mb: MB, one call under tracemalloc",
             "rungs": rungs,
         }
         args.out.write_text(json.dumps(payload, indent=2) + "\n")

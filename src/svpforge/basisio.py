@@ -9,7 +9,9 @@ A basis file holds one bracketed row per line inside an outer bracket pair
 
 The sidecar is a JSON object describing the reduction output: the profile,
 the embedded source instance text, row provenance, and column spans.  All
-rationals are serialized as "numerator/denominator" strings.
+rationals are serialized as "numerator/denominator" strings.  It is written
+by ``sidecar_text``, a fixed-schema writer whose bytes are those of
+``json.dumps(indent=2)``.
 
 The sidecar's instance and profile knobs fix both files: ``load_instance``
 rebuilds the reduction and accepts the pair only when each file is, byte for
@@ -22,8 +24,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .csp import CspInstance, emit_csp, parse_csp
 from .errors import ProfileError, SvpforgeError
@@ -56,16 +59,23 @@ def emit_basis(rows: Sequence[Sequence], width: Optional[int] = None) -> str:
     ``CELL_BUDGET`` rows x width cells is refused before any text is built,
     which bounds what ``save_instance`` writes and ``load_instance`` compares.
     """
-    if not rows:
-        raise SvpforgeError("refusing to emit an empty basis")
-    if width is None:
+    if width is None and rows:
         width = len(rows[0])
         rows = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    return "".join(chain.from_iterable(_basis_pieces(rows, width)))
+
+
+def _basis_pieces(rows: Sequence[Sequence], width: int) -> Iterator[list[str]]:
+    """The strings ``emit_basis`` joins, in lists: ``["["]``, the parts of
+    each row's line, then ``["]\\n"]``.  ``load_instance`` joins and compares
+    one list at a time, so it never holds a second full text."""
+    if not rows:
+        raise SvpforgeError("refusing to emit an empty basis")
     check_cell_budget(len(rows), width)
     zeros = "0 " * width
-    parts = ["["]
+    yield ["["]
     for entries in rows:
-        parts.append("[")
+        parts = ["["]
         start = 0
         for j, x in entries:
             parts += (zeros[: 2 * (j - start)], str(x), " ")
@@ -75,8 +85,8 @@ def emit_basis(rows: Sequence[Sequence], width: Optional[int] = None) -> str:
         elif start:
             parts.pop()  # the space after a nonzero last entry
         parts.append("]\n")
-    parts.append("]\n")
-    return "".join(parts)
+        yield parts
+    yield ["]\n"]
 
 
 def parse_basis(text: str) -> tuple[tuple[int, ...], ...]:
@@ -170,6 +180,13 @@ def profile_from_json(d: dict, csp: CspInstance) -> ReductionProfile:
 def sidecar_json(
     inst: GapSvpInstance, basis_file: str, seed: Optional[int] = None
 ) -> dict:
+    payload = _sidecar_fields(inst, basis_file, seed)
+    payload["row_provenance"] = [[t, list(tup)] for t, tup in inst.row_provenance]
+    return payload
+
+
+def _sidecar_fields(inst: GapSvpInstance, basis_file: str, seed: Optional[int]) -> dict:
+    """``sidecar_json`` with ``row_provenance`` left empty, keys in order."""
     prof = inst.profile
     gap = prof.gap_factor
     return {
@@ -190,21 +207,50 @@ def sidecar_json(
             "support": list(inst.support_span),
             "spread": list(inst.spread_span),
         },
-        "row_provenance": [[t, list(tup)] for t, tup in inst.row_provenance],
+        "row_provenance": [],
         "csp": emit_csp(inst.csp),
         "seed": seed,
     }
 
 
+# Where json.dumps(indent=2) puts the empty provenance list: a JSON string
+# holds no raw newline, so the first match is the top-level key.
+_PROVENANCE_SLOT = '\n  "row_provenance": []'
+
+
+def sidecar_text(inst: GapSvpInstance, basis_file: str, seed: Optional[int] = None) -> str:
+    """The sidecar file: ``json.dumps(sidecar_json(...), indent=2) + "\\n"``.
+
+    Only ``row_provenance`` is large, and its layout is fixed: one
+    ``[t, [a, b, ...]]`` pair of integers per row, at 4, 6 and 8 spaces.  It
+    is written from that template and spliced into ``json.dumps`` of the
+    other fields, so strings and floats keep the standard library's escaping
+    and repr while the pure-Python indenting encoder sees only a few keys.
+    """
+    head, _, tail = json.dumps(_sidecar_fields(inst, basis_file, seed), indent=2).partition(
+        _PROVENANCE_SLOT
+    )
+    sep = ",\n        "
+    rows = ",\n".join(
+        f"    [\n      {t},\n      [\n        {sep.join(map(str, tup))}\n      ]\n    ]"
+        for t, tup in inst.row_provenance
+    )
+    provenance = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{head}\n  "row_provenance": {provenance}{tail}\n'
+
+
 def save_instance(
     inst: GapSvpInstance, basis_path, seed: Optional[int] = None
 ) -> tuple[Path, Path]:
-    """Write the basis and its sidecar; the sidecar sits next to the basis."""
+    """Write the basis and its sidecar; the sidecar sits next to the basis.
+
+    The basis is ``emit_basis`` of the rows and the sidecar ``sidecar_text``,
+    the fixed-schema writer that gives the bytes of ``json.dumps(indent=2)``.
+    """
     basis_path = Path(basis_path)
     sidecar_path = basis_path.with_name(basis_path.name + ".json")
     basis_path.write_text(emit_basis(inst.rows, inst.num_cols))
-    payload = sidecar_json(inst, basis_path.name, seed=seed)
-    sidecar_path.write_text(json.dumps(payload, indent=2) + "\n")
+    sidecar_path.write_text(sidecar_text(inst, basis_path.name, seed))
     return basis_path, sidecar_path
 
 
@@ -213,17 +259,19 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
 
     Both files must be exactly what ``save_instance`` writes for the rebuilt
     reduction: the basis file ``emit_basis`` of its rows, and the sidecar
-    ``sidecar_json`` of it laid out by ``json.dumps(indent=2)``.  The
-    sidecar's ``basis_file`` and ``seed`` are the only free fields, so a pair
-    renamed together still loads.  The basis text is parsed only to report a
-    mismatch.
+    ``sidecar_text`` of it, the fixed-schema writer that gives the bytes of
+    ``json.dumps(sidecar_json(...), indent=2)``.  The sidecar's ``basis_file``
+    and ``seed`` are the only free fields, so a pair renamed together still
+    loads.  The basis text is compared with the rebuilt rows one emitted row
+    at a time, so the whole emitted text is never held beside the file's;
+    it is parsed only to report a mismatch.
     """
     basis_path = Path(basis_path)
     if sidecar_path is None:
         sidecar_path = basis_path.with_name(basis_path.name + ".json")
-    sidecar_text = Path(sidecar_path).read_text()
+    sidecar = Path(sidecar_path).read_text()
     try:
-        payload = json.loads(sidecar_text)
+        payload = json.loads(sidecar)
     except json.JSONDecodeError as exc:
         raise SvpforgeError(f"sidecar is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -240,14 +288,14 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
         raise SvpforgeError("sidecar 'csp' must be the instance text")
     csp = parse_csp(payload["csp"])
     prof = profile_from_json(payload["profile"], csp)
-    text = basis_path.read_text()
+    basis_text = basis_path.read_text()
     rows = sum(len(con.accepted_set) for con in csp.constraints)
     if rows == 0:
         raise SvpforgeError("the sidecar's instance accepts no tuple, so it has no basis")
     # An emitted row takes at least 2 * nprime + 1 characters; refusing a
     # shorter file before the rebuild keeps a small file next to a large
     # sidecar cheap.
-    if len(text) < rows * (2 * prof.nprime + 1):
+    if len(basis_text) < rows * (2 * prof.nprime + 1):
         raise SvpforgeError(
             f"basis file is too short for the {rows} x {prof.nprime} basis its sidecar describes"
         )
@@ -257,12 +305,21 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     if seed is not None and type(seed) is not int:
         raise SvpforgeError(f"sidecar 'seed' must be an integer or null, got {seed!r}")
     out = reduce_csp(csp, prof)
-    if text != emit_basis(out.rows, out.num_cols):
-        raise SvpforgeError(_basis_mismatch(parse_basis(text), out.rows, out.num_cols))
-    expected = sidecar_json(out, basis_file, seed)
-    if sidecar_text != json.dumps(expected, indent=2) + "\n":
-        raise SvpforgeError(_sidecar_mismatch(payload, expected))
+    if not _is_concatenation(basis_text, map("".join, _basis_pieces(out.rows, out.num_cols))):
+        raise SvpforgeError(_basis_mismatch(parse_basis(basis_text), out.rows, out.num_cols))
+    if sidecar != sidecar_text(out, basis_file, seed):
+        raise SvpforgeError(_sidecar_mismatch(payload, sidecar_json(out, basis_file, seed)))
     return out
+
+
+def _is_concatenation(text: str, pieces: Iterable[str]) -> bool:
+    """Whether ``text`` is the pieces joined, checked one piece at a time."""
+    pos = 0
+    for piece in pieces:
+        if not text.startswith(piece, pos):
+            return False
+        pos += len(piece)
+    return pos == len(text)
 
 
 def _basis_mismatch(rows, expected, width) -> str:

@@ -318,9 +318,8 @@ def emit_csp(inst: CspInstance) -> str:
     if inst.soundness != 1:
         lines.append(f"s {inst.soundness.numerator}/{inst.soundness.denominator}")
     for con in inst.constraints:
-        lines.append("con " + " ".join(str(x) for x in con.variables))
-        for tup in con.accepted:
-            lines.append("acc " + " ".join(str(a) for a in tup))
+        lines.append("con " + " ".join(map(str, con.variables)))
+        lines += ["acc " + " ".join(map(str, tup)) for tup in con.accepted]
     return "\n".join(lines) + "\n"
 
 

@@ -305,19 +305,25 @@ def build_consistency_block(
     sigma = inst.alphabet_size
     vm = reduced_vandermonde(prof.prime, width)
     occurrences = [0] * (inst.num_vars * sigma)
+    # scaled[j]: the (k, scale * v) entries of Vandermonde row j, built the
+    # first time some column reaches its (j+1)-th occurrence
+    scaled = []
     out = []
     for t, tup in kept:
         placed = []
         for x, a in zip(inst.constraints[t].variables, tup):
             col = x * sigma + a
             occurrences[col] += 1
-            if occurrences[col] > vm.num_rows:
-                raise ProfileError(f"column {(x, a)} has more than {vm.num_rows} occurrences")
+            occ = occurrences[col]
+            if occ > len(scaled):
+                if occ > vm.num_rows:
+                    raise ProfileError(f"column {(x, a)} has more than {vm.num_rows} occurrences")
+                scaled.append(tuple(enumerate(prof.scale * v for v in vm.row(occ - 1))))
             placed.append(col)
         out.append(tuple(
-            (col * width + k, prof.scale * v)
+            (col * width + k, sv)
             for col in sorted(placed)
-            for k, v in enumerate(vm.row(occurrences[col] - 1))
+            for k, sv in scaled[occurrences[col] - 1]
         ))
     return out
 
@@ -471,6 +477,7 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
         (*c, *[(s_lo + j, x) for j, x in s], *[(h_lo + j, x) for j, x in h])
         for c, s, h in zip(consistency, support, spread)
     )
-    if any(row[-1][0] >= prof.nprime for row in rows):
+    nprime = prof.nprime
+    if any(row[-1][0] >= nprime for row in rows):
         raise ProfileError("basis entries must lie within the profile's column count")
     return GapSvpInstance(csp=inst, profile=prof, rows=rows, row_provenance=kept)

@@ -1,5 +1,6 @@
 """Command line pipeline, file formats, determinism."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -11,7 +12,7 @@ from svpforge import basisio, cli
 from svpforge.cli import main
 from svpforge.csp import emit_csp, parse_csp
 from svpforge.errors import SvpforgeError
-from svpforge.reduction import derive_profile
+from svpforge.reduction import derive_profile, reduce_csp
 
 from conftest import DATA, sparse_rows
 
@@ -74,6 +75,13 @@ def test_reduce_writes_basis_and_sidecar(tmp_path, capsys):
     assert payload["profile"]["mode"] == "explicit"
     assert payload["threshold"] == {"nprime": 13, "p": 3}
     assert payload["shape"] == {"rows": 3, "cols": 13}
+    # both files are pinned byte for byte
+    assert hashlib.sha256(basis.read_bytes()).hexdigest() == (
+        "643363777f1ca3171c1afceaaa01baeeb7a0d40988a20234d2cbdac6a423204c"
+    )
+    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == (
+        "0330624b57fe0fb144408d75e2e7642880bce11f53e4feecfc275ca3c27876f7"
+    )
 
 
 def test_reduce_is_deterministic(tmp_path, capsys):
@@ -285,6 +293,16 @@ def _drop_a_zero_from_each_row(basis, payload):
     basis.write_text(basisio.emit_basis(sparse_rows(narrower), len(rows[0]) - 1))
 
 
+def _drop_closing_bracket(basis, payload):
+    # every row is intact; only the outer pair is left open
+    text = basis.read_text()
+    basis.write_text(text[: -len("]\n")])
+
+
+def _append_a_newline(basis, payload):
+    basis.write_text(basis.read_text() + "\n")
+
+
 def _double_spaces(basis, payload):
     basis.write_text(basis.read_text().replace(" ", "  "))
 
@@ -303,6 +321,8 @@ def _sign_a_zero_in_a_run(basis, payload):
         (_swap_two_rows, "basis row 0 is not row 0"),
         (_drop_last_row, "basis has 2 rows; the sidecar's reduction has 3"),
         (_drop_a_zero_from_each_row, "basis row 0 is not row 0"),
+        (_drop_closing_bracket, "unexpected text between basis rows"),
+        (_append_a_newline, "not laid out as emit_basis writes it"),
         (_double_spaces, "not laid out as emit_basis writes it"),
         (_sign_a_zero_in_a_run, "not laid out as emit_basis writes it"),
     ],
@@ -311,6 +331,8 @@ def _sign_a_zero_in_a_run(basis, payload):
         "rows-swapped-with-provenance",
         "row-dropped",
         "zero-column-dropped",
+        "closing-bracket-dropped",
+        "newline-appended",
         "reformatted",
         "zero-in-run-signed",
     ],
@@ -360,6 +382,32 @@ def test_short_basis_next_to_large_sidecar_is_refused(tmp_path, capsys):
     assert code == 2 and not out
     assert err.startswith("error: basis file is too short")
     assert peak < 5_000_000
+
+
+def test_load_holds_one_copy_of_the_basis_text(tmp_path):
+    # the cyclic ladder at N=256: a 1024 x 2561 basis, about 5 MB of text.
+    # Reading the file holds its bytes and its text at once, about twice the
+    # text; the rebuilt basis is compared one emitted row at a time, so no
+    # second full text is built on top of that
+    n = 256
+    csp = parse_csp(f"csp {n} {2 * n} 2 2\n" + "".join(
+        f"con {i} {(i + s) % n}\nacc 0 0\nacc 1 1\n" for s in (1, 2) for i in range(n)
+    ))
+    prof = derive_profile(
+        csp, p=3, mode="explicit", consistency_width=1, support_width=1, scale=10**6
+    )
+    out = reduce_csp(csp, prof)
+    basis, _ = basisio.save_instance(out, tmp_path / "c256.basis")
+    size = basis.stat().st_size
+    assert size > 5_000_000
+    tracemalloc.start()
+    try:
+        loaded = basisio.load_instance(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == out
+    assert peak < 2.5 * size
 
 
 def test_reduce_past_the_cell_budget_writes_nothing(tmp_path, capsys):

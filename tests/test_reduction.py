@@ -13,12 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svpforge import reduction
-from svpforge.basisio import load_instance, save_instance
+from svpforge.basisio import load_instance, save_instance, sidecar_json, sidecar_text
 from svpforge.csp import Constraint, CspInstance, indicator_matrix, parse_csp
 from svpforge.errors import BudgetExceededError, ProfileError, SvpforgeError
 from svpforge.gadgets import hadamard, reduced_vandermonde
 from svpforge.reduction import (
     GapFactor,
+    ReductionProfile,
     build_spread_block,
     derive_profile,
     normalize_p,
@@ -240,6 +241,21 @@ def test_reduce_budgets_the_entries_it_builds(monkeypatch):
         reduce_csp(inst, prof)
 
 
+def test_consistency_occurrence_guard():
+    # prime 3 leaves a 2-row consistency Vandermonde, and column (0, 0) is
+    # placed by all three rows; derive_profile never picks such a prime, so
+    # only a hand-built profile reaches the guard
+    cons = tuple(Constraint(scope, ((0, 0),)) for scope in ((0, 1), (0, 2), (0, 1)))
+    inst = CspInstance(3, 2, 2, cons)
+    prof = ReductionProfile(
+        p=3, prime=3, scale=1, consistency_width=1, support_width=1, mode="explicit",
+        soundness=Fraction(1), num_vars=3, num_constraints=3, arity=2, alphabet_size=2,
+        degree=3, padded_alphabet=2,
+    )
+    with pytest.raises(ProfileError, match=r"^column \(0, 0\) has more than 2 occurrences$"):
+        reduce_csp(inst, prof)
+
+
 def test_reduce_rejects_profile_mismatch(toy1, toy_unsat):
     prof = explicit_profile(toy1)
     with pytest.raises(ProfileError):
@@ -412,3 +428,20 @@ def test_sidecar_leaf_edits_are_refused(case, seed, data):
         else:
             with pytest.raises(SvpforgeError):
                 load_instance(basis_path)
+
+
+# Basis file names that JSON must escape: a quote, a backslash, a newline,
+# and characters outside ASCII, one of them outside the BMP.
+_AWKWARD_NAME = 'a "b" \\ c\nd\u00e9\u03bb\U0001d538.basis'
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _regular_reductions(),
+    st.one_of(st.just(_AWKWARD_NAME), st.text()),
+    st.one_of(st.none(), st.integers(max_value=-1), st.integers(min_value=2**64 + 1)),
+)
+def test_sidecar_text_is_json_dumps(case, basis_file, seed):
+    out = reduce_csp(*case)
+    expected = json.dumps(sidecar_json(out, basis_file, seed), indent=2) + "\n"
+    assert sidecar_text(out, basis_file, seed) == expected
