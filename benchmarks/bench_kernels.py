@@ -8,11 +8,12 @@ float64 or int64 products it times; the planted row's answer lies in a
 later group than the first zero the sweep meets, and the scaled row's
 products pass the float64 bound and run in int64.  Each box enumeration
 reads sparse rows and must report its pinned node count: in the dense 3^12
-box every column closes at the last row, so nothing is pruned; the grouped
-one prunes on each group's private columns the way spread blocks do, and on
-each shared column after its last nonzero entry; and the p=3 odd-cycle
-basis at scale 10**6 is the 12-row unsatisfiable basis ``enumerate`` reads
-in the verify benchmark.  The witness search must reach max-norm 1 and the
+box every column closes at the last row, so only the bound on what the
+later rows can still take off each open column prunes; the grouped one
+prunes on each group's private columns the way spread blocks do, and on
+each shared column before and after its last nonzero entry; and the p=3
+odd-cycle basis at scale 10**6 is the 12-row unsatisfiable basis
+``enumerate`` reads in the verify benchmark.  The witness search must reach max-norm 1 and the
 kernel-support search must certify its matrix.
 """
 
@@ -57,7 +58,7 @@ def box_workloads():
     """(name, rows as (column, value) entries, p, pinned node count)."""
     rng = random.Random(9)
     rows = [[(j, x) for j in range(18) if (x := rng.randint(-3, 3))] for _ in range(12)]
-    yield "box 3^12, p=3", rows, 3, 797160
+    yield "box 3^12, p=3", rows, 3, 83625
     # six groups of three rows with four private +-1 columns each, as in a
     # spread block, plus seven shared columns
     rng = random.Random(3)
@@ -68,8 +69,8 @@ def box_workloads():
         for _ in range(size):
             shared = [(j, x) for j in range(nshared) if (x := rng.randint(-2, 2))]
             rows.append(shared + [(j, rng.choice((-1, 1))) for j in range(c0, c0 + private)])
-    yield "box 3^18 grouped, max", rows, None, 127764
-    yield "box odd cycle 12, p=3", odd_cycle_instance().rows, 3, 3807
+    yield "box 3^18 grouped, max", rows, None, 6147
+    yield "box odd cycle 12, p=3", odd_cycle_instance().rows, 3, 2169
 
 
 def odd_cycle_instance():

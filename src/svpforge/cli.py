@@ -33,6 +33,7 @@ from .regularize import RegularizeParams, lineage_json, regularize
 from .verifier import (
     apply_coefficients,
     audit_vector,
+    certifying_box,
     enumerate_box,
     extract_assignment,
     holder_check,
@@ -171,6 +172,14 @@ def cmd_enumerate(args) -> int:
     print(f"minimum power: {res.power} (p={pname}, box {res.box})")
     print("argmin:", " ".join(str(x) for x in res.vector))
     print(f"backend: {res.backend}, nodes: {res.nodes}")
+    if res.floor is not None:
+        outside = f"every vector outside box {res.box} has power >= {res.floor}"
+        if res.certified:
+            print(f"lattice minimum: certified, {outside}")
+        else:
+            k = certifying_box(inst, res.p, res.power)
+            hint = f"box {k} would certify" if k else "no box floor reaches it"
+            print(f"lattice minimum: not certified, {outside} < {res.power}; {hint}")
     if res.p == inst.profile.p:
         thr = inst.profile.threshold_power
         rel = "<=" if res.power <= thr else ">"

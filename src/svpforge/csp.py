@@ -280,6 +280,7 @@ def parse_csp(text: str) -> CspInstance:
                 raise CspParseError("repeated variable in scope", lineno)
             scopes.append(scope)
             accepts.append([])
+            seen = set()  # the last constraint's tuples, for the duplicate check
         elif kind == "acc":
             if not scopes:
                 raise CspParseError("accepted tuple before any constraint", lineno)
@@ -290,8 +291,9 @@ def parse_csp(text: str) -> CspInstance:
             for a in tup:
                 if not (0 <= a < sigma):
                     raise CspParseError(f"symbol {a} out of range [0, {sigma})", lineno)
-            if tup in accepts[-1]:
+            if tup in seen:
                 raise CspParseError(f"duplicate accepted tuple {tup}", lineno)
+            seen.add(tup)
             accepts[-1].append(tup)
         else:
             raise CspParseError(f"unknown directive {kind!r}", lineno)

@@ -9,9 +9,10 @@ product and partial sum below 2**53 (then BLAS is exact), in int64 when a
 proven overflow bound holds, and in Python big integers otherwise, so
 results are exact either way.  The box enumeration reads sparse rows and
 is one iterative depth-first search over all rows in Python integers: it
-prunes on the columns whose last touching row has a coefficient, and keeps
-its state per level on an explicit stack, so its depth is not bounded by
-the interpreter's recursion limit.
+prunes on the closed columns' value plus a bound on what the later rows can
+no longer take off the open ones, and keeps its state per level on an
+explicit stack, so its depth is not bounded by the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -195,17 +196,28 @@ def box_minimum(rows, c, p, budget):
     vectors are visited in lexicographic order and only strict improvements
     are kept, so ties resolve to the lexicographically smallest vector.
 
-    Each column closes at its last touching row: once that row has a
-    coefficient, the column's entry of v*rows is final, and its term (its
-    magnitude, or that to the p-th power) joins the running value of the
-    closed columns.  Terms are nonnegative and never change afterwards, so
-    a running value already at or above the best seen so far prunes a
-    subtree that holds no strict improvement.  Columns no row touches are
-    zero and never counted.
+    Each column closes at its last row with a nonzero entry: once that row
+    has a coefficient, the column's entry of v*rows is final, and its term
+    (its magnitude, or that to the p-th power) joins the running value of
+    the closed columns.  A column still open after row d has a reach, c
+    times the sum of its |value| over the later rows; no completion moves it
+    by more, so its final magnitude is at least max(0, |acc| - reach), where
+    acc is its value so far.  At each node the closed value plus the open
+    bounds of the row's columns (their p-th powers summed, or all combined
+    with max for the max-norm) is a lower bound on every leaf below, and a
+    bound at or above the best seen so far prunes a subtree that holds no
+    strict improvement.  For p the closed value alone goes down to the next
+    level, since an open column's term is counted again when it closes.  For
+    the max-norm the bound itself goes down: max counts a column twice
+    without harm, and a column's open bound never falls along a path
+    (|acc + t*val| - reach >= |acc| - (reach + c*|val|)), so the carried
+    value bounds every column touched so far.  Columns no row touches are
+    zero and never counted.  Pruning changes neither the visit order nor the
+    result, only the node count.
 
     The search is depth first over all m rows, in Python integers, with an
     explicit stack (no recursion, so any number of rows works).  Each level
-    keeps its coefficient, the closed value before its row and whether the
+    keeps its coefficient, the value carried into its row and whether the
     prefix is nonzero; the column values move by one row per step.
 
     Returns (best_power, best_vector, nodes); ``nodes`` counts coefficient
@@ -218,11 +230,13 @@ def box_minimum(rows, c, p, budget):
         raise ValueError("need at least one row")
     if c < 1:
         raise ValueError("box radius must be at least 1")
-    closing = _closing_columns(rows)
+    reaches = _column_reach(rows, c)
+    closing = [[j for j, reach in row if not reach] for row in reaches]
+    opening = [[(j, reach) for j, reach in row if reach] for row in reaches]
     width = 2 * c + 1
     acc = [0] * (max((j for row in rows for j, _x in row), default=-1) + 1)
     coeffs = [0] * m
-    closed = [0] * m  # closed[d]: the closed columns' value before row d
+    carried = [0] * m  # carried[d]: the value carried into row d
     nonzero = [False] * m  # nonzero[d]: whether a coefficient before row d is
     best = vec = None
     inf = p is None
@@ -254,40 +268,57 @@ def box_minimum(rows, c, p, budget):
             coeffs[depth] = t
             for j, val in sup:
                 acc[j] += val
-            nf = closed[depth]
+            nf = carried[depth]
             if inf:
-                for j in closing[depth]:
+                # closing columns have reach 0; the max absorbs the open ones
+                for j, reach in reaches[depth]:
                     a = acc[j]
                     if a < 0:
                         a = -a
-                    if a > nf:
-                        nf = a
+                    if a - reach > nf:
+                        nf = a - reach
+                if best is not None and nf >= best:
+                    continue
             else:
                 for j in closing[depth]:
                     a = acc[j]
                     if a < 0:
                         a = -a
                     nf += a**p
-            if best is not None and nf >= best:
-                continue
+                if best is not None:
+                    if nf >= best:
+                        continue
+                    # add what the later rows cannot take off the open columns
+                    lb = nf
+                    for j, reach in opening[depth]:
+                        a = acc[j]
+                        if a < 0:
+                            a = -a
+                        if a > reach:
+                            lb += (a - reach) ** p
+                    if lb >= best:
+                        continue
             nz = t != 0 or nonzero[depth]
             if depth == last:
                 if nz:
                     best, vec = nf, tuple(coeffs)
                 continue
             depth += 1
-            closed[depth] = nf
+            carried[depth] = nf
             nonzero[depth] = nz
             break
 
 
-def _closing_columns(rows):
-    """closing[r]: the columns whose last touching row is r, ascending."""
-    last = {}
-    for r, entries in enumerate(rows):
-        for j, _x in entries:
-            last[j] = r
-    closing = [[] for _ in rows]
-    for j in sorted(last):
-        closing[last[j]].append(j)
-    return closing
+def _column_reach(rows, c):
+    """reaches[d]: (column, reach) for each column with a nonzero entry in
+    row d, where reach is c times the sum of the column's |value| over the
+    later rows: how far those rows can still move the column.  A reach of 0
+    means the column closes at row d."""
+    tail = {}
+    reaches = [None] * len(rows)
+    for d in range(len(rows) - 1, -1, -1):
+        cols = dict.fromkeys(j for j, x in rows[d] if x)
+        reaches[d] = [(j, c * tail.get(j, 0)) for j in cols]
+        for j, x in rows[d]:
+            tail[j] = tail.get(j, 0) + abs(x)
+    return reaches

@@ -9,6 +9,7 @@ appear only in report fields.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -185,6 +186,48 @@ class EnumerationResult:
     nodes: int
     backend: str
     caveat: str = BOX_CAVEAT
+    # least power outside the box (``outside_box_floor``), None for p < 2
+    floor: Optional[int] = None
+
+    @property
+    def certified(self) -> bool:
+        """Whether the box minimum is the lattice minimum: no vector with a
+        coefficient outside the box has a smaller power."""
+        return self.floor is not None and self.power <= self.floor
+
+
+def outside_box_floor(inst: GapSvpInstance, p, box: int) -> Optional[int]:
+    """Least power (max entry for the max-norm) of a lattice vector v*G with
+    a coefficient outside [-box, box], or None for p < 2.
+
+    If a scaled (consistency or support) column of v*G is nonzero, it is a
+    multiple of ``scale``, so the power is at least scale**p.  Otherwise
+    take a constraint with a row whose |v_r| > box: its spread columns hold
+    sum_r v_r*h_r over distinct rows of a Hadamard matrix of order ``per``,
+    whose squared 2-norm is per * sum_r v_r**2 >= per * (box+1)**2.  An
+    integer x has |x|**p >= x**2 for p >= 2, and the largest of per entries
+    with that squared sum is at least box+1.
+    """
+    prof = inst.profile
+    if p is None:
+        return min(prof.scale, box + 1)
+    if p < 2:
+        return None
+    return min(prof.scale**p, prof.spread_cols_per_constraint * (box + 1) ** 2)
+
+
+def certifying_box(inst: GapSvpInstance, p, power: int) -> Optional[int]:
+    """Least box whose ``outside_box_floor`` reaches ``power``, or None if
+    no box's does (power above scale**p, or p < 2).  A minimum of ``power``
+    found in a smaller box is then certified by enumerating that box."""
+    prof = inst.profile
+    if p is None:
+        return max(power - 1, 1) if power <= prof.scale else None
+    if p < 2 or power > prof.scale**p:
+        return None
+    # the least k >= 1 with per * (k+1)**2 >= power
+    need = -(-power // prof.spread_cols_per_constraint)
+    return max(math.isqrt(need - 1), 1) if need > 1 else 1
 
 
 def enumerate_box(
@@ -196,10 +239,11 @@ def enumerate_box(
     """Exact minimum of ||v*G||_p**p over nonzero v in [-box, box]^rows.
 
     ``kernels.box_minimum`` runs on ``inst.rows``: it visits coefficient
-    vectors in lexicographic order and prunes only on columns whose last
-    touching row already has a coefficient (a constraint's spread columns,
-    and each consistency column after its last row), so the result is the
-    true box minimum and ties resolve lexicographically.
+    vectors in lexicographic order and prunes a subtree only when the closed
+    columns plus a bound on the open ones (each open column's magnitude less
+    what the later rows can still move it) already reach the best so far,
+    so the result is the true box minimum and ties resolve
+    lexicographically.  ``floor`` is ``outside_box_floor`` for the norm used.
     """
     if inst.num_rows == 0:
         raise ValueError("the basis has no rows")
@@ -212,6 +256,7 @@ def enumerate_box(
         box=box,
         nodes=nodes,
         backend=kernels.backend_name(),
+        floor=outside_box_floor(inst, pn, box),
     )
 
 

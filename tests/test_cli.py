@@ -530,6 +530,31 @@ def test_enumerate_separates_unsat(tmp_path, capsys):
     assert "minimum power 32 > threshold power 13" in out
 
 
+def test_enumerate_says_whether_the_minimum_is_certified(tmp_path, capsys):
+    toy1, unsat = tmp_path / "toy1.basis", tmp_path / "unsat.basis"
+    run(capsys, "reduce", TOY1, "--out", str(toy1), *REDUCE_FLAGS)
+    run(capsys, "reduce", TOY_UNSAT, "--out", str(unsat), *REDUCE_FLAGS)
+    lines = {
+        (basis.name, box): run(capsys, "enumerate", str(basis), "--box", box)[1].splitlines()
+        for basis, box in ((toy1, "1"), (unsat, "1"), (unsat, "2"))
+    }
+    want = {
+        ("toy1.basis", "1"): "lattice minimum: certified, every vector outside box 1 has power >= 16",
+        ("unsat.basis", "1"): "lattice minimum: not certified, every vector outside box 1 "
+        "has power >= 16 < 32; box 2 would certify",
+        ("unsat.basis", "2"): "lattice minimum: certified, every vector outside box 2 has power >= 36",
+    }
+    for key, out in lines.items():
+        # the new line comes after the backend line; every other line stays
+        assert out[3] == want[key]
+        assert [line.split(":")[0] for line in out] == [
+            "minimum power", "argmin", "backend", "lattice minimum", "verdict", "note"
+        ]
+    # below p = 2 no floor is known, and nothing is printed
+    _, out, _ = run(capsys, "enumerate", str(toy1), "--box", "1", "--p", "1")
+    assert not [line for line in out.splitlines() if line.startswith("lattice minimum")]
+
+
 def test_regularize_command(tmp_path, capsys):
     out_path = tmp_path / "reg.csp"
     lineage_path = tmp_path / "reg.lineage.json"

@@ -1,5 +1,6 @@
 """Instance model, parser, brute-force oracle, indicator matrix."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,18 @@ def test_parse_errors(text, fragment, has_line):
     assert fragment in message
     if has_line:
         assert message.startswith("line ")
+
+
+def test_duplicate_at_the_end_of_a_long_accept_list():
+    # every tuple of arity 3 over 16 symbols, then the first one again; the
+    # same tuples under a second constraint are not duplicates
+    tuples = "".join(f"acc {a} {b} {c}\n" for a, b, c in itertools.product(range(16), repeat=3))
+    body = "con 0 1 2\n" + tuples
+    assert parse_csp("csp 3 2 3 16\n" + body + body).num_constraints == 2
+    with pytest.raises(CspParseError) as err:
+        parse_csp("csp 3 1 3 16\n" + body + "acc 0 0 0\n")
+    assert err.value.line == 2 + 16**3 + 1
+    assert str(err.value) == f"line {2 + 16**3 + 1}: duplicate accepted tuple (0, 0, 0)"
 
 
 def test_validation_rejects_bad_scope():

@@ -57,26 +57,40 @@ def _naive_box_minimum(rows, c, p):
     return best, best_vec
 
 
-def _reference_box_dfs(rows, c, p, budget):
+def _reference_box_dfs(rows, c, p, budget, look_ahead=True):
     """The row-by-row search ``kernels.box_minimum`` must reproduce exactly:
     the same minimum, lexicographically first argmin, node count and budget
-    refusal.  A column's term is added once its last touching row has a
-    coefficient, and a subtree is entered only while the added terms stay
-    below the best so far."""
+    refusal.  A column closes at its last row with a nonzero entry, and
+    until then the later rows can move it by at most its reach, c times the
+    sum of its later |value|s.  For p, a node's bound is the closed
+    columns' terms plus max(0, |acc| - reach)**p over the open columns of
+    its row; for the max-norm it is max(0, |acc| - reach) over every
+    column.  A subtree is entered only while the bound stays below the best
+    so far.  ``look_ahead=False`` is the earlier rule, which bounds by the
+    closed columns alone."""
     m = len(rows)
     last = {}
     for r, entries in enumerate(rows):
-        for j, _x in entries:
-            last[j] = r
+        for j, x in entries:
+            if x:
+                last[j] = r
+    # reach[d][j]: how far rows after d can still move column j
+    reach = [dict.fromkeys(last, 0) for _ in range(m)]
+    for d in range(m - 1):
+        for entries in rows[d + 1 :]:
+            for j, x in entries:
+                reach[d][j] += c * abs(x)
     acc = dict.fromkeys(last, 0)
     coeffs = [0] * m
     state = {"best": None, "vec": None, "nodes": 0}
 
-    def combine(a, b):
-        return max(a, b) if p is None else a + b
-
-    def term(j):
-        return abs(acc[j]) if p is None else abs(acc[j]) ** p
+    def bound(depth, finalized):
+        if not look_ahead:
+            return finalized
+        if p is None:
+            return max([0] + [abs(acc[j]) - reach[depth][j] for j in last])
+        opening = {j for j, x in rows[depth] if x and last[j] > depth}
+        return finalized + sum(max(0, abs(acc[j]) - reach[depth][j]) ** p for j in opening)
 
     def dfs(depth, finalized, nonzero):
         if depth == m:
@@ -90,12 +104,12 @@ def _reference_box_dfs(rows, c, p, budget):
                 raise BudgetExceededError(f"box enumeration exceeded {budget} nodes")
             coeffs[depth] = t
             for j, val in rows[depth]:
-                acc[j] += t * val
+                acc[j] = acc.get(j, 0) + t * val
             nf = finalized
             for j in last:
                 if last[j] == depth:
-                    nf = combine(nf, term(j))
-            if state["best"] is None or nf < state["best"]:
+                    nf = max(nf, abs(acc[j])) if p is None else nf + abs(acc[j]) ** p
+            if state["best"] is None or bound(depth, nf) < state["best"]:
                 dfs(depth + 1, nf, nonzero or t != 0)
             for j, val in rows[depth]:
                 acc[j] -= t * val
@@ -454,6 +468,16 @@ def test_box_minimum_at_large_radius():
             kernels.box_minimum(*pair)
 
 
+def test_box_minimum_ignores_zero_entries():
+    # an explicit zero neither keeps a column open nor adds to its reach
+    rows = [((0, 2), (1, 1)), ((0, 1), (1, 0)), ((0, 0), (1, 1)), ((1, 0),)]
+    stripped = [tuple((j, x) for j, x in entries if x) for entries in rows]
+    for p in (None, 3):
+        want = _reference_box_dfs(stripped, 1, p, 10**6)
+        assert kernels.box_minimum(rows, 1, p, 10**6) == want
+        assert kernels.box_minimum(stripped, 1, p, 10**6) == want
+
+
 def test_box_minimum_deeper_than_the_recursion_limit():
     # 1500 rows, each with a private column: the first path reaches the
     # all -1 leaf, then the all-zero prefix is walked to the bottom once more
@@ -497,3 +521,25 @@ def _scaled_box_inputs(draw):
 @given(_scaled_box_inputs())
 def test_box_minimum_scaled_matches_reference_dfs(case):
     _assert_matches_reference(case)
+
+
+def _small_box(case):
+    """``case`` as (rows, c, p), cut to the first rows whose box holds at
+    most 729 vectors, so the brute force stays cheap."""
+    rows, c, p = case[:3]
+    m = 1
+    while (2 * c + 1) ** (m + 1) <= 729:
+        m += 1
+    return rows[:m], c, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_box_inputs(), _sparse_box_inputs(), _scaled_box_inputs()).map(_small_box))
+def test_box_minimum_look_ahead_matches_brute_force(case):
+    # the brute force prunes nothing, so the look-ahead bound drops no
+    # strict improvement; and it never visits more nodes than the bound on
+    # closed columns alone
+    rows, c, p = case
+    power, vec, nodes = kernels.box_minimum(rows, c, p, 10**9)
+    assert (power, vec) == _naive_box_minimum(rows, c, p)
+    assert nodes <= _reference_box_dfs(rows, c, p, 10**9, look_ahead=False)[2]

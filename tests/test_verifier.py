@@ -15,11 +15,13 @@ from svpforge.reduction import GapSvpInstance, derive_profile, reduce_csp
 from svpforge.verifier import (
     apply_coefficients,
     audit_vector,
+    certifying_box,
     enumerate_box,
     extract_assignment,
     holder_check,
     indicated_view,
     lp_norm_power,
+    outside_box_floor,
     structural_facts,
     witness_from_assignment,
 )
@@ -318,8 +320,55 @@ def test_enumerate_unsat(unsat_reduced):
     assert res.vector == (-1, -1, 1, 1)
 
 
+def _outside_box_minimum(inst, p, box, outer):
+    """Brute force: the least power over the vectors of [-outer, outer]^m
+    with a coefficient outside [-box, box]."""
+    return min(
+        lp_norm_power(apply_coefficients(v, inst.rows, inst.num_cols), p)
+        for v in itertools.product(range(-outer, outer + 1), repeat=inst.num_rows)
+        if max(map(abs, v)) > box
+    )
+
+
+@pytest.mark.parametrize(
+    "name, p, box, floor, certified, hint",
+    [
+        ("toy1", 3, 1, 16, True, 1),  # 8 <= 4 * 2**2
+        ("unsat", 3, 1, 16, False, 2),  # 32 > 16; box 2 gives 4 * 3**2 = 36
+        ("unsat", 3, 2, 36, True, 2),
+        ("unsat", 2, 1, 16, True, 1),  # at p=2 the minimum is 16 itself
+        ("toy1", None, 1, 2, True, 1),
+        ("unsat", None, 1, 2, True, 1),
+    ],
+)
+def test_outside_box_floor_against_brute_force(
+    toy1_reduced, unsat_reduced, name, p, box, floor, certified, hint
+):
+    inst = toy1_reduced if name == "toy1" else unsat_reduced
+    res = enumerate_box(inst, box, p=p)
+    assert outside_box_floor(inst, res.p, box) == res.floor == floor
+    # no vector of a larger box undercuts the floor
+    assert _outside_box_minimum(inst, res.p, box, box + 2) >= floor
+    assert res.certified == certified
+    if certified:
+        # a certified box minimum is the minimum of the larger box too
+        assert enumerate_box(inst, box + 2, p=p).power == res.power
+    assert certifying_box(inst, res.p, res.power) == hint
+    assert outside_box_floor(inst, res.p, hint) >= res.power
+
+
+def test_outside_box_floor_needs_p_at_least_2(toy1_reduced):
+    assert outside_box_floor(toy1_reduced, 1, 1) is None
+    assert certifying_box(toy1_reduced, 1, 8) is None
+    assert enumerate_box(toy1_reduced, 1, p=1).certified is False
+    # past scale**p no box floor reaches the power
+    assert certifying_box(toy1_reduced, 3, SCALE**3 + 1) is None
+    assert certifying_box(toy1_reduced, None, SCALE + 1) is None
+
+
 # The row search's node counts, which budgets are measured against: each
-# column closes at its last touching row.
+# column closes at its last touching row, and the look-ahead bound on the
+# open columns prunes nothing more on the toys.
 NODES = {
     ("toy1_reduced", 1): 24,
     ("toy1_reduced", 2): 60,
