@@ -7,14 +7,16 @@ with scopes (i, i+1) and (i, i+2) mod N, each accepting (0, 0) and one seeded
 other tuple, reduced under the default profile at p = inf.  For every rung it
 prints best-of-N wall times of ``reduce_csp``, ``emit_basis``, the emitter as
 first written (``str`` of every entry of the dense basis, the "before"
-column), ``save_instance``, ``load_instance`` and ``audit_vector`` on the
-known short vector, plus the basis rows, columns and nonzeros.  After the
+column), ``save_instance``, ``load_instance``, ``witness_from_assignment``
+under the all-zero assignment and ``audit_vector`` on the known short vector,
+plus the basis rows, columns and nonzeros.  After the
 timed passes, a separate pass runs each stage once under tracemalloc and
 records its peak, in MB above the memory traced when the call started
 (tracemalloc slows allocation, so it never runs during the timed passes).
 
 Checks: both emitters give text with the same sha256, the loaded rows are the
-built ones, and the known vector audits to max-norm 1 with support M.  The
+built ones, the witness cancels the scaled columns and reaches max-norm 1,
+and the known vector audits to max-norm 1 with support M.  The
 "before" emitter needs the dense basis (42M cells at N=1024), so it runs only
 up to N=512 and is recorded as null above.  With ``--out`` the table is also
 written as JSON.
@@ -34,11 +36,11 @@ from svpforge import kernels
 from svpforge.basisio import emit_basis, load_instance, save_instance
 from svpforge.csp import Constraint, CspInstance
 from svpforge.reduction import derive_profile, reduce_csp
-from svpforge.verifier import audit_vector
+from svpforge.verifier import apply_coefficients, audit_vector, witness_from_assignment
 
 LADDER = (32, 128, 512, 1024)
 STAGES = ("reduce_csp", "emit_basis", "emit_basis_before", "save_instance",
-          "load_instance", "audit_vector")
+          "load_instance", "witness_from_assignment", "audit_vector")
 
 
 def _time(fn, repeat):
@@ -100,6 +102,7 @@ def bench_rung(n, repeat, workdir):
         "emit_basis_before": (lambda: _emit_basis_before(out.basis)) if n <= 512 else None,
         "save_instance": lambda: save_instance(out, path),
         "load_instance": lambda: load_instance(path),
+        "witness_from_assignment": lambda: witness_from_assignment(out, (0,) * n),
         "audit_vector": lambda: audit_vector(vec, out),
     }
 
@@ -116,6 +119,11 @@ def bench_rung(n, repeat, workdir):
     row["load_instance"], loaded = _time(stages["load_instance"], repeat)
     assert loaded.rows == out.rows, f"N={n}: loaded basis differs"
     del loaded
+    row["witness_from_assignment"], wit = _time(stages["witness_from_assignment"], repeat)
+    image = apply_coefficients(wit, out.rows, out.num_cols)
+    scaled = image[out.consistency_span[0] : out.support_span[1]]
+    assert not any(scaled), f"N={n}: witness leaves a scaled column nonzero"
+    assert max(map(abs, image)) == 1, f"N={n}: witness image max-norm is not 1"
     row["audit_vector"], report = _time(stages["audit_vector"], repeat)
     assert report.max_abs == 1 and report.support == 2 * n, f"N={n}: audit {report}"
 

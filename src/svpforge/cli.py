@@ -31,6 +31,7 @@ from .gadgets import (
 from .reduction import derive_profile, reduce_csp
 from .regularize import RegularizeParams, lineage_json, regularize
 from .verifier import (
+    DEFAULT_WITNESS_BUDGET,
     apply_coefficients,
     audit_vector,
     certifying_box,
@@ -184,7 +185,8 @@ def cmd_enumerate(args) -> int:
         thr = inst.profile.threshold_power
         rel = "<=" if res.power <= thr else ">"
         print(f"verdict: minimum power {res.power} {rel} threshold power {thr}")
-    print(f"note: {res.caveat}")
+    if not res.certified:
+        print(f"note: {res.caveat}")
     return 0
 
 
@@ -375,7 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("witness", help="short vector from a satisfying assignment")
     sp.add_argument("basis")
     sp.add_argument("--assignment", required=True, help="symbols, space separated")
-    sp.add_argument("--budget", type=int, default=2_000_000)
+    sp.add_argument(
+        "--budget", type=int, default=DEFAULT_WITNESS_BUDGET,
+        help="most search states to expand",
+    )
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("enumerate", help="exact minimum over a coefficient box")

@@ -14,22 +14,21 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import kernels
 from .csp import evaluate
 from .errors import BudgetExceededError, SvpforgeError, WitnessNotFoundError
 from .reduction import GapSvpInstance, normalize_p
 
-DEFAULT_COLLISION_BUDGET = 2_000_000
+DEFAULT_WITNESS_BUDGET = 1_000_000
 DEFAULT_BOX_BUDGET = 20_000_000
 DEFAULT_EXHAUSTIVE_COMBOS = 1 << 16
 DEFAULT_SAMPLES = 1024
 
-# Image entries computed per chunk of right-half sign combinations.
-_PROBE_CELLS = 1 << 16
+# The order in which the witness search tries each sign.
+_SIGNS = (0, 1, -1)
 
 BOX_CAVEAT = "minimum over the coefficient box only, not a certified lattice minimum"
 
@@ -77,35 +76,204 @@ def apply_coefficients(
     return tuple(out)
 
 
-def _row_keys(arr: np.ndarray) -> list:
-    """One hashable key per row, equal exactly when the rows are equal."""
-    if arr.dtype == object:
-        return list(map(tuple, arr.tolist()))
-    arr = np.ascontiguousarray(arr)
-    return arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel().tolist()
+@dataclass(frozen=True)
+class FrontierPlan:
+    """A visit order for sparse rows and what each step does to the columns.
+
+    Columns get slots 0, 1, ... in the order the steps first touch them.
+    Step k visits row ``order[k]``:
+
+    - ``entries[k]``: its (slot, value) pairs with a nonzero value;
+    - ``closing[k]``: the slots it touches last (the column is final after it);
+    - ``reach[k]``: (slot, reach) for its other slots, where reach is the sum
+      of the column's |value| over the later steps;
+    - ``frontier[k]``: the slots open after it, touched at or before step k
+      and again later, ascending.
+    """
+
+    order: tuple[int, ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
+    closing: tuple[tuple[int, ...], ...]
+    reach: tuple[tuple[tuple[int, int], ...], ...]
+    frontier: tuple[tuple[int, ...], ...]
+
+    @property
+    def num_slots(self) -> int:
+        return sum(map(len, self.closing))
+
+
+def frontier_plan(rows: Sequence[Sequence[tuple[int, int]]], links: range) -> FrontierPlan:
+    """The reverse Cuthill–McKee order of ``rows`` and its per-step columns.
+
+    Two rows are adjacent when both have a nonzero entry in a column of
+    ``links``.  Cuthill–McKee runs a breadth-first search from a least-degree
+    row (ties by index), appends each row's unvisited neighbours by degree
+    and then index, and restarts the same way in every component it has not
+    reached; the order is that sequence reversed.  The search is a queue
+    walk, not a recursion, so any number of rows works.
+    """
+    m = len(rows)
+    touching = {}
+    for r, entries in enumerate(rows):
+        for j, x in entries:
+            if x and j in links:
+                touching.setdefault(j, []).append(r)
+    neighbours = [set() for _ in range(m)]
+    for rs in touching.values():
+        for r in rs:
+            neighbours[r].update(rs)
+    for r in range(m):
+        neighbours[r].discard(r)
+    def degree_then_index(r):
+        return len(neighbours[r]), r
+
+    seen = [False] * m
+    order = []
+    for start in sorted(range(m), key=degree_then_index):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            nxt = sorted((s for s in neighbours[order[head]] if not seen[s]), key=degree_then_index)
+            for s in nxt:
+                seen[s] = True
+            order.extend(nxt)
+            head += 1
+    order.reverse()
+
+    slot = {}
+    entries = []
+    for r in order:
+        step = []
+        for j, x in rows[r]:
+            if x:
+                step.append((slot.setdefault(j, len(slot)), x))
+        entries.append(tuple(step))
+    tail = [0] * len(slot)
+    closing, reach = [None] * m, [None] * m
+    for k in range(m - 1, -1, -1):
+        closing[k] = tuple(s for s, _x in entries[k] if not tail[s])
+        reach[k] = tuple((s, tail[s]) for s, _x in entries[k] if tail[s])
+        for s, x in entries[k]:
+            tail[s] += abs(x)
+    frontier = []
+    live = set()
+    for k in range(m):
+        live.update(s for s, _x in entries[k])
+        live.difference_update(closing[k])
+        frontier.append(tuple(sorted(live)))
+    return FrontierPlan(tuple(order), tuple(entries), tuple(closing), tuple(reach), tuple(frontier))
+
+
+def _no_key(acc) -> tuple:
+    return ()
+
+
+def _cancelling_signs(plan: FrontierPlan, budget: int) -> Optional[list[int]]:
+    """Signs in {-1, 0, 1}, one per step of ``plan``, not all zero, under
+    which every column sums to zero; None when there are none.
+
+    A depth-first search that tries 0, then +1, then -1 at each step.  A
+    column must be zero at the step that closes it, and an open column whose
+    |sum| exceeds its reach can no longer get back to zero.  The state after
+    a step is the frontier's sums plus whether a sign so far is nonzero; one
+    that led nowhere is dead and never expanded again, so the search visits
+    at most the frontier DP's states, and it stops at the first solution.
+    While every sign so far is 0, -1 is not tried: its subtree mirrors the
+    one under +1, which failed before it.  Every state entered counts
+    against ``budget``.
+    """
+    entries, closing, reach = plan.entries, plan.closing, plan.reach
+    m = len(entries)
+    keys = [itemgetter(*f) if f else _no_key for f in plan.frontier]
+    acc = [0] * plan.num_slots
+    dead = [set() for _ in range(m)]  # dead[k]: dead states after step k - 1
+    signs = [0] * m
+    tried = [0] * m  # values of _SIGNS tried at each step on the current path
+    nonzero = [False] * m  # nonzero[k]: whether a sign before step k is
+    state = [None] * m
+    expanded = 1
+    if expanded > budget:
+        raise BudgetExceededError(f"witness search exceeded {budget} states")
+    k = 0
+    while True:
+        nz = nonzero[k]
+        i = tried[k]
+        if i == (3 if nz else 2):
+            # every value failed: the state before step k is dead
+            if nz:
+                dead[k].add(state[k])
+            if not k:
+                return None
+            k -= 1
+            t = signs[k]
+            if t:
+                for s, x in entries[k]:
+                    acc[s] -= t * x
+            signs[k] = 0
+            continue
+        tried[k] = i + 1
+        t = _SIGNS[i]
+        if t:
+            for s, x in entries[k]:
+                acc[s] += t * x
+            nz = True
+        ok = True
+        for s in closing[k]:
+            if acc[s]:
+                ok = False
+                break
+        if ok:
+            for s, r in reach[k]:
+                if acc[s] > r or -acc[s] > r:
+                    ok = False
+                    break
+        if ok:
+            if k == m - 1:
+                if nz:
+                    signs[k] = t
+                    return signs
+            else:
+                key = keys[k](acc) if nz else None
+                if key is None or key not in dead[k + 1]:
+                    expanded += 1
+                    if expanded > budget:
+                        raise BudgetExceededError(
+                            f"witness search exceeded {budget} states"
+                        )
+                    signs[k] = t
+                    k += 1
+                    tried[k] = 0
+                    nonzero[k] = nz
+                    state[k] = key
+                    continue
+        if t:
+            for s, x in entries[k]:
+                acc[s] -= t * x
 
 
 def witness_from_assignment(
     inst: GapSvpInstance,
     assignment: Sequence[int],
-    budget: int = DEFAULT_COLLISION_BUDGET,
+    budget: int = DEFAULT_WITNESS_BUDGET,
 ) -> tuple[int, ...]:
     """A nonzero coefficient vector in {-1, 0, 1} with ||v*G||_inf == 1.
 
     Picks the one basis row per constraint selected by a satisfying
-    assignment, then finds a signed combination cancelling the scaled blocks
-    by a meet-in-the-middle collision over the two halves of the row set
-    (complete over all {-1, 0, 1} combinations of the selected rows).
+    assignment and searches for signs on those rows that cancel the scaled
+    (consistency and support) columns.  Distinct constraints have disjoint
+    spread columns, so the spread image of such a combination is one
+    Hadamard row per nonzero sign and has max-norm 1.
 
-    Sign combinations are taken in ``itertools.product((-1, 0, 1), ...)``
-    order, so the witness is deterministic: the first nonzero left
-    combination that cancels on its own, with zeros on the right; failing
-    that, the first nonzero right combination whose negated image some left
-    combination reaches, paired with the first such left combination.  The
-    left images are one product of a sign table with the left rows, and the
-    right half is probed in chunks of the same table.  The arithmetic is
-    int64 when ``max(half, m - half) * max|entry| < 2**63`` bounds every
-    image entry, and Python integers in object arrays otherwise.
+    The rows are visited in ``frontier_plan``'s reverse Cuthill–McKee order
+    over the constraints that share a variable (the selected rows meet in a
+    consistency column exactly then), and ``_cancelling_signs`` searches
+    them depth first, keeping the open columns' sums as its state and never
+    expanding a dead state twice.  The result is the first solution that
+    search reaches, negated if needed so that its first nonzero coefficient
+    in row order is +1.  ``budget`` bounds the states expanded.
     """
     csp = inst.csp
     if evaluate(csp, assignment) != 1:
@@ -118,57 +286,18 @@ def witness_from_assignment(
 
     lo, hi = inst.consistency_span[0], inst.support_span[1]
     scaled = [[(j, x) for j, x in inst.rows[r] if lo <= j < hi] for r in selected]
-    cols = sorted({j for entries in scaled for j, _x in entries})
-    m = len(selected)
-    half = m // 2
-    wide = m - half
-    if 3**half + 3**wide > budget:
-        raise BudgetExceededError(
-            f"collision search over {m} rows exceeds budget {budget}"
-        )
-    maxabs = max(abs(x) for entries in scaled for _j, x in entries)
-    dtype = np.int64 if wide * maxabs < 1 << 63 else object
-    images = np.zeros((m, len(cols)), dtype=dtype)
-    position = {j: k for k, j in enumerate(cols)}
-    for i, entries in enumerate(scaled):
-        for j, x in entries:
-            images[i, position[j]] = x
-    # Row i of an h-digit table is the i-th element of
-    # itertools.product((-1, 0, 1), repeat=h); the first 3**half rows of the
-    # wide table, stripped of their leading -1 columns, are the half table.
-    signs = np.indices((3,) * wide).reshape(wide, 3**wide).T - 1
-    left_signs = signs[: 3**half, wide - half :]
-
-    left = left_signs @ images[:half]
-    found = None
-    cancelling = np.flatnonzero(~(left != 0).any(axis=1))
-    cancelling = cancelling[cancelling != (3**half - 1) // 2]
-    if cancelling.size:
-        found = tuple(left_signs[cancelling[0]].tolist()) + (0,) * wide
-    else:
-        # Later duplicates overwrite earlier ones, so inserting in reverse
-        # keeps each key's first combination.
-        keys = _row_keys(left)
-        table = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        chunk = max(1, _PROBE_CELLS // len(cols))
-        zero_row = (3**wide - 1) // 2
-        for start in range(0, 3**wide, chunk):
-            block = signs[start : start + chunk]
-            for i, key in enumerate(_row_keys(-(block @ images[half:]))):
-                hit = table.get(key)
-                if hit is not None and start + i != zero_row:
-                    found = tuple(left_signs[hit].tolist()) + tuple(block[i].tolist())
-                    break
-            if found is not None:
-                break
-    if found is None:
+    plan = frontier_plan(scaled, range(*inst.consistency_span))
+    signs = _cancelling_signs(plan, budget)
+    if signs is None:
         raise WitnessNotFoundError(
             "no nonzero signed combination of the selected rows cancels the scaled blocks"
         )
 
     v = [0] * inst.num_rows
-    for r, s in zip(selected, found):
-        v[r] = s
+    for k, s in enumerate(signs):
+        v[selected[plan.order[k]]] = s
+    if next(x for x in v if x) < 0:
+        v = [-x for x in v]
     image = apply_coefficients(v, inst.rows, inst.num_cols)
     if any(image[j] for j in range(lo, hi)):
         raise SvpforgeError("scaled blocks must cancel")

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -16,6 +19,7 @@ from svpforge.reduction import derive_profile, reduce_csp
 
 from conftest import DATA, sparse_rows
 
+SRC = DATA.parent / "src"
 TOY1 = str(DATA / "toy1.csp")
 TOY_UNSAT = str(DATA / "toy_unsat.csp")
 
@@ -545,14 +549,30 @@ def test_enumerate_says_whether_the_minimum_is_certified(tmp_path, capsys):
         ("unsat.basis", "2"): "lattice minimum: certified, every vector outside box 2 has power >= 36",
     }
     for key, out in lines.items():
-        # the new line comes after the backend line; every other line stays
+        # the line comes after the backend line; the box-only note follows
+        # the verdict only when the minimum is not certified
         assert out[3] == want[key]
-        assert [line.split(":")[0] for line in out] == [
-            "minimum power", "argmin", "backend", "lattice minimum", "verdict", "note"
-        ]
+        fields = ["minimum power", "argmin", "backend", "lattice minimum", "verdict"]
+        if key == ("unsat.basis", "1"):
+            fields.append("note")
+        assert [line.split(":")[0] for line in out] == fields
     # below p = 2 no floor is known, and nothing is printed
     _, out, _ = run(capsys, "enumerate", str(toy1), "--box", "1", "--p", "1")
     assert not [line for line in out.splitlines() if line.startswith("lattice minimum")]
+
+
+def test_enumerate_notes_the_box_only_when_uncertified(tmp_path, capsys):
+    toy1, unsat = tmp_path / "toy1.basis", tmp_path / "unsat.basis"
+    run(capsys, "reduce", TOY1, "--out", str(toy1), *REDUCE_FLAGS)
+    run(capsys, "reduce", TOY_UNSAT, "--out", str(unsat), *REDUCE_FLAGS)
+    note = "note: minimum over the coefficient box only, not a certified lattice minimum"
+    _, out, _ = run(capsys, "enumerate", str(toy1), "--box", "1")
+    assert "lattice minimum: certified" in out and "note:" not in out
+    _, out, _ = run(capsys, "enumerate", str(unsat), "--box", "1")
+    assert "lattice minimum: not certified" in out and out.splitlines()[-1] == note
+    # p = 1 has no floor, so nothing certifies the box minimum
+    _, out, _ = run(capsys, "enumerate", str(toy1), "--box", "1", "--p", "1")
+    assert "lattice minimum:" not in out and out.splitlines()[-1] == note
 
 
 def test_regularize_command(tmp_path, capsys):
@@ -684,6 +704,21 @@ def test_witness_bad_assignment_is_an_error(tmp_path, capsys):
     code, _, err = run(capsys, "witness", str(basis), "--assignment", "0 1")
     assert code == 2
     assert "error:" in err
+
+
+def test_witness_budget_refusal_without_asserts(tmp_path, capsys):
+    # python -O strips assert statements; the refusal must not rest on one
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "svpforge.cli", "witness", str(basis),
+         "--assignment", "0 0", "--budget", "1"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: witness search exceeded 1 states\n"
+    assert not proc.stdout
 
 
 def test_selftest_passes(capsys):

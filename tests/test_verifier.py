@@ -1,11 +1,14 @@
 """Witness search, box enumeration, audits, extraction."""
 
+import importlib.util
 import itertools
+import pathlib
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svpforge.basisio import load_instance, save_instance
@@ -22,6 +25,7 @@ from svpforge.verifier import (
     indicated_view,
     lp_norm_power,
     outside_box_floor,
+    frontier_plan,
     structural_facts,
     witness_from_assignment,
 )
@@ -30,6 +34,17 @@ from conftest import explicit_profile, sparse_rows
 from test_kernels import _reference_box_dfs
 
 SCALE = 10**6
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _bench_pipeline():
+    """``benchmarks/bench_pipeline.py`` as a module, for its cyclic ladder."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pipeline", ROOT / "benchmarks" / "bench_pipeline.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_lp_norm_power():
@@ -78,8 +93,9 @@ def test_witness_rejects_bad_assignment(toy1_reduced):
 
 
 def test_witness_budget(toy1_reduced):
-    with pytest.raises(BudgetExceededError):
-        witness_from_assignment(toy1_reduced, (0, 0), budget=2)
+    # the starting state counts too, so a budget below 1 refuses at once
+    with pytest.raises(BudgetExceededError, match="exceeded 0 states"):
+        witness_from_assignment(toy1_reduced, (0, 0), budget=0)
 
 
 def test_witness_not_found_on_single_constraint():
@@ -90,9 +106,12 @@ def test_witness_not_found_on_single_constraint():
 
 
 def _reference_witness(inst, assignment, budget):
-    """The row-by-row collision search ``witness_from_assignment`` replaced:
-    every left sign combination rebuilt by a Python loop and kept in a dict,
-    then the right half probed in ``itertools.product`` order."""
+    """A meet-in-the-middle collision search over the two halves of the
+    selected rows: every left sign combination rebuilt by a Python loop and
+    kept in a dict, then the right half probed in ``itertools.product``
+    order.  It finds a vector exactly when one exists, so it is the oracle
+    for whether ``witness_from_assignment`` must find one; its vector follows
+    another rule."""
     csp = inst.csp
     if evaluate(csp, assignment) != 1:
         raise ValueError("witness needs an assignment satisfying every constraint")
@@ -201,69 +220,130 @@ def _satisfiable_reductions(draw):
     return reduce_csp(inst, prof), assignment
 
 
-def _budget_floor(inst):
-    m = inst.csp.num_constraints
-    return 3 ** (m // 2) + 3 ** (m - m // 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_satisfiable_reductions(), st.sampled_from([-1, 0, None]))
-def test_witness_matches_reference(case, slack):
-    out, assignment = case
-    budget = 2_000_000 if slack is None else _budget_floor(out) + slack
-    got = _outcome(witness_from_assignment, out, assignment, budget)
-    assert got == _outcome(_reference_witness, out, assignment, budget)
-    if slack == -1:
-        assert got[0] is BudgetExceededError
-    elif got[0] not in (BudgetExceededError, WitnessNotFoundError):
-        assert lp_norm_power(apply_coefficients(got, out.rows, out.num_cols), None) == 1
-
-
-def _left_and_right(out, assignment):
-    v = witness_from_assignment(out, assignment)
-    assert v == _reference_witness(out, assignment, 2_000_000)
+def _selected_signs(out, assignment, v):
+    """The coefficients of v on the rows the assignment selects, by constraint."""
     row_of = {prov: r for r, prov in enumerate(out.row_provenance)}
-    selected = [
+    return [
         v[row_of[(t, tuple(assignment[x] for x in con.variables))]]
         for t, con in enumerate(out.csp.constraints)
     ]
-    half = len(selected) // 2
-    return selected[:half], selected[half:]
 
 
-def test_witness_left_only_cancellation():
-    # 12 constraints: the first six selected rows cancel among themselves
-    inst = _cyclic_csp(6, (1, 2), [((0, 0), (1, 1))] * 12)
-    out = reduce_csp(inst, explicit_profile(inst))
-    left, right = _left_and_right(out, (0,) * 6)
-    assert any(left) and not any(right)
+def _check_witness(out, assignment, v):
+    """v is supported on the selected rows, cancels the scaled columns,
+    reaches max-norm 1, and its first nonzero coefficient is +1."""
+    selected = _selected_signs(out, assignment, v)
+    assert sum(1 for x in v if x) == sum(1 for x in selected if x) > 0
+    image = apply_coefficients(v, out.rows, out.num_cols)
+    lo, hi = out.consistency_span[0], out.support_span[1]
+    assert not any(image[lo:hi])
+    assert lp_norm_power(image, None) == 1
+    assert next(x for x in v if x) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_satisfiable_reductions())
+def test_witness_matches_reference(case):
+    # a witness is found exactly when the collision search finds one, and it
+    # cancels the scaled columns, has max-norm 1 and leads with +1
+    out, assignment = case
+    got = _outcome(witness_from_assignment, out, assignment, 10**6)
+    want = _outcome(_reference_witness, out, assignment, 10**6)
+    if want[0] is WitnessNotFoundError:
+        assert got == want
+    else:
+        _check_witness(out, assignment, got)
+
+
+def _first_in_search_order(out, assignment):
+    """The first sign vector on the selected rows, in ``frontier_plan``'s
+    order with 0 < +1 < -1 at each step and earlier steps first, that
+    cancels the scaled columns, by brute force; as a coefficient vector
+    negated to lead with +1, or None."""
+    row_of = {prov: r for r, prov in enumerate(out.row_provenance)}
+    selected = [
+        row_of[(t, tuple(assignment[x] for x in con.variables))]
+        for t, con in enumerate(out.csp.constraints)
+    ]
+    lo, hi = out.consistency_span[0], out.support_span[1]
+    scaled = [[(j, x) for j, x in out.rows[r] if lo <= j < hi] for r in selected]
+    order = frontier_plan(scaled, range(*out.consistency_span)).order
+    for signs in itertools.product((0, 1, -1), repeat=len(order)):
+        if not any(signs):
+            continue
+        image = [0] * hi
+        for s, i in zip(signs, order):
+            for j, x in scaled[i]:
+                image[j] += s * x
+        if not any(image):
+            v = [0] * out.num_rows
+            for s, i in zip(signs, order):
+                v[selected[i]] = s
+            lead = next(x for x in v if x)
+            return tuple(lead * x for x in v)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_satisfiable_reductions())
+def test_witness_is_the_first_in_search_order(case):
+    # memo and pruning drop only subtrees without a solution
+    out, assignment = case
+    assume(out.csp.num_constraints <= 8)
+    got = _outcome(witness_from_assignment, out, assignment, 10**6)
+    want = _first_in_search_order(out, assignment)
+    if want is None:
+        assert got[0] is WitnessNotFoundError
+    else:
+        assert got == want
 
 
 def test_witness_cancellation_found_on_the_right(toy1_reduced):
-    left, right = _left_and_right(toy1_reduced, (0, 0))
-    assert left == [1] and right == [-1]
+    # toy1's second selected row cancels its first
+    v = witness_from_assignment(toy1_reduced, (0, 0))
+    assert _selected_signs(toy1_reduced, (0, 0), v) == [1, -1]
 
 
-def test_witness_pairs_the_first_left_combination():
-    # Doctored scaled images 2, 1 | 1, 0 in one column, and a private spread
-    # column per row.  Left signs (0, 1) and (1, -1) both reach image 1, and
-    # the first right signs, (-1, -1), need it: the first of the two wins.
+def _doctored(images):
+    """Four constraints whose selected rows have the given scaled images in
+    one column, and a private spread column each.  All four rows share the
+    column and have degree 3, so the search visits rows 3, 2, 1, 0."""
     inst = _cyclic_csp(4, (1,), [((0, 0),)] * 4)
     out = reduce_csp(inst, explicit_profile(inst))
     basis = []
-    for t, image in enumerate((2, 1, 1, 0)):
+    for t, image in enumerate(images):
         row = [0] * out.num_cols
         row[0] = image
         row[out.spread_col_span(t)[0]] = 1
         basis.append(tuple(row))
-    doctored = replace(out, rows=sparse_rows(basis))
+    return replace(out, rows=sparse_rows(basis))
+
+
+def test_witness_rule_on_doctored_images():
+    # Images 2, 1, 1, 3.  Rows 3 and 2 at 0 lead nowhere (the -1s mirror the
+    # +1s), nor do 0, +1 on rows 3, 2 with 0 on row 1; then +1, +1 on rows
+    # 2, 1 meet -1 on row 0.  The collision search pairs rows 1 and 2 instead.
+    doctored = _doctored((2, 1, 1, 3))
     v = witness_from_assignment(doctored, (0,) * 4)
-    assert v == _reference_witness(doctored, (0,) * 4, 2_000_000) == (0, 1, -1, -1)
+    assert v == (1, -1, -1, 0)
+    assert _reference_witness(doctored, (0,) * 4, 10**6) == (0, 1, -1, 0)
+
+
+def test_witness_expands_each_dead_state_once():
+    # Images 4, 1, 2, 1, visited as 1, 2, 1, 4 with reaches 7, 5, 4.  Sums 1,
+    # 2 and 3 before the last row are dead once tried; -1 on row 1 after +1
+    # on row 2 reaches sum 1 again, and so do 0 and +1 on row 1 after +1 on
+    # row 3 (sums 1 and 2).  Those three are not expanded: 11 states in
+    # all, where expanding them again would take 14.
+    doctored = _doctored((4, 1, 2, 1))
+    assert witness_from_assignment(doctored, (0,) * 4, budget=11) == (0, 1, 0, -1)
+    with pytest.raises(BudgetExceededError, match="exceeded 10 states"):
+        witness_from_assignment(doctored, (0,) * 4, budget=10)
 
 
 def test_witness_exact_integer_path():
-    # at scale 10**18 the selected rows' support entries times the 4 rows
-    # of a half pass 2**63, so the search runs on Python integers
+    # at scale 10**18 the selected rows' support entries times 4 pass 2**63;
+    # the search adds Python integers, so nothing overflows
     inst = _cyclic_csp(4, (1, 2), [((0, 0), (0, 1))] * 8)
     prof = derive_profile(
         inst, p=3, mode="explicit", consistency_width=1, support_width=2, scale=10**18
@@ -272,17 +352,104 @@ def test_witness_exact_integer_path():
     selected = [out.row_provenance.index((t, (0, 0))) for t in range(8)]
     lo, hi = out.consistency_span[0], out.support_span[1]
     assert 4 * max(abs(out.basis[r][j]) for r in selected for j in range(lo, hi)) >= 2**63
-    left, right = _left_and_right(out, (0,) * 4)
-    assert any(left) and any(right)
     v = witness_from_assignment(out, (0,) * 4)
-    assert lp_norm_power(apply_coefficients(v, out.rows, out.num_cols), None) == 1
+    _check_witness(out, (0,) * 4, v)
+    assert _reference_witness(out, (0,) * 4, 10**6)
 
 
 def test_witness_budget_boundary(toy1_reduced):
-    assert _budget_floor(toy1_reduced) == 3 + 3
-    assert witness_from_assignment(toy1_reduced, (0, 0), budget=6) == (1, 0, -1)
-    with pytest.raises(BudgetExceededError, match="over 2 rows exceeds budget 5"):
-        witness_from_assignment(toy1_reduced, (0, 0), budget=5)
+    # three states: the start, row 0 at 0 (a dead end) and row 0 at +1
+    assert witness_from_assignment(toy1_reduced, (0, 0), budget=3) == (1, 0, -1)
+    with pytest.raises(BudgetExceededError, match="exceeded 2 states"):
+        witness_from_assignment(toy1_reduced, (0, 0), budget=2)
+
+
+def test_witness_deeper_than_the_recursion_limit():
+    # 2048 selected rows on bench_pipeline's largest rung
+    csp, _vec = _bench_pipeline().cyclic_instance(1024)
+    out = reduce_csp(csp, derive_profile(csp, p=None))
+    assert csp.num_constraints > sys.getrecursionlimit()
+    v = witness_from_assignment(out, (0,) * 1024)
+    _check_witness(out, (0,) * 1024, v)
+
+
+@pytest.mark.parametrize(
+    "b_var, b_x, found",
+    [(1, 1, True), (1, 2, True), (1, 3, True), (2, 1, False)],
+)
+def test_witness_at_wider_blocks(b_var, b_x, found):
+    # bench_pipeline's cyclic N=8 rung under the all-zero assignment: the
+    # scaled columns still cancel at support width 2 and 3, and cannot at
+    # consistency width 2 (the search and the collision search agree)
+    csp, _vec = _bench_pipeline().cyclic_instance(8)
+    prof = derive_profile(
+        csp, p=3, mode="explicit", consistency_width=b_var, support_width=b_x, scale=SCALE
+    )
+    out = reduce_csp(csp, prof)
+    assignment = (0,) * 8
+    if found:
+        _check_witness(out, assignment, witness_from_assignment(out, assignment))
+        assert _reference_witness(out, assignment, 10**6)
+    else:
+        for search in (witness_from_assignment, _reference_witness):
+            with pytest.raises(WitnessNotFoundError):
+                search(out, assignment, 10**6)
+
+
+def _frontier_plan_directly(rows, order):
+    """Per step of ``order``: the columns it closes, its open columns' reach,
+    and the columns open after it, by column index and straight from the
+    definitions."""
+    steps = [{j: x for j, x in rows[r] if x} for r in order]
+    closing, reach, frontier = [], [], []
+    for k, step in enumerate(steps):
+        later = steps[k + 1 :]
+        tail = {j: sum(abs(s.get(j, 0)) for s in later) for j in step}
+        closing.append({j for j in step if not tail[j]})
+        reach.append({j: t for j, t in tail.items() if t})
+        frontier.append({j for s in steps[: k + 1] for j in s if any(j in t for t in later)})
+    return closing, reach, frontier
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=4),
+        min_size=1, max_size=8,
+    )
+)
+def test_frontier_plan_against_the_definitions(dicts):
+    rows = [tuple(sorted(d.items())) for d in dicts]
+    plan = frontier_plan(rows, range(0, 4))
+    assert sorted(plan.order) == list(range(len(rows)))
+    column = {}
+    for k, r in enumerate(plan.order):
+        assert [x for _s, x in plan.entries[k]] == [x for _j, x in rows[r] if x]
+        for (s, _x), (j, _y) in zip(plan.entries[k], [e for e in rows[r] if e[1]]):
+            assert column.setdefault(s, j) == j
+    assert sorted(column) == list(range(plan.num_slots))
+    closing, reach, frontier = _frontier_plan_directly(rows, plan.order)
+    assert [{column[s] for s in c} for c in plan.closing] == closing
+    assert [{column[s]: t for s, t in r} for r in plan.reach] == reach
+    assert [{column[s] for s in f} for f in plan.frontier] == frontier
+    assert all(list(f) == sorted(f) for f in plan.frontier)
+
+
+def test_frontier_plan_is_reverse_cuthill_mckee():
+    # rows on a path 3 - 0 - 4 - 1 through link columns 10..13, row 2 alone,
+    # and column 20 (not a link) on every row
+    rows = [
+        ((10, 1), (11, 1), (20, 1)),
+        ((12, 1), (20, 1)),
+        ((20, 1),),
+        ((10, 1), (20, 1)),
+        ((11, 1), (12, 1), (20, 1)),
+    ]
+    plan = frontier_plan(rows, range(10, 14))
+    # degrees 2, 1, 0, 1, 2: start at row 2 (degree 0), then at row 1, the
+    # least-degree row left, and walk 1, 4, 0, 3
+    assert plan.order == (3, 0, 4, 1, 2)
+    assert plan.frontier[0] == (0, 1)  # columns 10 and 20, both touched again
 
 
 def test_no_check_builds_the_dense_view(tmp_path, toy1):
