@@ -16,15 +16,18 @@ by ``sidecar_text``, a fixed-schema writer whose bytes are those of
 The sidecar's instance and profile knobs fix both files: ``load_instance``
 rebuilds the reduction and accepts the pair only when each file is, byte for
 byte, what ``save_instance`` writes for it (the sidecar's ``basis_file`` and
-``seed`` aside).
+``seed`` aside).  Both files are ASCII, written and compared as bytes, never
+decoded with the platform's newline translation: a file whose newlines were
+rewritten to CRLF, or that holds any byte outside ASCII, is refused.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import re
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -51,42 +54,54 @@ def emit_basis(rows: Sequence[Sequence], width: Optional[int] = None) -> str:
 
     ``rows`` holds each row's (column, value) entries, columns strictly
     ascending and below ``width``, values nonzero, as ``GapSvpInstance.rows``
-    does.  Only those values are turned into strings; each run of k zeros is
-    the slice ``zeros[:2*k]`` of one ``"0 " * width`` string.  The text is
-    the same as joining ``str`` of every entry of the dense rows.  Called
-    without a width, ``rows`` are dense rows of one width, every entry
-    listed, and are reduced to their entries first.  A basis of more than
-    ``CELL_BUDGET`` rows x width cells is refused before any text is built,
-    which bounds what ``save_instance`` writes and ``load_instance`` compares.
+    does.  The text is the same as joining ``str`` of every entry of the
+    dense rows; it is the ``_basis_pieces`` that ``save_instance`` writes and
+    ``load_instance`` compares, joined and decoded.  Called without a width,
+    ``rows`` are dense rows of one width, every entry listed, and are reduced
+    to their entries first.  A basis of more than ``CELL_BUDGET`` rows x
+    width cells is refused before any text is built, which bounds what
+    ``save_instance`` writes and ``load_instance`` compares.
     """
     if width is None and rows:
         width = len(rows[0])
         rows = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-    return "".join(chain.from_iterable(_basis_pieces(rows, width)))
+    return "".join(map(bytes.decode, _basis_pieces(rows, width)))
 
 
-def _basis_pieces(rows: Sequence[Sequence], width: int) -> Iterator[list[str]]:
-    """The strings ``emit_basis`` joins, in lists: ``["["]``, the parts of
-    each row's line, then ``["]\\n"]``.  ``load_instance`` joins and compares
-    one list at a time, so it never holds a second full text."""
+def _basis_pieces(rows: Sequence[Sequence], width: int) -> Iterator[bytes]:
+    """The basis file's bytes in pieces: ``b"["``, one line per row, then
+    ``b"]\\n"``.  An empty basis and one past the cell budget are refused
+    here, before the first piece is made."""
     if not rows:
         raise SvpforgeError("refusing to emit an empty basis")
     check_cell_budget(len(rows), width)
-    zeros = "0 " * width
-    yield ["["]
+    return _row_bytes(rows, width)
+
+
+def _row_bytes(rows: Sequence[Sequence], width: int) -> Iterator[bytes]:
+    # each run of k zeros is the slice zeros[:2*k] of one b"0 " * width, and
+    # each distinct value's b"%d " is built once
+    zeros = b"0 " * width
+    text = {}
+    yield b"["
     for entries in rows:
-        parts = ["["]
+        parts = [b"["]
         start = 0
         for j, x in entries:
-            parts += (zeros[: 2 * (j - start)], str(x), " ")
+            if j != start:
+                parts.append(zeros[: 2 * (j - start)])
+            piece = text.get(x)
+            if piece is None:
+                piece = text[x] = b"%d " % x
+            parts.append(piece)
             start = j + 1
         if start < width:
             parts.append(zeros[: 2 * (width - start) - 1])
         elif start:
-            parts.pop()  # the space after a nonzero last entry
-        parts.append("]\n")
-        yield parts
-    yield ["]\n"]
+            parts[-1] = parts[-1][:-1]  # the space after a nonzero last entry
+        parts.append(b"]\n")
+        yield b"".join(parts)
+    yield b"]\n"
 
 
 def parse_basis(text: str) -> tuple[tuple[int, ...], ...]:
@@ -244,32 +259,70 @@ def save_instance(
 ) -> tuple[Path, Path]:
     """Write the basis and its sidecar; the sidecar sits next to the basis.
 
-    The basis is ``emit_basis`` of the rows and the sidecar ``sidecar_text``,
-    the fixed-schema writer that gives the bytes of ``json.dumps(indent=2)``.
+    The basis file is the bytes of ``emit_basis`` of the rows and the sidecar
+    the bytes of ``sidecar_text``, the fixed-schema writer that gives
+    ``json.dumps(indent=2)``.  An empty basis or one past the cell budget is
+    refused before anything is written.  The basis is streamed one row at a
+    time, so its full text is never held; each file goes to a temporary
+    file beside its target and is moved into place once both are written.
+    A failure removes the temporary files; one before the first move, such
+    as a failed write, leaves the targets as they were.
     """
     basis_path = Path(basis_path)
     sidecar_path = basis_path.with_name(basis_path.name + ".json")
-    basis_path.write_text(emit_basis(inst.rows, inst.num_cols))
-    sidecar_path.write_text(sidecar_text(inst, basis_path.name, seed))
+    pieces = _basis_pieces(inst.rows, inst.num_cols)
+    sidecar = sidecar_text(inst, basis_path.name, seed).encode("ascii")
+    temps = []
+    try:
+        for path, chunks in ((basis_path, pieces), (sidecar_path, (sidecar,))):
+            tmp, f = _create_beside(path)
+            temps.append(tmp)
+            with f:
+                f.writelines(chunks)
+        os.replace(temps[0], basis_path)
+        os.replace(temps[1], sidecar_path)
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise
     return basis_path, sidecar_path
+
+
+def _create_beside(path: Path):
+    """A new hidden file in ``path``'s directory, opened for binary writing,
+    and its path."""
+    for k in itertools.count():
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{k}.tmp")
+        try:
+            return tmp, open(tmp, "xb")
+        except FileExistsError:
+            pass
 
 
 def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     """Rebuild a reduction output from its sidecar's instance and profile knobs.
 
-    Both files must be exactly what ``save_instance`` writes for the rebuilt
-    reduction: the basis file ``emit_basis`` of its rows, and the sidecar
-    ``sidecar_text`` of it, the fixed-schema writer that gives the bytes of
-    ``json.dumps(sidecar_json(...), indent=2)``.  The sidecar's ``basis_file``
-    and ``seed`` are the only free fields, so a pair renamed together still
-    loads.  The basis text is compared with the rebuilt rows one emitted row
-    at a time, so the whole emitted text is never held beside the file's;
-    it is parsed only to report a mismatch.
+    Both files must be, byte for byte, what ``save_instance`` writes for the
+    rebuilt reduction: the basis file the bytes of ``emit_basis`` of its
+    rows, and the sidecar those of ``sidecar_text`` of it, the fixed-schema
+    writer that gives ``json.dumps(sidecar_json(...), indent=2)``.  The
+    sidecar's ``basis_file`` and ``seed`` are the only free fields, so a pair
+    renamed together still loads.  Files are read as bytes and never decoded
+    with newline translation, so CRLF newlines or a byte outside ASCII are
+    refused.  The basis bytes are compared with the rebuilt rows one emitted
+    row at a time, so no second copy of the basis is held beside the file's;
+    they are parsed only to report a mismatch.
     """
     basis_path = Path(basis_path)
     if sidecar_path is None:
         sidecar_path = basis_path.with_name(basis_path.name + ".json")
-    sidecar = Path(sidecar_path).read_text()
+    try:
+        sidecar = Path(sidecar_path).read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise SvpforgeError(
+            f"sidecar holds byte {exc.object[exc.start]:#04x} at offset {exc.start}, "
+            "outside the ASCII that save_instance writes"
+        ) from None
     try:
         payload = json.loads(sidecar)
     except json.JSONDecodeError as exc:
@@ -288,14 +341,14 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
         raise SvpforgeError("sidecar 'csp' must be the instance text")
     csp = parse_csp(payload["csp"])
     prof = profile_from_json(payload["profile"], csp)
-    basis_text = basis_path.read_text()
+    data = basis_path.read_bytes()
     rows = sum(len(con.accepted_set) for con in csp.constraints)
     if rows == 0:
         raise SvpforgeError("the sidecar's instance accepts no tuple, so it has no basis")
-    # An emitted row takes at least 2 * nprime + 1 characters; refusing a
-    # shorter file before the rebuild keeps a small file next to a large
-    # sidecar cheap.
-    if len(basis_text) < rows * (2 * prof.nprime + 1):
+    # An emitted row takes at least 2 * nprime + 1 bytes; refusing a shorter
+    # file before the rebuild keeps a small file next to a large sidecar
+    # cheap.
+    if len(data) < rows * (2 * prof.nprime + 1):
         raise SvpforgeError(
             f"basis file is too short for the {rows} x {prof.nprime} basis its sidecar describes"
         )
@@ -305,21 +358,23 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     if seed is not None and type(seed) is not int:
         raise SvpforgeError(f"sidecar 'seed' must be an integer or null, got {seed!r}")
     out = reduce_csp(csp, prof)
-    if not _is_concatenation(basis_text, map("".join, _basis_pieces(out.rows, out.num_cols))):
-        raise SvpforgeError(_basis_mismatch(parse_basis(basis_text), out.rows, out.num_cols))
+    if not _is_concatenation(data, _basis_pieces(out.rows, out.num_cols)):
+        # a byte outside ASCII becomes U+FFFD, which no integer or bracket is
+        text = data.decode("ascii", errors="replace")
+        raise SvpforgeError(_basis_mismatch(parse_basis(text), out.rows, out.num_cols))
     if sidecar != sidecar_text(out, basis_file, seed):
         raise SvpforgeError(_sidecar_mismatch(payload, sidecar_json(out, basis_file, seed)))
     return out
 
 
-def _is_concatenation(text: str, pieces: Iterable[str]) -> bool:
-    """Whether ``text`` is the pieces joined, checked one piece at a time."""
+def _is_concatenation(data: bytes, pieces: Iterable[bytes]) -> bool:
+    """Whether ``data`` is the pieces joined, checked one piece at a time."""
     pos = 0
     for piece in pieces:
-        if not text.startswith(piece, pos):
+        if not data.startswith(piece, pos):
             return False
         pos += len(piece)
-    return pos == len(text)
+    return pos == len(data)
 
 
 def _basis_mismatch(rows, expected, width) -> str:

@@ -235,24 +235,68 @@ def indicator_matrix(
 
 
 def parse_csp(text: str) -> CspInstance:
-    """Parse the line-oriented CSP format.  Errors carry 1-based line numbers."""
+    """Parse the line-oriented CSP format.  Errors carry 1-based line numbers.
+
+    Each line is split once, and a scope or an accepted tuple is converted
+    with one ``map(int, ...)`` and range-checked by its ``min`` and ``max``;
+    only a line that fails is looked at token by token, to name the first
+    bad token.
+    """
     header = None
     soundness = None
     scopes: list[tuple[int, ...]] = []
     accepts: list[list[tuple[int, ...]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind, args = tokens[0], tokens[1:]
-        if kind == "csp":
+        if kind == "acc":
+            if not scopes:
+                raise CspParseError("accepted tuple before any constraint", lineno)
+            if len(args) != q:
+                raise CspParseError(f"expected {q} symbols, got {len(args)}", lineno)
+            try:
+                tup = tuple(map(int, args))
+            except ValueError:
+                raise _bad_token(args, lineno) from None
+            if tup and (min(tup) < 0 or max(tup) >= sigma):
+                a = next(a for a in tup if not 0 <= a < sigma)
+                raise CspParseError(f"symbol {a} out of range [0, {sigma})", lineno)
+            if tup in seen:
+                raise CspParseError(f"duplicate accepted tuple {tup}", lineno)
+            seen.add(tup)
+            acc.append(tup)
+        elif kind == "con":
+            if header is None:
+                raise CspParseError("constraint before header", lineno)
+            if len(args) != q:
+                raise CspParseError(f"expected {q} variables, got {len(args)}", lineno)
+            try:
+                scope = tuple(map(int, args))
+            except ValueError:
+                raise _bad_token(args, lineno) from None
+            if scope and (min(scope) < 0 or max(scope) >= n):
+                x = next(x for x in scope if not 0 <= x < n)
+                raise CspParseError(f"variable {x} out of range [0, {n})", lineno)
+            if len(set(scope)) != q:
+                raise CspParseError("repeated variable in scope", lineno)
+            scopes.append(scope)
+            acc = []
+            accepts.append(acc)
+            seen = set()  # the last constraint's tuples, for the duplicate check
+        elif kind == "csp":
             if header is not None:
                 raise CspParseError("duplicate header", lineno)
             if len(args) != 4:
                 raise CspParseError("header needs exactly N M q SIGMA", lineno)
-            header = tuple(_int_token(a, lineno) for a in args)
+            try:
+                header = n, _m, q, sigma = tuple(map(int, args))
+            except ValueError:
+                raise _bad_token(args, lineno) from None
         elif kind == "s":
             if header is None:
                 raise CspParseError("soundness tag before header", lineno)
@@ -266,35 +310,6 @@ def parse_csp(text: str) -> CspInstance:
                 raise CspParseError(f"bad rational {args[0]!r}", lineno) from None
             if not (0 < soundness <= 1):
                 raise CspParseError("soundness must lie in (0, 1]", lineno)
-        elif kind == "con":
-            if header is None:
-                raise CspParseError("constraint before header", lineno)
-            n, _m, q, _sigma = header
-            if len(args) != q:
-                raise CspParseError(f"expected {q} variables, got {len(args)}", lineno)
-            scope = tuple(_int_token(a, lineno) for a in args)
-            for x in scope:
-                if not (0 <= x < n):
-                    raise CspParseError(f"variable {x} out of range [0, {n})", lineno)
-            if len(set(scope)) != q:
-                raise CspParseError("repeated variable in scope", lineno)
-            scopes.append(scope)
-            accepts.append([])
-            seen = set()  # the last constraint's tuples, for the duplicate check
-        elif kind == "acc":
-            if not scopes:
-                raise CspParseError("accepted tuple before any constraint", lineno)
-            _n, _m, q, sigma = header
-            if len(args) != q:
-                raise CspParseError(f"expected {q} symbols, got {len(args)}", lineno)
-            tup = tuple(_int_token(a, lineno) for a in args)
-            for a in tup:
-                if not (0 <= a < sigma):
-                    raise CspParseError(f"symbol {a} out of range [0, {sigma})", lineno)
-            if tup in seen:
-                raise CspParseError(f"duplicate accepted tuple {tup}", lineno)
-            seen.add(tup)
-            accepts[-1].append(tup)
         else:
             raise CspParseError(f"unknown directive {kind!r}", lineno)
 
@@ -325,8 +340,12 @@ def emit_csp(inst: CspInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_token(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise CspParseError(f"expected integer, got {token!r}", lineno) from None
+def _bad_token(tokens: list[str], lineno: int) -> CspParseError:
+    """The error for the first of ``tokens`` that ``int`` refuses; the caller
+    has seen ``map(int, tokens)`` fail, so there is one."""
+    for token in tokens:
+        try:
+            int(token)
+        except ValueError:
+            break
+    return CspParseError(f"expected integer, got {token!r}", lineno)

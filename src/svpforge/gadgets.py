@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-import numpy as np
-
 from . import kernels
 from .errors import BudgetExceededError
 
@@ -145,6 +143,8 @@ def search_kernel_support_counterexample(
     int64 when ``max_support * entry_bound * max|entry| < 2**63`` and Python
     integers in object arrays otherwise.
     """
+    import numpy as np  # only certification needs it; compiling and checking do not
+
     n = vm.num_rows
     nonzero_entries = [x for x in range(-entry_bound, entry_bound + 1) if x]
     work = sum(
@@ -200,12 +200,25 @@ def hadamard(k: int) -> HadamardMatrix:
     return HadamardMatrix(k, tuple(tuple(r) for r in rows))
 
 
+def hadamard_row(k: int, r: int) -> tuple[int, ...]:
+    """Row r of ``hadamard(k)``, built alone in O(2**k) steps: step i of the
+    recursion appends a copy of the row, negated unless bit i of r is set."""
+    if not 0 <= r < 1 << k:
+        raise IndexError(f"row {r} outside 0..{(1 << k) - 1}")
+    row = [1]
+    for i in range(k):
+        row += row if r >> i & 1 else [-x for x in row]
+    return tuple(row)
+
+
 def hadamard_gram_ok(h: HadamardMatrix) -> bool:
     """Exact check that H * H^T equals order * identity.
 
     One int64 product when ``len(row) * max|entry|**2 < 2**63`` bounds every
     dot product, Python integers otherwise.
     """
+    import numpy as np
+
     n = h.order
     width = max((len(row) for row in h.rows), default=0)
     maxabs = max((abs(x) for row in h.rows for x in row), default=0)

@@ -20,8 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
 from svpforge.errors import BudgetExceededError
 
 # Largest |entry| for which the int64 determinant formulas cannot overflow:
@@ -38,7 +36,7 @@ FLOAT64_EXACT = 1 << 53
 # rows 0-1 on column pair _PAIRS[k] multiplies the minor of rows 2-3 on the
 # complementary pair _PAIRS[5-k], with sign _LAPLACE_SIGNS[k].
 _PAIRS = tuple(itertools.combinations(range(4), 2))
-_LAPLACE_SIGNS = np.array([1, -1, 1, 1, -1, 1], dtype=np.int64)
+_LAPLACE_SIGNS = (1, -1, 1, 1, -1, 1)
 # The cross product u x v is the 2x2 minors of rows (u, v) on these columns.
 _CROSS = ((1, 2), (2, 0), (0, 1))
 
@@ -82,6 +80,8 @@ def _det_sweep_int64(rows, b):
     groups keep only those prefixes, and the sweep ends when none are left.
     The product runs in float64 when ``_float64_exact`` proves it exact.
     """
+    import numpy as np  # only certification sweeps need it
+
     arr = np.array(rows, dtype=np.int64)
     n = len(rows)
     if b == 1:
@@ -103,7 +103,7 @@ def _det_sweep_int64(rows, b):
         tail = minors  # det(c, i, j) = row c . (row i x row j)
         heads = arr  # prefix (c,) has head row c
     else:
-        tail = minors[:, ::-1] * _LAPLACE_SIGNS
+        tail = minors[:, ::-1] * np.array(_LAPLACE_SIGNS, dtype=np.int64)
         # prefix (a, c) has head minor(a, c); ordered by c, then a
         heads = minors[np.lexsort((first, second))]
     if _float64_exact(tail, heads):
@@ -140,7 +140,7 @@ def _float64_exact(tail, heads) -> bool:
     """
     bound = sum(
         int(t) * int(h)
-        for t, h in zip(np.abs(tail).max(axis=0), np.abs(heads).max(axis=0))
+        for t, h in zip(abs(tail).max(axis=0), abs(heads).max(axis=0))
     )
     return bound < FLOAT64_EXACT
 

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 from .csp import CspInstance, validate_regular
 from .errors import BudgetExceededError, ProfileError
-from .gadgets import hadamard, is_prime, reduced_vandermonde, smallest_prime_geq
+from .gadgets import hadamard_row, is_prime, reduced_vandermonde, smallest_prime_geq
 
 log = logging.getLogger(__name__)
 
@@ -299,32 +299,37 @@ def build_consistency_block(
     Column block (x, a) spans consistency_width columns; in row order, the
     j-th row whose tuple assigns symbol a to variable x receives scaled
     Vandermonde row j there (j is 1-based, rows of the same block distinct).
+    The consistency block starts the basis, so these are basis columns.
     ``kept`` is ``_kept_rows(inst)``, as for the other two block builders.
     """
     width = prof.consistency_width
     sigma = inst.alphabet_size
     vm = reduced_vandermonde(prof.prime, width)
     occurrences = [0] * (inst.num_vars * sigma)
-    # scaled[j]: the (k, scale * v) entries of Vandermonde row j, built the
-    # first time some column reaches its (j+1)-th occurrence
+    # scaled[j]: scale * Vandermonde row j, built the first time some column
+    # reaches its (j+1)-th occurrence
     scaled = []
     out = []
+    last = None
     for t, tup in kept:
-        placed = []
-        for x, a in zip(inst.constraints[t].variables, tup):
-            col = x * sigma + a
-            occurrences[col] += 1
-            occ = occurrences[col]
+        if t != last:
+            # (first column of the variable's symbols, position in the scope),
+            # variables ascending, so each row's columns come out ascending
+            scope = inst.constraints[t].variables
+            slots = sorted((x * sigma, i) for i, x in enumerate(scope))
+            last = t
+        row = []
+        for base, i in slots:
+            col = base + tup[i]
+            occ = occurrences[col] = occurrences[col] + 1
             if occ > len(scaled):
                 if occ > vm.num_rows:
+                    x, a = divmod(col, sigma)
                     raise ProfileError(f"column {(x, a)} has more than {vm.num_rows} occurrences")
-                scaled.append(tuple(enumerate(prof.scale * v for v in vm.row(occ - 1))))
-            placed.append(col)
-        out.append(tuple(
-            (col * width + k, sv)
-            for col in sorted(placed)
-            for k, sv in scaled[occurrences[col] - 1]
-        ))
+                scaled.append(tuple(prof.scale * v for v in vm.row(occ - 1)))
+            lo = col * width
+            row += zip(range(lo, lo + width), scaled[occ - 1])
+        out.append(tuple(row))
     return out
 
 
@@ -332,15 +337,20 @@ def build_support_block(
     inst: CspInstance, prof: ReductionProfile, kept: KeptRows
 ) -> list[tuple[tuple[int, int], ...]]:
     """Scaled rows of the (prime, support_width) reduced Vandermonde, one per
-    kept row: the row of candidate index t * SIGMA**q + rank(tuple), so each
-    kept row carries the row it has among all rows_full candidates."""
+    kept row, at their basis columns: the row of candidate index
+    t * SIGMA**q + rank(tuple), so each kept row carries the row it has among
+    all rows_full candidates.  ``reduced_vandermonde`` validates the prime
+    and width; the entries ``scale * pow(i, j, prime)`` are computed here."""
     vm = reduced_vandermonde(prof.prime, prof.support_width)
     if prof.rows_full > vm.num_rows:
         raise ProfileError("prime too small for the support block")
     sigma, stride = inst.alphabet_size, inst.alphabet_size**inst.arity
+    prime, scale = prof.prime, prof.scale
+    powers = range(prof.support_width)
+    lo = prof.consistency_cols
     return [
-        tuple(enumerate(prof.scale * x for x in vm.row(t * stride + tuple_rank(tup, sigma))))
-        for t, tup in kept
+        tuple([(lo + j, scale * pow(i, j, prime)) for j in powers])
+        for i in (t * stride + tuple_rank(tup, sigma) + 1 for t, tup in kept)
     ]
 
 
@@ -355,21 +365,30 @@ def tuple_rank(tup: Sequence[int], sigma: int) -> int:
 def build_spread_block(
     inst: CspInstance, prof: ReductionProfile, kept: KeptRows
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Block-diagonal Hadamard rows: kept row (t, tuple) places the Hadamard
-    row indexed by the tuple's rank into constraint t's column block.
+    """Block-diagonal Hadamard rows at their basis columns: kept row
+    (t, tuple) places the Hadamard row indexed by the tuple's rank into
+    constraint t's column block.
 
     When the alphabet is padded, the Hadamard order grows but row indexing
     still uses ranks over the original alphabet, so the map stays injective.
+    Only the rows that kept tuples index are built, each once, so the cost
+    is that of the entries placed, not the order**2 of the whole matrix.
     """
     per = prof.spread_cols_per_constraint
     k = per.bit_length() - 1
     if 1 << k != per:
         raise ProfileError("spread block width per constraint must be a power of two")
-    h = hadamard(k)
-    return [
-        tuple(zip(range(t * per, (t + 1) * per), h.rows[tuple_rank(tup, inst.alphabet_size)]))
-        for t, tup in kept
-    ]
+    lo = prof.consistency_cols + prof.support_cols
+    sigma = inst.alphabet_size
+    h_rows = {}  # tuple -> its Hadamard row, built once per distinct tuple
+    out = []
+    for t, tup in kept:
+        h = h_rows.get(tup)
+        if h is None:
+            h = h_rows[tup] = hadamard_row(k, tuple_rank(tup, sigma))
+        start = lo + t * per
+        out.append(tuple(zip(range(start, start + per), h)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -445,9 +464,9 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
     Every placed Vandermonde row starts with a 1 (the zeroth power), so a
     kept row's consistency part is nonzero, and only a rejected tuple's
     would vanish; the first is checked.  Each block builder gives a row as
-    its (column, value) entries with columns counted inside the block; the
-    row is their concatenation, shifted by the block offsets.  The entries
-    are counted before any is built, and more than ENTRY_BUDGET are refused.
+    its (column, value) entries at their basis columns, so a row is the
+    concatenation of its three parts.  The entries are counted before any
+    is built, and more than ENTRY_BUDGET are refused.
     """
     if (
         prof.num_vars,
@@ -471,12 +490,7 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
     spread = build_spread_block(inst, prof, kept)
     if not all(consistency):
         raise ProfileError("zero-row deletion must match the accept sets")
-    s_lo = prof.consistency_cols
-    h_lo = s_lo + prof.support_cols
-    rows = tuple(
-        (*c, *[(s_lo + j, x) for j, x in s], *[(h_lo + j, x) for j, x in h])
-        for c, s, h in zip(consistency, support, spread)
-    )
+    rows = tuple(c + s + h for c, s, h in zip(consistency, support, spread))
     nprime = prof.nprime
     if any(row[-1][0] >= nprime for row in rows):
         raise ProfileError("basis entries must lie within the profile's column count")

@@ -265,26 +265,28 @@ def test_pair_renamed_together_still_loads(tmp_path, capsys):
     assert after == before
 
 
-def _edit_one_entry(basis, payload):
+def _edit_one_entry(basis, sidecar):
     basis.write_text(basis.read_text().replace("1000000", "999999", 1))
 
 
-def _swap_two_rows(basis, payload):
+def _swap_two_rows(basis, sidecar):
     # rows 0 and 1 both belong to constraint 0, so each provenance entry
     # still names an accepted tuple
     rows = list(basisio.parse_basis(basis.read_text()))
     rows[0], rows[1] = rows[1], rows[0]
     basis.write_text(basisio.emit_basis(sparse_rows(rows), len(rows[0])))
+    payload = json.loads(sidecar.read_text())
     prov = payload["row_provenance"]
     prov[0], prov[1] = prov[1], prov[0]
+    sidecar.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _drop_last_row(basis, payload):
+def _drop_last_row(basis, sidecar):
     rows = basisio.parse_basis(basis.read_text())
     basis.write_text(basisio.emit_basis(sparse_rows(rows[:-1]), len(rows[0])))
 
 
-def _drop_a_zero_from_each_row(basis, payload):
+def _drop_a_zero_from_each_row(basis, sidecar):
     # one column narrower: each row loses its last zero, which in row 0 is a
     # trailing one, so row 0 keeps its nonzero entries and only its width
     # tells it apart
@@ -297,25 +299,63 @@ def _drop_a_zero_from_each_row(basis, payload):
     basis.write_text(basisio.emit_basis(sparse_rows(narrower), len(rows[0]) - 1))
 
 
-def _drop_closing_bracket(basis, payload):
+def _drop_closing_bracket(basis, sidecar):
     # every row is intact; only the outer pair is left open
     text = basis.read_text()
     basis.write_text(text[: -len("]\n")])
 
 
-def _append_a_newline(basis, payload):
+def _append_a_newline(basis, sidecar):
     basis.write_text(basis.read_text() + "\n")
 
 
-def _double_spaces(basis, payload):
+def _double_spaces(basis, sidecar):
     basis.write_text(basis.read_text().replace(" ", "  "))
 
 
-def _sign_a_zero_in_a_run(basis, payload):
+def _sign_a_zero_in_a_run(basis, sidecar):
     # "-0" parses to the same integer, so only the layout differs
     text = basis.read_text()
     assert " 0 0 " in text
     basis.write_text(text.replace(" 0 0 ", " 0 -0 ", 1))
+
+
+def _crlf(path):
+    data = path.read_bytes()
+    assert b"\r" not in data
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+
+
+def _basis_to_crlf(basis, sidecar):
+    # every row parses to the same integers; only the newline bytes differ
+    _crlf(basis)
+
+
+def _sidecar_to_crlf(basis, sidecar):
+    # JSON reads the same object; only the newline bytes differ
+    _crlf(sidecar)
+
+
+def _digit_outside_ascii(basis, sidecar):
+    # ARABIC-INDIC DIGIT ONE, which int() reads as 1, in place of a spread 1
+    text = basis.read_text()
+    assert text.endswith(" 1]\n]\n")
+    basis.write_bytes(text[: -len("1]\n]\n")].encode() + "\u0661]\n]\n".encode())
+
+
+def _invalid_utf8_in_basis(basis, sidecar):
+    basis.write_bytes(basis.read_bytes().replace(b" 0 ", b" \xff ", 1))
+
+
+def _non_ascii_in_sidecar(basis, sidecar):
+    # a raw UTF-8 letter inside a JSON string, which json.dumps would escape
+    text = sidecar.read_text()
+    assert '"basis_file": "toy1.basis"' in text
+    sidecar.write_bytes(text.replace("toy1.basis", "toy\u00e9.basis", 1).encode())
+
+
+def _invalid_utf8_in_sidecar(basis, sidecar):
+    sidecar.write_bytes(sidecar.read_bytes().replace(b"svpforge-basis", b"svpforge\xffbasis", 1))
 
 
 @pytest.mark.parametrize(
@@ -329,6 +369,12 @@ def _sign_a_zero_in_a_run(basis, payload):
         (_append_a_newline, "not laid out as emit_basis writes it"),
         (_double_spaces, "not laid out as emit_basis writes it"),
         (_sign_a_zero_in_a_run, "not laid out as emit_basis writes it"),
+        (_basis_to_crlf, "not laid out as emit_basis writes it"),
+        (_sidecar_to_crlf, "sidecar is not laid out as save_instance writes it"),
+        (_digit_outside_ascii, "non-integer basis entry in row 2"),
+        (_invalid_utf8_in_basis, "non-integer basis entry in row 0"),
+        (_non_ascii_in_sidecar, "sidecar holds byte 0xc3 at offset"),
+        (_invalid_utf8_in_sidecar, "sidecar holds byte 0xff at offset"),
     ],
     ids=[
         "one-entry-edited",
@@ -339,15 +385,18 @@ def _sign_a_zero_in_a_run(basis, payload):
         "newline-appended",
         "reformatted",
         "zero-in-run-signed",
+        "basis-crlf",
+        "sidecar-crlf",
+        "digit-outside-ascii",
+        "invalid-utf8-in-basis",
+        "non-ascii-in-sidecar",
+        "invalid-utf8-in-sidecar",
     ],
 )
 def test_tampered_basis_exits_2(tmp_path, capsys, tamper, message):
     basis = tmp_path / "toy1.basis"
     run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
-    sidecar = tmp_path / "toy1.basis.json"
-    payload = json.loads(sidecar.read_text())
-    tamper(basis, payload)
-    sidecar.write_text(json.dumps(payload, indent=2) + "\n")
+    tamper(basis, tmp_path / "toy1.basis.json")
     with pytest.raises(SvpforgeError, match=message):
         basisio.load_instance(basis)
     code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
@@ -388,11 +437,8 @@ def test_short_basis_next_to_large_sidecar_is_refused(tmp_path, capsys):
     assert peak < 5_000_000
 
 
-def test_load_holds_one_copy_of_the_basis_text(tmp_path):
-    # the cyclic ladder at N=256: a 1024 x 2561 basis, about 5 MB of text.
-    # Reading the file holds its bytes and its text at once, about twice the
-    # text; the rebuilt basis is compared one emitted row at a time, so no
-    # second full text is built on top of that
+def _ladder_256():
+    """The cyclic ladder at N=256: a 1024 x 2561 basis, about 5 MB of text."""
     n = 256
     csp = parse_csp(f"csp {n} {2 * n} 2 2\n" + "".join(
         f"con {i} {(i + s) % n}\nacc 0 0\nacc 1 1\n" for s in (1, 2) for i in range(n)
@@ -400,18 +446,103 @@ def test_load_holds_one_copy_of_the_basis_text(tmp_path):
     prof = derive_profile(
         csp, p=3, mode="explicit", consistency_width=1, support_width=1, scale=10**6
     )
-    out = reduce_csp(csp, prof)
-    basis, _ = basisio.save_instance(out, tmp_path / "c256.basis")
-    size = basis.stat().st_size
-    assert size > 5_000_000
+    return reduce_csp(csp, prof)
+
+
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        loaded = basisio.load_instance(basis)
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_load_holds_one_copy_of_the_basis_text(tmp_path):
+    # the file is read as bytes and never decoded, and the rebuilt basis is
+    # compared one emitted row at a time, so the file's bytes are the only
+    # full copy of the text
+    out = _ladder_256()
+    basis, _ = basisio.save_instance(out, tmp_path / "c256.basis")
+    size = basis.stat().st_size
+    assert size > 5_000_000
+    loaded, peak = _traced_peak(lambda: basisio.load_instance(basis))
     assert loaded == out
-    assert peak < 2.5 * size
+    assert peak < 1.5 * size
+
+
+def test_save_streams_the_basis_text(tmp_path):
+    # rows are written as they are emitted, so no full text is ever held
+    out = _ladder_256()
+    (basis, sidecar), peak = _traced_peak(
+        lambda: basisio.save_instance(out, tmp_path / "c256.basis")
+    )
+    size = basis.stat().st_size
+    assert size > 5_000_000
+    assert peak < 0.25 * size
+    assert basis.read_bytes() == basisio.emit_basis(out.rows, out.num_cols).encode()
+    assert sidecar.read_text() == basisio.sidecar_text(out, "c256.basis")
+    assert sorted(tmp_path.iterdir()) == [basis, sidecar]
+
+
+@pytest.mark.parametrize("earlier_pair", [False, True])
+@pytest.mark.parametrize("fail_at", ["basis-rows", "sidecar-file"])
+def test_save_that_fails_partway_leaves_no_file(tmp_path, monkeypatch, fail_at, earlier_pair):
+    out = _ladder_256()
+    basis = tmp_path / "c256.basis"
+    sidecar = tmp_path / "c256.basis.json"
+    if earlier_pair:
+        basis.write_bytes(b"earlier basis")
+        sidecar.write_bytes(b"earlier sidecar")
+    if fail_at == "basis-rows":
+        # the write fails after 100 rows are on disk, as a full disk would
+        pieces = basisio._basis_pieces
+
+        def failing(rows, width):
+            for k, piece in enumerate(pieces(rows, width)):
+                if k == 100:
+                    raise OSError(28, "No space left on device")
+                yield piece
+
+        monkeypatch.setattr(basisio, "_basis_pieces", failing)
+    else:
+        # the whole basis is written, then the sidecar's file cannot be made
+        create = basisio._create_beside
+
+        def failing(path):
+            if path == sidecar:
+                raise OSError(28, "No space left on device")
+            return create(path)
+
+        monkeypatch.setattr(basisio, "_create_beside", failing)
+    with pytest.raises(OSError, match="No space left on device"):
+        basisio.save_instance(out, basis)
+    if earlier_pair:
+        assert basis.read_bytes() == b"earlier basis"
+        assert sidecar.read_bytes() == b"earlier sidecar"
+        assert sorted(tmp_path.iterdir()) == [basis, sidecar]
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_compile_and_check_commands_never_import_numpy(tmp_path):
+    # NumPy is imported only where certification uses it; reduce and audit
+    # on toy1 run without it
+    basis = tmp_path / "toy1.basis"
+    script = (
+        "import sys\n"
+        "from svpforge.cli import main\n"
+        f"assert main(['reduce', {TOY1!r}, '--out', {str(basis)!r}, *{REDUCE_FLAGS!r}]) == 0\n"
+        f"assert main(['audit', {str(basis)!r}, '--vector', '1 0 -1']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"max_abs": 1' in proc.stdout
 
 
 def test_reduce_past_the_cell_budget_writes_nothing(tmp_path, capsys):

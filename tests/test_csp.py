@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from svpforge.csp import (
     Constraint,
@@ -56,6 +58,13 @@ def test_emit_omits_trivial_soundness(toy1):
         ("csp 2 1 2 2\ncon 0 1\nacc 0 0\ncon 0 1\nacc 0 0\n", "promises", False),
         ("csp 2 1 2 2\nacc 0 0\n", "before", True),
         ("csp 2 1 2 2\ncon 0 x\nacc 0 0\n", "integer", True),
+        ("csp 2 1 2 2\ncon 0 1\nacc 0 x\n", "line 3: expected integer, got 'x'", True),
+        ("csp 2 1 2 2\ncon 0 1\nacc 1 0\nacc 0 2\n", "line 4: symbol 2 out of range", True),
+        ("csp 2 1 2 2\ncon 0 1\nacc -1 5\n", "line 3: symbol -1 out of range", True),
+        ("csp 2 1 2 2\ncon 0 2\n", "line 2: variable 2 out of range", True),
+        # arity 0 passes the per-line checks with empty tuples, and min() of
+        # an empty tuple must not run; the instance check refuses it
+        ("csp 1 1 0 1\ncon\nacc\n", "arity must be at least 1", False),
     ],
 )
 def test_parse_errors(text, fragment, has_line):
@@ -77,6 +86,154 @@ def test_duplicate_at_the_end_of_a_long_accept_list():
         parse_csp("csp 3 1 3 16\n" + body + "acc 0 0 0\n")
     assert err.value.line == 2 + 16**3 + 1
     assert str(err.value) == f"line {2 + 16**3 + 1}: duplicate accepted tuple (0, 0, 0)"
+
+
+def _reference_parse_csp(text):
+    """The parser as first written: every token converted and range-checked
+    on its own.  The oracle for ``parse_csp``'s messages and line numbers."""
+    header = None
+    soundness = None
+    scopes, accepts = [], []
+
+    def int_token(token, lineno):
+        try:
+            return int(token)
+        except ValueError:
+            raise CspParseError(f"expected integer, got {token!r}", lineno) from None
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind, args = tokens[0], tokens[1:]
+        if kind == "csp":
+            if header is not None:
+                raise CspParseError("duplicate header", lineno)
+            if len(args) != 4:
+                raise CspParseError("header needs exactly N M q SIGMA", lineno)
+            header = tuple(int_token(a, lineno) for a in args)
+        elif kind == "s":
+            if header is None:
+                raise CspParseError("soundness tag before header", lineno)
+            if soundness is not None:
+                raise CspParseError("duplicate soundness tag", lineno)
+            if len(args) != 1:
+                raise CspParseError("soundness tag needs one NUM/DEN token", lineno)
+            try:
+                soundness = Fraction(args[0])
+            except (ValueError, ZeroDivisionError):
+                raise CspParseError(f"bad rational {args[0]!r}", lineno) from None
+            if not (0 < soundness <= 1):
+                raise CspParseError("soundness must lie in (0, 1]", lineno)
+        elif kind == "con":
+            if header is None:
+                raise CspParseError("constraint before header", lineno)
+            n, _m, q, _sigma = header
+            if len(args) != q:
+                raise CspParseError(f"expected {q} variables, got {len(args)}", lineno)
+            scope = tuple(int_token(a, lineno) for a in args)
+            for x in scope:
+                if not (0 <= x < n):
+                    raise CspParseError(f"variable {x} out of range [0, {n})", lineno)
+            if len(set(scope)) != q:
+                raise CspParseError("repeated variable in scope", lineno)
+            scopes.append(scope)
+            accepts.append([])
+            seen = set()
+        elif kind == "acc":
+            if not scopes:
+                raise CspParseError("accepted tuple before any constraint", lineno)
+            _n, _m, q, sigma = header
+            if len(args) != q:
+                raise CspParseError(f"expected {q} symbols, got {len(args)}", lineno)
+            tup = tuple(int_token(a, lineno) for a in args)
+            for a in tup:
+                if not (0 <= a < sigma):
+                    raise CspParseError(f"symbol {a} out of range [0, {sigma})", lineno)
+            if tup in seen:
+                raise CspParseError(f"duplicate accepted tuple {tup}", lineno)
+            seen.add(tup)
+            accepts[-1].append(tup)
+        else:
+            raise CspParseError(f"unknown directive {kind!r}", lineno)
+
+    if header is None:
+        raise CspParseError("missing header")
+    n, m, q, sigma = header
+    if len(scopes) != m:
+        raise CspParseError(f"header promises {m} constraints, found {len(scopes)}")
+    constraints = tuple(Constraint(scope, tuple(acc)) for scope, acc in zip(scopes, accepts))
+    try:
+        return CspInstance(n, sigma, q, constraints, soundness or Fraction(1))
+    except CspValidationError as exc:
+        raise CspParseError(str(exc)) from exc
+
+
+def _outcome(parse, text):
+    """The instance, or the message and line of the CspParseError; any other
+    exception propagates and fails the test."""
+    try:
+        return "ok", parse(text)
+    except CspParseError as exc:
+        return "error", str(exc), exc.line
+
+
+# Integer spellings int() accepts (+1, 01, 1_0), a non-integer, a digit
+# outside ASCII that int() also accepts, values out of range, a rational
+_ODD_TOKENS = ("+1", "01", "1_0", "x", "-1", "3", "1/2", "\u0661")
+
+
+@st.composite
+def _csp_texts(draw):
+    """CSP text in the usual layout (header, soundness tag, constraints and
+    their accepted tuples) with odd tokens, lengths and lines mixed in."""
+    n, q = draw(st.sampled_from((0, 1, 2, 3, 3, 3))), draw(st.sampled_from((0, 1, 2, 2, 3)))
+    sigma, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+    def tokens(count, bound):
+        usual = [str(v) for v in range(bound)] * 8 or ["0"]
+        k = draw(st.sampled_from((count, count, count, max(count - 1, 0), count + 1)))
+        return draw(st.lists(st.sampled_from(usual + list(_ODD_TOKENS)), min_size=k, max_size=k))
+
+    lines = []
+    if draw(st.integers(0, 9)):
+        lines.append(f"csp {n} {m} {q} {sigma}")
+    if not draw(st.integers(0, 3)):
+        lines.append("s " + draw(st.sampled_from(("1/2", "2/3", "1", "0/1", "3/2", "1/0", "x"))))
+    for _ in range(draw(st.integers(max(m - 1, 0), m + 1))):
+        if q <= n and draw(st.integers(0, 3)):
+            scope = map(str, draw(st.permutations(range(n)))[:q])
+        else:
+            scope = tokens(q, n)
+        lines.append(" ".join(["con", *scope]))
+        for _ in range(draw(st.integers(0, 3))):
+            lines.append(" ".join(["acc", *tokens(q, sigma)]))
+    for _ in range(draw(st.integers(0, 1))):
+        odd = draw(st.sampled_from(("bogus 1", "", "# note", "acc", "con", "csp 1 1 1 1")))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    comment = st.sampled_from(("", "", "", " # note", "#", "\t"))
+    return "".join(line + draw(comment) + "\n" for line in lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_csp_texts())
+@example("csp 2 1 2 2\ncon 0 1\nacc +1 01\n")
+@example("csp 11 1 2 12\ncon 1_0 0\nacc 1_0 0\n")
+@example("csp 2 1 2 2\ncon 0 1\nacc 0 x\n")
+@example("csp 2 1 2 2\ncon 0 1\nacc 0 1 # note\nacc 2 0\n")
+@example("csp 2 1 2 2\ncon 0 1\nacc 0 -1\n")
+@example("csp 2 1 2 2\ncon 2 1\n")
+@example("csp 1 1 0 1\ncon\nacc\n")
+def test_parser_matches_the_token_by_token_reference(text):
+    assert _outcome(parse_csp, text) == _outcome(_reference_parse_csp, text)
+
+
+def test_parse_accepts_every_integer_spelling_int_reads():
+    assert parse_csp("csp 2 1 2 2\ncon 0 1\nacc +1 01\n").constraints[0].accepted == ((1, 1),)
+    inst = parse_csp("csp 11 1 2 12\ncon 1_0 0\nacc 1_0 0\n")
+    assert inst.constraints[0].variables == (10, 0)
+    assert inst.constraints[0].accepted == ((10, 0),)
 
 
 def test_validation_rejects_bad_scope():

@@ -17,6 +17,7 @@ from svpforge.gadgets import (
     first_singular_submatrix,
     hadamard,
     hadamard_gram_ok,
+    hadamard_row,
     is_prime,
     reduced_vandermonde,
     search_kernel_support_counterexample,
@@ -230,6 +231,14 @@ def test_hadamard_orders_and_gram():
         assert len(h.rows) == 2**k
         assert all(len(r) == 2**k for r in h.rows)
         assert hadamard_gram_ok(h)
+
+
+def test_hadamard_row_is_the_row_of_the_matrix():
+    for k in range(8):
+        assert tuple(hadamard_row(k, r) for r in range(1 << k)) == hadamard(k).rows
+    for k, r in ((0, 1), (3, 8), (3, -1)):
+        with pytest.raises(IndexError):
+            hadamard_row(k, r)
 
 
 def test_hadamard_gram_rejects_doctored():

@@ -4,19 +4,20 @@ import itertools
 import json
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from svpforge import reduction
 from svpforge.basisio import load_instance, save_instance, sidecar_json, sidecar_text
 from svpforge.csp import Constraint, CspInstance, indicator_matrix, parse_csp
 from svpforge.errors import BudgetExceededError, ProfileError, SvpforgeError
-from svpforge.gadgets import hadamard, reduced_vandermonde
+from svpforge.gadgets import hadamard, hadamard_row, reduced_vandermonde
 from svpforge.reduction import (
     GapFactor,
     ReductionProfile,
@@ -188,14 +189,32 @@ def test_spread_block_padding():
     rows = build_spread_block(inst, prof, reduction._kept_rows(inst))
     assert len(rows) == 6  # one per kept row: rejected tuples get none
     h = hadamard(4)
+    lo = out.spread_span[0]
     blocks = {0: set(), 1: set()}
     for entries, (t, (a, b)) in zip(rows, out.row_provenance):
         # the Hadamard row of the tuple's rank over the original alphabet 3,
-        # in constraint t's 16 columns and nowhere else
-        assert entries == tuple(zip(range(16 * t, 16 * (t + 1)), h.rows[3 * a + b]))
+        # in constraint t's 16 basis columns and nowhere else
+        assert entries == tuple(zip(range(lo + 16 * t, lo + 16 * (t + 1)), h.rows[3 * a + b]))
         blocks[t].add(entries)
     # distinct tuples map to distinct Hadamard rows inside one constraint block
     assert len(blocks[0]) == len(blocks[1]) == 3
+
+
+def test_spread_block_builds_only_the_rows_it_places():
+    # one constraint of arity 12 accepting one tuple: a row of 4096 spread
+    # entries, where the whole order-4096 Hadamard matrix holds 16.8M
+    q = 12
+    inst = parse_csp(f"csp {q} 1 {q} 2\ncon {' '.join(map(str, range(q)))}\nacc {' 1' * q}\n")
+    prof = derive_profile(inst, p=3, mode="explicit", consistency_width=1, support_width=1)
+    tracemalloc.start()
+    try:
+        out = reduce_csp(inst, prof)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    lo = out.spread_span[0]
+    assert out.rows[0][-(1 << q):] == tuple(zip(range(lo, lo + (1 << q)), hadamard_row(q, (1 << q) - 1)))
 
 
 def _cycle_csp(n, accepted):
@@ -374,6 +393,83 @@ def test_reduce_rows_are_ascending_nonzero_entries(case):
         assert all(x != 0 for _j, x in entries)
     assert "basis" not in out.__dict__  # the dense view is built on demand
     assert out.basis == _reference_reduce(inst, prof)[0]
+
+
+def _block_relative_rows(inst, prof):
+    """The assembly before the builders placed entries at basis columns: each
+    block's rows with columns counted inside the block, concatenated after
+    shifting support and spread by their block offsets.  The consistency
+    part sorts each row's (variable, symbol) columns, and the support part
+    reads ``ReducedVandermonde.row``."""
+    width, sigma = prof.consistency_width, inst.alphabet_size
+    kept = reduction._kept_rows(inst)
+    vc = reduced_vandermonde(prof.prime, width)
+    occurrences = [0] * (inst.num_vars * sigma)
+    scaled = []
+    consistency = []
+    for t, tup in kept:
+        placed = []
+        for x, a in zip(inst.constraints[t].variables, tup):
+            col = x * sigma + a
+            occurrences[col] += 1
+            if occurrences[col] > len(scaled):
+                scaled.append(tuple(enumerate(prof.scale * v for v in vc.row(occurrences[col] - 1))))
+            placed.append(col)
+        consistency.append(tuple(
+            (col * width + k, sv) for col in sorted(placed) for k, sv in scaled[occurrences[col] - 1]
+        ))
+    vs = reduced_vandermonde(prof.prime, prof.support_width)
+    stride = sigma**inst.arity
+    support = [
+        tuple(enumerate(prof.scale * x for x in vs.row(t * stride + tuple_rank(tup, sigma))))
+        for t, tup in kept
+    ]
+    per = prof.spread_cols_per_constraint
+    h = hadamard(per.bit_length() - 1)
+    spread = [
+        tuple(zip(range(t * per, (t + 1) * per), h.rows[tuple_rank(tup, sigma)]))
+        for t, tup in kept
+    ]
+    s_lo = prof.consistency_cols
+    h_lo = s_lo + prof.support_cols
+    return tuple(
+        (*c, *[(s_lo + j, x) for j, x in s], *[(h_lo + j, x) for j, x in h])
+        for c, s, h in zip(consistency, support, spread)
+    )
+
+
+def _padded_wide_case():
+    """Alphabet 3 padded to 4, with both Vandermonde widths 2."""
+    inst = parse_csp(
+        "csp 2 2 2 3\n"
+        "con 1 0\nacc 2 0\nacc 0 0\nacc 1 1\n"
+        "con 0 1\nacc 0 1\nacc 2 2\nacc 1 2\n"
+    )
+    prof = derive_profile(
+        inst, p=3, mode="explicit", consistency_width=2, support_width=2, scale=7
+    )
+    assert prof.padded_alphabet == 4 > inst.alphabet_size
+    return inst, prof
+
+
+@settings(max_examples=150, deadline=None)
+@given(_regular_reductions())
+@example(_padded_wide_case())
+def test_builders_place_entries_at_basis_columns(case):
+    inst, prof = case
+    out = reduce_csp(inst, prof)
+    assert out.rows == _block_relative_rows(inst, prof)
+    kept = reduction._kept_rows(inst)
+    parts = zip(
+        reduction.build_consistency_block(inst, prof, kept),
+        reduction.build_support_block(inst, prof, kept),
+        reduction.build_spread_block(inst, prof, kept),
+    )
+    spans = (out.consistency_span, out.support_span, out.spread_span)
+    for row, blocks in zip(out.rows, parts):
+        assert row == sum(blocks, ())
+        for entries, (lo, hi) in zip(blocks, spans):
+            assert all(lo <= j < hi for j, _x in entries)
 
 
 def _leaves(node, path):
