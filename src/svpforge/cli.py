@@ -31,6 +31,7 @@ from .gadgets import (
 from .reduction import derive_profile, reduce_csp
 from .regularize import RegularizeParams, lineage_json, regularize
 from .verifier import (
+    DEFAULT_BOX_BUDGET,
     DEFAULT_WITNESS_BUDGET,
     apply_coefficients,
     audit_vector,
@@ -109,7 +110,6 @@ def cmd_regularize(args) -> int:
         overrides["beta"] = args.beta
     if args.right_degree is not None:
         overrides["right_degree"] = args.right_degree
-    overrides["strategy"] = args.strategy
     params = RegularizeParams.defaults(inst, **overrides)
     reg = regularize(inst, params)
     out = reg.instance
@@ -351,11 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spread", type=int, help="copies of each scope variable read")
     sp.add_argument("--beta", type=_parse_beta, help="disperser parameter as NUM/DEN")
     sp.add_argument("--right-degree", type=int, help="common output degree")
-    sp.add_argument(
-        "--strategy",
-        default="exhaustive-search",
-        choices=("exhaustive-search", "greedy-verified"),
-    )
     sp.set_defaults(func=cmd_regularize)
 
     sp = sub.add_parser("reduce", help="compile an instance into a lattice basis")
@@ -387,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("basis")
     sp.add_argument("--box", type=int, default=1, help="coefficient bound")
     sp.add_argument("--p", type=_parse_p, default="profile")
-    sp.add_argument("--budget", type=int, default=20_000_000)
+    sp.add_argument(
+        "--budget", type=int, default=DEFAULT_BOX_BUDGET,
+        help="most coefficient assignments to visit",
+    )
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("extract", help="round a coefficient vector to an assignment")

@@ -28,14 +28,7 @@ class ProfileError(SvpforgeError):
 
 
 class DisperserCertificationError(SvpforgeError):
-    """A graph failed disperser certification.
-
-    ``certificate`` is the violating right-side subset, when one exists.
-    """
-
-    def __init__(self, message, certificate=None):
-        self.certificate = certificate
-        super().__init__(message)
+    """No bi-regular graph of the asked shape passes disperser certification."""
 
 
 class RegularizeError(SvpforgeError):

@@ -2,6 +2,8 @@
 
   det_sweep(rows, width)          -> first singular width x width row combination, or None
   box_minimum(rows, c, p, budget) -> exhaustive norm minimum over a coefficient box
+  rcm_order(rows, links)          -> a reverse Cuthill-McKee visit order of sparse rows
+  frontier_plan(rows, order)      -> the columns each step of that order closes or leaves open
 
 Determinant sweeps evaluate every combination that shares its last prefix
 row with one NumPy product, in float64 when a proven bound keeps every
@@ -12,13 +14,17 @@ is one iterative depth-first search over all rows in Python integers: it
 prunes on the closed columns' value plus a bound on what the later rows can
 no longer take off the open ones, and keeps its state per level on an
 explicit stack, so its depth is not bounded by the interpreter's recursion
-limit.
+limit.  Both exact searches over sparse rows, this one and the witness
+search in ``verifier``, read their closing columns and reaches from one
+``frontier_plan``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 from svpforge.errors import BudgetExceededError
 
@@ -215,10 +221,12 @@ def box_minimum(rows, c, p, budget):
     zero and never counted.  Pruning changes neither the visit order nor the
     result, only the node count.
 
-    The search is depth first over all m rows, in Python integers, with an
-    explicit stack (no recursion, so any number of rows works).  Each level
-    keeps its coefficient, the value carried into its row and whether the
-    prefix is nonzero; the column values move by one row per step.
+    The closing columns and reaches are ``frontier_plan``'s for the rows in
+    their own order, its reach times c.  The search is depth first over all
+    m rows, in Python integers, with an explicit stack (no recursion, so any
+    number of rows works).  Each level keeps its coefficient, the value
+    carried into its row and whether the prefix is nonzero; the column
+    values move by one row per step.
 
     Returns (best_power, best_vector, nodes); ``nodes`` counts coefficient
     assignments and is compared against ``budget``.  A level's 2c+1 nodes
@@ -230,11 +238,13 @@ def box_minimum(rows, c, p, budget):
         raise ValueError("need at least one row")
     if c < 1:
         raise ValueError("box radius must be at least 1")
-    reaches = _column_reach(rows, c)
-    closing = [[j for j, reach in row if not reach] for row in reaches]
-    opening = [[(j, reach) for j, reach in row if reach] for row in reaches]
+    plan = frontier_plan(rows, range(m))
+    steps, closing = plan.entries, plan.closing
+    opening = [[(j, c * reach) for j, reach in step] for step in plan.reach]
+    # for the max-norm: every column of the row, a closing one with reach 0
+    reaches = [[(j, 0) for j in shut] + op for shut, op in zip(closing, opening)]
     width = 2 * c + 1
-    acc = [0] * (max((j for row in rows for j, _x in row), default=-1) + 1)
+    acc = [0] * plan.num_slots
     coeffs = [0] * m
     carried = [0] * m  # carried[d]: the value carried into row d
     nonzero = [False] * m  # nonzero[d]: whether a coefficient before row d is
@@ -248,7 +258,7 @@ def box_minimum(rows, c, p, budget):
         nodes += width
         if nodes > budget:
             raise BudgetExceededError(f"box enumeration exceeded {budget} nodes")
-        sup = rows[depth]
+        sup = steps[depth]
         for j, val in sup:
             acc[j] -= (c + 1) * val
         coeffs[depth] = t = -c - 1
@@ -261,7 +271,7 @@ def box_minimum(rows, c, p, budget):
                 if not depth:
                     return best, vec, nodes
                 depth -= 1
-                sup = rows[depth]
+                sup = steps[depth]
                 t = coeffs[depth]
                 continue
             t += 1
@@ -309,16 +319,104 @@ def box_minimum(rows, c, p, budget):
             break
 
 
-def _column_reach(rows, c):
-    """reaches[d]: (column, reach) for each column with a nonzero entry in
-    row d, where reach is c times the sum of the column's |value| over the
-    later rows: how far those rows can still move the column.  A reach of 0
-    means the column closes at row d."""
-    tail = {}
-    reaches = [None] * len(rows)
-    for d in range(len(rows) - 1, -1, -1):
-        cols = dict.fromkeys(j for j, x in rows[d] if x)
-        reaches[d] = [(j, c * tail.get(j, 0)) for j in cols]
-        for j, x in rows[d]:
-            tail[j] = tail.get(j, 0) + abs(x)
-    return reaches
+@dataclass(frozen=True)
+class FrontierPlan:
+    """A visit order for sparse rows and what each step does to the columns.
+
+    Columns get slots 0, 1, ... in the order the steps first touch them.
+    Step k visits row ``order[k]``:
+
+    - ``entries[k]``: its (slot, value) pairs with a nonzero value;
+    - ``closing[k]``: the slots it touches last (the column is final after it);
+    - ``reach[k]``: (slot, reach) for its other slots, where reach is the sum
+      of the column's |value| over the later steps;
+    - ``frontier[k]``: the slots open after it, touched at or before step k
+      and again later, ascending (built on first use: only the witness
+      search reads it).
+    """
+
+    order: tuple[int, ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
+    closing: tuple[tuple[int, ...], ...]
+    reach: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def num_slots(self) -> int:
+        return sum(map(len, self.closing))
+
+    @functools.cached_property
+    def frontier(self) -> tuple[tuple[int, ...], ...]:
+        live = set()
+        out = []
+        for step, shut in zip(self.entries, self.closing):
+            live.update(s for s, _x in step)
+            live.difference_update(shut)
+            out.append(tuple(sorted(live)))
+        return tuple(out)
+
+
+def rcm_order(rows, links: range) -> tuple[int, ...]:
+    """The reverse Cuthill–McKee order of ``rows``.
+
+    Two rows are adjacent when both have a nonzero entry in a column of
+    ``links``.  Cuthill–McKee runs a breadth-first search from a least-degree
+    row (ties by index), appends each row's unvisited neighbours by degree
+    and then index, and restarts the same way in every component it has not
+    reached; the order is that sequence reversed.  The search is a queue
+    walk, not a recursion, so any number of rows works.
+    """
+    m = len(rows)
+    touching = {}
+    for r, entries in enumerate(rows):
+        for j, x in entries:
+            if x and j in links:
+                touching.setdefault(j, []).append(r)
+    neighbours = [set() for _ in range(m)]
+    for rs in touching.values():
+        for r in rs:
+            neighbours[r].update(rs)
+    for r in range(m):
+        neighbours[r].discard(r)
+    def degree_then_index(r):
+        return len(neighbours[r]), r
+
+    seen = [False] * m
+    order = []
+    for start in sorted(range(m), key=degree_then_index):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            nxt = sorted((s for s in neighbours[order[head]] if not seen[s]), key=degree_then_index)
+            for s in nxt:
+                seen[s] = True
+            order.extend(nxt)
+            head += 1
+    order.reverse()
+    return tuple(order)
+
+
+def frontier_plan(rows, order) -> FrontierPlan:
+    """The per-step columns of visiting ``rows`` (each its (column, value)
+    entries) in ``order``, which lists every row index once."""
+    order = tuple(order)
+    m = len(order)
+    slot = {}
+    entries = []
+    for r in order:
+        step = []
+        for j, x in rows[r]:
+            if x:
+                step.append((slot.setdefault(j, len(slot)), x))
+        entries.append(tuple(step))
+    tail = [0] * len(slot)
+    closing, reach = [None] * m, [None] * m
+    for k in range(m - 1, -1, -1):
+        # dict.fromkeys drops a column listed twice in one row
+        closing[k] = tuple(dict.fromkeys(s for s, _x in entries[k] if not tail[s]))
+        reach[k] = tuple(dict.fromkeys((s, tail[s]) for s, _x in entries[k] if tail[s]))
+        for s, x in entries[k]:
+            tail[s] += abs(x)
+    return FrontierPlan(order, tuple(entries), tuple(closing), tuple(reach))

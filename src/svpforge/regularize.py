@@ -10,7 +10,11 @@ degree equal to the dispersers' right degree.
 A (delta, beta)-disperser here is a bipartite graph where no right-side
 subset of at most beta*B vertices absorbs the complete neighborhood of more
 than delta*A left vertices; graphs are only ever accepted after the
-exhaustive subset check in gadgets.verify_disperser.
+exhaustive subset check in gadgets.verify_disperser.  One exhaustive search
+makes every disperser, under one work budget, SEARCH_BUDGET.
+
+The paper's precondition s <= min(1/(3q), 1/SIGMA**c) and its default spread
+ceil(6q/c) are used with c = 1.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from .gadgets import BipartiteBiregular, verify_disperser
 
 log = logging.getLogger(__name__)
 
-DEFAULT_LEAF_BUDGET = 20_000
-DEFAULT_SUBSET_BUDGET = 1 << 22
-
-STRATEGIES = ("exhaustive-search", "greedy-verified", "supplied-graph")
+# Work units one disperser search may spend: one per candidate adjacency set
+# tried, plus, per complete graph, the subsets its certification may check.
+SEARCH_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -41,22 +44,14 @@ class RegularizeParams:
     duplication: copies made of every constraint (default ceil(1/s)).
     spread: copies of each scope variable every constraint reads (left degree w).
     beta: disperser parameter; certification uses delta = 3 * beta**spread.
-    arity_exponent: the c in the precondition s <= min(1/(3q), 1/SIGMA**c).
     right_degree: common output degree f; per-variable copy counts follow as
         spread * degree(x) / f.  None picks a default.
-    strategy: exhaustive-search | greedy-verified | supplied-graph.
-    supplied: per-original-variable graphs, only for supplied-graph.
     """
 
     duplication: int
     spread: int
     beta: Fraction
-    arity_exponent: Fraction = Fraction(1)
-    strategy: str = "exhaustive-search"
     right_degree: Optional[int] = None
-    supplied: Optional[tuple[BipartiteBiregular, ...]] = None
-    leaf_budget: int = DEFAULT_LEAF_BUDGET
-    subset_budget: int = DEFAULT_SUBSET_BUDGET
 
     def __post_init__(self):
         if self.duplication < 1:
@@ -65,23 +60,18 @@ class RegularizeParams:
             raise RegularizeError("spread must be at least 1")
         if not (0 < self.beta < 1):
             raise RegularizeError("beta must lie strictly between 0 and 1")
-        if self.strategy not in STRATEGIES:
-            raise RegularizeError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "supplied-graph" and self.supplied is None:
-            raise RegularizeError("supplied-graph strategy needs supplied graphs")
 
     @classmethod
     def defaults(cls, inst: CspInstance, **overrides) -> "RegularizeParams":
         """Instance-derived defaults, individually overridable by keyword."""
         s = inst.soundness
         q = inst.arity
-        c = overrides.pop("arity_exponent", Fraction(1))
         t = overrides.pop("duplication", math.ceil(1 / s))
-        w = overrides.pop("spread", math.ceil(Fraction(6 * q) / c))
+        w = overrides.pop("spread", 6 * q)
         beta = overrides.pop("beta", None)
         if beta is None:
             beta = _default_beta(s, q)
-        return cls(duplication=t, spread=w, beta=beta, arity_exponent=c, **overrides)
+        return cls(duplication=t, spread=w, beta=beta, **overrides)
 
 
 def _default_beta(s: Fraction, q: int) -> Fraction:
@@ -160,16 +150,13 @@ def build_disperser(
     left_size: int,
     spread: int,
     beta: Fraction,
-    strategy: str = "exhaustive-search",
     right_size: Optional[int] = None,
-    supplied: Optional[BipartiteBiregular] = None,
-    leaf_budget: int = DEFAULT_LEAF_BUDGET,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> BipartiteBiregular:
     """Produce a bi-regular graph certified as a (3*beta**spread, beta)-disperser.
 
-    Never returns an uncertified graph: every candidate passes through
-    gadgets.verify_disperser and failure raises with the violating subset.
+    Never returns an uncertified graph: the search accepts only a graph that
+    passes gadgets.verify_disperser, raises DisperserCertificationError when
+    no graph does, and BudgetExceededError past SEARCH_BUDGET.
     """
     a, w = left_size, spread
     if a < 1 or w < 1:
@@ -183,42 +170,12 @@ def build_disperser(
         raise RegularizeError(
             f"right size {b} must divide spread*left = {w * a} and be >= spread {w}"
         )
-    f = w * a // b
-
-    if strategy == "supplied-graph":
-        if supplied is None:
-            raise RegularizeError("supplied-graph strategy needs a graph")
-        if (supplied.left_size, supplied.right_size, supplied.left_degree) != (a, b, w):
-            raise RegularizeError("supplied graph has the wrong shape")
-        ok, cert = verify_disperser(supplied, delta, beta, subset_budget)
-        if not ok:
-            raise DisperserCertificationError(
-                f"supplied graph fails ({delta}, {beta}) dispersion at subset {cert}",
-                certificate=cert,
-            )
-        return supplied
-
-    if strategy == "greedy-verified":
-        last_cert = None
-        for candidate in _canonical_candidates(a, b, w, f):
-            ok, cert = verify_disperser(candidate, delta, beta, subset_budget)
-            if ok:
-                return candidate
-            last_cert = cert
+    got = _search_certified(a, b, w, w * a // b, delta, beta)
+    if got is None:
         raise DisperserCertificationError(
-            f"no canonical candidate certifies ({delta}, {beta}) dispersion",
-            certificate=last_cert,
+            f"no bi-regular graph on ({a}, {b}) certifies ({delta}, {beta}) dispersion"
         )
-
-    if strategy == "exhaustive-search":
-        got = _search_certified(a, b, w, f, delta, beta, leaf_budget, subset_budget)
-        if got is None:
-            raise DisperserCertificationError(
-                f"no bi-regular graph on ({a}, {b}) certifies ({delta}, {beta}) dispersion"
-            )
-        return got
-
-    raise RegularizeError(f"unknown strategy {strategy!r}")
+    return got
 
 
 def _default_right_size(a: int, w: int, beta: Fraction) -> int:
@@ -233,62 +190,60 @@ def _default_right_size(a: int, w: int, beta: Fraction) -> int:
     return min(divisors, key=lambda d: (abs(d - target), d))
 
 
-def _canonical_candidates(a, b, w, f):
-    """Deterministic candidate stream for greedy-verified: the cyclic-shift
-    graph, then the staircase graph, each when it is bi-regular (which the
-    BipartiteBiregular constructor checks)."""
-    for step in (1, w):
-        adj = tuple(tuple(sorted((i * step + j) % b for j in range(w))) for i in range(a))
-        try:
-            graph = BipartiteBiregular(a, b, w, f, adj)
-        except ValueError:
-            continue
-        yield graph
+def _search_certified(a, b, w, f, delta, beta):
+    """Depth-first search over left adjacency choices in lexicographic order;
+    the first graph to pass certification wins, so the result is
+    deterministic.  None when no bi-regular graph certifies.
 
-
-def _search_certified(a, b, w, f, delta, beta, leaf_budget, subset_budget):
-    """Backtracking over left adjacency choices in lex order; first graph to
-    pass certification wins, so the result is deterministic."""
-    choices = list(itertools.combinations(range(b), w))
+    Left vertex i tries, in lexicographic order, each w-subset of the right
+    vertices still below degree f.  Each level keeps a lazy iterator over
+    its subsets on an explicit stack, so no level's candidates are listed
+    and any number of left vertices works.  Every candidate tried counts one
+    unit against SEARCH_BUDGET, and every complete graph the subsets its
+    certification may check (those of size floor(beta*b)), so the budget
+    bounds all the search's work; passing it raises BudgetExceededError.
+    """
+    m = min(int(beta * b), b)
+    per_graph = math.comb(b, m) if m > 0 else 0
     caps = [f] * b
     adj: list[tuple[int, ...]] = []
-    leaves = 0
-
-    def backtrack(i):
-        nonlocal leaves
-        if i == a:
-            leaves += 1
-            if leaves > leaf_budget:
-                raise BudgetExceededError(
-                    f"disperser search exceeded {leaf_budget} candidate graphs"
-                )
-            graph = BipartiteBiregular(a, b, w, f, tuple(adj))
-            ok, _cert = verify_disperser(graph, delta, beta, subset_budget)
-            return graph if ok else None
-        open_rights = sum(1 for r in range(b) if caps[r] > 0)
-        if open_rights < w:
-            return None
-        for subset in choices:
-            if all(caps[r] > 0 for r in subset):
-                for r in subset:
-                    caps[r] -= 1
-                adj.append(subset)
-                got = backtrack(i + 1)
-                if got is not None:
-                    return got
-                adj.pop()
-                for r in subset:
-                    caps[r] += 1
-        return None
-
-    return backtrack(0)
+    levels = [itertools.combinations(range(b), w)]
+    work = 0
+    while levels:
+        if len(adj) == len(levels):
+            # take back this level's previous choice before its next one
+            for r in adj.pop():
+                caps[r] += 1
+        subset = next(levels[-1], None)
+        if subset is None:
+            levels.pop()
+            continue
+        work += 1
+        if len(adj) == a - 1:
+            work += per_graph
+        if work > SEARCH_BUDGET:
+            raise BudgetExceededError(
+                f"disperser search on ({a}, {b}) exceeded its budget of "
+                f"{SEARCH_BUDGET} candidates and certified subsets"
+            )
+        for r in subset:
+            caps[r] -= 1
+        adj.append(subset)
+        if len(adj) < a:
+            levels.append(itertools.combinations([r for r in range(b) if caps[r]], w))
+            continue
+        graph = BipartiteBiregular(a, b, w, f, tuple(adj))
+        ok, _cert = verify_disperser(graph, delta, beta)
+        if ok:
+            return graph
+    return None
 
 
 def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
     """Full regularization; the output passes validate_regular exactly."""
     q = inst.arity
     sigma = inst.alphabet_size
-    _warn_on_weak_soundness(inst.soundness, q, sigma, params.arity_exponent)
+    _warn_on_weak_soundness(inst.soundness, q, sigma)
 
     dup, con_lineage = duplicate_constraints(inst, params.duplication)
     degrees = dup.degrees()
@@ -310,21 +265,9 @@ def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
                 f"right degree {fprime} exceeds degree {d} of variable {x}"
             )
 
-    dispersers = []
-    for x, d in enumerate(degrees):
-        b_x = (w * d) // fprime
-        supplied = params.supplied[x] if params.supplied is not None else None
-        graph = build_disperser(
-            d,
-            w,
-            params.beta,
-            strategy=params.strategy,
-            right_size=b_x,
-            supplied=supplied,
-            leaf_budget=params.leaf_budget,
-            subset_budget=params.subset_budget,
-        )
-        dispersers.append(graph)
+    dispersers = [
+        build_disperser(d, w, params.beta, right_size=(w * d) // fprime) for d in degrees
+    ]
 
     offsets = []
     total = 0
@@ -386,16 +329,11 @@ def _default_right_degree(degrees, w, beta) -> int:
     return best
 
 
-def _warn_on_weak_soundness(s: Fraction, q: int, sigma: int, c: Fraction) -> None:
-    """The construction's guarantees assume s <= min(1/(3q), 1/SIGMA**c)."""
-    weak = s > Fraction(1, 3 * q)
-    # s <= sigma**(-c)  <=>  s**cd * sigma**cn <= 1  for c = cn/cd > 0
-    if not weak and c > 0:
-        cn, cd = c.numerator, c.denominator
-        weak = s**cd * sigma**cn > 1
-    if weak:
+def _warn_on_weak_soundness(s: Fraction, q: int, sigma: int) -> None:
+    """The construction's guarantees assume s <= min(1/(3q), 1/SIGMA)."""
+    if s > Fraction(1, 3 * q) or s * sigma > 1:
         log.warning(
-            "soundness tag %s is above min(1/(3q), 1/SIGMA**c); "
+            "soundness tag %s is above min(1/(3q), 1/SIGMA); "
             "regularization still runs but its guarantees assume smaller s",
             s,
         )
@@ -405,11 +343,10 @@ def lineage_json(reg: RegularizedCsp) -> dict:
     """JSON-ready lineage and parameter record."""
     return {
         "format": "regularize-lineage",
-        "version": 1,
+        "version": 2,
         "duplication": reg.params.duplication,
         "spread": reg.params.spread,
         "beta": [reg.params.beta.numerator, reg.params.beta.denominator],
-        "strategy": reg.params.strategy,
         "right_degree": reg.right_degree,
         "variables": [list(pair) for pair in reg.var_lineage],
         "constraints": [list(pair) for pair in reg.con_lineage],

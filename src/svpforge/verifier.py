@@ -76,102 +76,11 @@ def apply_coefficients(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FrontierPlan:
-    """A visit order for sparse rows and what each step does to the columns.
-
-    Columns get slots 0, 1, ... in the order the steps first touch them.
-    Step k visits row ``order[k]``:
-
-    - ``entries[k]``: its (slot, value) pairs with a nonzero value;
-    - ``closing[k]``: the slots it touches last (the column is final after it);
-    - ``reach[k]``: (slot, reach) for its other slots, where reach is the sum
-      of the column's |value| over the later steps;
-    - ``frontier[k]``: the slots open after it, touched at or before step k
-      and again later, ascending.
-    """
-
-    order: tuple[int, ...]
-    entries: tuple[tuple[tuple[int, int], ...], ...]
-    closing: tuple[tuple[int, ...], ...]
-    reach: tuple[tuple[tuple[int, int], ...], ...]
-    frontier: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_slots(self) -> int:
-        return sum(map(len, self.closing))
-
-
-def frontier_plan(rows: Sequence[Sequence[tuple[int, int]]], links: range) -> FrontierPlan:
-    """The reverse Cuthill–McKee order of ``rows`` and its per-step columns.
-
-    Two rows are adjacent when both have a nonzero entry in a column of
-    ``links``.  Cuthill–McKee runs a breadth-first search from a least-degree
-    row (ties by index), appends each row's unvisited neighbours by degree
-    and then index, and restarts the same way in every component it has not
-    reached; the order is that sequence reversed.  The search is a queue
-    walk, not a recursion, so any number of rows works.
-    """
-    m = len(rows)
-    touching = {}
-    for r, entries in enumerate(rows):
-        for j, x in entries:
-            if x and j in links:
-                touching.setdefault(j, []).append(r)
-    neighbours = [set() for _ in range(m)]
-    for rs in touching.values():
-        for r in rs:
-            neighbours[r].update(rs)
-    for r in range(m):
-        neighbours[r].discard(r)
-    def degree_then_index(r):
-        return len(neighbours[r]), r
-
-    seen = [False] * m
-    order = []
-    for start in sorted(range(m), key=degree_then_index):
-        if seen[start]:
-            continue
-        seen[start] = True
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            nxt = sorted((s for s in neighbours[order[head]] if not seen[s]), key=degree_then_index)
-            for s in nxt:
-                seen[s] = True
-            order.extend(nxt)
-            head += 1
-    order.reverse()
-
-    slot = {}
-    entries = []
-    for r in order:
-        step = []
-        for j, x in rows[r]:
-            if x:
-                step.append((slot.setdefault(j, len(slot)), x))
-        entries.append(tuple(step))
-    tail = [0] * len(slot)
-    closing, reach = [None] * m, [None] * m
-    for k in range(m - 1, -1, -1):
-        closing[k] = tuple(s for s, _x in entries[k] if not tail[s])
-        reach[k] = tuple((s, tail[s]) for s, _x in entries[k] if tail[s])
-        for s, x in entries[k]:
-            tail[s] += abs(x)
-    frontier = []
-    live = set()
-    for k in range(m):
-        live.update(s for s, _x in entries[k])
-        live.difference_update(closing[k])
-        frontier.append(tuple(sorted(live)))
-    return FrontierPlan(tuple(order), tuple(entries), tuple(closing), tuple(reach), tuple(frontier))
-
-
 def _no_key(acc) -> tuple:
     return ()
 
 
-def _cancelling_signs(plan: FrontierPlan, budget: int) -> Optional[list[int]]:
+def _cancelling_signs(plan: kernels.FrontierPlan, budget: int) -> Optional[list[int]]:
     """Signs in {-1, 0, 1}, one per step of ``plan``, not all zero, under
     which every column sums to zero; None when there are none.
 
@@ -267,7 +176,7 @@ def witness_from_assignment(
     spread columns, so the spread image of such a combination is one
     Hadamard row per nonzero sign and has max-norm 1.
 
-    The rows are visited in ``frontier_plan``'s reverse Cuthill–McKee order
+    The rows are visited in ``kernels.rcm_order``'s reverse Cuthill–McKee order
     over the constraints that share a variable (the selected rows meet in a
     consistency column exactly then), and ``_cancelling_signs`` searches
     them depth first, keeping the open columns' sums as its state and never
@@ -286,7 +195,9 @@ def witness_from_assignment(
 
     lo, hi = inst.consistency_span[0], inst.support_span[1]
     scaled = [[(j, x) for j, x in inst.rows[r] if lo <= j < hi] for r in selected]
-    plan = frontier_plan(scaled, range(*inst.consistency_span))
+    plan = kernels.frontier_plan(
+        scaled, kernels.rcm_order(scaled, range(*inst.consistency_span))
+    )
     signs = _cancelling_signs(plan, budget)
     if signs is None:
         raise WitnessNotFoundError(

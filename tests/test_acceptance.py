@@ -186,7 +186,7 @@ def test_criterion_09_disperser_certification():
         (4, 1, Fraction(1, 2)),
         (6, 3, Fraction(1, 2)),
     ):
-        g = build_disperser(a, w, beta, "exhaustive-search")
+        g = build_disperser(a, w, beta)
         assert g.right_size <= 12
         ok, cert = verify_disperser(g, 3 * beta**w, beta)
         assert ok and cert is None, (a, w)

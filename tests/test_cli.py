@@ -750,6 +750,36 @@ def test_regularize_to_stdout(capsys):
     assert out.startswith("csp 4 4 4 2")
 
 
+def test_regularize_has_no_strategy_option(capsys):
+    # one certified search makes every disperser; the option is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["regularize", TOY1, "--strategy", "exhaustive-search"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+
+
+def test_regularize_without_a_certified_graph_exits_2(capsys):
+    # toy1's variables have degree 2; spread 3 and right degree 1 ask for a
+    # (2, 6) graph, and at beta 1/2 none certifies
+    code, out, err = run(
+        capsys, "regularize", TOY1, "--duplication", "1", "--spread", "3",
+        "--beta", "1/2", "--right-degree", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: no bi-regular graph on (2, 6)")
+
+
+def test_regularize_past_the_recursion_limit_refuses_on_budget(tmp_path, capsys):
+    # a variable of degree 1200: one search level per left vertex, and a
+    # certification of C(1200, 600) subsets at the end
+    src = tmp_path / "deg1200.csp"
+    src.write_text("csp 2 1200 2 2\n" + "con 0 1\nacc 0 0\n" * 1200)
+    code, out, err = run(capsys, "regularize", str(src), "--spread", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith("error: disperser search on (1200, 1200) exceeded")
+    assert "Traceback" not in err
+
+
 def test_alphabet_padding_end_to_end(tmp_path, capsys):
     src = tmp_path / "sigma3.csp"
     src.write_text(SIGMA3)

@@ -543,3 +543,11 @@ def test_box_minimum_look_ahead_matches_brute_force(case):
     power, vec, nodes = kernels.box_minimum(rows, c, p, 10**9)
     assert (power, vec) == _naive_box_minimum(rows, c, p)
     assert nodes <= _reference_box_dfs(rows, c, p, 10**9, look_ahead=False)[2]
+
+
+def test_box_minimum_counts_a_column_listed_twice_once():
+    # a row may list a column more than once; its values add up
+    rows = [((0, 1), (0, 2), (1, 1)), ((0, -3), (1, 1)), ((1, 2), (1, -1))]
+    for p in (None, 1, 3):
+        power, vec, _nodes = kernels.box_minimum(rows, 1, p, 10**6)
+        assert (power, vec) == _naive_box_minimum(rows, 1, p)

@@ -1,19 +1,103 @@
 """Degree regularization: duplication, dispersers, lifting."""
 
+import importlib
+import importlib.util
+import itertools
+import math
+import pathlib
+import time
 from fractions import Fraction
 
 import pytest
 
 from svpforge.csp import evaluate, max_sat_bruteforce, parse_csp, validate_regular
-from svpforge.errors import RegularizeError
+from svpforge.errors import (
+    BudgetExceededError,
+    DisperserCertificationError,
+    RegularizeError,
+)
 from svpforge.gadgets import BipartiteBiregular, verify_disperser
 from svpforge.regularize import (
     RegularizeParams,
+    _search_certified,
     build_disperser,
     duplicate_constraints,
     lineage_json,
     regularize,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# the package re-exports the function regularize() under the submodule's name
+regularize_module = importlib.import_module("svpforge.regularize")
+
+# The smallest shape of the grid below on which no bi-regular graph
+# certifies: (a, b, w, f, beta).  Left vertex 0's three neighbours are a
+# subset of size floor(beta*b) = 3 that absorbs it, and 1 > delta*a = 3/4.
+NO_CERTIFIED_GRAPH = (2, 6, 3, 1, Fraction(1, 2))
+
+
+def _perfbench_gen():
+    """``perfbench/gen.py`` as a module, for its irregular family."""
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reference_search_certified(
+    a, b, w, f, delta, beta, leaf_budget, subset_budget, counts=None
+):
+    """Backtracking over left adjacency choices in lex order; first graph to
+    pass certification wins, so the result is deterministic.  The recursive
+    search ``regularize._search_certified`` replaced; ``counts``, when given,
+    receives the candidates tried and the complete graphs reached."""
+    choices = list(itertools.combinations(range(b), w))
+    caps = [f] * b
+    adj: list[tuple[int, ...]] = []
+    leaves = 0
+    tried = 0
+
+    def backtrack(i):
+        nonlocal leaves, tried
+        if i == a:
+            leaves += 1
+            if leaves > leaf_budget:
+                raise BudgetExceededError(
+                    f"disperser search exceeded {leaf_budget} candidate graphs"
+                )
+            graph = BipartiteBiregular(a, b, w, f, tuple(adj))
+            ok, _cert = verify_disperser(graph, delta, beta, subset_budget)
+            return graph if ok else None
+        open_rights = sum(1 for r in range(b) if caps[r] > 0)
+        if open_rights < w:
+            return None
+        for subset in choices:
+            if all(caps[r] > 0 for r in subset):
+                tried += 1
+                for r in subset:
+                    caps[r] -= 1
+                adj.append(subset)
+                got = backtrack(i + 1)
+                if got is not None:
+                    return got
+                adj.pop()
+                for r in subset:
+                    caps[r] += 1
+        return None
+
+    got = backtrack(0)
+    if counts is not None:
+        counts.update(tried=tried, leaves=leaves)
+    return got
+
+
+def _search_grid():
+    """Every (a, b, w, f, beta) with a <= 4, b <= 8, w <= 3 and w*a == f*b."""
+    for a, b, w in itertools.product(range(1, 5), range(1, 9), range(1, 4)):
+        if w <= b and (w * a) % b == 0:
+            for beta in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+                yield a, b, w, w * a // b, beta
 
 
 @pytest.fixture
@@ -44,12 +128,6 @@ def test_param_validation():
         RegularizeParams(duplication=0, spread=1, beta=Fraction(1, 2))
     with pytest.raises(RegularizeError):
         RegularizeParams(duplication=1, spread=1, beta=Fraction(3, 2))
-    with pytest.raises(RegularizeError):
-        RegularizeParams(duplication=1, spread=1, beta=Fraction(1, 2), strategy="nope")
-    with pytest.raises(RegularizeError):
-        RegularizeParams(
-            duplication=1, spread=1, beta=Fraction(1, 2), strategy="supplied-graph"
-        )
 
 
 def test_duplicate_constraints(toy1):
@@ -124,43 +202,67 @@ def test_regularize_rejects_unused_variable():
         regularize(inst, params)  # variable 2 has degree zero
 
 
-def test_supplied_graph_strategy(toy1):
-    g = BipartiteBiregular(4, 2, 2, 4, ((0, 1),) * 4)
-    params = RegularizeParams.defaults(
-        toy1,
-        duplication=2,
-        spread=2,
-        beta=Fraction(1, 2),
-        strategy="supplied-graph",
-        supplied=(g, g),
-        right_degree=4,
-    )
-    reg = regularize(toy1, params)
-    assert validate_regular(reg.instance).is_regular
-
-
-def test_greedy_strategy(toy1):
-    params = RegularizeParams.defaults(
-        toy1, duplication=2, spread=2, beta=Fraction(1, 2), strategy="greedy-verified"
-    )
-    reg = regularize(toy1, params)
-    out = reg.instance
-    assert validate_regular(out).is_regular
-    lifted = reg.lift_assignment((0, 0))
-    assert evaluate(out, lifted) == 1
-
-
 def test_build_disperser_small_sizes():
     for a, w, beta in ((4, 2, Fraction(1, 2)), (6, 2, Fraction(1, 2)), (4, 1, Fraction(1, 2))):
-        g = build_disperser(a, w, beta, "exhaustive-search")
+        g = build_disperser(a, w, beta)
         assert g.left_size == a and g.left_degree == w
         assert g.right_size <= 12
         ok, _ = verify_disperser(g, 3 * beta**w, beta)
         assert ok
 
 
+def test_search_matches_the_recursive_reference():
+    failing = []
+    for a, b, w, f, beta in _search_grid():
+        delta = 3 * beta**w
+        want = _reference_search_certified(a, b, w, f, delta, beta, 10**6, 10**6)
+        assert _search_certified(a, b, w, f, delta, beta) == want, (a, b, w, f, beta)
+        if want is None:
+            failing.append((a, b, w, f, beta))
+    assert failing[0] == NO_CERTIFIED_GRAPH
+
+
+def test_no_certified_graph_raises():
+    a, b, w, _f, beta = NO_CERTIFIED_GRAPH
+    with pytest.raises(DisperserCertificationError):
+        build_disperser(a, w, beta, right_size=b)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(4, 4, 2, 2, Fraction(1, 2)), (4, 8, 2, 1, Fraction(1, 4)), NO_CERTIFIED_GRAPH],
+    ids=["certified", "none-after-2520-graphs", "none-after-20-graphs"],
+)
+def test_search_budget_counts_candidates_and_certified_subsets(monkeypatch, shape):
+    # one unit per candidate tried, and floor(beta*b)-subsets per graph
+    a, b, w, f, beta = shape
+    delta = 3 * beta**w
+    counts = {}
+    want = _reference_search_certified(a, b, w, f, delta, beta, 10**6, 10**6, counts)
+    work = counts["tried"] + counts["leaves"] * math.comb(b, int(beta * b))
+    monkeypatch.setattr(regularize_module, "SEARCH_BUDGET", work)
+    assert _search_certified(a, b, w, f, delta, beta) == want
+    monkeypatch.setattr(regularize_module, "SEARCH_BUDGET", work - 1)
+    with pytest.raises(BudgetExceededError):
+        _search_certified(a, b, w, f, delta, beta)
+
+
+def test_default_parameters_refuse_on_the_budget_at_once():
+    # spread 12 and a degree-6 variable: b = 24, C(24, 12) candidate sets per
+    # level and subsets per certification, so the search must refuse
+    inst = parse_csp(_perfbench_gen().irregular(1))
+    params = RegularizeParams.defaults(inst)
+    assert params.spread == 12
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="disperser search on \\(6, 24\\)"):
+        regularize(inst, params)
+    assert time.perf_counter() - start < 30
+
+
 def test_lineage_json(reg_toy1):
     data = lineage_json(reg_toy1)
+    assert data["version"] == 2
+    assert "strategy" not in data
     assert data["duplication"] == 2
     assert data["spread"] == 2
     assert len(data["variables"]) == reg_toy1.instance.num_vars

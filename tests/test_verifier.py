@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from svpforge.basisio import load_instance, save_instance
 from svpforge.csp import Constraint, CspInstance, evaluate, parse_csp
 from svpforge.errors import BudgetExceededError, WitnessNotFoundError
+from svpforge.kernels import frontier_plan, rcm_order
 from svpforge.reduction import GapSvpInstance, derive_profile, reduce_csp
 from svpforge.verifier import (
     apply_coefficients,
@@ -25,7 +26,6 @@ from svpforge.verifier import (
     indicated_view,
     lp_norm_power,
     outside_box_floor,
-    frontier_plan,
     structural_facts,
     witness_from_assignment,
 )
@@ -256,7 +256,7 @@ def test_witness_matches_reference(case):
 
 
 def _first_in_search_order(out, assignment):
-    """The first sign vector on the selected rows, in ``frontier_plan``'s
+    """The first sign vector on the selected rows, in ``rcm_order``'s
     order with 0 < +1 < -1 at each step and earlier steps first, that
     cancels the scaled columns, by brute force; as a coefficient vector
     negated to lead with +1, or None."""
@@ -267,7 +267,7 @@ def _first_in_search_order(out, assignment):
     ]
     lo, hi = out.consistency_span[0], out.support_span[1]
     scaled = [[(j, x) for j, x in out.rows[r] if lo <= j < hi] for r in selected]
-    order = frontier_plan(scaled, range(*out.consistency_span)).order
+    order = rcm_order(scaled, range(*out.consistency_span))
     for signs in itertools.product((0, 1, -1), repeat=len(order)):
         if not any(signs):
             continue
@@ -420,7 +420,7 @@ def _frontier_plan_directly(rows, order):
 )
 def test_frontier_plan_against_the_definitions(dicts):
     rows = [tuple(sorted(d.items())) for d in dicts]
-    plan = frontier_plan(rows, range(0, 4))
+    plan = frontier_plan(rows, rcm_order(rows, range(0, 4)))
     assert sorted(plan.order) == list(range(len(rows)))
     column = {}
     for k, r in enumerate(plan.order):
@@ -445,7 +445,7 @@ def test_frontier_plan_is_reverse_cuthill_mckee():
         ((10, 1), (20, 1)),
         ((11, 1), (12, 1), (20, 1)),
     ]
-    plan = frontier_plan(rows, range(10, 14))
+    plan = frontier_plan(rows, rcm_order(rows, range(10, 14)))
     # degrees 2, 1, 0, 1, 2: start at row 2 (degree 0), then at row 1, the
     # least-degree row left, and walk 1, 4, 0, 3
     assert plan.order == (3, 0, 4, 1, 2)
