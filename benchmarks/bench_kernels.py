@@ -13,8 +13,13 @@ later rows can still take off each open column prunes; the grouped one
 prunes on each group's private columns the way spread blocks do, and on
 each shared column before and after its last nonzero entry; and the p=3
 odd-cycle basis at scale 10**6 is the 12-row unsatisfiable basis
-``enumerate`` reads in the verify benchmark.  The witness search must reach max-norm 1 and the
-kernel-support search must certify its matrix.
+``enumerate`` reads in the verify benchmark.  The witness search must reach
+max-norm 1.  The kernel-support search must certify vm(13, 3) as given and
+scaled by 2**48 and 2**58, whose bounds pass 2**53 and 2**63 (scaling keeps
+the kernel), and the Gram check must pass the Hadamard matrices of orders 1
+to 128.  The last column names the arithmetic each certification product
+ran, as ``kernels.exact_dtype`` picked it; the box and witness searches run
+in Python integers.
 """
 
 import argparse
@@ -23,9 +28,18 @@ import time
 
 from svpforge import kernels
 from svpforge.csp import Constraint, CspInstance
-from svpforge.gadgets import reduced_vandermonde, search_kernel_support_counterexample
+from svpforge.gadgets import (
+    ReducedVandermonde,
+    hadamard,
+    hadamard_gram_ok,
+    reduced_vandermonde,
+    search_kernel_support_counterexample,
+)
 from svpforge.reduction import derive_profile, reduce_csp
 from svpforge.verifier import apply_coefficients, lp_norm_power, witness_from_assignment
+
+
+ARITHMETIC = {"float64": "float64", "int64": "int64", "object": "python int"}
 
 
 def _time(fn, repeat):
@@ -37,6 +51,24 @@ def _time(fn, repeat):
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best, result
+
+
+def _time_products(fn, repeat):
+    """_time(fn, repeat), plus the arithmetic ``kernels.exact_dtype`` picked
+    for fn's products, each name once in order of first use."""
+    seen = []
+    real = kernels.exact_dtype
+
+    def spy(bound):
+        seen.append(real(bound))
+        return seen[-1]
+
+    kernels.exact_dtype = spy
+    try:
+        dt, result = _time(fn, repeat)
+    finally:
+        kernels.exact_dtype = real
+    return dt, result, "+".join(ARITHMETIC[name] for name in dict.fromkeys(seen))
 
 
 def det_workloads():
@@ -104,28 +136,38 @@ def main():
     parser.add_argument("--repeat", type=int, default=3, help="timing repetitions")
     args = parser.parse_args()
 
-    rows_fmt = "{:<28} {:>12}"
-    print(rows_fmt.format("workload", kernels.backend_name()))
+    rows_fmt = "{:<30} {:>10}  {}"
+    print(rows_fmt.format("workload", kernels.backend_name(), "arithmetic"))
 
     for name, rows, width in det_workloads():
-        dt, result = _time(lambda: kernels.det_sweep(rows, width), args.repeat)
+        dt, result, arith = _time_products(lambda: kernels.det_sweep(rows, width), args.repeat)
         assert result == kernels._det_sweep_bigint(rows, width), name
-        print(rows_fmt.format(name, f"{dt*1e3:.1f} ms"))
+        print(rows_fmt.format(name, f"{dt*1e3:.1f} ms", arith))
 
     for name, rows, p, nodes in box_workloads():
         dt, result = _time(lambda: kernels.box_minimum(rows, 1, p, 10**9), args.repeat)
         assert result[2] == nodes, f"{name}: {result[2]} nodes, pinned {nodes}"
-        print(rows_fmt.format(name, f"{dt*1e3:.1f} ms"))
+        print(rows_fmt.format(name, f"{dt*1e3:.1f} ms", "python int"))
 
     out, assignment = witness_instance()
     dt, v = _time(lambda: witness_from_assignment(out, assignment), args.repeat)
     assert lp_norm_power(apply_coefficients(v, out.rows, out.num_cols), None) == 1, "witness M=20"
-    print(rows_fmt.format("witness M=20", f"{dt*1e3:.1f} ms"))
+    print(rows_fmt.format("witness M=20", f"{dt*1e3:.1f} ms", "python int"))
 
-    vm = reduced_vandermonde(13, 3)
-    dt, hit = _time(lambda: search_kernel_support_counterexample(vm, 3, 5), args.repeat)
-    assert hit is None, f"kernel support vm(13,3): counterexample {hit}"
-    print(rows_fmt.format("kernel support vm(13,3)", f"{dt*1e3:.1f} ms"))
+    rows = reduced_vandermonde(13, 3).rows
+    for name, scale in (("", 1), (" x2^48", 2**48), (" x2^58", 2**58)):
+        vm = ReducedVandermonde(13, 3, tuple(tuple(scale * x for x in r) for r in rows))
+        dt, hit, arith = _time_products(
+            lambda: search_kernel_support_counterexample(vm, 3, 5), args.repeat
+        )
+        assert hit is None, f"kernel support vm(13,3){name}: counterexample {hit}"
+        print(rows_fmt.format(f"kernel support vm(13,3){name}", f"{dt*1e3:.1f} ms", arith))
+
+    dt, oks, arith = _time_products(
+        lambda: [hadamard_gram_ok(hadamard(k)) for k in range(8)], args.repeat
+    )
+    assert all(oks), f"hadamard gram k<=7: {oks}"
+    print(rows_fmt.format("hadamard gram k<=7", f"{dt*1e3:.1f} ms", arith))
 
 
 if __name__ == "__main__":

@@ -279,7 +279,16 @@ def _selftest_checks(seed: int):
         return (power, vector) == brute
 
     def kernel_support() -> bool:
-        if search_kernel_support_counterexample(reduced_vandermonde(7, 2), 2, 5) is not None:
+        # vm(13, 3) certifies over supports of size <= 3 and entries in
+        # [-5, 5]; with row 11 replaced by row 9 + row 10, the first
+        # counterexample is (-5, -5, 5) on the last support of size 3
+        vm = reduced_vandermonde(13, 3)
+        if search_kernel_support_counterexample(vm, 3, 5) is not None:
+            return False
+        rows = list(vm.rows)
+        rows[11] = tuple(x + y for x, y in zip(rows[9], rows[10]))
+        planted = ReducedVandermonde(13, 3, tuple(rows))
+        if search_kernel_support_counterexample(planted, 3, 5) != (0,) * 9 + (-5, -5, 5):
             return False
         rng = random.Random(seed + 2)
         rows = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)]

@@ -2,6 +2,10 @@
 
 Everything here is integer-exact: primality is deterministic Miller-Rabin,
 determinants are integer determinants, disperser checks enumerate subsets.
+The kernel-support search and the Gram check are NumPy products in the
+arithmetic ``kernels.exact_dtype`` picks from a proven bound on every
+product and partial sum they form: float64 below 2**53, int64 below 2**63,
+Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from .errors import BudgetExceededError
 
 DEFAULT_SUBSET_BUDGET = 1 << 22
 
-# Image entries computed per batch of a kernel-support search.
+# Candidates (support, value tuple) evaluated per batch of a kernel-support
+# search: each column's image and the zero mask hold this many cells.
 _KERNEL_CHUNK_CELLS = 1 << 15
 
 # Deterministic Miller-Rabin witness set, valid for all n below 3.3 * 10**24.
@@ -137,11 +142,14 @@ def search_kernel_support_counterexample(
     Entries range over [-entry_bound, entry_bound].  Returns the first
     counterexample found or None; None is a certification over the whole box.
     Candidates are taken support size k ascending, supports in lexicographic
-    order, nonzero values in ``itertools.product`` order.  Each chunk of
-    supports of one size is one batched product of every value tuple with
-    their rows, whose first zero image is a flat argmax.  The arithmetic is
-    int64 when ``max_support * entry_bound * max|entry| < 2**63`` and Python
-    integers in object arrays otherwise.
+    order, nonzero values in ``itertools.product`` order.  Each batch of
+    supports of one size (about _KERNEL_CHUNK_CELLS candidates, so memory
+    stays flat) is one (supports x k) by (k x value tuples) product per
+    column of V; the columns' zero masks are combined with ``&``, and the
+    first candidate whose image is zero on every column is a flat argmax.
+    Every product and partial sum of size k is an integer of magnitude at
+    most ``k * entry_bound * max|entry|``, and ``kernels.exact_dtype`` picks
+    the arithmetic from that bound.
     """
     import numpy as np  # only certification needs it; compiling and checking do not
 
@@ -154,28 +162,40 @@ def search_kernel_support_counterexample(
         raise BudgetExceededError(f"{work} candidate vectors exceed budget {budget}")
     if not nonzero_entries:
         return None
-    top = min(max_support, n)
-    maxabs = max((abs(x) for row in vm.rows for x in row), default=0)
-    dtype = np.int64 if top * entry_bound * maxabs < 1 << 63 else object
-    rows = np.array(vm.rows, dtype=dtype).reshape(n, vm.width)
-    for k in range(1, top + 1):
-        values = np.array(
-            list(itertools.product(nonzero_entries, repeat=k)), dtype=dtype
-        )
-        chunk = max(1, _KERNEL_CHUNK_CELLS // (len(values) * max(vm.width, 1)))
+    columns, maxabs = _integer_array(vm.rows)
+    columns = columns.reshape(n, vm.width).T  # one row per column of V
+    for k in range(1, min(max_support, n) + 1):
+        dtype = kernels.exact_dtype(k * entry_bound * maxabs)
+        values = np.array(list(itertools.product(nonzero_entries, repeat=k)), dtype=dtype)
+        cols = columns.astype(dtype)
+        chunk = max(1, _KERNEL_CHUNK_CELLS // len(values))
         supports = itertools.combinations(range(n), k)
         while batch := list(itertools.islice(supports, chunk)):
-            # images[s, v] is the image of value tuple v on support s
-            images = values @ rows[np.array(batch)]
-            zero = ~(images != 0).any(axis=2).ravel()
+            idx = np.array(batch)
+            # zero[s, v]: value tuple v on support s is zero on every column
+            zero = np.ones((len(batch), len(values)), dtype=bool)
+            for col in cols:
+                zero &= col[idx] @ values.T == 0
             first = int(zero.argmax())
-            if zero[first]:
-                s, i = divmod(first, len(values))
+            s, i = divmod(first, len(values))
+            if zero[s, i]:
                 v = [0] * n
                 for r, val in zip(batch[s], values[i].tolist()):
-                    v[r] = val
+                    v[r] = int(val)
                 return tuple(v)
     return None
+
+
+def _integer_array(rows):
+    """``rows`` as an int64 array, or as an object array of Python integers
+    when an entry does not fit, and its largest |entry| as a Python integer."""
+    import numpy as np
+
+    try:
+        arr = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        arr = np.array(rows, dtype=object)
+    return arr, max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
 @dataclass(frozen=True)
@@ -214,17 +234,18 @@ def hadamard_row(k: int, r: int) -> tuple[int, ...]:
 def hadamard_gram_ok(h: HadamardMatrix) -> bool:
     """Exact check that H * H^T equals order * identity.
 
-    One int64 product when ``len(row) * max|entry|**2 < 2**63`` bounds every
-    dot product, Python integers otherwise.
+    One product in the arithmetic ``kernels.exact_dtype`` picks: every
+    product and partial sum of a dot product of two rows is an integer of
+    magnitude at most ``width * max|entry|**2``.
     """
     import numpy as np
 
     n = h.order
-    width = max((len(row) for row in h.rows), default=0)
-    maxabs = max((abs(x) for row in h.rows for x in row), default=0)
-    dtype = np.int64 if width * maxabs**2 < 1 << 63 else object
-    mat = np.array(h.rows, dtype=dtype)
-    return np.array_equal(mat @ mat.T, n * np.identity(n, dtype=np.int64))
+    mat, maxabs = _integer_array(h.rows)
+    mat = mat.astype(kernels.exact_dtype(mat.shape[-1] * maxabs**2))
+    gram = mat @ mat.T
+    # n entries of n on the diagonal and no other nonzero entry
+    return gram.shape == (n, n) and (gram.diagonal() == n).all() and np.count_nonzero(gram) == n
 
 
 @dataclass(frozen=True)

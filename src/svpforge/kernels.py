@@ -5,11 +5,18 @@
   rcm_order(rows, links)          -> a reverse Cuthill-McKee visit order of sparse rows
   frontier_plan(rows, order)      -> the columns each step of that order closes or leaves open
 
+  exact_dtype(bound)              -> the arithmetic that is exact under a magnitude bound
+
+Every certification product (this module's determinant sweep, and the
+kernel-support and Gram checks in ``gadgets``) runs in the arithmetic that
+``exact_dtype`` picks from a proven bound on the magnitude of every integer
+it forms: each entry, each product of two entries and each partial sum, in
+any summation order and with fused multiply-adds.  Below 2**53 that is
+float64, whose 53-bit significand holds every such integer, so a BLAS
+product is exact; below 2**63 it is int64, which cannot overflow; otherwise
+it is Python integers in object arrays.  Results are exact on every path.
 Determinant sweeps evaluate every combination that shares its last prefix
-row with one NumPy product, in float64 when a proven bound keeps every
-product and partial sum below 2**53 (then BLAS is exact), in int64 when a
-proven overflow bound holds, and in Python big integers otherwise, so
-results are exact either way.  The box enumeration reads sparse rows and
+row with one NumPy product.  The box enumeration reads sparse rows and
 is one iterative depth-first search over all rows in Python integers: it
 prunes on the closed columns' value plus a bound on what the later rows can
 no longer take off the open ones, and keeps its state per level on an
@@ -28,15 +35,10 @@ from dataclasses import dataclass
 
 from svpforge.errors import BudgetExceededError
 
-# Largest |entry| for which the int64 determinant formulas cannot overflow:
-# the b=4 expansion sums 6 products of two 2x2 minors, each minor at most
-# 2*maxabs**2, so |any intermediate| <= 24*maxabs**4; b=3 dots a row with a
-# cross product (entries at most 2*maxabs**2), so |any intermediate| <=
-# 6*maxabs**3.
-INT64_DET_MAXABS = {1: (1 << 62), 2: 2_000_000_000, 3: 1_000_000, 4: 20_000}
-
-# Integers of magnitude below this are exact in float64 (53-bit significand).
+# Integers of magnitude below these are exact in float64 (53-bit
+# significand) and in int64.
 FLOAT64_EXACT = 1 << 53
+INT64_EXACT = 1 << 63
 
 # Laplace expansion of a 4x4 determinant over rows (0,1 | 2,3): the minor of
 # rows 0-1 on column pair _PAIRS[k] multiplies the minor of rows 2-3 on the
@@ -52,12 +54,36 @@ def backend_name() -> str:
     return "pure"
 
 
+def exact_dtype(bound: int) -> str:
+    """The NumPy dtype name of the arithmetic that is exact when every
+    integer a computation forms has magnitude at most ``bound``: "float64"
+    below 2**53, "int64" below 2**63, and "object" (Python integers)
+    otherwise."""
+    if bound < FLOAT64_EXACT:
+        return "float64"
+    if bound < INT64_EXACT:
+        return "int64"
+    return "object"
+
+
+def _det_bound(width, maxabs):
+    """A bound on every integer the int64 sweep of width <= 4 forms from
+    entries of magnitude at most ``maxabs``: width! * maxabs**width.  A 2x2
+    minor is at most 2*maxabs**2; b=3 dots a row with a cross product (entries
+    at most 2*maxabs**2), so at most 6*maxabs**3; b=4 sums 6 products of two
+    2x2 minors, so at most 24*maxabs**4."""
+    return math.factorial(width) * maxabs**width
+
+
 def det_sweep(rows, width):
     """Scan all width-row combinations in lexicographic order.
 
     Returns the index tuple of the first combination whose square submatrix
     has determinant zero, or None when every submatrix is nonsingular.
     ``rows`` is a sequence of integer rows, each exactly ``width`` long.
+    Widths up to 4 run the grouped sweep when ``exact_dtype`` keeps
+    ``_det_bound`` out of Python integers; other inputs run one exact
+    determinant per combination.
     """
     n = len(rows)
     if width < 1 or width > n:
@@ -65,7 +91,7 @@ def det_sweep(rows, width):
     if any(len(r) != width for r in rows):
         raise ValueError("rows must be exactly width long")
     maxabs = max((abs(x) for row in rows for x in row), default=0)
-    if width <= 4 and maxabs <= INT64_DET_MAXABS[width]:
+    if width <= 4 and exact_dtype(_det_bound(width, maxabs)) != "object":
         return _det_sweep_int64(rows, width)
     return _det_sweep_bigint(rows, width)
 
@@ -148,7 +174,7 @@ def _float64_exact(tail, heads) -> bool:
         int(t) * int(h)
         for t, h in zip(abs(tail).max(axis=0), abs(heads).max(axis=0))
     )
-    return bound < FLOAT64_EXACT
+    return exact_dtype(bound) == "float64"
 
 
 def _det_sweep_bigint(rows, b):

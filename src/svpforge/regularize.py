@@ -156,7 +156,11 @@ def build_disperser(
 
     Never returns an uncertified graph: the search accepts only a graph that
     passes gadgets.verify_disperser, raises DisperserCertificationError when
-    no graph does, and BudgetExceededError past SEARCH_BUDGET.
+    no graph does, and BudgetExceededError past SEARCH_BUDGET.  A shape on
+    which no graph can certify is refused before the search: when spread <=
+    floor(beta*B) and delta*A < 1, every left vertex's neighbourhood lies in
+    a right subset of size floor(beta*B), which absorbs at least that one
+    vertex, more than delta*A.
     """
     a, w = left_size, spread
     if a < 1 or w < 1:
@@ -170,11 +174,16 @@ def build_disperser(
         raise RegularizeError(
             f"right size {b} must divide spread*left = {w * a} and be >= spread {w}"
         )
+    refusal = f"no bi-regular graph on ({a}, {b}) certifies ({delta}, {beta}) dispersion"
+    m = int(beta * b)
+    if w <= m and delta * a < 1:
+        raise DisperserCertificationError(
+            f"{refusal}: a left vertex's {w} neighbours fit in a right subset of "
+            f"size floor(beta*B) = {m}, which absorbs it, and 1 > delta*A = {delta * a}"
+        )
     got = _search_certified(a, b, w, w * a // b, delta, beta)
     if got is None:
-        raise DisperserCertificationError(
-            f"no bi-regular graph on ({a}, {b}) certifies ({delta}, {beta}) dispersion"
-        )
+        raise DisperserCertificationError(refusal)
     return got
 
 

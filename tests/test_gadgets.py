@@ -1,6 +1,7 @@
 """Number-theoretic and combinatorial gadgets."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -183,9 +184,23 @@ def test_kernel_support_hit_in_a_later_chunk():
     hit = search_kernel_support_counterexample(vm, 3, 5)
     assert hit == _reference_kernel_support_search(vm, 3, 5)
     support = tuple(i for i, x in enumerate(hit) if x)
-    per_chunk = gadgets._KERNEL_CHUNK_CELLS // (10**3 * 3)
+    per_chunk = gadgets._KERNEL_CHUNK_CELLS // 10**3
     position = list(itertools.combinations(range(12), 3)).index(support)
     assert position >= 4 * per_chunk
+
+
+def test_kernel_support_batches_keep_memory_flat():
+    # a batch holds about _KERNEL_CHUNK_CELLS candidates: one column's image
+    # (8 bytes each), the zero mask and its update (1 byte each)
+    vm = reduced_vandermonde(13, 3)
+    assert search_kernel_support_counterexample(vm, 3, 5) is None  # imports, builds rows
+    tracemalloc.start()
+    try:
+        search_kernel_support_counterexample(vm, 3, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * gadgets._KERNEL_CHUNK_CELLS
 
 
 @pytest.mark.parametrize("a", [7, 11, 13])
@@ -211,6 +226,81 @@ def test_kernel_support_search_random_matrices(rows, max_support, entry_bound):
     vm = _planted(rows, width=len(rows[0]))
     got = search_kernel_support_counterexample(vm, max_support, entry_bound)
     assert got == _reference_kernel_support_search(vm, max_support, entry_bound)
+
+
+@pytest.fixture
+def arithmetic(monkeypatch):
+    """The arithmetic names ``kernels.exact_dtype`` returns, in call order."""
+    seen = []
+    real = gadgets.kernels.exact_dtype
+
+    def spy(bound):
+        seen.append(real(bound))
+        return seen[-1]
+
+    monkeypatch.setattr(gadgets.kernels, "exact_dtype", spy)
+    return seen
+
+
+_M53 = (2**53 - 1) // 9  # 9 * _M53 = 2**53 - 8
+
+
+@pytest.mark.parametrize(
+    "rows, max_support, entry_bound, expected",
+    [
+        # k=3 bound 9 * _M53, just below 2**53: row 2 = row 0 - row 1
+        ([[_M53, 1], [_M53 - 1, 2], [1, -1]], 3, 3, ["float64"] * 3),
+        # k=2 bound exactly 2**53, no kernel vector
+        ([[2**51, 3], [2**51 - 1, 3]], 2, 2, ["float64", "int64"]),
+        # 2**53 + 1 rounds to 2**53 in float64, where (-1, 1) would look
+        # like a kernel vector
+        ([[2**53 + 1], [2**53]], 2, 1, ["int64", "int64"]),
+        # k=2 bound 2**63 - 2: row 1 = -row 0
+        ([[2**62 - 1], [-(2**62 - 1)], [2**62 - 2]], 2, 1, ["int64", "int64"]),
+        # k=2 bound exactly 2**63, no kernel vector
+        ([[2**62], [2**62 - 1], [1]], 2, 1, ["int64", "object"]),
+        # 4 * 2**62 wraps to 0 in int64, where (4,) would look like one
+        ([[2**62]], 1, 4, ["object"]),
+    ],
+    ids=["below-2**53", "at-2**53", "past-2**53", "below-2**63", "at-2**63", "past-2**63"],
+)
+def test_kernel_support_arithmetic_at_its_bounds(arithmetic, rows, max_support, entry_bound, expected):
+    vm = _planted(rows, width=len(rows[0]))
+    got = search_kernel_support_counterexample(vm, max_support, entry_bound)
+    assert got == _reference_kernel_support_search(vm, max_support, entry_bound)
+    assert arithmetic == expected
+
+
+def _python_gram_ok(h):
+    n = h.order
+    return len(h.rows) == n and all(
+        sum(x * y for x, y in zip(h.rows[i], h.rows[j])) == n * (i == j)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "a, expected",
+    [
+        (1, "float64"),
+        (2**26 - 1, "float64"),  # bound 2 * a**2 just below 2**53
+        (2**26, "int64"),  # bound exactly 2**53
+        (2**31 - 1, "int64"),  # bound just below 2**63
+        (2**31, "object"),  # bound exactly 2**63
+        (2**32 + 1, "object"),  # int64 would wrap each diagonal entry to 2
+    ],
+)
+def test_hadamard_gram_arithmetic_at_its_bounds(arithmetic, a, expected):
+    # rows (a, b) and (-b, a) are orthogonal; their squared norms equal the
+    # order 2 only for a = 1 and b = +-1.  A float64 product cannot round a
+    # squared norm of at least a**2 down to 2, so only an int64 product past
+    # 2**64 can pass a matrix it should refuse.
+    for b in (a, a - 2):
+        h = HadamardMatrix(1, ((a, b), (-b, a)))
+        arithmetic.clear()
+        assert hadamard_gram_ok(h) == _python_gram_ok(h) == (a == 1)
+        assert arithmetic == [expected]
 
 
 def test_hadamard_base_cases():

@@ -1,6 +1,7 @@
 """Differential tests: the kernels against naive oracles."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -132,13 +133,28 @@ def test_det_sweep_differential(width):
         assert kernels.det_sweep(rows, width) == _naive_det_sweep(rows, width)
 
 
+def _int64_det_edge(width):
+    """The largest |entry| the grouped sweep takes: width! * m**width < 2**63."""
+    m = 1
+    while math.factorial(width) * (2 * m) ** width < 2**63:
+        m *= 2
+    lo, hi = m, 2 * m  # the edge lies in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.factorial(width) * mid**width < 2**63:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @st.composite
 def _det_sweep_inputs(draw):
     """Up to width + 10 rows, entries inside the float64 product bound or up
     to the int64 edge, with planted dependent rows: a multiple of one row,
     or that plus or minus another row."""
     width = draw(st.integers(1, 4))
-    edge = draw(st.sampled_from([9, 3000, kernels.INT64_DET_MAXABS[width]]))
+    edge = draw(st.sampled_from([9, 3000, _int64_det_edge(width)]))
     entry = st.one_of(
         st.integers(-edge, edge),
         st.sampled_from([-edge, -edge + 1, -1, 0, 1, edge - 1, edge]),
@@ -288,6 +304,43 @@ def test_float64_gate_is_strictly_below_2_53(last, exact):
     tail = np.array([[-(2**27), 1], [5, -1]])
     heads = np.array([[2**26 - 1, -last], [3, 0]])
     assert kernels._float64_exact(tail, heads) is exact
+
+
+@pytest.mark.parametrize(
+    "bound, dtype",
+    [
+        (0, "float64"),
+        (2**53 - 1, "float64"),
+        (2**53, "int64"),
+        (2**63 - 1, "int64"),
+        (2**63, "object"),
+        (2**200, "object"),
+    ],
+)
+def test_exact_dtype_boundaries(bound, dtype):
+    assert kernels.exact_dtype(bound) == dtype
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_det_sweep_leaves_int64_just_past_its_edge(monkeypatch, width):
+    # at the edge width! * m**width < 2**63 the grouped sweep runs; one past
+    # it, the big-integer sweep does; both give the naive answer
+    ran = []
+    for name in ("_det_sweep_int64", "_det_sweep_bigint"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda rows, b, real=real, name=name: ran.append(name) or real(rows, b)
+        )
+    for m, path in ((_int64_det_edge(width), "_det_sweep_int64"),
+                    (_int64_det_edge(width) + 1, "_det_sweep_bigint")):
+        # an upper triangular block with m on the diagonal, then a copy of
+        # row 0: for width >= 2 the first singular combination is
+        # (0, ..., width - 2, width)
+        rows = [[m if j == i else (m - 1) * (j > i) for j in range(width)] for i in range(width)]
+        rows.append(list(rows[0]))
+        ran.clear()
+        assert kernels.det_sweep(rows, width) == _naive_det_sweep(rows, width)
+        assert ran == [path]
 
 
 def test_det_sweep_finds_first_combination():

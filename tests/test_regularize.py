@@ -247,16 +247,44 @@ def test_search_budget_counts_candidates_and_certified_subsets(monkeypatch, shap
         _search_certified(a, b, w, f, delta, beta)
 
 
-def test_default_parameters_refuse_on_the_budget_at_once():
-    # spread 12 and a degree-6 variable: b = 24, C(24, 12) candidate sets per
-    # level and subsets per certification, so the search must refuse
+def test_default_parameters_refuse_a_hopeless_shape_at_once():
+    # spread 12 and a degree-6 variable: b = 24 and floor(beta*b) = 12, so a
+    # left vertex's 12 neighbours fill one subset and 1 > delta*a = 18/4096
     inst = parse_csp(_perfbench_gen().irregular(1))
     params = RegularizeParams.defaults(inst)
     assert params.spread == 12
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="disperser search on \\(6, 24\\)"):
+    with pytest.raises(
+        DisperserCertificationError,
+        match="^no bi-regular graph on \\(6, 24\\) .*: a left vertex's 12 neighbours "
+        "fit in a right subset of size floor\\(beta\\*B\\) = 12, which absorbs it, "
+        "and 1 > delta\\*A = 9/2048$",
+    ):
         regularize(inst, params)
-    assert time.perf_counter() - start < 30
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "a, w, beta, b",
+    [(2, 3, Fraction(1, 2), 6), (6, 12, Fraction(1, 2), 24), (4, 2, Fraction(1, 4), 8)],
+)
+def test_hopeless_shapes_refuse_before_the_search(monkeypatch, a, w, beta, b):
+    # w <= floor(beta*b) and delta*a < 1: refused without a candidate tried
+    def no_search(*args):
+        raise AssertionError("searched a hopeless shape")
+
+    monkeypatch.setattr(regularize_module, "_search_certified", no_search)
+    assert w <= int(beta * b) and 3 * beta**w * a < 1
+    with pytest.raises(DisperserCertificationError, match="which absorbs it"):
+        build_disperser(a, w, beta, right_size=b)
+
+
+def test_shapes_just_short_of_hopeless_are_searched():
+    # delta*a = 1 exactly, and w > floor(beta*b): the search runs, and here
+    # it certifies a graph
+    for a, w, beta, b in ((3, 2, Fraction(1, 3), 6), (2, 3, Fraction(1, 4), 6)):
+        g = build_disperser(a, w, beta, right_size=b)
+        assert verify_disperser(g, 3 * beta**w, beta)[0]
 
 
 def test_lineage_json(reg_toy1):
