@@ -3,10 +3,11 @@
 Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 
 Prints best-of-N wall times.  Each determinant sweep result is checked
-against the big-integer sweep, which shares no arithmetic with the grouped
-float64 or int64 products it times; the planted row's answer lies in a
-later group than the first zero the sweep meets, and the scaled row's
-products pass the float64 bound and run in int64.  Each box enumeration
+against the big-integer sweep, which shares no arithmetic with the float64
+slope search it times; the planted row's answer lies in a later group than
+the first zero the search meets, and the scaled rows' entries (10**6 at
+width 3, 10**5 at width 4) stay inside the slope search's float64 bound,
+though their determinants pass 2**53.  Each box enumeration
 reads sparse rows and must report its pinned node count: in the dense 3^12
 box every column closes at the last row, so only the bound on what the
 later rows can still take off each open column prunes; the grouped one
@@ -81,9 +82,12 @@ def det_workloads():
     rows = reduced_vandermonde(101, 4).rows
     planted = [tuple(map(sum, zip(*(rows[i] for i in idx)))) for idx in ((3, 4, 5), (0, 7, 8))]
     yield "det sweep (101, 4) planted", rows + tuple(planted), 4
-    # entries up to 10**6: the products pass the float64 bound and run in int64
-    rows = reduced_vandermonde(101, 3).rows
-    yield "det sweep (101, 3) x10^4", tuple(tuple(10**4 * x for x in r) for r in rows), 3
+    # entries up to 10**6 and 10**5: width * (width-2)! * max|entry|**(width-1)
+    # is 3e12 and 8e15, below 2**53
+    for prime, width, scale in ((101, 3, 4), (101, 4, 3)):
+        rows = reduced_vandermonde(prime, width).rows
+        yield (f"det sweep ({prime}, {width}) x10^{scale}",
+               tuple(tuple(10**scale * x for x in r) for r in rows), width)
 
 
 def box_workloads():

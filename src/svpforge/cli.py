@@ -257,15 +257,18 @@ def _selftest_checks(seed: int):
 
     def kernel_differential() -> bool:
         rng = random.Random(seed + 1)
-        rows = [[rng.randint(-50, 50) for _ in range(3)] for _ in range(12)]
-        rows[9] = [2 * x for x in rows[4]]  # plant a singular combination
-        singular = (
-            combo
-            for combo in itertools.combinations(range(len(rows)), 3)
-            if kernels.det_exact([rows[i] for i in combo]) == 0
-        )
-        if kernels.det_sweep(rows, 3) != next(singular, None):
-            return False
+        for width in (2, 3, 4):
+            rows = [[rng.randint(-50, 50) for _ in range(width)] for _ in range(12)]
+            # plant a dependent row: twice row 4, plus rows 2 and 6 as the width allows
+            sources = (4, 2, 6)[: width - 1]
+            rows[9] = [2 * x + sum(rest) for x, *rest in zip(*(rows[i] for i in sources))]
+            singular = (
+                combo
+                for combo in itertools.combinations(range(len(rows)), width)
+                if kernels.det_exact([rows[i] for i in combo]) == 0
+            )
+            if kernels.det_sweep(rows, width) != next(singular, None):
+                return False
         box_rows = [
             [(j, rng.choice((-3, -2, -1, 1, 2, 3))) for j in range(5) if rng.random() < 0.6]
             for _ in range(4)

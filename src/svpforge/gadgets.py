@@ -25,6 +25,10 @@ DEFAULT_SUBSET_BUDGET = 1 << 22
 # search: each column's image and the zero mask hold this many cells.
 _KERNEL_CHUNK_CELLS = 1 << 15
 
+# Multiply-adds per row block of the Hadamard Gram product: at most
+# OpenBLAS's one-thread size, so the check never wakes a second BLAS thread.
+_GRAM_BLOCK_MULADDS = 1 << 18
+
 # Deterministic Miller-Rabin witness set, valid for all n below 3.3 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_VALID_BELOW = 3_317_044_064_679_887_385_961_981
@@ -234,18 +238,25 @@ def hadamard_row(k: int, r: int) -> tuple[int, ...]:
 def hadamard_gram_ok(h: HadamardMatrix) -> bool:
     """Exact check that H * H^T equals order * identity.
 
-    One product in the arithmetic ``kernels.exact_dtype`` picks: every
-    product and partial sum of a dot product of two rows is an integer of
-    magnitude at most ``width * max|entry|**2``.
+    Products of row blocks with H^T in the arithmetic ``kernels.exact_dtype``
+    picks: every product and partial sum of a dot product of two rows is an
+    integer of magnitude at most ``width * max|entry|**2``.  A block takes
+    at most _GRAM_BLOCK_MULADDS multiply-adds.
     """
     import numpy as np
 
     n = h.order
     mat, maxabs = _integer_array(h.rows)
     mat = mat.astype(kernels.exact_dtype(mat.shape[-1] * maxabs**2))
-    gram = mat @ mat.T
-    # n entries of n on the diagonal and no other nonzero entry
-    return gram.shape == (n, n) and (gram.diagonal() == n).all() and np.count_nonzero(gram) == n
+    if len(mat) != n:
+        return False
+    step = max(1, _GRAM_BLOCK_MULADDS // max(1, mat.size))
+    for r in range(0, n, step):
+        block = mat[r : r + step] @ mat.T
+        # n on the diagonal and no other nonzero entry
+        if not (block.diagonal(r) == n).all() or np.count_nonzero(block) != len(block):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

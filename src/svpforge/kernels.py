@@ -15,15 +15,19 @@ any summation order and with fused multiply-adds.  Below 2**53 that is
 float64, whose 53-bit significand holds every such integer, so a BLAS
 product is exact; below 2**63 it is int64, which cannot overflow; otherwise
 it is Python integers in object arrays.  Results are exact on every path.
-Determinant sweeps evaluate every combination that shares its last prefix
-row with one NumPy product.  The box enumeration reads sparse rows and
-is one iterative depth-first search over all rows in Python integers: it
-prunes on the closed columns' value plus a bound on what the later rows can
-no longer take off the open ones, and keeps its state per level on an
-explicit stack, so its depth is not bounded by the interpreter's recursion
-limit.  Both exact searches over sparse rows, this one and the witness
-search in ``verifier``, read their closing columns and reaches from one
-``frontier_plan``.
+The determinant sweep evaluates no determinant in floating point: for each
+prefix of width - 2 rows it projects the later rows to 2-D vectors, which
+are parallel exactly when they complete the prefix to a singular
+combination (the Plucker identity), sorts their slopes, and confirms each
+candidate pair of equal slopes with an exact determinant.  It runs in
+float64 or, past that bound, in Python integers.  The box enumeration reads
+sparse rows and is one iterative depth-first search over all rows in Python
+integers: it prunes on the closed columns' value plus a bound on what the
+later rows can no longer take off the open ones, and keeps its state per
+level on an explicit stack, so its depth is not bounded by the
+interpreter's recursion limit.  Both exact searches over sparse rows, this
+one and the witness search in ``verifier``, read their closing columns and
+reaches from one ``frontier_plan``.
 """
 
 from __future__ import annotations
@@ -40,13 +44,10 @@ from svpforge.errors import BudgetExceededError
 FLOAT64_EXACT = 1 << 53
 INT64_EXACT = 1 << 63
 
-# Laplace expansion of a 4x4 determinant over rows (0,1 | 2,3): the minor of
-# rows 0-1 on column pair _PAIRS[k] multiplies the minor of rows 2-3 on the
-# complementary pair _PAIRS[5-k], with sign _LAPLACE_SIGNS[k].
-_PAIRS = tuple(itertools.combinations(range(4), 2))
-_LAPLACE_SIGNS = (1, -1, 1, 1, -1, 1)
-# The cross product u x v is the 2x2 minors of rows (u, v) on these columns.
-_CROSS = ((1, 2), (2, 0), (0, 1))
+# Key cells (prefixes x projected rows) per batch of the slope search.  Its
+# one product is then at most 2 * width * this many multiply-adds, at or
+# below OpenBLAS's one-thread size of 2**18 for widths up to 4.
+_SLOPE_BATCH_CELLS = 1 << 15
 
 
 def backend_name() -> str:
@@ -66,24 +67,15 @@ def exact_dtype(bound: int) -> str:
     return "object"
 
 
-def _det_bound(width, maxabs):
-    """A bound on every integer the int64 sweep of width <= 4 forms from
-    entries of magnitude at most ``maxabs``: width! * maxabs**width.  A 2x2
-    minor is at most 2*maxabs**2; b=3 dots a row with a cross product (entries
-    at most 2*maxabs**2), so at most 6*maxabs**3; b=4 sums 6 products of two
-    2x2 minors, so at most 24*maxabs**4."""
-    return math.factorial(width) * maxabs**width
-
-
 def det_sweep(rows, width):
     """Scan all width-row combinations in lexicographic order.
 
     Returns the index tuple of the first combination whose square submatrix
     has determinant zero, or None when every submatrix is nonsingular.
     ``rows`` is a sequence of integer rows, each exactly ``width`` long.
-    Widths up to 4 run the grouped sweep when ``exact_dtype`` keeps
-    ``_det_bound`` out of Python integers; other inputs run one exact
-    determinant per combination.
+    Widths 2 to 4 run the slope search when ``exact_dtype`` puts its bound
+    ``width * (width-2)! * max|entry|**(width-1)`` in float64; other inputs
+    run one exact determinant per combination.
     """
     n = len(rows)
     if width < 1 or width > n:
@@ -91,90 +83,178 @@ def det_sweep(rows, width):
     if any(len(r) != width for r in rows):
         raise ValueError("rows must be exactly width long")
     maxabs = max((abs(x) for row in rows for x in row), default=0)
-    if width <= 4 and exact_dtype(_det_bound(width, maxabs)) != "object":
-        return _det_sweep_int64(rows, width)
+    if 2 <= width <= 4:
+        bound = width * math.factorial(width - 2) * maxabs ** (width - 1)
+        if exact_dtype(bound) == "float64":
+            return _det_sweep_slopes(rows, width)
     return _det_sweep_bigint(rows, width)
 
 
-def _det_sweep_int64(rows, b):
-    """Suffix-product sweep: one matrix product per last prefix row.
+def _det_sweep_slopes(rows, b):
+    """Find the first singular combination by sorting 2-D slopes.
 
-    Each row pair (i < j) gets a "tail" vector and each (b-2)-row prefix a
-    "head", chosen so that the determinant of prefix + (i, j) is
-    tail(i, j) . head(prefix).  Pairs are listed in lexicographic order, so
-    the pairs that can follow a prefix ending at row c are the contiguous
-    suffix starting at the first pair whose first row is c + 1, the same for
-    every prefix ending at c.  Groups of prefixes sharing their last row c
-    run in order of c, each as one product of its heads (prefixes ascending)
-    with that suffix, and the first zero in (prefix, pair) order is the
-    group's candidate.  A prefix (a, c') of a later group sorts before the
-    candidate's prefix (a*, c) only when a < a* (for b = 3, never), so later
-    groups keep only those prefixes, and the sweep ends when none are left.
-    The product runs in float64 when ``_float64_exact`` proves it exact.
+    Fix a prefix S of b - 2 rows.  B(w, x) = det(S; w; x) = w^T M x, where
+    M[j, k] = det(S; e_j; e_k) is a signed minor of S on the other columns.
+    M is alternating, of rank 2, or 0 when S is dependent.  For (k, l) with
+    M[k, l] != 0 the Plucker identity gives
+    B(w, x) * M[k, l] = P(w) x P(x), with P(w) = (B(w, e_k), B(w, e_l)), so
+    S + (w, x) is singular exactly when P(w) and P(x) are parallel or one of
+    them is zero.  Every product and partial sum that forms P(w) is an
+    integer of magnitude at most b * (b-2)! * max|entry|**(b-1), so below
+    2**53 one float64 product of the rows with M's columns k and l is exact.
+    The key of w is the slope Y/X of P(w) = (X, Y), with +-inf folded to
+    +inf, and NaN when P(w) = 0.  Division is correctly rounded, so parallel
+    vectors get equal keys, and sorting one prefix's keys puts every
+    singular pair in a run of equal keys.  Equal keys (two slopes may also
+    round to one key) and NaNs are only candidates: ``_first_singular_pair``
+    confirms them with ``det_exact``.
+
+    The sweep projects with (k, l) = (0, 1).  When M[0, 1] = 0, every P(w)
+    is parallel, so the prefix has equal keys or a NaN and is flagged, and
+    ``_first_singular_pair`` projects it again with a pair that holds.
+
+    Prefixes are taken in order of their last row c, then lexicographically,
+    in batches of about _SLOPE_BATCH_CELLS keys.  A batch projects the rows
+    after its first prefix's last row, and a later prefix gives the rows up
+    to its own last row distinct keys below every slope, which never match.
+    A prefix (a, c') sorts before a found combination's prefix (a*, c), with
+    c < c', only when a < a* (for b = 3, never), so later batches keep only
+    those prefixes, and the search ends when none are left.  Every batch
+    works in the same two arrays, sized for the largest: fresh arrays would
+    cost a page fault per 4 KiB on every batch.
     """
     import numpy as np  # only certification sweeps need it
 
-    arr = np.array(rows, dtype=np.int64)
+    arr = np.array(rows, dtype=np.float64)
     n = len(rows)
-    if b == 1:
-        zeros = np.flatnonzero(arr[:, 0] == 0)
-        return (int(zeros[0]),) if zeros.size else None
-    first, second = np.triu_indices(n, 1)
-    r, s = arr[first], arr[second]
     if b == 2:
-        zeros = np.flatnonzero(r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0] == 0)
-        return (int(first[zeros[0]]), int(second[zeros[0]])) if zeros.size else None
-    # the 2x2 minors of every row pair, filled column by column to keep
-    # temporaries small
-    cols = _CROSS if b == 3 else _PAIRS
-    minors = np.empty((len(first), len(cols)), dtype=np.int64)
-    for m, (k, l) in enumerate(cols):
-        minors[:, m] = r[:, k] * s[:, l] - r[:, l] * s[:, k]
-    del r, s
-    if b == 3:
-        tail = minors  # det(c, i, j) = row c . (row i x row j)
-        heads = arr  # prefix (c,) has head row c
+        prefixes = np.zeros((1, 0), dtype=np.intp)
+    elif b == 3:
+        prefixes = np.arange(n - 2)[:, None]
     else:
-        tail = minors[:, ::-1] * np.array(_LAPLACE_SIGNS, dtype=np.int64)
-        # prefix (a, c) has head minor(a, c); ordered by c, then a
-        heads = minors[np.lexsort((first, second))]
-    if _float64_exact(tail, heads):
-        tail, heads = tail.astype(np.float64), heads.astype(np.float64)
-    # start[i]: index of the first pair whose first row is >= i
-    start = np.searchsorted(first, np.arange(n + 1)).tolist()
+        first, last = np.triu_indices(n - 2, 1)
+        order = np.lexsort((first, last))
+        prefixes = np.stack((first[order], last[order]), axis=1)
+    cap = max(_SLOPE_BATCH_CELLS, n)
+    work, flags = np.empty(2 * cap), np.empty(cap, dtype=bool)
     best = None
-    keep = n  # leading prefixes of each group that sort before ``best``
-    for c in range(b - 3, n - 2):
-        # comb(c, b-2) prefixes end before row c, comb(c, b-3) end at it
-        lo = math.comb(c, b - 2)
-        dets = heads[lo : lo + min(math.comb(c, b - 3), keep)] @ tail[start[c + 1] :].T
-        hits = np.flatnonzero(dets == 0)
-        if hits.size:
-            a, k = divmod(int(hits[0]), dets.shape[1])
-            k += start[c + 1]
-            prefix = (a, c) if b == 4 else (c,)  # for b = 3, a is 0
-            best = prefix + (int(first[k]), int(second[k]))
-            keep = a
-            if not keep:
+    while len(prefixes):
+        lo = int(prefixes[0, -1]) + 1 if b > 2 else 0
+        batch, prefixes = np.split(prefixes, [max(1, _SLOPE_BATCH_CELLS // (n - lo))])
+        p, cells = len(batch), len(batch) * (n - lo)
+        xy = work[: 2 * cells].reshape(2 * p, -1)
+        mask = flags[:cells].reshape(p, -1)
+        keys = _slope_keys(arr, arr[batch], lo, (0, 1), xy, mask)
+        if b > 2:
+            # rows up to the prefix's last row get -2**54 * (row + 1): below
+            # every slope (|Y/X| <= |Y| < 2**53), and distinct
+            below = np.arange(lo, n)
+            np.less_equal(below, batch[:, -1:], out=mask)
+            np.copyto(keys, -(2.0**54) * (1 + below), where=mask)
+        ordered = xy[p:]
+        ordered[:] = keys
+        ordered.sort(axis=1)  # NaNs last
+        same = np.equal(ordered[:, 1:], ordered[:, :-1], out=flags[: cells - p].reshape(p, -1))
+        flagged = same.any(axis=1) | np.isnan(ordered[:, -1])
+        for i in np.flatnonzero(flagged).tolist():
+            prefix = tuple(batch[i].tolist())
+            if best is None or prefix < best[:-2]:
+                pair = _first_singular_pair(rows, arr, prefix)
+                if pair is not None:
+                    best = prefix + pair
+        if best is not None:
+            if b < 4:
                 break
+            prefixes = prefixes[prefixes[:, 0] < best[0]]
     return best
 
 
-def _float64_exact(tail, heads) -> bool:
-    """Whether every dot product of a tail row with a head is exact in float64.
+def _slope_keys(arr, heads, lo, kl, xy, vertical):
+    """The slope keys of rows lo, lo + 1, ... of ``arr`` under each prefix
+    of ``heads`` (prefix, row, column), projected by columns ``kl`` of its
+    M.  Works in ``xy`` (2 * prefixes x rows) and ``vertical`` (prefixes x
+    rows, bool), and returns the keys as the first half of ``xy``."""
+    import numpy as np
 
-    Every product of two entries and every partial sum of such a dot
-    product, in any order and with fused multiply-adds, is an integer of
-    magnitude at most sum_k max|tail[:, k]| * max|heads[:, k]|.  When that
-    bound is below 2**53, so is every entry that meets a nonzero one (an
-    entry float64 cannot hold only ever multiplies zeros), and BLAS
-    computes each determinant exactly.
+    p = len(heads)
+    cols = np.concatenate([_form_column(heads, k) for k in kl])
+    np.matmul(cols, arr[lo:].T, out=xy)
+    x, y = xy[:p], xy[p:]
+    np.equal(x, 0, out=vertical)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(y, x, out=x)
+    np.abs(x, out=x, where=vertical)  # +-inf to +inf; 0/0 stays NaN
+    return x
+
+
+def _form_column(heads, k):
+    """Column k of each prefix's M: M[j, k] = det(S; e_j; e_k) is
+    (-1)**(j+k+1) times the minor of S on the columns other than j and k
+    when j < k, its negative when j > k, and 0 at j = k."""
+    import numpy as np
+
+    b = heads.shape[-1]
+    col = np.zeros((len(heads), b))
+    for j in range(b):
+        if j == k:
+            continue
+        rest = [c for c in range(b) if c != j and c != k]
+        if b == 2:
+            minor = 1.0
+        elif b == 3:
+            minor = heads[:, 0, rest[0]]
+        else:
+            r, s = rest
+            minor = heads[:, 0, r] * heads[:, 1, s] - heads[:, 0, s] * heads[:, 1, r]
+        col[:, j] = -minor if (j + k + (j < k)) % 2 else minor
+    return col
+
+
+def _first_singular_pair(rows, arr, prefix):
+    """The lexicographically first pair (i, j) that completes ``prefix`` to
+    a singular combination, or None.
+
+    The prefix's rows are projected with the first (k, l) for which
+    M[k, l] != 0 (all keys are NaN when M = 0), and only candidates are
+    confirmed with ``det_exact``: first the pairs with a NaN row, in
+    lexicographic order (the first is singular), then the pairs of each run
+    of equal keys in lexicographic order, each run up to its first singular
+    pair or the best pair so far.
     """
-    bound = sum(
-        int(t) * int(h)
-        for t, h in zip(abs(tail).max(axis=0), abs(heads).max(axis=0))
+    import numpy as np
+
+    n, b = arr.shape
+    start = prefix[-1] + 1 if prefix else 0
+    head = [rows[r] for r in prefix]
+    unit = [[int(i == j) for j in range(b)] for i in range(b)]
+    pairs = itertools.combinations(range(b), 2)
+    kl = next((kl for kl in pairs if det_exact(head + [unit[kl[0]], unit[kl[1]]])), (0, 1))
+    rest = n - start
+    heads = arr[list(prefix)][None]
+    keys = _slope_keys(arr, heads, start, kl, np.empty((2, rest)), np.empty((1, rest), bool))[0]
+
+    def singular(pair):
+        return det_exact(head + [rows[pair[0]], rows[pair[1]]]) == 0
+
+    zero = set((np.flatnonzero(np.isnan(keys)) + start).tolist())
+    with_zero = (
+        (i, j) for i in range(start, n) for j in range(i + 1, n) if i in zero or j in zero
     )
-    return exact_dtype(bound) == "float64"
+    best = next(filter(singular, with_zero), None) if zero else None
+    order = np.argsort(keys)
+    ordered = keys[order]
+    same = np.flatnonzero(ordered[1:] == ordered[:-1])
+    for run in np.split(same, np.flatnonzero(np.diff(same) != 1) + 1):
+        if not run.size:
+            continue
+        members = sorted((order[run[0] : run[-1] + 2] + start).tolist())
+        for pair in itertools.combinations(members, 2):
+            if best is not None and pair >= best:
+                break
+            if singular(pair):
+                best = pair
+                break
+    return best
 
 
 def _det_sweep_bigint(rows, b):

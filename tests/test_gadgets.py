@@ -347,6 +347,22 @@ def test_hadamard_gram_on_doctored_rows():
     assert not hadamard_gram_ok(HadamardMatrix(1, ((a, b), (-b, a))))
 
 
+@pytest.mark.parametrize("muladds", [1, 3 * 16, 2**18])
+def test_hadamard_gram_in_row_blocks(monkeypatch, muladds):
+    # order 16 in blocks of 1, 3 (the last one short) and all 16 rows: a
+    # doctored entry in the last row or a duplicated row is caught in any block
+    monkeypatch.setattr(gadgets, "_GRAM_BLOCK_MULADDS", muladds)
+    rows = hadamard(4).rows
+    doctored = [
+        rows[:15] + (rows[15][:-1] + (-rows[15][-1],),),
+        rows[:9] + (rows[3],) + rows[10:],
+    ]
+    assert hadamard_gram_ok(hadamard(4))
+    for bad in doctored:
+        h = HadamardMatrix(4, bad)
+        assert not hadamard_gram_ok(h) and not _python_gram_ok(h)
+
+
 def test_biregular_validation():
     g = BipartiteBiregular(4, 2, 2, 4, ((0, 1), (0, 1), (0, 1), (0, 1)))
     assert g.left_degree == 2

@@ -218,10 +218,30 @@ def test_det_sweep_returns_the_first_of_several_zeros(rows, width, singular, fir
     assert kernels.det_sweep(rows, width) == first == _naive_det_sweep(rows, width)
 
 
+@pytest.mark.parametrize("cells", [1, 16, 64])
+def test_det_sweep_in_small_batches(monkeypatch, cells):
+    # from one prefix per batch to a few groups per batch: a find carries
+    # into later batches, which keep only the prefixes that can still win,
+    # and a batch's later groups mask the rows up to their own last row
+    monkeypatch.setattr(kernels, "_SLOPE_BATCH_CELLS", cells)
+    for rows, width in ((_LATER_GROUP_WINS, 4), (_SAME_GROUP_PREFIX_ORDER, 4),
+                        (_TWO_ZEROS_ONE_GROUP, 3), (_TWO_ZEROS_TWO_GROUPS, 3)):
+        assert kernels.det_sweep(rows, width) == _naive_det_sweep(rows, width)
+    rng = random.Random(cells)
+    for _ in range(60):
+        width = rng.randint(2, 4)
+        rows = [[rng.randint(-6, 6) for _ in range(width)] for _ in range(width + 6)]
+        dst, src = rng.sample(range(len(rows)), 2)
+        rows[dst] = [2 * x + y for x, y in zip(rows[src], rows[rng.randrange(len(rows))])]
+        assert kernels.det_sweep(rows, width) == _naive_det_sweep(rows, width)
+
+
 def _sweep_bound(rows, width):
-    """sum_k max|tail_k| * max|head_k| of the sweep, in Python integers: for
-    width 3 the cross products of row pairs against the rows, for width 4
-    the complementary 2x2 minors of row pairs against the minors."""
+    """The bound on evaluating every determinant as one dot product of a row
+    pair's "tail" with a prefix's "head", in Python integers: sum_k
+    max|tail_k| * max|head_k|, for width 3 the cross products of row pairs
+    against the rows, for width 4 the complementary 2x2 minors of row pairs
+    against the minors."""
     pairs = list(itertools.combinations(rows, 2))
     if width == 3:
         tails = [
@@ -239,13 +259,13 @@ def _sweep_bound(rows, width):
     )
 
 
-# Unimodular inputs whose bound lies 0.04% and 0.05% above 2**53, planted
-# inputs 0.09% and 0.05% below it, and unimodular inputs 18 and 19 times
-# above it.  Just above, a float64 product would still be exact (a partial
-# sum of a determinant of +-1 stays within (bound + 1) / 2 < 2**53), so the
-# verdict the sweep reaches is checked, and the gate itself below.  Far
-# above, a float64 product rounds the determinant to 0 (NumPy with OpenBLAS
-# on x86-64), so only the int64 product gets them right.
+# Unimodular inputs whose tail/head bound lies 0.04% and 0.05% above 2**53,
+# planted inputs 0.09% and 0.05% below it, and unimodular inputs 18 and 19
+# times above it.  Far above, a float64 dot product of a tail and a head
+# rounds the determinant to 0 (NumPy with OpenBLAS on x86-64).  The slope
+# search never forms a determinant: its projections stay below
+# width * (width-2)! * max|entry|**(width-1), far below 2**53 on all six, so
+# it takes them all and must still find exactly the planted zeros.
 _ABOVE_2_53 = {
     3: [[412442, -378807, -215869], [-378279, 348193, 225837], [413549, -379799, -215546]],
     4: [[1757, 560, -4793, -707], [-11040, 14134, -4128, 8319],
@@ -266,44 +286,44 @@ _FAR_ABOVE_2_53 = {
 
 
 @pytest.fixture
-def float64_decisions(monkeypatch):
-    """The float64 verdicts det_sweep reaches, in call order."""
-    seen = []
-    real = kernels._float64_exact
-
-    def spy(tail, heads):
-        seen.append(real(tail, heads))
-        return seen[-1]
-
-    monkeypatch.setattr(kernels, "_float64_exact", spy)
-    return seen
+def sweep_paths(monkeypatch):
+    """The sweeps det_sweep runs, by name, in call order."""
+    ran = []
+    for name in ("_det_sweep_slopes", "_det_sweep_bigint"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda rows, b, real=real, name=name: ran.append(name) or real(rows, b)
+        )
+    return ran
 
 
 @pytest.mark.parametrize("width", [3, 4])
 @pytest.mark.parametrize(
-    "inputs, lo, hi, on_float64, first",
+    "inputs, lo, hi, first",
     [
-        (_ABOVE_2_53, 2**53, 2**53 * 1.001, False, None),
-        (_BELOW_2_53, 2**53 * 0.999, 2**53 - 1, True, "planted"),
-        (_FAR_ABOVE_2_53, 2**57, 2**58, False, None),
+        (_ABOVE_2_53, 2**53, 2**53 * 1.001, None),
+        (_BELOW_2_53, 2**53 * 0.999, 2**53 - 1, "planted"),
+        (_FAR_ABOVE_2_53, 2**57, 2**58, None),
     ],
     ids=["just-above", "just-below", "far-above"],
 )
-def test_det_sweep_float64_edge(float64_decisions, width, inputs, lo, hi, on_float64, first):
+def test_det_sweep_float64_edge(sweep_paths, width, inputs, lo, hi, first):
     rows = inputs[width]
     assert lo <= _sweep_bound(rows, width) <= hi
     assert abs(kernels.det_exact(rows[:width])) == 1
     expected = tuple(range(width - 1)) + (width,) if first == "planted" else None
     assert kernels.det_sweep(rows, width) == expected == _naive_det_sweep(rows, width)
-    assert float64_decisions == [on_float64]
+    assert sweep_paths == ["_det_sweep_slopes"]
 
 
 @pytest.mark.parametrize("last, exact", [(2**27 - 1, True), (2**27, False), (2**27 + 1, False)])
-def test_float64_gate_is_strictly_below_2_53(last, exact):
-    # bound = 2**27 * (2**26 - 1) + 1 * |last| = 2**53 - 2**27 + |last|
-    tail = np.array([[-(2**27), 1], [5, -1]])
-    heads = np.array([[2**26 - 1, -last], [3, 0]])
-    assert kernels._float64_exact(tail, heads) is exact
+def test_float64_gate_is_strictly_below_2_53(sweep_paths, last, exact):
+    # width 2 projects each row to itself, bounded by 2 * max|entry|:
+    # 2 * (2**52 - 2**27 + last) is 2**53 - 2 below the gate and 2**53 at it
+    m = 2**52 - 2**27 + last
+    rows = [[m, 1], [m - 1, 1], [m, 1]]
+    assert kernels.det_sweep(rows, 2) == (0, 2) == _naive_det_sweep(rows, 2)
+    assert sweep_paths == ["_det_sweep_slopes" if exact else "_det_sweep_bigint"]
 
 
 @pytest.mark.parametrize(
@@ -321,26 +341,128 @@ def test_exact_dtype_boundaries(bound, dtype):
     assert kernels.exact_dtype(bound) == dtype
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4])
-def test_det_sweep_leaves_int64_just_past_its_edge(monkeypatch, width):
-    # at the edge width! * m**width < 2**63 the grouped sweep runs; one past
-    # it, the big-integer sweep does; both give the naive answer
-    ran = []
-    for name in ("_det_sweep_int64", "_det_sweep_bigint"):
-        real = getattr(kernels, name)
-        monkeypatch.setattr(
-            kernels, name, lambda rows, b, real=real, name=name: ran.append(name) or real(rows, b)
-        )
-    for m, path in ((_int64_det_edge(width), "_det_sweep_int64"),
-                    (_int64_det_edge(width) + 1, "_det_sweep_bigint")):
+def _float64_slope_edge(width):
+    """The largest |entry| the slope search takes:
+    width * (width-2)! * m**(width-1) < 2**53."""
+    def inside(m):
+        return width * math.factorial(width - 2) * m ** (width - 1) < 2**53
+
+    lo, hi = 1, 2**53  # inside(lo), not inside(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_det_sweep_leaves_float64_just_past_its_edge(sweep_paths, width):
+    # at the edge the slope search runs; one past it, the big-integer sweep
+    # does; both give the naive answer
+    edge = _float64_slope_edge(width)
+    assert edge == {2: 2**52 - 1, 3: 54_794_158, 4: 104_031}[width]
+    for m, path in ((edge, "_det_sweep_slopes"), (edge + 1, "_det_sweep_bigint")):
         # an upper triangular block with m on the diagonal, then a copy of
-        # row 0: for width >= 2 the first singular combination is
-        # (0, ..., width - 2, width)
+        # row 0: the first singular combination is (0, ..., width - 2, width)
         rows = [[m if j == i else (m - 1) * (j > i) for j in range(width)] for i in range(width)]
         rows.append(list(rows[0]))
-        ran.clear()
+        sweep_paths.clear()
         assert kernels.det_sweep(rows, width) == _naive_det_sweep(rows, width)
-        assert ran == [path]
+        assert sweep_paths == [path]
+
+
+def test_det_sweep_width_1_runs_in_python_integers(sweep_paths):
+    # width 1 asks for the first zero entry; it is the big-integer sweep at
+    # any size
+    for m in (1, 2**53, 2**63, 2**100):
+        rows = [[m], [-m], [0], [m + 1], [0]]
+        sweep_paths.clear()
+        assert kernels.det_sweep(rows, 1) == (2,) == _naive_det_sweep(rows, 1)
+        assert sweep_paths == ["_det_sweep_bigint"]
+
+
+# Slopes Y/X of (X, Y) = (2**25 + 1, 2**50 + 7) and (2**25 + 2, 2**50 +
+# 2**25 + 6) round to one float64, though the vectors are not parallel.
+# Width 2 projects a row (w0, w1) to (X, Y) = (-w1, w0).
+_COLLIDING = [[2**50 + 7, -(2**25 + 1)], [2**50 + 2**25 + 6, -(2**25 + 2)]]
+
+
+def test_det_sweep_skips_colliding_slopes():
+    (y1, x1), (y2, x2) = ((w0, -w1) for w0, w1 in _COLLIDING)
+    assert y1 / x1 == y2 / x2 and y1 * x2 != y2 * x1
+    assert kernels.det_sweep(_COLLIDING, 2) is None
+    # a multiple of row 0 makes (0, 2) the one singular pair in that run
+    rows = _COLLIDING + [[2 * x for x in _COLLIDING[0]]]
+    assert kernels.det_sweep(rows, 2) == (0, 2) == _naive_det_sweep(rows, 2)
+
+
+@pytest.mark.parametrize(
+    "rows, width, first",
+    [
+        # X = 0: keys +inf and -inf, folded to one
+        ([[1, 2], [5, 0], [3, 7], [-3, 0]], 2, (1, 3)),
+        # prefix row (0, 0, 1) projects (w0, w1, w2) to (-w1, w0)
+        ([[0, 0, 1], [1, 2, 3], [4, 0, 9], [2, 7, 1], [-2, 0, 5]], 3, (0, 2, 4)),
+        # Y = 0: keys -0.0 (X < 0) and +0.0 (X > 0) are equal
+        ([[1, 1], [0, 3], [2, 5], [0, -5]], 2, (1, 3)),
+        ([[0, 0, 1], [1, 2, 3], [0, 4, 9], [2, 7, 1], [0, -1, 5]], 3, (0, 2, 4)),
+    ],
+    ids=["vertical-2", "vertical-3", "signed-zero-2", "signed-zero-3"],
+)
+def test_det_sweep_on_axis_projections(rows, width, first):
+    assert kernels.det_sweep(rows, width) == first == _naive_det_sweep(rows, width)
+
+
+def _vandermonde_rows(width):
+    from svpforge.gadgets import reduced_vandermonde
+
+    return [list(r) for r in reduced_vandermonde(13, width).rows]
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_det_sweep_certifies_without_exact_determinants(monkeypatch, width):
+    # on a certifying matrix no key is a candidate, so no determinant is formed
+    monkeypatch.setattr(kernels, "det_exact", lambda m: pytest.fail(f"det_exact({m})"))
+    assert kernels.det_sweep(_vandermonde_rows(width), width) is None
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_det_sweep_row_inside_the_prefix_span(width):
+    # row 9 = 2 * row 0 (+ row 1): every completion of the prefix (0,) or
+    # (0, 1) through row 9 is singular, and the first one pairs it with row
+    # width - 1
+    rows = _vandermonde_rows(width)
+    assert kernels.det_sweep(rows, width) is None
+    rows[9] = [2 * x + (width == 4) * y for x, y in zip(rows[0], rows[1])]
+    first = tuple(range(width - 1)) + (9,)
+    assert kernels.det_sweep(rows, width) == first == _naive_det_sweep(rows, width)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_det_sweep_dependent_prefix(width):
+    # width 3: row 0 is zero; width 4: row 1 = -3 * row 0.  M = 0, every key
+    # is NaN, and the answer is the prefix and its next two rows
+    rows = _vandermonde_rows(width)
+    if width == 3:
+        rows[0] = [0, 0, 0]
+    else:
+        rows[1] = [-3 * x for x in rows[0]]
+    first = tuple(range(width))
+    assert kernels.det_sweep(rows, width) == first == _naive_det_sweep(rows, width)
+
+
+def test_det_sweep_reprojects_when_m01_vanishes(monkeypatch):
+    # prefix row (1, 1, 0) has M[0, 1] = 0, so the (0, 1) projection maps
+    # every later row to a multiple of one vector and all their keys are
+    # equal.  Projected again with M[0, 2] = -1, only rows 2 and 5 share a
+    # key ((2, 8, 4) = 2 * (1, 4, 2)), and one determinant of input rows
+    # confirms them.
+    rows = [[1, 1, 0], [2, 5, 7], [1, 4, 2], [3, 1, 8], [5, 2, 9], [2, 8, 4]]
+    dets = []
+    real = kernels.det_exact
+    monkeypatch.setattr(kernels, "det_exact", lambda m: dets.append(m) or real(m))
+    assert kernels.det_sweep(rows, 3) == (0, 2, 5)
+    assert [m for m in dets if all(list(r) in rows for r in m)] == [[[1, 1, 0], [1, 4, 2], [2, 8, 4]]]
+    assert _naive_det_sweep(rows, 3) == (0, 2, 5)
 
 
 def test_det_sweep_finds_first_combination():
