@@ -3,17 +3,20 @@
 Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N]
 
 Prints best-of-N wall times.  Each determinant sweep result is checked
-against the big-integer sweep, which shares no arithmetic with the float64
-slope search it times; the planted row's answer lies in a later group than
+against an oracle that shares no arithmetic with the float64 slope search
+it times: the big-integer sweep below 10**5 combinations, and above it
+every determinant modulo a prime below 2**31 in int64, each zero residue
+confirmed exactly.  The planted row's answer lies in a later group than
 the first zero the search meets, and the scaled rows' entries (10**6 at
 width 3, 10**5 at width 4) stay inside the slope search's float64 bound,
-though their determinants pass 2**53.  Each box enumeration
-reads sparse rows and must report its pinned node count: in the dense 3^12
-box every column closes at the last row, so only the bound on what the
-later rows can still take off each open column prunes; the grouped one
-prunes on each group's private columns the way spread blocks do, and on
-each shared column before and after its last nonzero entry; and the p=3
-odd-cycle basis at scale 10**6 is the 12-row unsatisfiable basis
+though their determinants pass 2**53.  Each box enumeration reads sparse
+rows and must report its pinned minimum and a state count that is its
+exact budget (the search passes with it and refuses with one less): in the
+dense 3^12 box every column closes at the last row, so only the bound on
+what the later rows can still take off each open column prunes; the
+grouped one prunes on each group's private columns the way spread blocks
+do, and on each shared column before and after its last nonzero entry; and
+the p=3 odd-cycle basis at scale 10**6 is the 12-row unsatisfiable basis
 ``enumerate`` reads in the verify benchmark.  The witness search must reach
 max-norm 1.  The kernel-support search must certify vm(13, 3) as given and
 scaled by 2**48 and 2**58, whose bounds pass 2**53 and 2**63 (scaling keeps
@@ -24,11 +27,16 @@ in Python integers.
 """
 
 import argparse
+import itertools
+import math
 import random
 import time
 
+import numpy as np
+
 from svpforge import kernels
 from svpforge.csp import Constraint, CspInstance
+from svpforge.errors import BudgetExceededError
 from svpforge.gadgets import (
     ReducedVandermonde,
     hadamard,
@@ -41,6 +49,9 @@ from svpforge.verifier import apply_coefficients, lp_norm_power, witness_from_as
 
 
 ARITHMETIC = {"float64": "float64", "int64": "int64", "object": "python int"}
+
+# A prime below 2**31: a product of two residues stays below 2**62, in int64.
+ORACLE_PRIME = 2**31 - 1
 
 
 def _time(fn, repeat):
@@ -90,11 +101,63 @@ def det_workloads():
                tuple(tuple(10**scale * x for x in r) for r in rows), width)
 
 
+def det_oracle(rows, width):
+    """The first singular width-row combination, or None: the big-integer
+    sweep below 10**5 combinations, ``first_singular_mod`` above."""
+    if math.comb(len(rows), width) < 10**5:
+        return kernels._det_sweep_bigint(rows, width)
+    return first_singular_mod(rows, width)
+
+
+def _minors_mod(rows, size):
+    """Every 1x1 or 2x2 minor of ``rows`` modulo ORACLE_PRIME: row
+    combinations by column subsets, both in lexicographic order."""
+    arr = np.array([[x % ORACLE_PRIME for x in r] for r in rows], dtype=np.int64)
+    if size == 1:
+        return arr
+    i, j = np.triu_indices(len(rows), 1)
+    cols = itertools.combinations(range(arr.shape[1]), 2)
+    return np.stack(
+        [(arr[i, a] * arr[j, b] - arr[i, b] * arr[j, a] % ORACLE_PRIME) % ORACLE_PRIME
+         for a, b in cols], axis=1)
+
+
+def first_singular_mod(rows, width):
+    """The first width-row combination (width 3 or 4) whose determinant is
+    exactly zero, or None.  Every determinant is formed modulo ORACLE_PRIME
+    in int64, by Laplace expansion along its first width - 2 rows against
+    the 2x2 minors of its last two; each zero residue is confirmed with
+    ``kernels.det_exact``.  Head combinations go in lexicographic order, and
+    the row pairs after each in theirs, so the first confirmed zero is the
+    first singular combination."""
+    n, head = len(rows), width - 2
+    heads, pairs = _minors_mod(rows, head), _minors_mod(rows, 2)
+    pair_k, pair_l = np.triu_indices(n, 1)
+    # the pairs (k, l) with k >= r start at index after[r]
+    after = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1)), [len(pair_k)]))
+    pair_cols = {c: t for t, c in enumerate(itertools.combinations(range(width), 2))}
+    terms = []
+    for s, cols in enumerate(itertools.combinations(range(width), head)):
+        rest = tuple(c for c in range(width) if c not in cols)
+        sign = (-1) ** (head * (head + 1) // 2 + sum(c + 1 for c in cols))
+        terms.append((s, pair_cols[rest], sign))
+    for h, lead in enumerate(itertools.combinations(range(n), head)):
+        first = after[lead[-1] + 1]
+        det = np.zeros(len(pair_k) - first, dtype=np.int64)
+        for s, t, sign in terms:
+            det += sign * (heads[h, s] * pairs[first:, t] % ORACLE_PRIME)
+        for z in np.flatnonzero(det % ORACLE_PRIME == 0).tolist():
+            combo = lead + (int(pair_k[first + z]), int(pair_l[first + z]))
+            if kernels.det_exact([rows[r] for r in combo]) == 0:
+                return combo
+    return None
+
+
 def box_workloads():
-    """(name, rows as (column, value) entries, p, pinned node count)."""
+    """(name, rows as (column, value) entries, p, pinned minimum)."""
     rng = random.Random(9)
     rows = [[(j, x) for j in range(18) if (x := rng.randint(-3, 3))] for _ in range(12)]
-    yield "box 3^12, p=3", rows, 3, 83625
+    yield "box 3^12, p=3", rows, 3, 122
     # six groups of three rows with four private +-1 columns each, as in a
     # spread block, plus seven shared columns
     rng = random.Random(3)
@@ -105,8 +168,8 @@ def box_workloads():
         for _ in range(size):
             shared = [(j, x) for j in range(nshared) if (x := rng.randint(-2, 2))]
             rows.append(shared + [(j, rng.choice((-1, 1))) for j in range(c0, c0 + private)])
-    yield "box 3^18 grouped, max", rows, None, 6147
-    yield "box odd cycle 12, p=3", odd_cycle_instance().rows, 3, 2169
+    yield "box 3^18 grouped, max", rows, None, 1
+    yield "box odd cycle 12, p=3", odd_cycle_instance().rows, 3, 8
 
 
 def odd_cycle_instance():
@@ -145,13 +208,21 @@ def main():
 
     for name, rows, width in det_workloads():
         dt, result, arith = _time_products(lambda: kernels.det_sweep(rows, width), args.repeat)
-        assert result == kernels._det_sweep_bigint(rows, width), name
+        assert result == det_oracle(rows, width), name
         print(rows_fmt.format(name, f"{dt*1e3:.1f} ms", arith))
 
-    for name, rows, p, nodes in box_workloads():
+    for name, rows, p, power in box_workloads():
         dt, result = _time(lambda: kernels.box_minimum(rows, 1, p, 10**9), args.repeat)
-        assert result[2] == nodes, f"{name}: {result[2]} nodes, pinned {nodes}"
-        print(rows_fmt.format(name, f"{dt*1e3:.1f} ms", "python int"))
+        assert result[0] == power, f"{name}: minimum {result[0]}, pinned {power}"
+        states = result[2]
+        assert kernels.box_minimum(rows, 1, p, states) == result, name
+        try:
+            kernels.box_minimum(rows, 1, p, states - 1)
+        except BudgetExceededError:
+            pass
+        else:
+            raise AssertionError(f"{name}: a budget of {states - 1} states did not refuse")
+        print(rows_fmt.format(name, f"{dt*1e3:.1f} ms", f"python int, {states} states"))
 
     out, assignment = witness_instance()
     dt, v = _time(lambda: witness_from_assignment(out, assignment), args.repeat)

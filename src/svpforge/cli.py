@@ -172,7 +172,7 @@ def cmd_enumerate(args) -> int:
     pname = "inf" if res.p is None else str(res.p)
     print(f"minimum power: {res.power} (p={pname}, box {res.box})")
     print("argmin:", " ".join(str(x) for x in res.vector))
-    print(f"backend: {res.backend}, nodes: {res.nodes}")
+    print(f"backend: {res.backend}, states: {res.states}")
     if res.floor is not None:
         outside = f"every vector outside box {res.box} has power >= {res.floor}"
         if res.certified:
@@ -273,7 +273,7 @@ def _selftest_checks(seed: int):
             [(j, rng.choice((-3, -2, -1, 1, 2, 3))) for j in range(5) if rng.random() < 0.6]
             for _ in range(4)
         ]
-        power, vector, _nodes = kernels.box_minimum(box_rows, 1, 3, 10**6)
+        power, vector, _states = kernels.box_minimum(box_rows, 1, 3, 10**6)
         brute = min(
             (sum(abs(x) ** 3 for x in apply_coefficients(v, box_rows, 5)), v)
             for v in itertools.product((-1, 0, 1), repeat=len(box_rows))
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--assignment", required=True, help="symbols, space separated")
     sp.add_argument(
         "--budget", type=int, default=DEFAULT_WITNESS_BUDGET,
-        help="most search states to expand",
+        help="most search states to enter",
     )
     sp.set_defaults(func=cmd_witness)
 
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_parse_p, default="profile")
     sp.add_argument(
         "--budget", type=int, default=DEFAULT_BOX_BUDGET,
-        help="most coefficient assignments to visit",
+        help="most search states to enter",
     )
     sp.set_defaults(func=cmd_enumerate)
 

@@ -1,7 +1,9 @@
-"""The exact kernels behind certification and box enumeration.
+"""The exact kernels behind certification and the searches over sparse rows.
 
   det_sweep(rows, width)          -> first singular width x width row combination, or None
-  box_minimum(rows, c, p, budget) -> exhaustive norm minimum over a coefficient box
+  frontier_search(plan, c, p, budget, digits, below)
+                                  -> least norm power over a digit box, by one depth-first search
+  box_minimum(rows, c, p, budget) -> that search over the rows in order with digits -c..c
   rcm_order(rows, links)          -> a reverse Cuthill-McKee visit order of sparse rows
   frontier_plan(rows, order)      -> the columns each step of that order closes or leaves open
 
@@ -20,14 +22,13 @@ prefix of width - 2 rows it projects the later rows to 2-D vectors, which
 are parallel exactly when they complete the prefix to a singular
 combination (the Plucker identity), sorts their slopes, and confirms each
 candidate pair of equal slopes with an exact determinant.  It runs in
-float64 or, past that bound, in Python integers.  The box enumeration reads
-sparse rows and is one iterative depth-first search over all rows in Python
-integers: it prunes on the closed columns' value plus a bound on what the
-later rows can no longer take off the open ones, and keeps its state per
-level on an explicit stack, so its depth is not bounded by the
-interpreter's recursion limit.  Both exact searches over sparse rows, this
-one and the witness search in ``verifier``, read their closing columns and
-reaches from one ``frontier_plan``.
+float64 or, past that bound, in Python integers.
+
+Both exact searches over sparse rows, the box enumeration behind
+``enumerate`` and the witness search, are one kernel, ``frontier_search``:
+a depth-first branch and bound over a ``frontier_plan`` in Python integers
+on an explicit stack, which prunes on the closed columns' value plus a
+bound on the open ones, skips mirrored vectors and remembers states.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from svpforge.errors import BudgetExceededError
 
@@ -48,6 +50,12 @@ INT64_EXACT = 1 << 63
 # one product is then at most 2 * width * this many multiply-adds, at or
 # below OpenBLAS's one-thread size of 2**18 for widths up to 4.
 _SLOPE_BATCH_CELLS = 1 << 15
+
+# A search's memo takes no new state once it holds this many open-column
+# sums (a refused witness search on cyclic N=32 at b_x=5 then peaks at 51 MB
+# max RSS), and none with more open columns than _MEMO_KEY_SUMS.
+_MEMO_SUMS = 1 << 20
+_MEMO_KEY_SUMS = 64
 
 
 def backend_name() -> str:
@@ -299,130 +307,171 @@ def _det_bareiss(m):
 
 
 def box_minimum(rows, c, p, budget):
-    """Minimum p-th power norm of v*rows over nonzero v in [-c, c]^m.
-
-    ``rows`` holds each row as its (column, value) entries with nonnegative
-    column indices, as ``GapSvpInstance.rows`` does; an absent entry is
-    zero.  ``p`` is a positive integer, or None for the max-norm (the
-    returned "power" is then the max absolute entry itself).  Coefficient
-    vectors are visited in lexicographic order and only strict improvements
-    are kept, so ties resolve to the lexicographically smallest vector.
-
-    Each column closes at its last row with a nonzero entry: once that row
-    has a coefficient, the column's entry of v*rows is final, and its term
-    (its magnitude, or that to the p-th power) joins the running value of
-    the closed columns.  A column still open after row d has a reach, c
-    times the sum of its |value| over the later rows; no completion moves it
-    by more, so its final magnitude is at least max(0, |acc| - reach), where
-    acc is its value so far.  At each node the closed value plus the open
-    bounds of the row's columns (their p-th powers summed, or all combined
-    with max for the max-norm) is a lower bound on every leaf below, and a
-    bound at or above the best seen so far prunes a subtree that holds no
-    strict improvement.  For p the closed value alone goes down to the next
-    level, since an open column's term is counted again when it closes.  For
-    the max-norm the bound itself goes down: max counts a column twice
-    without harm, and a column's open bound never falls along a path
-    (|acc + t*val| - reach >= |acc| - (reach + c*|val|)), so the carried
-    value bounds every column touched so far.  Columns no row touches are
-    zero and never counted.  Pruning changes neither the visit order nor the
-    result, only the node count.
-
-    The closing columns and reaches are ``frontier_plan``'s for the rows in
-    their own order, its reach times c.  The search is depth first over all
-    m rows, in Python integers, with an explicit stack (no recursion, so any
-    number of rows works).  Each level keeps its coefficient, the value
-    carried into its row and whether the prefix is nonzero; the column
-    values move by one row per step.
-
-    Returns (best_power, best_vector, nodes); ``nodes`` counts coefficient
-    assignments and is compared against ``budget``.  A level's 2c+1 nodes
-    are counted when it is entered, so the search refuses on entering the
-    level that would pass ``budget``.
-    """
+    """Minimum p-th power norm of v*rows over nonzero v in [-c, c]^m, p
+    None for the max-norm: ``frontier_search`` over ``rows`` ((column,
+    value) entries, as ``GapSvpInstance.rows``) in their own order, so ties
+    resolve to the lexicographically smallest vector.  Returns (power,
+    vector, states)."""
     m = len(rows)
     if m == 0:
         raise ValueError("need at least one row")
     if c < 1:
         raise ValueError("box radius must be at least 1")
-    plan = frontier_plan(rows, range(m))
-    steps, closing = plan.entries, plan.closing
-    opening = [[(j, c * reach) for j, reach in step] for step in plan.reach]
-    # for the max-norm: every column of the row, a closing one with reach 0
-    reaches = [[(j, 0) for j in shut] + op for shut, op in zip(closing, opening)]
-    width = 2 * c + 1
-    acc = [0] * plan.num_slots
+    try:
+        return frontier_search(frontier_plan(rows, range(m)), c, p, budget)
+    except BudgetExceededError:
+        raise BudgetExceededError(f"box enumeration exceeded {budget} states") from None
+
+
+def frontier_search(plan, c, p, budget, digits=None, below=None):
+    """Least p-th power norm (max |entry| for p None) of the image of a
+    nonzero coefficient vector over the steps of ``plan``.
+
+    Every step tries its coefficient in the order ``digits``, by default
+    the lazy range -c..c; ``c`` is the largest |digit|.  The search is depth
+    first and keeps strict improvements only, so it returns the first vector
+    of least power in its visit order.  It starts from the exclusive bound
+    ``below`` (vector None when nothing is below it) and stops at power 0.
+
+    A column's term joins the closed value at the step that closes it.  An
+    open column's final magnitude is at least max(0, |acc| - reach), reach
+    being c times the plan's, so a digit whose closed value plus those
+    bounds over its step's open columns reaches the best is cut off.  For p
+    the closed value alone goes down a step, since an open column is
+    counted when it closes; for the max-norm the bound goes down, since an
+    open column's bound never falls along a path.  A digit is judged from
+    acc + t*val; acc moves only when the search goes down or back up a
+    step.  Two more rules drop only subtrees without a strict improvement:
+
+    - mirror: while every coefficient so far is 0, a digit whose negation
+      came earlier is skipped, since -v has the power of v;
+    - memo: the state after step k is the sums of ``plan.frontier[k]`` and
+      whether a coefficient so far is nonzero.  Every leaf below it joins
+      the carried value with terms the state and later digits fix, so a
+      state entered again with no smaller carried value is skipped.  The
+      memo keeps each state's least value, takes no new state past
+      ``_MEMO_SUMS`` sums, and none with more than ``_MEMO_KEY_SUMS`` open
+      columns, whose keys cost more to hash than their rare repeats save.
+
+    ``budget`` bounds the states: the start, each step gone down and each
+    improvement of the best short of power 0 (an entry of the final state).
+    The stack is explicit, so any number of steps works.  Returns (power,
+    vector, states), the vector in the plan's step order.
+    """
+    if digits is None:
+        digits = range(-c, c + 1)
+    steps, m = plan.entries, len(plan.entries)
+    value = [dict(step) for step in steps]
+    # (slot, value) of each closing column; (slot, value, reach) of each
+    # open one; and for the max-norm both, a closing column with reach 0
+    shut = [[(j, value[k][j]) for j in cols] for k, cols in enumerate(plan.closing)]
+    opening = [[(j, value[k][j], c * r) for j, r in cols] for k, cols in enumerate(plan.reach)]
+    every = [[(j, x, 0) for j, x in s] + o for s, o in zip(shut, opening)]
+    sizes = [len(f) for f in plan.frontier]
+    keys = [itemgetter(*f) if f else None for f in plan.frontier]
+    memo = [{} for _ in steps]  # memo[d]: least value carried into step d, by state
+    room = _MEMO_SUMS
+    acc = [0] * plan.num_slots  # each column's sum over the steps above
     coeffs = [0] * m
-    carried = [0] * m  # carried[d]: the value carried into row d
-    nonzero = [False] * m  # nonzero[d]: whether a coefficient before row d is
-    best = vec = None
+    carried = [0] * m  # carried[d]: the value carried into step d
+    nonzero = [False] * m  # nonzero[d]: whether a coefficient before step d is
+    tries = [None] * m  # tries[d]: the digits step d has still to try
+    tries[0] = _unmirrored(digits)
+    best = math.inf if below is None else below
+    vec = None
     inf = p is None
     last = m - 1
-    nodes = 0
+    states = 1
+    if states > budget:
+        raise BudgetExceededError(f"search exceeded {budget} states")
     depth = 0
     while True:
-        # enter level ``depth``: its coefficient starts one below -c
-        nodes += width
-        if nodes > budget:
-            raise BudgetExceededError(f"box enumeration exceeded {budget} nodes")
-        sup = steps[depth]
-        for j, val in sup:
-            acc[j] -= (c + 1) * val
-        coeffs[depth] = t = -c - 1
-        while True:
-            if t == c:
-                # leave the level, and step the one above
-                for j, val in sup:
-                    acc[j] -= c * val
-                coeffs[depth] = 0
-                if not depth:
-                    return best, vec, nodes
-                depth -= 1
-                sup = steps[depth]
-                t = coeffs[depth]
-                continue
-            t += 1
-            coeffs[depth] = t
-            for j, val in sup:
-                acc[j] += val
-            nf = carried[depth]
+        into, was_nz = carried[depth], nonzero[depth]
+        closes, opens, cols = shut[depth], opening[depth], every[depth]
+        for t in tries[depth]:
+            # the value after this step, from acc + t * value per column
+            nf = into
             if inf:
                 # closing columns have reach 0; the max absorbs the open ones
-                for j, reach in reaches[depth]:
-                    a = acc[j]
-                    if a < 0:
-                        a = -a
-                    if a - reach > nf:
-                        nf = a - reach
-                if best is not None and nf >= best:
+                for j, x, r in cols:
+                    x = acc[j] + t * x
+                    if x < 0:
+                        x = -x
+                    if x - r > nf:
+                        nf = x - r
+                if nf >= best:
                     continue
             else:
-                for j in closing[depth]:
-                    a = acc[j]
-                    if a < 0:
-                        a = -a
-                    nf += a**p
-                if best is not None:
-                    if nf >= best:
-                        continue
-                    # add what the later rows cannot take off the open columns
-                    lb = nf
-                    for j, reach in opening[depth]:
-                        a = acc[j]
-                        if a < 0:
-                            a = -a
-                        if a > reach:
-                            lb += (a - reach) ** p
-                    if lb >= best:
-                        continue
-            nz = t != 0 or nonzero[depth]
+                for j, x in closes:
+                    x = acc[j] + t * x
+                    if x < 0:
+                        x = -x
+                    nf += x**p
+                if nf >= best:
+                    continue
+                # add what the later steps cannot take off the open columns
+                lb = nf
+                for j, x, r in opens:
+                    x = acc[j] + t * x
+                    if x < 0:
+                        x = -x
+                    if x > r:
+                        lb += (x - r) ** p
+                if lb >= best:
+                    continue
+            nz = was_nz or t != 0
             if depth == last:
                 if nz:
+                    coeffs[depth] = t
                     best, vec = nf, tuple(coeffs)
+                    if not nf:
+                        return best, vec, states
+                    states += 1
+                    if states > budget:
+                        raise BudgetExceededError(f"search exceeded {budget} states")
                 continue
-            depth += 1
-            carried[depth] = nf
-            nonzero[depth] = nz
+            if t:
+                for j, x in steps[depth]:
+                    acc[j] += t * x
+            size = sizes[depth]
+            if nz and size <= _MEMO_KEY_SUMS:
+                key = keys[depth](acc) if size else ()
+                known = memo[depth + 1]
+                seen = known.get(key)
+                if seen is None:
+                    if size <= room:
+                        room -= size
+                        known[key] = nf
+                elif seen > nf:
+                    known[key] = nf
+                else:
+                    for j, x in steps[depth]:
+                        acc[j] -= t * x
+                    continue
+            states += 1
+            if states > budget:
+                raise BudgetExceededError(f"search exceeded {budget} states")
             break
+        else:
+            # every digit tried: back to the step above, less its digit
+            if not depth:
+                return best, vec, states
+            depth -= 1
+            t = coeffs[depth]
+            if t:
+                for j, x in steps[depth]:
+                    acc[j] -= t * x
+            continue
+        coeffs[depth] = t
+        depth += 1
+        carried[depth] = nf
+        nonzero[depth] = nz
+        tries[depth] = iter(digits) if nz else _unmirrored(digits)
+
+
+def _unmirrored(digits):
+    """``digits`` less each one whose negation came earlier, lazily."""
+    return (t for i, t in enumerate(digits) if not t or -t not in digits[:i])
 
 
 @dataclass(frozen=True)
@@ -432,13 +481,14 @@ class FrontierPlan:
     Columns get slots 0, 1, ... in the order the steps first touch them.
     Step k visits row ``order[k]``:
 
-    - ``entries[k]``: its (slot, value) pairs with a nonzero value;
+    - ``entries[k]``: one (slot, value) pair per column it touches, the
+      values of a column listed twice added, and no zero value;
     - ``closing[k]``: the slots it touches last (the column is final after it);
     - ``reach[k]``: (slot, reach) for its other slots, where reach is the sum
       of the column's |value| over the later steps;
     - ``frontier[k]``: the slots open after it, touched at or before step k
-      and again later, ascending (built on first use: only the witness
-      search reads it).
+      and again later, ascending: the sums that make up the search's state
+      after step k (built on first use).
     """
 
     order: tuple[int, ...]
@@ -512,17 +562,15 @@ def frontier_plan(rows, order) -> FrontierPlan:
     slot = {}
     entries = []
     for r in order:
-        step = []
+        merged = {}
         for j, x in rows[r]:
-            if x:
-                step.append((slot.setdefault(j, len(slot)), x))
-        entries.append(tuple(step))
+            merged[j] = merged.get(j, 0) + x
+        entries.append(tuple((slot.setdefault(j, len(slot)), x) for j, x in merged.items() if x))
     tail = [0] * len(slot)
     closing, reach = [None] * m, [None] * m
     for k in range(m - 1, -1, -1):
-        # dict.fromkeys drops a column listed twice in one row
-        closing[k] = tuple(dict.fromkeys(s for s, _x in entries[k] if not tail[s]))
-        reach[k] = tuple(dict.fromkeys((s, tail[s]) for s, _x in entries[k] if tail[s]))
+        closing[k] = tuple(s for s, _x in entries[k] if not tail[s])
+        reach[k] = tuple((s, tail[s]) for s, _x in entries[k] if tail[s])
         for s, x in entries[k]:
             tail[s] += abs(x)
     return FrontierPlan(order, tuple(entries), tuple(closing), tuple(reach))

@@ -42,6 +42,12 @@ log = logging.getLogger(__name__)
 
 INFINITY = "inf"
 
+# Largest finite norm index.  The exact checks raise entries to the p-th
+# power, so a huge p makes numbers no search can handle; and an n-entry
+# vector's p-norm lies within a factor n**(1/p) of its max-norm (below 1.5
+# for n < 2**37 at p = 64), so for larger p the max-norm, 'inf', serves.
+MAX_NORM_INDEX = 64
+
 # Most (column, value) entries one reduction may build.  A kept row has
 # arity * consistency_width consistency entries (a scope names distinct
 # variables), support_width support entries and a full Hadamard row of
@@ -61,16 +67,17 @@ def check_cell_budget(rows: int, cols: int) -> None:
 
 
 def normalize_p(p) -> Optional[int]:
-    """Accept int >= 1, the string 'inf', None, or float('inf'); None means max-norm."""
+    """Accept an int in [1, MAX_NORM_INDEX], the string 'inf', None, or
+    float('inf'); None means max-norm."""
     if p is None or p == INFINITY:
         return None
     if isinstance(p, float):
         if math.isinf(p) and p > 0:
             return None
         raise ProfileError("non-integer norms are only available as 'inf'")
-    if isinstance(p, int) and p >= 1:
+    if isinstance(p, int) and 1 <= p <= MAX_NORM_INDEX:
         return p
-    raise ProfileError(f"unsupported norm index {p!r}")
+    raise ProfileError(f"unsupported norm index {p!r}: use 1 to {MAX_NORM_INDEX}, or 'inf'")
 
 
 @dataclass(frozen=True)

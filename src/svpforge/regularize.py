@@ -60,6 +60,8 @@ class RegularizeParams:
             raise RegularizeError("spread must be at least 1")
         if not (0 < self.beta < 1):
             raise RegularizeError("beta must lie strictly between 0 and 1")
+        if self.right_degree is not None and self.right_degree < 1:
+            raise RegularizeError("right degree must be at least 1")
 
     @classmethod
     def defaults(cls, inst: CspInstance, **overrides) -> "RegularizeParams":
@@ -253,6 +255,13 @@ def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
     q = inst.arity
     sigma = inst.alphabet_size
     _warn_on_weak_soundness(inst.soundness, q, sigma)
+    # variable x's disperser has duplication * degree(x) left vertices of
+    # degree spread; its search places them one candidate at a time
+    edges = params.duplication * max(inst.degrees(), default=0) * params.spread
+    if edges > SEARCH_BUDGET:
+        raise BudgetExceededError(
+            f"a disperser with {edges} edges exceeds the search budget of {SEARCH_BUDGET}"
+        )
 
     dup, con_lineage = duplicate_constraints(inst, params.duplication)
     degrees = dup.degrees()

@@ -14,7 +14,6 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import kernels
@@ -23,12 +22,17 @@ from .errors import BudgetExceededError, SvpforgeError, WitnessNotFoundError
 from .reduction import GapSvpInstance, normalize_p
 
 DEFAULT_WITNESS_BUDGET = 1_000_000
-DEFAULT_BOX_BUDGET = 20_000_000
+# The old box search counted 2c+1 nodes per level it entered, under a
+# default of 20,000,000.  Mirror and memo drop only subtrees without a strict
+# improvement, so this one enters a subset of those levels, one state each,
+# plus a state per improvement short of power 0 (which keeps a huge box from
+# sweeping its digits for free): at most N // (2c+1) states plus the
+# improvements for N old nodes, so N // 3 covers the old default up to them.
+# On verify's box-1 bases they number 5 to 38; sat12 (791 states, 3,576
+# nodes) stays under a third, sat18 (192, 555) passes it by 7.
+DEFAULT_BOX_BUDGET = 20_000_000 // 3
 DEFAULT_EXHAUSTIVE_COMBOS = 1 << 16
 DEFAULT_SAMPLES = 1024
-
-# The order in which the witness search tries each sign.
-_SIGNS = (0, 1, -1)
 
 BOX_CAVEAT = "minimum over the coefficient box only, not a certified lattice minimum"
 
@@ -76,93 +80,6 @@ def apply_coefficients(
     return tuple(out)
 
 
-def _no_key(acc) -> tuple:
-    return ()
-
-
-def _cancelling_signs(plan: kernels.FrontierPlan, budget: int) -> Optional[list[int]]:
-    """Signs in {-1, 0, 1}, one per step of ``plan``, not all zero, under
-    which every column sums to zero; None when there are none.
-
-    A depth-first search that tries 0, then +1, then -1 at each step.  A
-    column must be zero at the step that closes it, and an open column whose
-    |sum| exceeds its reach can no longer get back to zero.  The state after
-    a step is the frontier's sums plus whether a sign so far is nonzero; one
-    that led nowhere is dead and never expanded again, so the search visits
-    at most the frontier DP's states, and it stops at the first solution.
-    While every sign so far is 0, -1 is not tried: its subtree mirrors the
-    one under +1, which failed before it.  Every state entered counts
-    against ``budget``.
-    """
-    entries, closing, reach = plan.entries, plan.closing, plan.reach
-    m = len(entries)
-    keys = [itemgetter(*f) if f else _no_key for f in plan.frontier]
-    acc = [0] * plan.num_slots
-    dead = [set() for _ in range(m)]  # dead[k]: dead states after step k - 1
-    signs = [0] * m
-    tried = [0] * m  # values of _SIGNS tried at each step on the current path
-    nonzero = [False] * m  # nonzero[k]: whether a sign before step k is
-    state = [None] * m
-    expanded = 1
-    if expanded > budget:
-        raise BudgetExceededError(f"witness search exceeded {budget} states")
-    k = 0
-    while True:
-        nz = nonzero[k]
-        i = tried[k]
-        if i == (3 if nz else 2):
-            # every value failed: the state before step k is dead
-            if nz:
-                dead[k].add(state[k])
-            if not k:
-                return None
-            k -= 1
-            t = signs[k]
-            if t:
-                for s, x in entries[k]:
-                    acc[s] -= t * x
-            signs[k] = 0
-            continue
-        tried[k] = i + 1
-        t = _SIGNS[i]
-        if t:
-            for s, x in entries[k]:
-                acc[s] += t * x
-            nz = True
-        ok = True
-        for s in closing[k]:
-            if acc[s]:
-                ok = False
-                break
-        if ok:
-            for s, r in reach[k]:
-                if acc[s] > r or -acc[s] > r:
-                    ok = False
-                    break
-        if ok:
-            if k == m - 1:
-                if nz:
-                    signs[k] = t
-                    return signs
-            else:
-                key = keys[k](acc) if nz else None
-                if key is None or key not in dead[k + 1]:
-                    expanded += 1
-                    if expanded > budget:
-                        raise BudgetExceededError(
-                            f"witness search exceeded {budget} states"
-                        )
-                    signs[k] = t
-                    k += 1
-                    tried[k] = 0
-                    nonzero[k] = nz
-                    state[k] = key
-                    continue
-        if t:
-            for s, x in entries[k]:
-                acc[s] -= t * x
-
-
 def witness_from_assignment(
     inst: GapSvpInstance,
     assignment: Sequence[int],
@@ -178,11 +95,13 @@ def witness_from_assignment(
 
     The rows are visited in ``kernels.rcm_order``'s reverse Cuthill–McKee order
     over the constraints that share a variable (the selected rows meet in a
-    consistency column exactly then), and ``_cancelling_signs`` searches
-    them depth first, keeping the open columns' sums as its state and never
-    expanding a dead state twice.  The result is the first solution that
-    search reaches, negated if needed so that its first nonzero coefficient
-    in row order is +1.  ``budget`` bounds the states expanded.
+    consistency column exactly then).  ``kernels.frontier_search`` runs on
+    their scaled entries in the max-norm, with the signs tried in the order
+    0, +1, -1 and the exclusive bound 1, so it looks for a zero image: a
+    closed column must be zero, and an open one within its reach.  The
+    result is the first solution that search reaches, negated if needed so
+    that its first nonzero coefficient in row order is +1.  ``budget``
+    bounds the states entered.
     """
     csp = inst.csp
     if evaluate(csp, assignment) != 1:
@@ -198,7 +117,10 @@ def witness_from_assignment(
     plan = kernels.frontier_plan(
         scaled, kernels.rcm_order(scaled, range(*inst.consistency_span))
     )
-    signs = _cancelling_signs(plan, budget)
+    try:
+        _power, signs, _states = kernels.frontier_search(plan, 1, None, budget, (0, 1, -1), 1)
+    except BudgetExceededError:
+        raise BudgetExceededError(f"witness search exceeded {budget} states") from None
     if signs is None:
         raise WitnessNotFoundError(
             "no nonzero signed combination of the selected rows cancels the scaled blocks"
@@ -223,7 +145,7 @@ class EnumerationResult:
     vector: tuple[int, ...]
     p: Optional[int]
     box: int
-    nodes: int
+    states: int
     backend: str
     caveat: str = BOX_CAVEAT
     # least power outside the box (``outside_box_floor``), None for p < 2
@@ -279,22 +201,21 @@ def enumerate_box(
     """Exact minimum of ||v*G||_p**p over nonzero v in [-box, box]^rows.
 
     ``kernels.box_minimum`` runs on ``inst.rows``: it visits coefficient
-    vectors in lexicographic order and prunes a subtree only when the closed
-    columns plus a bound on the open ones (each open column's magnitude less
-    what the later rows can still move it) already reach the best so far,
-    so the result is the true box minimum and ties resolve
-    lexicographically.  ``floor`` is ``outside_box_floor`` for the norm used.
+    vectors in lexicographic order and drops a subtree only when it holds no
+    strict improvement of the best so far, so the result is the true box
+    minimum and ties resolve lexicographically.  ``floor`` is
+    ``outside_box_floor`` for the norm used.
     """
     if inst.num_rows == 0:
         raise ValueError("the basis has no rows")
     pn = inst.profile.p if p == "profile" else normalize_p(p)
-    power, vector, nodes = kernels.box_minimum(inst.rows, box, pn, budget)
+    power, vector, states = kernels.box_minimum(inst.rows, box, pn, budget)
     return EnumerationResult(
         power=power,
         vector=vector,
         p=pn,
         box=box,
-        nodes=nodes,
+        states=states,
         backend=kernels.backend_name(),
         floor=outside_box_floor(inst, pn, box),
     )

@@ -1,6 +1,8 @@
 """Command line pipeline, file formats, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -809,7 +811,7 @@ def test_enumerate_huge_box_refuses_on_budget(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "error: box enumeration exceeded 1000 nodes" in err
+    assert "error: box enumeration exceeded 1000 states" in err
     assert peak < 5_000_000
 
 
@@ -832,7 +834,7 @@ def test_enumerate_deeper_than_the_recursion_limit_refuses_on_budget(tmp_path, c
     assert code == 0 and "1024 rows" in out
     code, _, err = run(capsys, "enumerate", str(basis), "--box", "1", "--budget", "5000")
     assert code == 2
-    assert err.startswith("error: box enumeration exceeded 5000 nodes")
+    assert err.startswith("error: box enumeration exceeded 5000 states")
     assert "Traceback" not in err
 
 
@@ -880,6 +882,105 @@ def test_witness_budget_refusal_without_asserts(tmp_path, capsys):
     assert proc.returncode == 2
     assert proc.stderr == "error: witness search exceeded 1 states\n"
     assert not proc.stdout
+
+
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_regularize_refuses_a_right_degree_below_1(capsys, degree):
+    code, out, err = run(capsys, "regularize", TOY1, "--right-degree", degree)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "error: right degree must be at least 1"
+
+
+# Option values of every kind: zero, negative, small, huge, fractional and
+# malformed.  Vectors and assignments are drawn from their own lists.
+_FUZZ_VALUES = ["0", "-1", "-3", "1", "2", "3", str(10**18), "1.5", "1/2", "x", "", "inf"]
+_FUZZ_VECTORS = ["1 0 -1", "0 0 0", "0 0", "1", "1 x", "", f"{10**18} 0 -1", "1.5 0 0"]
+# Each subcommand's positional arguments and required options (a value of
+# None is drawn), then its optional options.  enumerate always gets a small
+# budget: a huge box under a huge budget is a search that long by request.
+_FUZZ_COMMANDS = {
+    "validate": (["{csp}"], []),
+    "regularize": (
+        ["{csp}", "--out", "{dir}/reg.csp", "--lineage", "{dir}/reg.json"],
+        ["--duplication", "--spread", "--beta", "--right-degree"],
+    ),
+    "reduce": (
+        ["{csp}", "--out", "{dir}/out.basis"],
+        ["--p", "--mode", "--b-var", "--b-x", "--scale", "--prime", "--seed"],
+    ),
+    "witness": (["{basis}", "--assignment", None], ["--budget"]),
+    "enumerate": (["{basis}", "--budget", "1000"], ["--box", "--p"]),
+    "extract": (["{basis}", "--vector", None], ["--mode", "--seed"]),
+    "audit": (["{basis}", "--vector", None], []),
+    "selftest": ([], ["--seed"]),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    fixed, optional = _FUZZ_COMMANDS[command]
+    argv = [command]
+    for arg in fixed:
+        argv.append(draw(st.sampled_from(_FUZZ_VECTORS)) if arg is None else arg)
+    for option in optional:
+        if draw(st.booleans()):
+            values = _FUZZ_VALUES
+            if option == "--mode":
+                values = values + ["explicit", "asymptotic-default", "exhaustive", "sampled"]
+            argv += [option, draw(st.sampled_from(values))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    basis = work / "toy1.basis"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS]) == 0
+    return {"csp": TOY1, "basis": str(basis), "dir": str(work)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_argv())
+@example(["regularize", "{csp}", "--right-degree", "0"])
+def test_every_option_value_exits_0_or_2(fuzz_files, argv):
+    # no option value of any subcommand may end in a traceback: each run
+    # exits 0, or 2 with an error (argparse's own usage errors included)
+    argv = [arg.format(**fuzz_files) for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regularize", TOY1, "--right-degree", "0"],
+        ["regularize", TOY1, "--right-degree", "-3"],
+        ["regularize", TOY1, "--duplication", str(10**18)],
+        ["regularize", TOY1, "--spread", str(10**18)],
+        ["reduce", TOY1, "--out", "{dir}/out.basis", "--p", str(10**18)],
+        ["enumerate", "{basis}", "--p", str(10**18), "--budget", "1000"],
+        ["enumerate", "{basis}", "--box", str(10**18), "--budget", "1000"],
+        ["witness", "{basis}", "--assignment", "1.5 0"],
+        ["extract", "{basis}", "--vector", "1 0 -1", "--seed", "-3"],
+        ["selftest", "--seed", str(10**18)],
+    ],
+)
+def test_option_values_without_asserts(fuzz_files, argv):
+    # python -O strips assert statements; no exit may rest on one
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "svpforge.cli", *(a.format(**fuzz_files) for a in argv)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_selftest_passes(capsys):

@@ -58,17 +58,16 @@ def _naive_box_minimum(rows, c, p):
     return best, best_vec
 
 
-def _reference_box_dfs(rows, c, p, budget, look_ahead=True):
-    """The row-by-row search ``kernels.box_minimum`` must reproduce exactly:
-    the same minimum, lexicographically first argmin, node count and budget
-    refusal.  A column closes at its last row with a nonzero entry, and
-    until then the later rows can move it by at most its reach, c times the
-    sum of its later |value|s.  For p, a node's bound is the closed
-    columns' terms plus max(0, |acc| - reach)**p over the open columns of
-    its row; for the max-norm it is max(0, |acc| - reach) over every
-    column.  A subtree is entered only while the bound stays below the best
-    so far.  ``look_ahead=False`` is the earlier rule, which bounds by the
-    closed columns alone."""
+def _reference_box_dfs(rows, c, p, budget):
+    """A row-by-row search with the look-ahead bound alone, whose minimum
+    and lexicographically first argmin ``kernels.box_minimum`` must
+    reproduce; it counts a node per coefficient tried, not states.  A
+    column closes at its last row with a nonzero entry, and until then the
+    later rows can move it by at most its reach, c times the sum of its
+    later |value|s.  For p, a node's bound is the closed columns' terms plus
+    max(0, |acc| - reach)**p over the open columns of its row; for the
+    max-norm it is max(0, |acc| - reach) over every column.  A subtree is
+    entered only while the bound stays below the best so far."""
     m = len(rows)
     last = {}
     for r, entries in enumerate(rows):
@@ -86,8 +85,6 @@ def _reference_box_dfs(rows, c, p, budget, look_ahead=True):
     state = {"best": None, "vec": None, "nodes": 0}
 
     def bound(depth, finalized):
-        if not look_ahead:
-            return finalized
         if p is None:
             return max([0] + [abs(acc[j]) - reach[depth][j] for j in last])
         opening = {j for j, x in rows[depth] if x and last[j] > depth}
@@ -577,21 +574,29 @@ def _box_inputs(draw):
     return rows, c, p, budget
 
 
+def _assert_count_consistent(rows, c, p):
+    """The state count ``box_minimum`` returns is its exact budget: the
+    search passes with it and refuses with one less.  Returns the result."""
+    got = kernels.box_minimum(rows, c, p, 10**9)
+    assert kernels.box_minimum(rows, c, p, got[2]) == got
+    with pytest.raises(BudgetExceededError, match=f"exceeded {got[2] - 1} states"):
+        kernels.box_minimum(rows, c, p, got[2] - 1)
+    return got
+
+
 def _assert_matches_reference(case):
-    """``box_minimum`` equals ``_reference_box_dfs`` on ``case``: result or
-    budget refusal, and returns the reference result (None if refused)."""
-    try:
-        want = _reference_box_dfs(*case)
-    except BudgetExceededError:
+    """``box_minimum`` gives ``_reference_box_dfs``'s power and argmin on
+    ``case`` with a consistent state count, and refuses exactly when that
+    count passes the case's budget.  Returns the reference result."""
+    rows, c, p, budget = case
+    want = _reference_box_dfs(rows, c, p, 10**9)
+    got = _assert_count_consistent(rows, c, p)
+    assert got[:2] == want[:2]
+    if got[2] > budget:
         with pytest.raises(BudgetExceededError):
             kernels.box_minimum(*case)
-        return None
-    assert kernels.box_minimum(*case) == want
-    # the refusal fires exactly past the node count
-    *args, _budget = case
-    assert kernels.box_minimum(*args, want[2]) == want
-    with pytest.raises(BudgetExceededError):
-        kernels.box_minimum(*args, want[2] - 1)
+    else:
+        assert kernels.box_minimum(*case) == got
     return want
 
 
@@ -634,13 +639,9 @@ def test_box_minimum_at_large_radius():
     c = 365
     rows = [((0, 1 << 62), (1, 1)), ((1, 2), (2, 7))]
     for p in (None, 3):
-        single = (rows[:1], c, p, 10**6)
-        assert kernels.box_minimum(*single) == _reference_box_dfs(*single)
-        pair = (rows, c, p, 5000)
-        with pytest.raises(BudgetExceededError):
-            _reference_box_dfs(*pair)
-        with pytest.raises(BudgetExceededError):
-            kernels.box_minimum(*pair)
+        for m in (1, 2):
+            got = _assert_count_consistent(rows[:m], c, p)
+            assert got[:2] == _reference_box_dfs(rows[:m], c, p, 10**9)[:2]
 
 
 def test_box_minimum_ignores_zero_entries():
@@ -648,16 +649,17 @@ def test_box_minimum_ignores_zero_entries():
     rows = [((0, 2), (1, 1)), ((0, 1), (1, 0)), ((0, 0), (1, 1)), ((1, 0),)]
     stripped = [tuple((j, x) for j, x in entries if x) for entries in rows]
     for p in (None, 3):
-        want = _reference_box_dfs(stripped, 1, p, 10**6)
+        want = _assert_count_consistent(stripped, 1, p)
+        assert want[:2] == _reference_box_dfs(stripped, 1, p, 10**6)[:2]
         assert kernels.box_minimum(rows, 1, p, 10**6) == want
-        assert kernels.box_minimum(stripped, 1, p, 10**6) == want
 
 
 def test_box_minimum_deeper_than_the_recursion_limit():
     # 1500 rows, each with a private column: the first path reaches the
-    # all -1 leaf, then the all-zero prefix is walked to the bottom once more
+    # all -1 leaf, whose max-norm 1 is the least a nonzero image has
     rows = [((i, 1),) for i in range(1500)]
-    assert kernels.box_minimum(rows, 1, None, 10**6) == (1, (-1,) * 1500, 8997)
+    power, vec, _states = _assert_count_consistent(rows, 1, None)
+    assert (power, vec) == (1, (-1,) * 1500)
 
 
 @st.composite
@@ -711,13 +713,11 @@ def _small_box(case):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_box_inputs(), _sparse_box_inputs(), _scaled_box_inputs()).map(_small_box))
 def test_box_minimum_look_ahead_matches_brute_force(case):
-    # the brute force prunes nothing, so the look-ahead bound drops no
-    # strict improvement; and it never visits more nodes than the bound on
-    # closed columns alone
+    # the brute force prunes nothing, so the look-ahead bound, the mirror
+    # rule and the memo drop no strict improvement
     rows, c, p = case
-    power, vec, nodes = kernels.box_minimum(rows, c, p, 10**9)
+    power, vec, _states = _assert_count_consistent(rows, c, p)
     assert (power, vec) == _naive_box_minimum(rows, c, p)
-    assert nodes <= _reference_box_dfs(rows, c, p, 10**9, look_ahead=False)[2]
 
 
 def test_box_minimum_counts_a_column_listed_twice_once():

@@ -44,6 +44,14 @@ def test_normalize_p():
         normalize_p(2.5)
 
 
+def test_normalize_p_refuses_indices_past_the_largest():
+    # a huge p would make every exact power too large to form
+    assert normalize_p(reduction.MAX_NORM_INDEX) == reduction.MAX_NORM_INDEX
+    for p in (reduction.MAX_NORM_INDEX + 1, 10**18):
+        with pytest.raises(ProfileError, match="use 1 to 64, or 'inf'"):
+            normalize_p(p)
+
+
 def test_gap_factor_exact_comparisons():
     g = GapFactor(Fraction(2), Fraction(1, 300))
     # 2**(300/300) == 2, strictly between 1 and 3

@@ -130,6 +130,23 @@ def test_param_validation():
         RegularizeParams(duplication=1, spread=1, beta=Fraction(3, 2))
 
 
+def test_right_degree_below_1_is_refused():
+    for degree in (0, -3):
+        with pytest.raises(RegularizeError, match="right degree must be at least 1"):
+            RegularizeParams(duplication=1, spread=1, beta=Fraction(1, 2), right_degree=degree)
+
+
+@pytest.mark.parametrize("knob", ["duplication", "spread"])
+def test_a_disperser_past_the_search_budget_is_refused_before_building(toy1, knob):
+    # toy1's variables have degree 2: a huge duplication or spread gives a
+    # disperser with more edges than its search budget, refused at once
+    params = RegularizeParams.defaults(toy1, **{knob: 10**18})
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="exceeds the search budget"):
+        regularize(toy1, params)
+    assert time.perf_counter() - start < 1
+
+
 def test_duplicate_constraints(toy1):
     dup, lineage = duplicate_constraints(toy1, 3)
     assert dup.num_constraints == 6

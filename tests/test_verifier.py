@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from svpforge import kernels
 from svpforge.basisio import load_instance, save_instance
 from svpforge.csp import Constraint, CspInstance, evaluate, parse_csp
 from svpforge.errors import BudgetExceededError, WitnessNotFoundError
@@ -469,7 +470,7 @@ def test_enumerate_toy1(toy1_reduced):
     assert res.p == 3
     assert res.power == 8
     assert res.vector == (-1, 0, 1)
-    assert res.nodes > 0
+    assert res.states > 0
     assert res.backend == "pure"
     assert "not a certified lattice minimum" in res.caveat
 
@@ -533,19 +534,6 @@ def test_outside_box_floor_needs_p_at_least_2(toy1_reduced):
     assert certifying_box(toy1_reduced, None, SCALE + 1) is None
 
 
-# The row search's node counts, which budgets are measured against: each
-# column closes at its last touching row, and the look-ahead bound on the
-# open columns prunes nothing more on the toys.
-NODES = {
-    ("toy1_reduced", 1): 24,
-    ("toy1_reduced", 2): 60,
-    ("toy1_reduced", 3): 112,
-    ("unsat_reduced", 1): 54,
-    ("unsat_reduced", 2): 145,
-    ("unsat_reduced", 3): 308,
-}
-
-
 @pytest.mark.parametrize(
     "fixture, box, power, spans_only",
     [
@@ -558,14 +546,64 @@ NODES = {
     ],
 )
 def test_enumerate_node_counts_pinned(request, fixture, box, power, spans_only):
-    # ``spans_only``: the counts when only a constraint's spread columns
-    # closed early, which closing every column at its last row cannot exceed
+    # the reported state count is the exact budget: the search passes with
+    # it and refuses with one less.  ``spans_only``: the node counts (2c+1
+    # per level entered) of a search where only a constraint's spread
+    # columns closed early; the state count stays under them
     inst = request.getfixturevalue(fixture)
     res = enumerate_box(inst, box)
-    nodes = NODES[fixture, box]
-    assert (res.power, res.nodes) == (power, nodes)
-    assert nodes <= spans_only
-    assert _reference_box_dfs(inst.rows, box, 3, 10**9) == (res.power, res.vector, nodes)
+    assert res.power == power
+    assert _reference_box_dfs(inst.rows, box, 3, 10**9)[:2] == (res.power, res.vector)
+    assert enumerate_box(inst, box, budget=res.states) == res
+    with pytest.raises(BudgetExceededError, match=f"exceeded {res.states - 1} states"):
+        enumerate_box(inst, box, budget=res.states - 1)
+    assert res.states <= spans_only
+
+
+def _with_memo_sums(fn):
+    """fn()'s result, and the open-column sums each ``frontier_search`` it
+    ran held in its memo when it returned (memo[d] keys the states entered
+    into step d by the columns open after step d - 1)."""
+    held = []
+
+    def spy(frame, event, arg):
+        if event == "return" and frame.f_code is kernels.frontier_search.__code__:
+            memo, sizes = frame.f_locals["memo"], frame.f_locals["sizes"]
+            held.append(sum(sizes[d - 1] * len(known) for d, known in enumerate(memo) if d))
+
+    sys.setprofile(spy)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, held
+
+
+def test_memo_cap_bounds_the_memo_and_keeps_the_results(monkeypatch, unsat_reduced):
+    # a box search and a witness search that store more sums than the cap:
+    # under it they give the same result, and never hold more than the cap
+    csp, _vec = _bench_pipeline().cyclic_instance(5)
+    prof = derive_profile(
+        csp, p=3, mode="explicit", consistency_width=1, support_width=2, scale=SCALE
+    )
+    wit = reduce_csp(csp, prof)
+    searches = [
+        lambda: enumerate_box(unsat_reduced, 3),
+        lambda: witness_from_assignment(wit, (0,) * 5),
+    ]
+    cap = 40
+    for search in searches:
+        want, (free,) = _with_memo_sums(search)
+        assert free > cap
+        monkeypatch.setattr(kernels, "_MEMO_SUMS", cap)
+        got, (capped,) = _with_memo_sums(search)
+        monkeypatch.undo()
+        assert 0 < capped <= cap
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert (got.power, got.vector) == (want.power, want.vector)
+            assert got.states >= want.states
 
 
 def test_enumerate_budget(unsat_reduced):
