@@ -1,7 +1,7 @@
 """The exact kernels behind certification and the searches over sparse rows.
 
   det_sweep(rows, width)          -> first singular width x width row combination, or None
-  frontier_search(plan, c, p, budget, digits, below)
+  frontier_search(plan, c, p, budget, digits, below, memo)
                                   -> least norm power over a digit box, by one depth-first search
   box_minimum(rows, c, p, budget) -> that search over the rows in order with digits -c..c
   rcm_order(rows, links)          -> a reverse Cuthill-McKee visit order of sparse rows
@@ -28,7 +28,9 @@ Both exact searches over sparse rows, the box enumeration behind
 ``enumerate`` and the witness search, are one kernel, ``frontier_search``:
 a depth-first branch and bound over a ``frontier_plan`` in Python integers
 on an explicit stack, which prunes on the closed columns' value plus a
-bound on the open ones, skips mirrored vectors and remembers states.
+bound on the open ones, skips mirrored vectors, for the witness remembers
+states and, on a wide digit range, bisects the convex bound instead of
+trying every digit.
 """
 
 from __future__ import annotations
@@ -52,10 +54,13 @@ INT64_EXACT = 1 << 63
 _SLOPE_BATCH_CELLS = 1 << 15
 
 # A search's memo takes no new state once it holds this many open-column
-# sums (a refused witness search on cyclic N=32 at b_x=5 then peaks at 51 MB
-# max RSS), and none with more open columns than _MEMO_KEY_SUMS.
+# sums (a refused witness search on cyclic N=32 at b_x=5 then peaks at about
+# 50 MB max RSS).
 _MEMO_SUMS = 1 << 20
-_MEMO_KEY_SUMS = 64
+
+# A step of frontier_search with at most this many digits left tries them in
+# turn: a bisection over n digits costs about 2*log2(n) + 2 bounds.
+_PLAIN_DIGITS = 8
 
 
 def backend_name() -> str:
@@ -323,44 +328,49 @@ def box_minimum(rows, c, p, budget):
         raise BudgetExceededError(f"box enumeration exceeded {budget} states") from None
 
 
-def frontier_search(plan, c, p, budget, digits=None, below=None):
+def frontier_search(plan, c, p, budget, digits=None, below=None, memo=False):
     """Least p-th power norm (max |entry| for p None) of the image of a
     nonzero coefficient vector over the steps of ``plan``.
 
     Every step tries its coefficient in the order ``digits``, by default
-    the lazy range -c..c; ``c`` is the largest |digit|.  The search is depth
+    -c..c ascending; ``c`` is the largest |digit|.  The search is depth
     first and keeps strict improvements only, so it returns the first vector
     of least power in its visit order.  It starts from the exclusive bound
     ``below`` (vector None when nothing is below it) and stops at power 0.
 
-    A column's term joins the closed value at the step that closes it.  An
+    A column's term joins the closed value at the step that closes it; an
     open column's final magnitude is at least max(0, |acc| - reach), reach
-    being c times the plan's, so a digit whose closed value plus those
-    bounds over its step's open columns reaches the best is cut off.  For p
-    the closed value alone goes down a step, since an open column is
-    counted when it closes; for the max-norm the bound goes down, since an
-    open column's bound never falls along a path.  A digit is judged from
-    acc + t*val; acc moves only when the search goes down or back up a
-    step.  Two more rules drop only subtrees without a strict improvement:
+    being c times the plan's.  A digit is cut off when the closed value
+    plus those bounds over its step's open columns reaches the best.  For p
+    the closed value alone goes down a step (an open column counts when it
+    closes); for the max-norm the bound does, since it never falls along a
+    path.  A digit is judged from acc + t*val; acc moves only when the
+    search goes down or back up a step.  Two more rules drop only subtrees
+    without a strict improvement:
 
     - mirror: while every coefficient so far is 0, a digit whose negation
       came earlier is skipped, since -v has the power of v;
-    - memo: the state after step k is the sums of ``plan.frontier[k]`` and
-      whether a coefficient so far is nonzero.  Every leaf below it joins
-      the carried value with terms the state and later digits fix, so a
-      state entered again with no smaller carried value is skipped.  The
-      memo keeps each state's least value, takes no new state past
-      ``_MEMO_SUMS`` sums, and none with more than ``_MEMO_KEY_SUMS`` open
-      columns, whose keys cost more to hash than their rare repeats save.
+    - with ``memo``: a state (the sums of ``plan.frontier[k]`` after step
+      k, and whether a coefficient so far is nonzero) entered again with no
+      smaller carried value is skipped, as every leaf below joins that value
+      with terms the state and later digits fix.  The memo takes no state
+      past ``_MEMO_SUMS`` sums.  It pays where states repeat, as the
+      witness's dead states do; over rows in order they rarely do.
 
-    ``budget`` bounds the states: the start, each step gone down and each
-    improvement of the best short of power 0 (an entry of the final state).
-    The stack is explicit, so any number of steps works.  Returns (power,
-    vector, states), the vector in the plan's step order.
+    The bound is convex in the digit, so with the default digits a step
+    with more than ``_PLAIN_DIGITS`` left bisects past a cut-off digit to
+    the next one below the best (or leaves where the bound rises), and the
+    last step takes its first least value at once.  ``budget`` counts
+    states, the start and each step gone down; each costs O(log c) bounds,
+    so the budget bounds the work.  Explicit ``digits`` are tried in full,
+    so keep them few.  Returns (power, vector, states), the vector in the
+    plan's step order.
     """
-    if digits is None:
+    ranged = digits is None
+    if ranged:
         digits = range(-c, c + 1)
     steps, m = plan.entries, len(plan.entries)
+    last = m - 1
     value = [dict(step) for step in steps]
     # (slot, value) of each closing column; (slot, value, reach) of each
     # open one; and for the max-norm both, a closing column with reach 0
@@ -368,19 +378,28 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
     opening = [[(j, value[k][j], c * r) for j, r in cols] for k, cols in enumerate(plan.reach)]
     every = [[(j, x, 0) for j, x in s] + o for s, o in zip(shut, opening)]
     sizes = [len(f) for f in plan.frontier]
-    keys = [itemgetter(*f) if f else None for f in plan.frontier]
-    memo = [{} for _ in steps]  # memo[d]: least value carried into step d, by state
+    keys = [itemgetter(*f) if f else _no_sums for f in plan.frontier]
+    tables = [{} for _ in range(m + 1)]  # tables[d]: least value carried into step d, by state
     room = _MEMO_SUMS
     acc = [0] * plan.num_slots  # each column's sum over the steps above
     coeffs = [0] * m
     carried = [0] * m  # carried[d]: the value carried into step d
     nonzero = [False] * m  # nonzero[d]: whether a coefficient before step d is
-    tries = [None] * m  # tries[d]: the digits step d has still to try
-    tries[0] = _unmirrored(digits)
+    # the digits of a step before any nonzero one: none whose negation came
+    # earlier, nor 0 at the last step
+    if ranged:
+        first, first_last = range(-c, 1), range(-c, 0)
+    else:
+        first = [t for i, t in enumerate(digits) if not t or -t not in digits[:i]]
+        first_last = [t for t in first if t]
+    firsts = [first] * last + [first_last]
+    seqs = [None] * m  # seqs[d]: the digits step d tries
+    seqs[0] = firsts[0]
+    pos = [0] * m  # pos[d]: the index in seqs[d] of the next digit to try
     best = math.inf if below is None else below
     vec = None
     inf = p is None
-    last = m - 1
+    bisect = ranged and 2 * c + 1 > _PLAIN_DIGITS
     states = 1
     if states > budget:
         raise BudgetExceededError(f"search exceeded {budget} states")
@@ -388,64 +407,73 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
     while True:
         into, was_nz = carried[depth], nonzero[depth]
         closes, opens, cols = shut[depth], opening[depth], every[depth]
-        for t in tries[depth]:
-            # the value after this step, from acc + t * value per column
-            nf = into
+        seq, i = seqs[depth], pos[depth]
+        end = len(seq)
+        known, size, key, step = tables[depth + 1], sizes[depth], keys[depth], steps[depth]
+        while i < end:
+            t = seq[i]
+            i += 1
+            # the bound after this step, from acc + t * value per column
             if inf:
                 # closing columns have reach 0; the max absorbs the open ones
+                nf = into
                 for j, x, r in cols:
                     x = acc[j] + t * x
                     if x < 0:
                         x = -x
                     if x - r > nf:
                         nf = x - r
-                if nf >= best:
-                    continue
+                lb = nf
             else:
+                nf = into
                 for j, x in closes:
                     x = acc[j] + t * x
                     if x < 0:
                         x = -x
                     nf += x**p
-                if nf >= best:
-                    continue
-                # add what the later steps cannot take off the open columns
                 lb = nf
-                for j, x, r in opens:
-                    x = acc[j] + t * x
-                    if x < 0:
-                        x = -x
-                    if x > r:
-                        lb += (x - r) ** p
-                if lb >= best:
-                    continue
-            nz = was_nz or t != 0
-            if depth == last:
-                if nz:
-                    coeffs[depth] = t
-                    best, vec = nf, tuple(coeffs)
-                    if not nf:
-                        return best, vec, states
-                    states += 1
-                    if states > budget:
-                        raise BudgetExceededError(f"search exceeded {budget} states")
+                if nf < best:
+                    # add what the later steps cannot take off the open columns
+                    for j, x, r in opens:
+                        x = acc[j] + t * x
+                        if x < 0:
+                            x = -x
+                        if x > r:
+                            lb += (x - r) ** p
+            if lb >= best:
+                if bisect and end - i > _PLAIN_DIGITS:
+                    # f falls to its least value, then rises: the next digit
+                    # below the best, if any, is before f stops falling
+                    f = _step_bound(acc, into, closes, opens, cols, p)
+                    t = _first(lambda u: f(u) < best or f(u + 1) >= f(u), t + 1, seq[-1])
+                    i = t + c if f(t) < best else end
                 continue
+            if depth == last:
+                if bisect and end - i > _PLAIN_DIGITS:
+                    # the first least value: where f stops falling
+                    f = _step_bound(acc, into, closes, opens, cols, p)
+                    t = _first(lambda u: f(u + 1) >= f(u), t, seq[-1])
+                    nf, i = f(t), end
+                coeffs[depth] = t
+                best, vec = nf, tuple(coeffs)
+                if not nf:
+                    return best, vec, states
+                continue
+            nz = was_nz or t != 0
             if t:
-                for j, x in steps[depth]:
+                for j, x in step:
                     acc[j] += t * x
-            size = sizes[depth]
-            if nz and size <= _MEMO_KEY_SUMS:
-                key = keys[depth](acc) if size else ()
-                known = memo[depth + 1]
-                seen = known.get(key)
+            if memo and nz:
+                state = key(acc)
+                seen = known.get(state)
                 if seen is None:
                     if size <= room:
                         room -= size
-                        known[key] = nf
+                        known[state] = nf
                 elif seen > nf:
-                    known[key] = nf
+                    known[state] = nf
                 else:
-                    for j, x in steps[depth]:
+                    for j, x in step:
                         acc[j] -= t * x
                     continue
             states += 1
@@ -463,15 +491,52 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
                     acc[j] -= t * x
             continue
         coeffs[depth] = t
+        pos[depth] = i
         depth += 1
         carried[depth] = nf
         nonzero[depth] = nz
-        tries[depth] = iter(digits) if nz else _unmirrored(digits)
+        seqs[depth] = digits if nz else firsts[depth]
+        pos[depth] = 0
 
 
-def _unmirrored(digits):
-    """``digits`` less each one whose negation came earlier, lazily."""
-    return (t for i, t in enumerate(digits) if not t or -t not in digits[:i])
+def _no_sums(acc):
+    return ()
+
+
+def _step_bound(acc, into, closes, opens, cols, p):
+    """The bound a step judges a digit t by, as a function of t: the value
+    carried in plus |acc + t*x|**p over ``closes`` and
+    max(0, |acc + t*x| - reach)**p over ``opens``, or for the max-norm (p
+    None) the max of it and |acc + t*x| - reach over every column,
+    ``cols``.  A sum or max of convex functions of t, so convex."""
+    if p is None:
+        closes, opens = (), cols
+
+    def bound(t):
+        v = into
+        for j, x in closes:
+            v += abs(acc[j] + t * x) ** p
+        for j, x, r in opens:
+            x = abs(acc[j] + t * x) - r
+            if p is None:
+                if x > v:
+                    v = x
+            elif x > 0:
+                v += x**p
+        return v
+
+    return bound
+
+
+def _first(pred, lo, hi):
+    """The least t in [lo, hi) with pred(t), or hi; pred turns true once."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)

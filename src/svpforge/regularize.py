@@ -36,6 +36,12 @@ log = logging.getLogger(__name__)
 # tried, plus, per complete graph, the subsets its certification may check.
 SEARCH_BUDGET = 1 << 20
 
+# The most scope entries (one per disperser edge) a regularized instance may
+# have.  A larger one is refused before anything is built: its constraints
+# alone would hold more than about 100 MB of Python integers, and its
+# dispersers' exact delta = 3 * beta**spread grows with the spread.
+MAX_SCOPE_ENTRIES = 1 << 22
+
 
 @dataclass(frozen=True)
 class RegularizeParams:
@@ -255,12 +261,13 @@ def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
     q = inst.arity
     sigma = inst.alphabet_size
     _warn_on_weak_soundness(inst.soundness, q, sigma)
-    # variable x's disperser has duplication * degree(x) left vertices of
-    # degree spread; its search places them one candidate at a time
-    edges = params.duplication * max(inst.degrees(), default=0) * params.spread
-    if edges > SEARCH_BUDGET:
-        raise BudgetExceededError(
-            f"a disperser with {edges} edges exceeds the search budget of {SEARCH_BUDGET}"
+    # the output reads one copy per disperser edge: duplication * degree(x)
+    # left vertices of degree spread for each variable x
+    entries = params.duplication * sum(inst.degrees()) * params.spread
+    if entries > MAX_SCOPE_ENTRIES:
+        raise RegularizeError(
+            f"the regularized instance would have {entries} scope entries, "
+            f"past the size limit of {MAX_SCOPE_ENTRIES}"
         )
 
     dup, con_lineage = duplicate_constraints(inst, params.duplication)

@@ -23,13 +23,10 @@ from .reduction import GapSvpInstance, normalize_p
 
 DEFAULT_WITNESS_BUDGET = 1_000_000
 # The old box search counted 2c+1 nodes per level it entered, under a
-# default of 20,000,000.  Mirror and memo drop only subtrees without a strict
-# improvement, so this one enters a subset of those levels, one state each,
-# plus a state per improvement short of power 0 (which keeps a huge box from
-# sweeping its digits for free): at most N // (2c+1) states plus the
-# improvements for N old nodes, so N // 3 covers the old default up to them.
-# On verify's box-1 bases they number 5 to 38; sat12 (791 states, 3,576
-# nodes) stays under a third, sat18 (192, 555) passes it by 7.
+# default of 20,000,000.  The mirror rule drops only subtrees without a
+# strict improvement, so this one enters a subset of those levels, one state
+# each: at most N // (2c+1) states for N old nodes, so N // 3 finishes every
+# box the old default did.
 DEFAULT_BOX_BUDGET = 20_000_000 // 3
 DEFAULT_EXHAUSTIVE_COMBOS = 1 << 16
 DEFAULT_SAMPLES = 1024
@@ -98,7 +95,8 @@ def witness_from_assignment(
     consistency column exactly then).  ``kernels.frontier_search`` runs on
     their scaled entries in the max-norm, with the signs tried in the order
     0, +1, -1 and the exclusive bound 1, so it looks for a zero image: a
-    closed column must be zero, and an open one within its reach.  The
+    closed column must be zero, and an open one within its reach.  Its memo
+    skips a state that led nowhere before (until the memo is full).  The
     result is the first solution that search reaches, negated if needed so
     that its first nonzero coefficient in row order is +1.  ``budget``
     bounds the states entered.
@@ -118,7 +116,9 @@ def witness_from_assignment(
         scaled, kernels.rcm_order(scaled, range(*inst.consistency_span))
     )
     try:
-        _power, signs, _states = kernels.frontier_search(plan, 1, None, budget, (0, 1, -1), 1)
+        _power, signs, _states = kernels.frontier_search(
+            plan, 1, None, budget, (0, 1, -1), 1, memo=True
+        )
     except BudgetExceededError:
         raise BudgetExceededError(f"witness search exceeded {budget} states") from None
     if signs is None:

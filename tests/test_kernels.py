@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -592,6 +593,9 @@ def _assert_matches_reference(case):
     want = _reference_box_dfs(rows, c, p, 10**9)
     got = _assert_count_consistent(rows, c, p)
     assert got[:2] == want[:2]
+    # the memo drops only subtrees without a strict improvement
+    plan = kernels.frontier_plan(rows, range(len(rows)))
+    assert kernels.frontier_search(plan, c, p, 10**9, memo=True)[:2] == want[:2]
     if got[2] > budget:
         with pytest.raises(BudgetExceededError):
             kernels.box_minimum(*case)
@@ -642,6 +646,43 @@ def test_box_minimum_at_large_radius():
         for m in (1, 2):
             got = _assert_count_consistent(rows[:m], c, p)
             assert got[:2] == _reference_box_dfs(rows[:m], c, p, 10**9)[:2]
+
+
+@st.composite
+def _wide_box_inputs(draw):
+    """Radii past the digits a step tries in turn, so steps bisect."""
+    c = draw(st.integers(max(1, kernels._PLAIN_DIGITS // 2), 12))
+    m = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([None, 1, 2, 3]))
+    ncols = draw(st.integers(1, 4))
+    value = st.sampled_from([-7, -3, -2, -1, 1, 2, 3, 5, 40])
+    rows = [
+        tuple((j, draw(value)) for j in sorted(draw(st.sets(st.integers(0, ncols - 1)))))
+        for _ in range(m)
+    ]
+    return rows, c, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_box_inputs())
+def test_box_minimum_bisects_wide_steps(case):
+    rows, c, p = case
+    got = _assert_count_consistent(rows, c, p)
+    assert got[:2] == _naive_box_minimum(rows, c, p)
+
+
+def test_a_huge_box_costs_log_c_per_state():
+    # two private columns: every first digit t improves the best to |t|, so
+    # the search enters about 2c states, and each must cost O(log c) bounds
+    # rather than a sweep of the 2c+1 digits at the second step
+    rows = [((0, 1),), ((1, 1),)]
+    start = time.perf_counter()
+    assert kernels.box_minimum(rows, 10**4, None, 10**6) == (1, (-1, -1), 10**4 + 2)
+    assert kernels.box_minimum(rows, 10**4, 3, 10**6) == (1, (-1, 0), 10**4 + 2)
+    for p in (None, 3):
+        with pytest.raises(BudgetExceededError, match="exceeded 10000 states"):
+            kernels.box_minimum(rows, 10**9, p, 10**4)
+    assert time.perf_counter() - start < 20
 
 
 def test_box_minimum_ignores_zero_entries():

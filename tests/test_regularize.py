@@ -18,6 +18,7 @@ from svpforge.errors import (
 )
 from svpforge.gadgets import BipartiteBiregular, verify_disperser
 from svpforge.regularize import (
+    MAX_SCOPE_ENTRIES,
     RegularizeParams,
     _search_certified,
     build_disperser,
@@ -137,14 +138,25 @@ def test_right_degree_below_1_is_refused():
 
 
 @pytest.mark.parametrize("knob", ["duplication", "spread"])
-def test_a_disperser_past_the_search_budget_is_refused_before_building(toy1, knob):
-    # toy1's variables have degree 2: a huge duplication or spread gives a
-    # disperser with more edges than its search budget, refused at once
+def test_an_output_past_the_size_limit_is_refused_before_building(toy1, knob):
+    # toy1 has 4 variable occurrences: duplication * 4 * spread scope
+    # entries, refused at once past the limit
     params = RegularizeParams.defaults(toy1, **{knob: 10**18})
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="exceeds the search budget"):
+    with pytest.raises(RegularizeError, match=f"past the size limit of {MAX_SCOPE_ENTRIES}"):
         regularize(toy1, params)
     assert time.perf_counter() - start < 1
+
+
+def test_the_size_limit_admits_an_output_of_exactly_its_size(toy1, monkeypatch):
+    params = RegularizeParams.defaults(toy1)
+    entries = params.duplication * sum(toy1.degrees()) * params.spread
+    monkeypatch.setattr(regularize_module, "MAX_SCOPE_ENTRIES", entries)
+    out = regularize(toy1, params)
+    assert sum(out.instance.degrees()) == entries
+    monkeypatch.setattr(regularize_module, "MAX_SCOPE_ENTRIES", entries - 1)
+    with pytest.raises(RegularizeError, match="would have"):
+        regularize(toy1, params)
 
 
 def test_duplicate_constraints(toy1):

@@ -562,14 +562,14 @@ def test_enumerate_node_counts_pinned(request, fixture, box, power, spans_only):
 
 def _with_memo_sums(fn):
     """fn()'s result, and the open-column sums each ``frontier_search`` it
-    ran held in its memo when it returned (memo[d] keys the states entered
-    into step d by the columns open after step d - 1)."""
+    ran held in its memo when it returned (tables[d] keys the states entered
+    into step d by the sums of the columns open after step d - 1)."""
     held = []
 
     def spy(frame, event, arg):
         if event == "return" and frame.f_code is kernels.frontier_search.__code__:
-            memo, sizes = frame.f_locals["memo"], frame.f_locals["sizes"]
-            held.append(sum(sizes[d - 1] * len(known) for d, known in enumerate(memo) if d))
+            tables, sizes = frame.f_locals["tables"], frame.f_locals["sizes"]
+            held.append(sum(sizes[d - 1] * len(known) for d, known in enumerate(tables) if d))
 
     sys.setprofile(spy)
     try:
@@ -580,18 +580,21 @@ def _with_memo_sums(fn):
 
 
 def test_memo_cap_bounds_the_memo_and_keeps_the_results(monkeypatch, unsat_reduced):
-    # a box search and a witness search that store more sums than the cap:
-    # under it they give the same result, and never hold more than the cap
+    # a box search with the memo and a witness search that store more sums
+    # than the cap: under it they give the same result, and never hold more
+    # than the cap
     csp, _vec = _bench_pipeline().cyclic_instance(5)
     prof = derive_profile(
         csp, p=3, mode="explicit", consistency_width=1, support_width=2, scale=SCALE
     )
     wit = reduce_csp(csp, prof)
+    plan = kernels.frontier_plan(unsat_reduced.rows, range(unsat_reduced.num_rows))
     searches = [
-        lambda: enumerate_box(unsat_reduced, 3),
+        lambda: kernels.frontier_search(plan, 3, 3, 10**9, memo=True),
         lambda: witness_from_assignment(wit, (0,) * 5),
     ]
     cap = 40
+    results = []
     for search in searches:
         want, (free,) = _with_memo_sums(search)
         assert free > cap
@@ -599,11 +602,17 @@ def test_memo_cap_bounds_the_memo_and_keeps_the_results(monkeypatch, unsat_reduc
         got, (capped,) = _with_memo_sums(search)
         monkeypatch.undo()
         assert 0 < capped <= cap
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert (got.power, got.vector) == (want.power, want.vector)
-            assert got.states >= want.states
+        results.append((want, got))
+    (box, capped_box), (witness, capped_witness) = results
+    assert capped_box[:2] == box[:2] == kernels.box_minimum(unsat_reduced.rows, 3, 3, 10**9)[:2]
+    assert capped_box[2] >= box[2]
+    assert capped_witness == witness
+
+
+def test_box_search_keeps_no_memo(unsat_reduced):
+    # over rows in order states rarely repeat, so enumerate stores none
+    _res, (held,) = _with_memo_sums(lambda: enumerate_box(unsat_reduced, 3))
+    assert held == 0
 
 
 def test_enumerate_budget(unsat_reduced):
