@@ -672,9 +672,10 @@ def test_box_minimum_bisects_wide_steps(case):
 
 
 def test_a_huge_box_costs_log_c_per_state():
-    # two private columns: every first digit t improves the best to |t|, so
-    # the search enters about 2c states, and each must cost O(log c) bounds
-    # rather than a sweep of the 2c+1 digits at the second step
+    # two private columns: the start, a state for each first digit in -c..-1
+    # (each improves the best to its |t|) and one for 0, so c + 2 states,
+    # each costing O(log c) bounds rather than a sweep of the second step's
+    # 2c+1 digits
     rows = [((0, 1),), ((1, 1),)]
     start = time.perf_counter()
     assert kernels.box_minimum(rows, 10**4, None, 10**6) == (1, (-1, -1), 10**4 + 2)
