@@ -2,7 +2,7 @@
 
   det_sweep(rows, width)          -> first singular width x width row combination, or None
   frontier_search(plan, c, p, budget, digits, below, memo)
-                                  -> least norm power over a digit box, by one depth-first search
+                                  -> least norm power over a digit box, and its first vector
   box_minimum(rows, c, p, budget) -> that search over the rows in order with digits -c..c
   rcm_order(rows, links)          -> a reverse Cuthill-McKee visit order of sparse rows
   frontier_plan(rows, order)      -> the columns each step of that order closes or leaves open
@@ -28,9 +28,13 @@ Both exact searches over sparse rows, the box enumeration behind
 ``enumerate`` and the witness search, are one kernel, ``frontier_search``:
 a depth-first branch and bound over a ``frontier_plan`` in Python integers
 on an explicit stack, which prunes on the closed columns' value plus a
-bound on the open ones, skips mirrored vectors, for the witness remembers
-states and, on a wide digit range, bisects the convex bound instead of
-trying every digit.
+bound on the open ones, skips mirrored vectors and, for the witness,
+remembers states.  Over a digit range each step visits its digits
+best-first by that bound, which is convex in the digit: from its least
+minimiser, found by bisection, outwards (the zig-zag order of
+Schnorr-Euchner enumeration), so a good vector comes early and a state
+costs O(log c) bounds; a tie in power goes to the lexicographically first
+vector, whatever the visit order.
 """
 
 from __future__ import annotations
@@ -57,10 +61,6 @@ _SLOPE_BATCH_CELLS = 1 << 15
 # sums (a refused witness search on cyclic N=32 at b_x=5 then peaks at about
 # 50 MB max RSS).
 _MEMO_SUMS = 1 << 20
-
-# A step of frontier_search with at most this many digits left tries them in
-# turn: a bisection over n digits costs about 2*log2(n) + 2 bounds.
-_PLAIN_DIGITS = 8
 
 
 def backend_name() -> str:
@@ -313,10 +313,10 @@ def _det_bareiss(m):
 
 def box_minimum(rows, c, p, budget):
     """Minimum p-th power norm of v*rows over nonzero v in [-c, c]^m, p
-    None for the max-norm: ``frontier_search`` over ``rows`` ((column,
-    value) entries, as ``GapSvpInstance.rows``) in their own order, so ties
-    resolve to the lexicographically smallest vector.  Returns (power,
-    vector, states)."""
+    None for the max-norm, and the lexicographically first argmin:
+    ``frontier_search`` over ``rows`` ((column, value) entries, as
+    ``GapSvpInstance.rows``) in their own order, each step's digits
+    best-first.  Returns (power, vector, states)."""
     m = len(rows)
     if m == 0:
         raise ValueError("need at least one row")
@@ -330,45 +330,53 @@ def box_minimum(rows, c, p, budget):
 
 def frontier_search(plan, c, p, budget, digits=None, below=None, memo=False):
     """Least p-th power norm (max |entry| for p None) of the image of a
-    nonzero coefficient vector over the steps of ``plan``.
+    nonzero coefficient vector over the steps of ``plan``, and the
+    lexicographically first vector of that power.
 
-    Every step tries its coefficient in the order ``digits``, by default
-    -c..c ascending; ``c`` is the largest |digit|.  The search is depth
-    first and keeps strict improvements only, so it returns the first vector
-    of least power in its visit order.  It starts from the exclusive bound
-    ``below`` (vector None when nothing is below it) and stops at power 0.
+    By default each coefficient is a digit of -c..c and every step visits
+    its digits best-first by its own bound, which is convex in the digit:
+    from the least minimiser (found by bisection) outwards, each time to
+    the neighbour with the smaller bound, the smaller digit on a tie, until
+    both sides are cut.  The last step takes its least value at once.
+    Explicit ``digits`` are tried in their given order, which then stands
+    for the lexicographic order, and the search stops at power 0.  It
+    starts from the exclusive bound ``below`` (vector None when nothing is
+    below it).
 
     A column's term joins the closed value at the step that closes it; an
     open column's final magnitude is at least max(0, |acc| - reach), reach
-    being c times the plan's.  A digit is cut off when the closed value
-    plus those bounds over its step's open columns reaches the best.  For p
-    the closed value alone goes down a step (an open column counts when it
-    closes); for the max-norm the bound does, since it never falls along a
-    path.  A digit is judged from acc + t*val; acc moves only when the
-    search goes down or back up a step.  Two more rules drop only subtrees
-    without a strict improvement:
+    being c times the plan's.  A digit is cut when the closed value plus
+    those bounds over its step's open columns exceeds the best, or equals
+    it and the path so far, with the digit, comes after the best vector's
+    prefix (with explicit digits every later path does).  For p the closed
+    value alone goes down a step (an open column counts when it closes);
+    for the max-norm the bound does, since it never falls along a path.  A
+    digit is judged from acc + t*val; acc moves only when the search goes
+    down or back up a step.  Two more rules drop only subtrees without an
+    improvement:
 
     - mirror: while every coefficient so far is 0, a digit whose negation
-      came earlier is skipped, since -v has the power of v;
+      came earlier in the order is skipped, since -v has the power of v.
+      With the default digits that leaves -c..0; the nonzero ones go
+      best-first and 0 last (at the last step, not at all), so a chain of
+      rows whose bound is 0 at digit 0 is not walked all-zero first;
     - with ``memo``: a state (the sums of ``plan.frontier[k]`` after step
-      k, and whether a coefficient so far is nonzero) entered again with no
-      smaller carried value is skipped, as every leaf below joins that value
-      with terms the state and later digits fix.  The memo takes no state
-      past ``_MEMO_SUMS`` sums.  It pays where states repeat, as the
+      k, and whether a coefficient so far is nonzero) entered again is
+      skipped when its earlier entry carried no larger value and came
+      first in the order (with explicit digits, every earlier entry did),
+      or, for p, carried a smaller one: every leaf below then joins that
+      value with terms the state and later digits fix.  The memo takes no
+      state past ``_MEMO_SUMS`` sums (and, with the default digits, the
+      prefixes it compares).  It pays where states repeat, as the
       witness's dead states do; over rows in order they rarely do.
 
-    The bound is convex in the digit, so with the default digits a step
-    with more than ``_PLAIN_DIGITS`` left bisects past a cut-off digit to
-    the next one below the best (or leaves where the bound rises), and the
-    last step takes its first least value at once.  ``budget`` counts
-    states, the start and each step gone down; each costs O(log c) bounds,
-    so the budget bounds the work.  Explicit ``digits`` are tried in full,
-    so keep them few.  Returns (power, vector, states), the vector in the
-    plan's step order.
+    ``budget`` counts states, the start and each step gone down.  A state
+    costs O(log c) bounds (a bisection, and O(1) for each digit it enters
+    or cuts), so the budget bounds the work.  Explicit ``digits`` are tried
+    in full, so keep them few.  Returns (power, vector, states), the vector
+    in the plan's step order.
     """
     ranged = digits is None
-    if ranged:
-        digits = range(-c, c + 1)
     steps, m = plan.entries, len(plan.entries)
     last = m - 1
     value = [dict(step) for step in steps]
@@ -379,124 +387,184 @@ def frontier_search(plan, c, p, budget, digits=None, below=None, memo=False):
     every = [[(j, x, 0) for j, x in s] + o for s, o in zip(shut, opening)]
     sizes = [len(f) for f in plan.frontier]
     keys = [itemgetter(*f) if f else _no_sums for f in plan.frontier]
-    tables = [{} for _ in range(m + 1)]  # tables[d]: least value carried into step d, by state
+    # tables[d]: by state, the last entry into step d the memo did not skip
+    tables = [{} for _ in range(m + 1)]
     room = _MEMO_SUMS
     acc = [0] * plan.num_slots  # each column's sum over the steps above
     coeffs = [0] * m
     carried = [0] * m  # carried[d]: the value carried into step d
     nonzero = [False] * m  # nonzero[d]: whether a coefficient before step d is
-    # the digits of a step before any nonzero one: none whose negation came
-    # earlier, nor 0 at the last step
     if ranged:
-        first, first_last = range(-c, 1), range(-c, 0)
+        # a step's walk: its bound, the next digits down and up with their
+        # bounds (None once that side is cut), and whether 0 is still to
+        # come; walk[d] None: not started
+        walk = [None] * m
     else:
+        # the digits of a step before any nonzero one: none whose negation
+        # came earlier, nor 0 at the last step
         first = [t for i, t in enumerate(digits) if not t or -t not in digits[:i]]
-        first_last = [t for t in first if t]
-    firsts = [first] * last + [first_last]
-    seqs = [None] * m  # seqs[d]: the digits step d tries
-    seqs[0] = firsts[0]
-    pos = [0] * m  # pos[d]: the index in seqs[d] of the next digit to try
+        firsts = [first] * last + [[t for t in first if t]]
+        seqs = [None] * m  # seqs[d]: the digits step d tries
+        seqs[0] = firsts[0]
+        pos = [0] * m  # pos[d]: the index in seqs[d] of the next digit to try
     best = math.inf if below is None else below
     vec = None
+    # the path's first `same` digits are vec's (at most the depth): vec's
+    # own prefix until the search backs up past it, then the step where it
+    # left it, since a step never revisits a digit
+    same = 0
     inf = p is None
-    bisect = ranged and 2 * c + 1 > _PLAIN_DIGITS
     states = 1
     if states > budget:
         raise BudgetExceededError(f"search exceeded {budget} states")
     depth = 0
     while True:
         into, was_nz = carried[depth], nonzero[depth]
-        closes, opens, cols = shut[depth], opening[depth], every[depth]
-        seq, i = seqs[depth], pos[depth]
-        end = len(seq)
-        known, size, key, step = tables[depth + 1], sizes[depth], keys[depth], steps[depth]
-        while i < end:
-            t = seq[i]
-            i += 1
-            # the bound after this step, from acc + t * value per column
-            if inf:
-                # closing columns have reach 0; the max absorbs the open ones
-                nf = into
-                for j, x, r in cols:
-                    x = acc[j] + t * x
-                    if x < 0:
-                        x = -x
-                    if x - r > nf:
-                        nf = x - r
-                lb = nf
-            else:
-                nf = into
-                for j, x in closes:
-                    x = acc[j] + t * x
-                    if x < 0:
-                        x = -x
-                    nf += x**p
-                lb = nf
-                if nf < best:
-                    # add what the later steps cannot take off the open columns
-                    for j, x, r in opens:
+        closes = shut[depth]
+        t = None
+        if ranged:
+            hi = c if was_nz else -1
+            step_walk = walk[depth]
+            if step_walk is None:
+                f = _step_bound(acc, into, closes, opening[depth], every[depth], p)
+                lo = _least(f, -c, hi)
+                if depth == last:  # only the least value can be a new best
+                    step_walk = [f, lo, f(lo), lo + 1, None, False]
+                else:
+                    step_walk = [f, lo, f(lo), lo + 1, f(lo + 1) if lo < hi else None, not was_nz]
+                walk[depth] = step_walk
+            f, down, fdown, up, fup, zero = step_walk
+            while True:
+                if fdown is not None and (fup is None or fdown <= fup):
+                    t, v, side = down, fdown, -1
+                elif fup is not None:
+                    t, v, side = up, fup, 1
+                elif zero:
+                    t, v, side, zero = 0, f(0), 0, False
+                else:
+                    t = None
+                    break
+                # cut: past the best, or at it and after the best vector
+                if v > best or v == best and (
+                    vec is None or (coeffs[same] > vec[same] if same < depth else t > vec[depth])
+                ):
+                    if side < 0:
+                        fdown = None
+                    elif side:
+                        fup = None
+                    continue
+                if depth == last:
+                    coeffs[depth] = t
+                    best, vec, same = v, tuple(coeffs), m
+                    t = None
+                    break
+                if side < 0:
+                    down -= 1
+                    fdown = f(down) if down >= -c else None
+                elif side:
+                    up += 1
+                    fup = f(up) if up <= hi else None
+                break
+            step_walk[1:] = down, fdown, up, fup, zero
+            if t is not None:
+                nf = v
+                if not inf:
+                    nf = into
+                    for j, x in closes:
+                        x = acc[j] + t * x
+                        nf += (x if x >= 0 else -x) ** p
+        else:
+            seq, i = seqs[depth], pos[depth]
+            end = len(seq)
+            opens, cols = opening[depth], every[depth]
+            while i < end:
+                t = seq[i]
+                i += 1
+                # the bound after this step, from acc + t * value per column
+                if inf:
+                    # closing columns have reach 0; the max absorbs the open ones
+                    nf = into
+                    for j, x, r in cols:
                         x = acc[j] + t * x
                         if x < 0:
                             x = -x
-                        if x > r:
-                            lb += (x - r) ** p
-            if lb >= best:
-                if bisect and end - i > _PLAIN_DIGITS:
-                    # f falls to its least value, then rises: the next digit
-                    # below the best, if any, is before f stops falling
-                    f = _step_bound(acc, into, closes, opens, cols, p)
-                    t = _first(lambda u: f(u) < best or f(u + 1) >= f(u), t + 1, seq[-1])
-                    i = t + c if f(t) < best else end
-                continue
-            if depth == last:
-                if bisect and end - i > _PLAIN_DIGITS:
-                    # the first least value: where f stops falling
-                    f = _step_bound(acc, into, closes, opens, cols, p)
-                    t = _first(lambda u: f(u + 1) >= f(u), t, seq[-1])
-                    nf, i = f(t), end
-                coeffs[depth] = t
-                best, vec = nf, tuple(coeffs)
-                if not nf:
-                    return best, vec, states
-                continue
-            nz = was_nz or t != 0
-            if t:
-                for j, x in step:
-                    acc[j] += t * x
-            if memo and nz:
-                state = key(acc)
-                seen = known.get(state)
-                if seen is None:
-                    if size <= room:
-                        room -= size
-                        known[state] = nf
-                elif seen > nf:
-                    known[state] = nf
+                        if x - r > nf:
+                            nf = x - r
+                    lb = nf
                 else:
-                    for j, x in step:
-                        acc[j] -= t * x
+                    nf = into
+                    for j, x in closes:
+                        x = acc[j] + t * x
+                        if x < 0:
+                            x = -x
+                        nf += x**p
+                    lb = nf
+                    if nf < best:
+                        # add what the later steps cannot take off the open columns
+                        for j, x, r in opens:
+                            x = acc[j] + t * x
+                            if x < 0:
+                                x = -x
+                            if x > r:
+                                lb += (x - r) ** p
+                if lb >= best:
                     continue
-            states += 1
-            if states > budget:
-                raise BudgetExceededError(f"search exceeded {budget} states")
-            break
-        else:
-            # every digit tried: back to the step above, less its digit
+                if depth == last:
+                    coeffs[depth] = t
+                    best, vec = nf, tuple(coeffs)
+                    if not nf:
+                        return best, vec, states
+                    continue
+                break
+            else:
+                t = None
+            pos[depth] = i
+        if t is None:
+            # the step is done: back to the step above, less its digit
             if not depth:
                 return best, vec, states
             depth -= 1
+            if same > depth:
+                same = depth
             t = coeffs[depth]
             if t:
                 for j, x in steps[depth]:
                     acc[j] -= t * x
             continue
+        nz = was_nz or t != 0
+        step = steps[depth]
+        if t:
+            for j, x in step:
+                acc[j] += t * x
         coeffs[depth] = t
-        pos[depth] = i
+        if memo and nz:
+            state = keys[depth](acc)
+            known = tables[depth + 1]
+            # (value, prefix): with explicit digits every earlier entry came first
+            here = (nf, tuple(coeffs[: depth + 1]) if ranged else None)
+            seen = known.get(state)
+            if seen is None:
+                size = sizes[depth] + (depth + 1 if ranged else 0)
+                if size <= room:
+                    room -= size
+                    known[state] = here
+            elif seen[0] <= nf and (not ranged or seen[1] < here[1] or not inf and seen[0] < nf):
+                for j, x in step:
+                    acc[j] -= t * x
+                continue
+            else:
+                known[state] = here
+        states += 1
+        if states > budget:
+            raise BudgetExceededError(f"search exceeded {budget} states")
         depth += 1
         carried[depth] = nf
         nonzero[depth] = nz
-        seqs[depth] = digits if nz else firsts[depth]
-        pos[depth] = 0
+        if ranged:
+            walk[depth] = None
+        else:
+            seqs[depth] = digits if nz else firsts[depth]
+            pos[depth] = 0
 
 
 def _no_sums(acc):
@@ -508,31 +576,50 @@ def _step_bound(acc, into, closes, opens, cols, p):
     carried in plus |acc + t*x|**p over ``closes`` and
     max(0, |acc + t*x| - reach)**p over ``opens``, or for the max-norm (p
     None) the max of it and |acc + t*x| - reach over every column,
-    ``cols``.  A sum or max of convex functions of t, so convex."""
+    ``cols``.  A sum or max of convex functions of t, so convex.  Each
+    value is computed once."""
+    values = {}
     if p is None:
-        closes, opens = (), cols
 
-    def bound(t):
-        v = into
-        for j, x in closes:
-            v += abs(acc[j] + t * x) ** p
-        for j, x, r in opens:
-            x = abs(acc[j] + t * x) - r
-            if p is None:
-                if x > v:
-                    v = x
-            elif x > 0:
-                v += x**p
-        return v
+        def bound(t):
+            v = values.get(t)
+            if v is None:
+                v = into
+                for j, x, r in cols:
+                    x = acc[j] + t * x
+                    if x < 0:
+                        x = -x
+                    if x - r > v:
+                        v = x - r
+                values[t] = v
+            return v
+
+    else:
+
+        def bound(t):
+            v = values.get(t)
+            if v is None:
+                v = into
+                for j, x in closes:
+                    x = acc[j] + t * x
+                    v += (x if x >= 0 else -x) ** p
+                for j, x, r in opens:
+                    x = acc[j] + t * x
+                    if x < 0:
+                        x = -x
+                    if x > r:
+                        v += (x - r) ** p
+                values[t] = v
+            return v
 
     return bound
 
 
-def _first(pred, lo, hi):
-    """The least t in [lo, hi) with pred(t), or hi; pred turns true once."""
+def _least(f, lo, hi):
+    """The least minimiser over [lo, hi] of f, convex: where it stops falling."""
     while lo < hi:
         mid = (lo + hi) // 2
-        if pred(mid):
+        if f(mid + 1) >= f(mid):
             hi = mid
         else:
             lo = mid + 1

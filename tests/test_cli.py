@@ -797,11 +797,30 @@ def test_alphabet_padding_end_to_end(tmp_path, capsys):
     assert "minimum power:" in out
 
 
+def _enumerate_at_its_own_budget(capsys, basis, *flags):
+    """``enumerate``'s output and state count: the count passes as the
+    budget with the same output, and one fewer refuses."""
+    code, out, err = run(capsys, "enumerate", basis, *flags)
+    assert code == 0 and err == ""
+    states = int(out.split("states: ")[1].split()[0])
+    assert run(capsys, "enumerate", basis, *flags, "--budget", str(states)) == (0, out, "")
+    code, _, err = run(capsys, "enumerate", basis, *flags, "--budget", str(states - 1))
+    assert code == 2
+    assert err.startswith(f"error: box enumeration exceeded {states - 1} states")
+    return out, states
+
+
 def test_enumerate_huge_box_refuses_on_budget(tmp_path, capsys):
-    # a huge radius must stay lazy: the budget stops the search before
-    # anything of size 2c+1 is built
+    # toy1's first row has only open columns, whose reach grows with c, so
+    # its bound is 0 at every digit and each of -c..-1 takes a state: 2c + 3
+    # states in all.  A large box finishes with the box-1 minimum; a huge
+    # radius must stay lazy: the budget stops the search before anything
+    # of size 2c+1 is built
     basis = tmp_path / "toy1.basis"
     run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    out, states = _enumerate_at_its_own_budget(capsys, str(basis), "--box", "1000")
+    assert "minimum power: 8 (p=3, box 1000)" in out and "argmin: -1 0 1" in out
+    assert states == 2 * 1000 + 3
     tracemalloc.start()
     try:
         code, _, err = run(
@@ -832,9 +851,16 @@ def test_enumerate_deeper_than_the_recursion_limit_refuses_on_budget(tmp_path, c
     flags = ["--p", "inf", "--b-var", "1", "--b-x", "1", "--scale", "1000000"]
     code, out, _ = run(capsys, "reduce", str(src), "--out", str(basis), *flags)
     assert code == 0 and "1024 rows" in out
-    code, _, err = run(capsys, "enumerate", str(basis), "--box", "1", "--budget", "5000")
+    # every nonzero image has max-norm at least 1; the argmin is the
+    # all-zero assignment's witness, -1 on the (0, 0) row of each step-1
+    # constraint and +1 on that of each step-2 constraint
+    out, states = _enumerate_at_its_own_budget(capsys, str(basis), "--box", "1")
+    assert "minimum power: 1 (p=inf, box 1)" in out
+    assert f"argmin: {' '.join(['-1 0'] * 256 + ['1 0'] * 256)}\n" in out
+    assert states < 5000
+    code, _, err = run(capsys, "enumerate", str(basis), "--box", "1", "--budget", "1000")
     assert code == 2
-    assert err.startswith("error: box enumeration exceeded 5000 states")
+    assert err.startswith("error: box enumeration exceeded 1000 states")
     assert "Traceback" not in err
 
 

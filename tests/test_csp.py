@@ -242,6 +242,32 @@ def test_validation_rejects_bad_scope():
         CspInstance(num_vars=2, alphabet_size=2, arity=2, constraints=(con,))
 
 
+@pytest.mark.parametrize(
+    "scope, accepted, message",
+    [
+        ((0,), (), "constraint 1 has arity 1, expected 2"),
+        ((0, 1, 2), ((0, 0, 0),), "constraint 1 has arity 3, expected 2"),
+        ((2, 2), (), "constraint 1 repeats a variable"),
+        ((1, 4), (), "constraint 1 uses variable 4 out of range"),
+        ((-1, 5), (), "constraint 1 uses variable -1 out of range"),
+        ((4, -2), ((0, 0),), "constraint 1 uses variable 4 out of range"),
+        ((0, 1), ((0, 1), (0,), (3, 0)), "constraint 1 has an accepted tuple of wrong arity"),
+        ((0, 1), ((0, 1), (1, 3), ()), "constraint 1 accepts symbol 3 out of range"),
+        ((0, 1), ((0, 1), (2, -1), (5, 0)), "constraint 1 accepts symbol -1 out of range"),
+        ((0, 1), ((0, 1), (0, 2, 1)), "constraint 1 has an accepted tuple of wrong arity"),
+    ],
+)
+def test_validation_names_the_first_offender(scope, accepted, message):
+    # constraint 0 is valid; in constraint 1 the first failing check names
+    # the first bad value: scope arity, a repeat, a variable by position,
+    # then each accepted tuple in order, its arity before its symbols
+    good = Constraint(variables=(0, 1), accepted=((0, 1), (2, 2)))
+    bad = Constraint(variables=scope, accepted=accepted)
+    with pytest.raises(CspValidationError) as exc:
+        CspInstance(num_vars=4, alphabet_size=3, arity=2, constraints=(good, bad))
+    assert str(exc.value) == message
+
+
 def test_degrees_and_regularity(toy1):
     assert toy1.degrees() == (2, 2)
     report = validate_regular(toy1)

@@ -650,8 +650,8 @@ def test_box_minimum_at_large_radius():
 
 @st.composite
 def _wide_box_inputs(draw):
-    """Radii past the digits a step tries in turn, so steps bisect."""
-    c = draw(st.integers(max(1, kernels._PLAIN_DIGITS // 2), 12))
+    """Radii of 4 to 12, so a step bisects over up to 25 digits."""
+    c = draw(st.integers(4, 12))
     m = draw(st.integers(1, 3))
     p = draw(st.sampled_from([None, 1, 2, 3]))
     ncols = draw(st.integers(1, 4))
@@ -672,18 +672,26 @@ def test_box_minimum_bisects_wide_steps(case):
 
 
 def test_a_huge_box_costs_log_c_per_state():
-    # two private columns: the start, a state for each first digit in -c..-1
-    # (each improves the best to its |t|) and one for 0, so c + 2 states,
-    # each costing O(log c) bounds rather than a sweep of the second step's
-    # 2c+1 digits
-    rows = [((0, 1),), ((1, 1),)]
+    # two private columns: each step starts at its least bound, so the
+    # first leaf is the minimum, whatever c is
+    private = [((0, 1),), ((1, 1),)]
+    # a rotated pair: the first step's bound is 0 for every digit, so it
+    # walks -c..-1 from the least one, -c, and each digit t improves the
+    # best to |t| (p=inf) or 2|t|**3 (p=3); then 0, so c + 2 states
+    rotated = [((0, 1), (1, 1)), ((0, 1), (1, -1))]
     start = time.perf_counter()
-    assert kernels.box_minimum(rows, 10**4, None, 10**6) == (1, (-1, -1), 10**4 + 2)
-    assert kernels.box_minimum(rows, 10**4, 3, 10**6) == (1, (-1, 0), 10**4 + 2)
+    for c in (10**4, 10**9):
+        assert _assert_count_consistent(private, c, None) == (1, (-1, -1), 3)
+        assert _assert_count_consistent(private, c, 3) == (1, (-1, 0), 3)
+    assert _assert_count_consistent(rotated, 10**4, None) == (1, (-1, 0), 10**4 + 2)
+    assert _assert_count_consistent(rotated, 10**4, 3) == (2, (-1, 0), 10**4 + 2)
     for p in (None, 3):
         with pytest.raises(BudgetExceededError, match="exceeded 10000 states"):
-            kernels.box_minimum(rows, 10**9, p, 10**4)
+            kernels.box_minimum(rotated, 10**9, p, 10**4)
     assert time.perf_counter() - start < 20
+    for p in (None, 3):
+        for rows in (private, rotated):
+            assert kernels.box_minimum(rows, 3, p, 10**6)[:2] == _naive_box_minimum(rows, 3, p)
 
 
 def test_box_minimum_ignores_zero_entries():
@@ -697,11 +705,17 @@ def test_box_minimum_ignores_zero_entries():
 
 
 def test_box_minimum_deeper_than_the_recursion_limit():
-    # 1500 rows, each with a private column: the first path reaches the
-    # all -1 leaf, whose max-norm 1 is the least a nonzero image has
-    rows = [((i, 1),) for i in range(1500)]
-    power, vec, _states = _assert_count_consistent(rows, 1, None)
-    assert (power, vec) == (1, (-1,) * 1500)
+    # 1500 rows, each with a private column.  While the prefix is all zero,
+    # 0 comes last: the first path is -1 then the 0s (-1s for the max-norm),
+    # a least leaf, and every other path is cut at its first step but for
+    # the chain of leading 0s, so 2m - 1 states.  Trying 0 first would give
+    # each leading-zero prefix its own walk, about m**2 / 2 states.
+    m = 1500
+    rows = [((i, 1),) for i in range(m)]
+    for p, vec in ((None, (-1,) * m), (3, (-1,) + (0,) * (m - 1))):
+        power, got, states = _assert_count_consistent(rows, 1, p)
+        assert (power, got) == (1, vec)
+        assert states <= 3 * m
 
 
 @st.composite
@@ -740,6 +754,57 @@ def _scaled_box_inputs(draw):
 @given(_scaled_box_inputs())
 def test_box_minimum_scaled_matches_reference_dfs(case):
     _assert_matches_reference(case)
+
+
+@st.composite
+def _tied_box_inputs(draw):
+    """Rows of +-1 entries, many of them copies or negations of earlier
+    rows: power 0 is reachable, and many vectors share each power, so the
+    least power's lexicographically first vector is what is tested."""
+    c = draw(st.integers(1, 2))
+    m = draw(st.integers(1, {1: 6, 2: 4}[c]))
+    p = draw(st.sampled_from([None, 1, 2, 3]))
+    ncols = draw(st.integers(1, 4))
+    unit = st.sampled_from([-1, 1])
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.booleans()):
+            sign = draw(unit)
+            rows.append(tuple((j, sign * x) for j, x in draw(st.sampled_from(rows))))
+        else:
+            cols = sorted(draw(st.sets(st.integers(0, ncols - 1))))
+            rows.append(tuple((j, draw(unit)) for j in cols))
+    return rows, c, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_box_inputs())
+def test_box_minimum_breaks_ties_lexicographically(case):
+    # the best-first order meets equal powers out of lexicographic order;
+    # the result is still the brute force's first argmin, with the memo too
+    rows, c, p = case
+    got = _assert_count_consistent(rows, c, p)
+    assert got[:2] == _naive_box_minimum(rows, c, p)
+    plan = kernels.frontier_plan(rows, range(len(rows)))
+    assert kernels.frontier_search(plan, c, p, 10**9, memo=True)[:2] == got[:2]
+
+
+# A state entered again under a lexicographically earlier prefix must not
+# be skipped: a memo that skips on the carried value alone (first case), or
+# at the max-norm on a smaller one (second), returns a later argmin.
+_MEMO_ORDER_CASES = [
+    ([((2, 2),), ((0, 2), (2, 2)), ((2, 1), (3, -1)), ((0, -1), (1, 2), (2, -1), (3, 2)),
+      ((0, 2), (1, 1), (2, 2), (3, 2)), ((0, 1), (1, -1))], 1),
+    ([((0, 2), (1, 2), (2, 2), (3, 2)), ((2, 1), (3, 1)), ((3, 1),), ((1, 2), (2, 2))], 2),
+]
+
+
+@pytest.mark.parametrize("rows, c", _MEMO_ORDER_CASES)
+def test_memo_keeps_a_state_entered_under_an_earlier_prefix(rows, c):
+    want = _naive_box_minimum(rows, c, None)
+    assert _assert_count_consistent(rows, c, None)[:2] == want
+    plan = kernels.frontier_plan(rows, range(len(rows)))
+    assert kernels.frontier_search(plan, c, None, 10**9, memo=True)[:2] == want
 
 
 def _small_box(case):
