@@ -5,17 +5,21 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_pipeline.py [--repeat N] [--out F
 Each rung is a cyclic regular CSP on N variables: M = 2N binary constraints
 with scopes (i, i+1) and (i, i+2) mod N, each accepting (0, 0) and one seeded
 other tuple, reduced under the default profile at p = inf.  For every rung it
-prints best-of-N wall times of ``reduce_csp``, ``emit_basis``, the emitter as
-first written (``str`` of every entry of the dense basis, the "before"
-column), ``save_instance``, ``load_instance``, ``witness_from_assignment``
-under the all-zero assignment and ``audit_vector`` on the known short vector,
-plus the basis rows, columns and nonzeros.  After the
+prints best-of-N wall times of ``parse_csp`` (of ``emit_csp``'s text, as a
+load parses the sidecar's instance), ``emit_csp``, ``reduce_csp``,
+``emit_basis``, the emitter as first written (``str`` of every entry of the
+dense basis, the "before" column), ``sidecar_text``, ``save_instance``,
+``load_instance``, ``witness_from_assignment`` under the all-zero assignment
+and ``audit_vector`` on the known short vector, plus the basis rows, columns
+and nonzeros.  After the
 timed passes, a separate pass runs each stage once under tracemalloc and
 records its peak, in MB above the memory traced when the call started
 (tracemalloc slows allocation, so it never runs during the timed passes).
 
-Checks: both emitters give text with the same sha256, the loaded rows are the
-built ones, the witness cancels the scaled columns and reaches max-norm 1,
+Checks: the instance text parses back to the instance, the sidecar text is
+``json.dumps(sidecar_json(...), indent=2)`` plus a newline, both basis
+emitters give text with the same sha256, the loaded rows are the built ones,
+the witness cancels the scaled columns and reaches max-norm 1,
 and the known vector audits to max-norm 1 with support M.  The
 "before" emitter needs the dense basis (42M cells at N=1024), so it runs only
 up to N=512 and is recorded as null above.  With ``--out`` the table is also
@@ -33,14 +37,15 @@ import tracemalloc
 from pathlib import Path
 
 from svpforge import kernels
-from svpforge.basisio import emit_basis, load_instance, save_instance
-from svpforge.csp import Constraint, CspInstance
+from svpforge.basisio import emit_basis, load_instance, save_instance, sidecar_json, sidecar_text
+from svpforge.csp import Constraint, CspInstance, emit_csp, parse_csp
 from svpforge.reduction import derive_profile, reduce_csp
 from svpforge.verifier import apply_coefficients, audit_vector, witness_from_assignment
 
 LADDER = (32, 128, 512, 1024)
-STAGES = ("reduce_csp", "emit_basis", "emit_basis_before", "save_instance",
-          "load_instance", "witness_from_assignment", "audit_vector")
+STAGES = ("parse_csp", "emit_csp", "reduce_csp", "emit_basis", "emit_basis_before",
+          "sidecar_text", "save_instance", "load_instance", "witness_from_assignment",
+          "audit_vector")
 
 
 def _time(fn, repeat):
@@ -93,13 +98,22 @@ def bench_rung(n, repeat, workdir):
     prof = derive_profile(csp, p=None)
     path = Path(workdir) / f"c{n}.basis"
     row = {"n": n}
+    row["emit_csp"], csp_text = _time(lambda: emit_csp(csp), repeat)
+    row["parse_csp"], parsed = _time(lambda: parse_csp(csp_text), repeat)
+    assert parsed == csp, f"N={n}: the instance text does not parse back to the instance"
     row["reduce_csp"], out = _time(lambda: reduce_csp(csp, prof), repeat)
     row["rows"], row["cols"] = out.num_rows, out.num_cols
     row["nnz"] = sum(map(len, out.rows))
+    row["sidecar_text"], sidecar = _time(lambda: sidecar_text(out, path.name), repeat)
+    expected = json.dumps(sidecar_json(out, path.name), indent=2) + "\n"
+    assert sidecar == expected, f"N={n}: sidecar_text is not json.dumps of sidecar_json"
     stages = {
+        "parse_csp": lambda: parse_csp(csp_text),
+        "emit_csp": lambda: emit_csp(csp),
         "reduce_csp": lambda: reduce_csp(csp, prof),
         "emit_basis": lambda: emit_basis(out.rows, out.num_cols),
         "emit_basis_before": (lambda: _emit_basis_before(out.basis)) if n <= 512 else None,
+        "sidecar_text": lambda: sidecar_text(out, path.name),
         "save_instance": lambda: save_instance(out, path),
         "load_instance": lambda: load_instance(path),
         "witness_from_assignment": lambda: witness_from_assignment(out, (0,) * n),

@@ -241,15 +241,18 @@ def sidecar_text(inst: GapSvpInstance, basis_file: str, seed: Optional[int] = No
     is written from that template and spliced into ``json.dumps`` of the
     other fields, so strings and floats keep the standard library's escaping
     and repr while the pure-Python indenting encoder sees only a few keys.
+    A row's text after its constraint index depends only on its tuple, so
+    each distinct tuple's tail is built once per call.
     """
     head, _, tail = json.dumps(_sidecar_fields(inst, basis_file, seed), indent=2).partition(
         _PROVENANCE_SLOT
     )
     sep = ",\n        "
-    rows = ",\n".join(
-        f"    [\n      {t},\n      [\n        {sep.join(map(str, tup))}\n      ]\n    ]"
-        for t, tup in inst.row_provenance
-    )
+    tup_text = {}
+    for _, tup in inst.row_provenance:
+        if tup not in tup_text:
+            tup_text[tup] = f",\n      [\n        {sep.join(map(str, tup))}\n      ]\n    ]"
+    rows = ",\n".join([f"    [\n      {t}{tup_text[tup]}" for t, tup in inst.row_provenance])
     provenance = f"[\n{rows}\n  ]" if rows else "[]"
     return f'{head}\n  "row_provenance": {provenance}{tail}\n'
 
@@ -311,7 +314,9 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     with newline translation, so CRLF newlines or a byte outside ASCII are
     refused.  The basis bytes are compared with the rebuilt rows one emitted
     row at a time, so no second copy of the basis is held beside the file's;
-    they are parsed only to report a mismatch.
+    they are parsed only to report a mismatch.  A basis file too short or too
+    long for any basis of the sidecar's shape is refused from its size,
+    before the rebuild and before it is read.
     """
     basis_path = Path(basis_path)
     if sidecar_path is None:
@@ -341,23 +346,29 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
         raise SvpforgeError("sidecar 'csp' must be the instance text")
     csp = parse_csp(payload["csp"])
     prof = profile_from_json(payload["profile"], csp)
-    data = basis_path.read_bytes()
+    size = basis_path.stat().st_size
     rows = sum(len(con.accepted_set) for con in csp.constraints)
     if rows == 0:
         raise SvpforgeError("the sidecar's instance accepts no tuple, so it has no basis")
-    # An emitted row takes at least 2 * nprime + 1 bytes; refusing a shorter
-    # file before the rebuild keeps a small file next to a large sidecar
-    # cheap.
-    if len(data) < rows * (2 * prof.nprime + 1):
-        raise SvpforgeError(
-            f"basis file is too short for the {rows} x {prof.nprime} basis its sidecar describes"
-        )
+    # An emitted row takes at least 2 * nprime + 1 bytes, and at most
+    # nprime entries of at most len(str(-max_abs_entry)) bytes each, separated
+    # by spaces, inside "[" and "]\n"; the outer pair adds 3.
+    # Refusing a shorter file before the rebuild keeps a small file next to
+    # a large sidecar cheap, and refusing a longer one before it is read
+    # keeps a huge file from being read at all.
+    shape = f"the {rows} x {prof.nprime} basis its sidecar describes"
+    if size < rows * (2 * prof.nprime + 1):
+        raise SvpforgeError(f"basis file is too short for {shape}")
+    longest = len(str(-prof.max_abs_entry))
+    if size > rows * (prof.nprime * (longest + 1) + 3) + 3:
+        raise SvpforgeError(f"basis file is too long for {shape}")
     basis_file, seed = payload.get("basis_file"), payload.get("seed")
     if not isinstance(basis_file, str):
         raise SvpforgeError(f"sidecar 'basis_file' must be a string, got {basis_file!r}")
     if seed is not None and type(seed) is not int:
         raise SvpforgeError(f"sidecar 'seed' must be an integer or null, got {seed!r}")
     out = reduce_csp(csp, prof)
+    data = basis_path.read_bytes()
     if not _is_concatenation(data, _basis_pieces(out.rows, out.num_cols)):
         # a byte outside ASCII becomes U+FFFD, which no integer or bracket is
         text = data.decode("ascii", errors="replace")

@@ -39,6 +39,17 @@ class Constraint:
     def __post_init__(self):
         object.__setattr__(self, "accepted_set", frozenset(self.accepted))
 
+    @classmethod
+    def _parsed(cls, variables, accepted) -> "Constraint":
+        """``Constraint(variables, accepted)`` for a scope and tuples that
+        ``parse_csp`` has checked, without the dataclass ``__init__`` and
+        ``__post_init__`` calls that a parse would pay once per constraint."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "accepted_set", frozenset(accepted))
+        return self
+
     @property
     def arity(self) -> int:
         return len(self.variables)
@@ -65,12 +76,7 @@ class CspInstance:
 
     def __post_init__(self):
         n, sigma, q = self.num_vars, self.alphabet_size, self.arity
-        if n < 1:
-            raise CspValidationError("need at least one variable")
-        if sigma < 1:
-            raise CspValidationError("alphabet must be nonempty")
-        if q < 1:
-            raise CspValidationError("arity must be at least 1")
+        _check_shape(n, sigma, q)
         if not (0 < self.soundness <= 1):
             raise CspValidationError("soundness tag must lie in (0, 1]")
         for idx, con in enumerate(self.constraints):
@@ -87,6 +93,20 @@ class CspInstance:
                 for a in tup:
                     if not (0 <= a < sigma):
                         raise CspValidationError(f"constraint {idx} accepts symbol {a} out of range")
+
+    @classmethod
+    def _parsed(cls, num_vars, alphabet_size, arity, constraints, soundness) -> "CspInstance":
+        """An instance whose shape is checked here and whose constraints and
+        soundness ``parse_csp`` has checked line by line, so the per-element
+        checks of ``__post_init__`` do not run again."""
+        _check_shape(num_vars, alphabet_size, arity)
+        self = object.__new__(cls)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "soundness", soundness)
+        return self
 
     @property
     def num_constraints(self) -> int:
@@ -115,6 +135,15 @@ class CspInstance:
         if m >= 1 and m & (m - 1) == 0:
             return m.bit_length() - 1
         return None
+
+
+def _check_shape(n: int, sigma: int, q: int) -> None:
+    if n < 1:
+        raise CspValidationError("need at least one variable")
+    if sigma < 1:
+        raise CspValidationError("alphabet must be nonempty")
+    if q < 1:
+        raise CspValidationError("arity must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -240,16 +269,27 @@ def parse_csp(text: str) -> CspInstance:
     Each line is split once, and a scope or an accepted tuple is converted
     with one ``map(int, ...)`` and range-checked by its ``min`` and ``max``;
     only a line that fails is looked at token by token, to name the first
-    bad token.
+    bad token.  An ``acc`` line is checked once per call: its raw text maps
+    to its tuple, and a later line with the same text, which the one header
+    makes valid too, pays only for the constraint's duplicate check.  The
+    instance is built from the checked values without checking them again;
+    only its shape (N, SIGMA, q at least 1) is checked at the end.
     """
     header = None
     soundness = None
     scopes: list[tuple[int, ...]] = []
     accepts: list[list[tuple[int, ...]]] = []
+    accepted_lines: dict[str, tuple[int, ...]] = {}  # raw acc line -> its tuple
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tup = accepted_lines.get(line)
+        if tup is not None:  # the arity-0 tuple () is falsy
+            if tup in seen:
+                raise CspParseError(f"duplicate accepted tuple {tup}", lineno)
+            seen.add(tup)
+            acc.append(tup)
+            continue
+        raw = line[: line.index("#")] if "#" in line else line
         tokens = raw.split()
         if not tokens:
             continue
@@ -268,6 +308,7 @@ def parse_csp(text: str) -> CspInstance:
                 raise CspParseError(f"symbol {a} out of range [0, {sigma})", lineno)
             if tup in seen:
                 raise CspParseError(f"duplicate accepted tuple {tup}", lineno)
+            accepted_lines[line] = tup
             seen.add(tup)
             acc.append(tup)
         elif kind == "con":
@@ -319,24 +360,33 @@ def parse_csp(text: str) -> CspInstance:
     if len(scopes) != m:
         raise CspParseError(f"header promises {m} constraints, found {len(scopes)}")
     constraints = tuple(
-        Constraint(scope, tuple(acc)) for scope, acc in zip(scopes, accepts)
+        Constraint._parsed(scope, tuple(acc)) for scope, acc in zip(scopes, accepts)
     )
     try:
-        return CspInstance(n, sigma, q, constraints, soundness or Fraction(1))
+        return CspInstance._parsed(n, sigma, q, constraints, soundness or Fraction(1))
     except CspValidationError as exc:
         raise CspParseError(str(exc)) from exc
 
 
 def emit_csp(inst: CspInstance) -> str:
-    """Serialize an instance; parse(emit(inst)) reproduces it exactly."""
+    """Serialize an instance; parse(emit(inst)) reproduces it exactly.
+
+    Each distinct accepted tuple's ``acc`` line is built once per call and
+    reused by every constraint that accepts the tuple.
+    """
     lines = [
         f"csp {inst.num_vars} {inst.num_constraints} {inst.arity} {inst.alphabet_size}"
     ]
     if inst.soundness != 1:
         lines.append(f"s {inst.soundness.numerator}/{inst.soundness.denominator}")
+    acc_lines = {}
     for con in inst.constraints:
         lines.append("con " + " ".join(map(str, con.variables)))
-        lines += ["acc " + " ".join(map(str, tup)) for tup in con.accepted]
+        for tup in con.accepted:
+            line = acc_lines.get(tup)
+            if line is None:
+                line = acc_lines[tup] = "acc " + " ".join(map(str, tup))
+            lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -163,6 +163,13 @@ class ReductionProfile:
         return self.consistency_cols + self.support_cols + self.spread_cols
 
     @property
+    def max_abs_entry(self) -> int:
+        """A bound on |entry| for every basis under this profile: the
+        Vandermonde blocks hold scale times residues mod prime, the spread
+        block +-1."""
+        return self.scale * (self.prime - 1)
+
+    @property
     def gap_factor(self) -> GapFactor:
         q = self.arity
         if self.p is None:

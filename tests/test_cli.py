@@ -439,6 +439,25 @@ def test_short_basis_next_to_large_sidecar_is_refused(tmp_path, capsys):
     assert peak < 5_000_000
 
 
+def test_oversized_basis_is_refused_before_it_is_read(tmp_path, capsys):
+    # a sparse 64 MB file beside toy1's sidecar: its size alone rules it
+    # out, so none of it is read and the load stays small
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    os.truncate(basis, 64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SvpforgeError, match="^basis file is too long for the 3 x 13 basis"):
+            basisio.load_instance(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
+    assert code == 2 and not out
+    assert err.startswith("error: basis file is too long") and "Traceback" not in err
+
+
 def _ladder_256():
     """The cyclic ladder at N=256: a 1024 x 2561 basis, about 5 MB of text."""
     n = 256

@@ -65,6 +65,9 @@ def test_emit_omits_trivial_soundness(toy1):
         # arity 0 passes the per-line checks with empty tuples, and min() of
         # an empty tuple must not run; the instance check refuses it
         ("csp 1 1 0 1\ncon\nacc\n", "arity must be at least 1", False),
+        # the other shape checks the parser leaves to the end
+        ("csp 0 0 2 2\n", "need at least one variable", False),
+        ("csp 2 0 2 0\n", "alphabet must be nonempty", False),
     ],
 )
 def test_parse_errors(text, fragment, has_line):
@@ -187,9 +190,14 @@ _ODD_TOKENS = ("+1", "01", "1_0", "x", "-1", "3", "1/2", "\u0661")
 @st.composite
 def _csp_texts(draw):
     """CSP text in the usual layout (header, soundness tag, constraints and
-    their accepted tuples) with odd tokens, lengths and lines mixed in."""
+    their accepted tuples) with odd tokens, lengths and lines mixed in.
+
+    An ``acc`` line often repeats an earlier one, in the same constraint or
+    a later one, and each line draws its own trailing comment, so the same
+    raw line recurs both verbatim and with another comment; a second header
+    may sit anywhere among them."""
     n, q = draw(st.sampled_from((0, 1, 2, 3, 3, 3))), draw(st.sampled_from((0, 1, 2, 2, 3)))
-    sigma, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    sigma, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
 
     def tokens(count, bound):
         usual = [str(v) for v in range(bound)] * 8 or ["0"]
@@ -201,6 +209,7 @@ def _csp_texts(draw):
         lines.append(f"csp {n} {m} {q} {sigma}")
     if not draw(st.integers(0, 3)):
         lines.append("s " + draw(st.sampled_from(("1/2", "2/3", "1", "0/1", "3/2", "1/0", "x"))))
+    acc_lines = []
     for _ in range(draw(st.integers(max(m - 1, 0), m + 1))):
         if q <= n and draw(st.integers(0, 3)):
             scope = map(str, draw(st.permutations(range(n)))[:q])
@@ -208,10 +217,14 @@ def _csp_texts(draw):
             scope = tokens(q, n)
         lines.append(" ".join(["con", *scope]))
         for _ in range(draw(st.integers(0, 3))):
-            lines.append(" ".join(["acc", *tokens(q, sigma)]))
+            if acc_lines and draw(st.booleans()):
+                lines.append(draw(st.sampled_from(acc_lines)))
+            else:
+                acc_lines.append(" ".join(["acc", *tokens(q, sigma)]))
+                lines.append(acc_lines[-1])
+    odd_lines = ("bogus 1", "", "# note", "acc", "con", "csp 1 1 1 1", f"csp {n} {m} {q} {sigma}")
     for _ in range(draw(st.integers(0, 1))):
-        odd = draw(st.sampled_from(("bogus 1", "", "# note", "acc", "con", "csp 1 1 1 1")))
-        lines.insert(draw(st.integers(0, len(lines))), odd)
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(odd_lines)))
     comment = st.sampled_from(("", "", "", " # note", "#", "\t"))
     return "".join(line + draw(comment) + "\n" for line in lines)
 
@@ -225,8 +238,55 @@ def _csp_texts(draw):
 @example("csp 2 1 2 2\ncon 0 1\nacc 0 -1\n")
 @example("csp 2 1 2 2\ncon 2 1\n")
 @example("csp 1 1 0 1\ncon\nacc\n")
+@example("csp 1 1 0 1\ncon\nacc\nacc\n")  # the arity-0 tuple () repeated
+@example("csp 1 2 0 1\ncon\nacc\ncon\nacc\n")
+@example("csp 2 1 2 2\nacc 0 0\nacc 0 0\ncon 0 1\n")  # repeated before any con
+@example("csp 2 2 2 2\ncon 0 1\nacc 0 1\ncon 1 0\nacc 0 1\nacc 0 1 # note\n")
+@example("csp 2 2 2 2\ncon 0 1\nacc 0 1\ncsp 2 2 2 2\ncon 1 0\nacc 0 1\n")
 def test_parser_matches_the_token_by_token_reference(text):
-    assert _outcome(parse_csp, text) == _outcome(_reference_parse_csp, text)
+    outcome = _outcome(parse_csp, text)
+    assert outcome == _outcome(_reference_parse_csp, text)
+    if outcome[0] == "ok":  # equality skips accepted_set, which the parser builds itself
+        assert all(con.accepted_set == set(con.accepted) for con in outcome[1].constraints)
+
+
+def _reference_emit_csp(inst):
+    """``emit_csp`` as first written, every ``acc`` line built from its own
+    tuple: the oracle for the emitter that builds each distinct line once."""
+    lines = [f"csp {inst.num_vars} {inst.num_constraints} {inst.arity} {inst.alphabet_size}"]
+    if inst.soundness != 1:
+        lines.append(f"s {inst.soundness.numerator}/{inst.soundness.denominator}")
+    for con in inst.constraints:
+        lines.append("con " + " ".join(map(str, con.variables)))
+        lines += ["acc " + " ".join(map(str, tup)) for tup in con.accepted]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _repetitive_instances(draw):
+    """Instances whose constraints take their accepted tuples, in any order,
+    from a pool of at most three, so most tuples recur across constraints."""
+    q, sigma = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(q, 6))
+    symbol = st.integers(0, sigma - 1)
+    pool = draw(st.lists(st.tuples(*[symbol] * q), min_size=1, max_size=3, unique=True))
+    constraints = tuple(
+        Constraint(
+            tuple(draw(st.permutations(range(n)))[:q]),
+            tuple(draw(st.lists(st.sampled_from(pool), unique=True))),
+        )
+        for _ in range(draw(st.integers(0, 12)))
+    )
+    soundness = draw(st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(2, 3))))
+    return CspInstance(n, sigma, q, constraints, soundness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repetitive_instances())
+def test_emit_matches_the_line_per_tuple_reference(inst):
+    text = emit_csp(inst)
+    assert text == _reference_emit_csp(inst)
+    assert parse_csp(text) == inst
 
 
 def test_parse_accepts_every_integer_spelling_int_reads():

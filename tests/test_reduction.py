@@ -341,11 +341,11 @@ def _reference_reduce(inst, prof):
 
 
 @st.composite
-def _regular_reductions(draw):
+def _regular_reductions(draw, max_sigma=3):
     """A small regular CSP (cyclic scopes, one or two shifts, relabelled
     variables, random accept sets in random order) and a profile for it."""
     q = draw(st.integers(2, 3))
-    sigma = draw(st.integers(1, 3))
+    sigma = draw(st.integers(1, max_sigma))
     steps = draw(st.sampled_from([(1,), (1, 2)]))
     n = draw(st.integers(2 * q - 1 if len(steps) == 2 else q, 6))
     label = draw(st.permutations(range(n)))
@@ -378,6 +378,7 @@ def test_reduce_matches_dense_reference(case):
     out = reduce_csp(inst, prof)
     # equal integer rows emit equal bytes
     assert (out.basis, out.row_provenance) == _reference_reduce(inst, prof)
+    assert all(abs(x) <= prof.max_abs_entry for row in out.rows for _, x in row)
     kept = set(out.row_provenance)
     assert len(kept) == out.num_rows
     for t, con in enumerate(inst.constraints):
@@ -549,3 +550,27 @@ def test_sidecar_text_is_json_dumps(case, basis_file, seed):
     out = reduce_csp(*case)
     expected = json.dumps(sidecar_json(out, basis_file, seed), indent=2) + "\n"
     assert sidecar_text(out, basis_file, seed) == expected
+
+
+def _reference_sidecar_text(out, basis_file, seed):
+    """``sidecar_text`` as first written, every row's provenance text built
+    from its own tuple: the oracle for the writer that builds each distinct
+    tuple's text once."""
+    fields = sidecar_json(out, basis_file, seed)
+    fields["row_provenance"] = []
+    head, _, tail = json.dumps(fields, indent=2).partition('\n  "row_provenance": []')
+    sep = ",\n        "
+    rows = ",\n".join(
+        f"    [\n      {t},\n      [\n        {sep.join(map(str, tup))}\n      ]\n    ]"
+        for t, tup in out.row_provenance
+    )
+    provenance = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{head}\n  "row_provenance": {provenance}{tail}\n'
+
+
+@settings(max_examples=100, deadline=None)
+@given(_regular_reductions(max_sigma=2), st.one_of(st.none(), st.integers()))
+def test_sidecar_text_matches_the_row_per_tuple_reference(case, seed):
+    # at most 2**3 tuples over up to 12 constraints, so tuples recur
+    out = reduce_csp(*case)
+    assert sidecar_text(out, "case.basis", seed) == _reference_sidecar_text(out, "case.basis", seed)
