@@ -316,7 +316,8 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     row at a time, so no second copy of the basis is held beside the file's;
     they are parsed only to report a mismatch.  A basis file too short or too
     long for any basis of the sidecar's shape is refused from its size,
-    before the rebuild and before it is read.
+    before the rebuild and before it is read; one that grows after that
+    check is refused after reading one byte past its checked size.
     """
     basis_path = Path(basis_path)
     if sidecar_path is None:
@@ -355,7 +356,9 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     # by spaces, inside "[" and "]\n"; the outer pair adds 3.
     # Refusing a shorter file before the rebuild keeps a small file next to
     # a large sidecar cheap, and refusing a longer one before it is read
-    # keeps a huge file from being read at all.
+    # keeps a huge file from being read at all.  The read stops one byte
+    # past the checked size, so a file that grows during the rebuild is
+    # refused, not read whole.
     shape = f"the {rows} x {prof.nprime} basis its sidecar describes"
     if size < rows * (2 * prof.nprime + 1):
         raise SvpforgeError(f"basis file is too short for {shape}")
@@ -368,7 +371,10 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     if seed is not None and type(seed) is not int:
         raise SvpforgeError(f"sidecar 'seed' must be an integer or null, got {seed!r}")
     out = reduce_csp(csp, prof)
-    data = basis_path.read_bytes()
+    with basis_path.open("rb") as f:
+        data = f.read(size + 1)  # read(n) allocates n bytes before it reads
+    if len(data) > size:
+        raise SvpforgeError(f"basis file grew past the {size} bytes its size check saw")
     if not _is_concatenation(data, _basis_pieces(out.rows, out.num_cols)):
         # a byte outside ASCII becomes U+FFFD, which no integer or bracket is
         text = data.decode("ascii", errors="replace")

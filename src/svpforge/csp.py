@@ -39,17 +39,6 @@ class Constraint:
     def __post_init__(self):
         object.__setattr__(self, "accepted_set", frozenset(self.accepted))
 
-    @classmethod
-    def _parsed(cls, variables, accepted) -> "Constraint":
-        """``Constraint(variables, accepted)`` for a scope and tuples that
-        ``parse_csp`` has checked, without the dataclass ``__init__`` and
-        ``__post_init__`` calls that a parse would pay once per constraint."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "accepted_set", frozenset(accepted))
-        return self
-
     @property
     def arity(self) -> int:
         return len(self.variables)
@@ -360,7 +349,7 @@ def parse_csp(text: str) -> CspInstance:
     if len(scopes) != m:
         raise CspParseError(f"header promises {m} constraints, found {len(scopes)}")
     constraints = tuple(
-        Constraint._parsed(scope, tuple(acc)) for scope, acc in zip(scopes, accepts)
+        Constraint(scope, tuple(acc)) for scope, acc in zip(scopes, accepts)
     )
     try:
         return CspInstance._parsed(n, sigma, q, constraints, soundness or Fraction(1))

@@ -458,6 +458,29 @@ def test_oversized_basis_is_refused_before_it_is_read(tmp_path, capsys):
     assert err.startswith("error: basis file is too long") and "Traceback" not in err
 
 
+def test_basis_grown_during_the_rebuild_is_read_no_further(tmp_path, capsys, monkeypatch):
+    # the file passes the size check, then grows to 64 MB while the
+    # reduction is rebuilt: the read stops one byte past the checked size
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    rebuild = basisio.reduce_csp
+
+    def grow_then_rebuild(csp, prof):
+        os.truncate(basis, 64 << 20)
+        return rebuild(csp, prof)
+
+    monkeypatch.setattr(basisio, "reduce_csp", grow_then_rebuild)
+    size = basis.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(SvpforgeError, match=f"^basis file grew past the {size} bytes"):
+            basisio.load_instance(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def _ladder_256():
     """The cyclic ladder at N=256: a 1024 x 2561 basis, about 5 MB of text."""
     n = 256
