@@ -58,6 +58,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     toks = text.replace(",", " ").split()
     if not toks:
         raise SvpforgeError("expected at least one integer")
+    # int() would also read digits outside ASCII and '_' between digits
+    if "_" in text or not text.isascii():
+        raise SvpforgeError(f"not an ASCII integer list: {text!r}")
     try:
         return tuple(int(t) for t in toks)
     except ValueError:

@@ -263,6 +263,10 @@ def parse_csp(text: str) -> CspInstance:
     makes valid too, pays only for the constraint's duplicate check.  The
     instance is built from the checked values without checking them again;
     only its shape (N, SIGMA, q at least 1) is checked at the end.
+
+    Directive text is ASCII without '_': ``int`` and ``Fraction`` would
+    also read digits outside ASCII and '_' between digits (``1_0`` as 10).
+    Each line the ``acc`` map has not seen is checked for both at once.
     """
     header = None
     soundness = None
@@ -279,6 +283,8 @@ def parse_csp(text: str) -> CspInstance:
             acc.append(tup)
             continue
         raw = line[: line.index("#")] if "#" in line else line
+        if "_" in raw or not raw.isascii():
+            raise _bad_text(raw, lineno)
         tokens = raw.split()
         if not tokens:
             continue
@@ -377,6 +383,17 @@ def emit_csp(inst: CspInstance) -> str:
                 line = acc_lines[tup] = "acc " + " ".join(map(str, tup))
             lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def _bad_text(raw: str, lineno: int) -> CspParseError:
+    """The error for directive text ``raw`` that holds '_' or a character
+    outside ASCII: it names the first token that does, or else the
+    character, a space outside ASCII."""
+    for token in raw.split():
+        if "_" in token or not token.isascii():
+            return CspParseError(f"bad token {token!r}: directives are ASCII, without '_'", lineno)
+    char = next(ch for ch in raw if not ch.isascii())
+    return CspParseError(f"bad character {char!r}: directives are ASCII, without '_'", lineno)
 
 
 def _bad_token(tokens: list[str], lineno: int) -> CspParseError:

@@ -1,8 +1,9 @@
 """The exact kernels behind certification and the searches over sparse rows.
 
   det_sweep(rows, width)          -> first singular width x width row combination, or None
-  frontier_search(plan, c, p, budget, digits, below, memo)
-                                  -> least norm power over a digit box, and its first vector
+  frontier_search(plan, c, p, budget, digits, below)
+                                  -> least norm power over a digit box, and its first vector;
+                                     or the first vector below a bound over listed digits
   box_minimum(rows, c, p, budget) -> that search over the rows in order with digits -c..c
   rcm_order(rows, links)          -> a reverse Cuthill-McKee visit order of sparse rows
   frontier_plan(rows, order)      -> the columns each step of that order closes or leaves open
@@ -25,16 +26,16 @@ candidate pair of equal slopes with an exact determinant.  It runs in
 float64 or, past that bound, in Python integers.
 
 Both exact searches over sparse rows, the box enumeration behind
-``enumerate`` and the witness search, are one kernel, ``frontier_search``:
-a depth-first branch and bound over a ``frontier_plan`` in Python integers
-on an explicit stack, which prunes on the closed columns' value plus a
-bound on the open ones, skips mirrored vectors and, for the witness,
-remembers states.  Over a digit range each step visits its digits
-best-first by that bound, which is convex in the digit: from its least
-minimiser, found by bisection, outwards (the zig-zag order of
-Schnorr-Euchner enumeration), so a good vector comes early and a state
-costs O(log c) bounds; a tie in power goes to the lexicographically first
-vector, whatever the visit order.
+``enumerate`` and the witness search, run through one loop,
+``frontier_search``: a depth-first branch and bound over a
+``frontier_plan`` in Python integers on an explicit stack, which judges
+every digit by one bound (the closed columns' value plus a bound on the
+open ones) and skips mirrored vectors.  The box search visits each step's
+digits -c..c best-first by that convex bound, from its least minimiser
+outwards (the zig-zag of Schnorr-Euchner enumeration), and a tie in power
+goes to the lexicographically first vector.  The listed search, the
+witness's, tries its digits in their order, stops at the first vector
+below its bound and skips a state that led nowhere before.
 """
 
 from __future__ import annotations
@@ -328,111 +329,89 @@ def box_minimum(rows, c, p, budget):
         raise BudgetExceededError(f"box enumeration exceeded {budget} states") from None
 
 
-def frontier_search(plan, c, p, budget, digits=None, below=None, memo=False):
-    """Least p-th power norm (max |entry| for p None) of the image of a
-    nonzero coefficient vector over the steps of ``plan``, and the
-    lexicographically first vector of that power.
+def frontier_search(plan, c, p, budget, digits=None, below=None):
+    """A short nonzero coefficient vector over the steps of ``plan``, by the
+    p-th power norm of its image (max |entry| for p None), from one of two
+    searches through one loop.  Returns (power, vector, states), the vector
+    in the plan's step order; when no power is below the exclusive bound
+    ``below`` (None: no bound) they are ``below`` and None.
 
-    By default each coefficient is a digit of -c..c and every step visits
-    its digits best-first by its own bound, which is convex in the digit:
-    from the least minimiser (found by bisection) outwards, each time to
-    the neighbour with the smaller bound, the smaller digit on a tie, until
-    both sides are cut.  The last step takes its least value at once.
-    Explicit ``digits`` are tried in their given order, which then stands
-    for the lexicographic order, and the search stops at power 0.  It
-    starts from the exclusive bound ``below`` (vector None when nothing is
-    below it).
+    - box search (``digits`` None): the least power over the digits -c..c,
+      and its lexicographically first vector.  Each step visits its digits
+      best-first by its bound, which is convex in the digit: from the least
+      minimiser (found by bisection) outwards, to the neighbour with the
+      smaller bound, the smaller digit on a tie, until both sides are cut;
+      the last step takes its least value alone.  A digit is cut when its
+      bound exceeds the best, or equals it and the path with the digit
+      comes after the best vector's prefix.
+    - listed search (``digits`` given): the first vector, each step trying
+      ``digits`` in their order, whose power is below ``below``; a digit is
+      cut when its bound is not.  A state (the sums of ``plan.frontier[k]``
+      after step k, with a nonzero coefficient so far) entered again with
+      no smaller value than before is skipped: every leaf below adds terms
+      the state and the later digits fix, and none was below ``below``
+      (the memo takes no state past ``_MEMO_SUMS`` sums).
 
-    A column's term joins the closed value at the step that closes it; an
-    open column's final magnitude is at least max(0, |acc| - reach), reach
-    being c times the plan's.  A digit is cut when the closed value plus
-    those bounds over its step's open columns exceeds the best, or equals
-    it and the path so far, with the digit, comes after the best vector's
-    prefix (with explicit digits every later path does).  For p the closed
-    value alone goes down a step (an open column counts when it closes);
-    for the max-norm the bound does, since it never falls along a path.  A
-    digit is judged from acc + t*val; acc moves only when the search goes
-    down or back up a step.  Two more rules drop only subtrees without an
-    improvement:
+    ``_step_bound`` judges every digit from acc + t*val: the closed value
+    plus a term for each open column from its least final magnitude,
+    max(0, |acc| - reach), reach being c times the plan's.  For p the closed
+    value alone goes down a step; for the max-norm the bound does, since it
+    never falls along a path.  Mirror: while every coefficient so far is 0,
+    a digit whose negation came earlier is skipped (-v has the power of v),
+    and the box search tries 0 last, so a chain of rows whose bound is 0 at
+    digit 0 is not walked all-zero first.
 
-    - mirror: while every coefficient so far is 0, a digit whose negation
-      came earlier in the order is skipped, since -v has the power of v.
-      With the default digits that leaves -c..0; the nonzero ones go
-      best-first and 0 last (at the last step, not at all), so a chain of
-      rows whose bound is 0 at digit 0 is not walked all-zero first;
-    - with ``memo``: a state (the sums of ``plan.frontier[k]`` after step
-      k, and whether a coefficient so far is nonzero) entered again is
-      skipped when its earlier entry carried no larger value and came
-      first in the order (with explicit digits, every earlier entry did),
-      or, for p, carried a smaller one: every leaf below then joins that
-      value with terms the state and later digits fix.  The memo takes no
-      state past ``_MEMO_SUMS`` sums (and, with the default digits, the
-      prefixes it compares).  It pays where states repeat, as the
-      witness's dead states do; over rows in order they rarely do.
-
-    ``budget`` counts states, the start and each step gone down.  A state
-    costs O(log c) bounds (a bisection, and O(1) for each digit it enters
-    or cuts), so the budget bounds the work.  Explicit ``digits`` are tried
-    in full, so keep them few.  Returns (power, vector, states), the vector
-    in the plan's step order.
+    ``budget`` counts states, the start and each step gone down.  A box
+    search state costs O(log c) bounds, so the budget bounds the work;
+    listed digits are tried in full, so keep them few.
     """
     ranged = digits is None
     steps, m = plan.entries, len(plan.entries)
     last = m - 1
     value = [dict(step) for step in steps]
-    # (slot, value) of each closing column; (slot, value, reach) of each
-    # open one; and for the max-norm both, a closing column with reach 0
-    shut = [[(j, value[k][j]) for j in cols] for k, cols in enumerate(plan.closing)]
+    # (slot, value, reach) of each closing column (reach 0) and of each open one
+    shut = [[(j, value[k][j], 0) for j in cols] for k, cols in enumerate(plan.closing)]
     opening = [[(j, value[k][j], c * r) for j, r in cols] for k, cols in enumerate(plan.reach)]
-    every = [[(j, x, 0) for j, x in s] + o for s, o in zip(shut, opening)]
-    sizes = [len(f) for f in plan.frontier]
-    keys = [itemgetter(*f) if f else _no_sums for f in plan.frontier]
-    # tables[d]: by state, the last entry into step d the memo did not skip
-    tables = [{} for _ in range(m + 1)]
-    room = _MEMO_SUMS
-    acc = [0] * plan.num_slots  # each column's sum over the steps above
-    coeffs = [0] * m
-    carried = [0] * m  # carried[d]: the value carried into step d
-    nonzero = [False] * m  # nonzero[d]: whether a coefficient before step d is
-    if ranged:
-        # a step's walk: its bound, the next digits down and up with their
-        # bounds (None once that side is cut), and whether 0 is still to
-        # come; walk[d] None: not started
-        walk = [None] * m
-    else:
+    if not ranged:
         # the digits of a step before any nonzero one: none whose negation
         # came earlier, nor 0 at the last step
         first = [t for i, t in enumerate(digits) if not t or -t not in digits[:i]]
         firsts = [first] * last + [[t for t in first if t]]
-        seqs = [None] * m  # seqs[d]: the digits step d tries
-        seqs[0] = firsts[0]
-        pos = [0] * m  # pos[d]: the index in seqs[d] of the next digit to try
+        sizes = [len(f) for f in plan.frontier]
+        keys = [itemgetter(*f) if f else lambda acc: () for f in plan.frontier]
+        # tables[d]: by state, the least value it was entered into step d with
+        tables = [{} for _ in range(m + 1)]
+        room = _MEMO_SUMS
+    acc = [0] * plan.num_slots  # each column's sum over the steps above
+    bounds = [_step_bound(acc, s, o, p) for s, o in zip(shut, opening)]
+    coeffs = [0] * m
+    carried = [0] * m  # carried[d]: the value carried into step d
+    nonzero = [False] * m  # nonzero[d]: whether a coefficient before step d is
+    # walk[d]: step d's digits to come (None before it starts): an iterator
+    # over listed digits, or the box search's cached bound, next digits down
+    # and up with their bounds (None once cut) and whether 0 is to come
+    walk = [None] * m
     best = math.inf if below is None else below
     vec = None
     # the path's first `same` digits are vec's (at most the depth): vec's
     # own prefix until the search backs up past it, then the step where it
     # left it, since a step never revisits a digit
     same = 0
-    inf = p is None
     states = 1
     if states > budget:
         raise BudgetExceededError(f"search exceeded {budget} states")
     depth = 0
     while True:
         into, was_nz = carried[depth], nonzero[depth]
-        closes = shut[depth]
-        t = None
+        step_walk = walk[depth]
         if ranged:
             hi = c if was_nz else -1
-            step_walk = walk[depth]
             if step_walk is None:
-                f = _step_bound(acc, into, closes, opening[depth], every[depth], p)
+                f = _cached(bounds[depth], into)
                 lo = _least(f, -c, hi)
-                if depth == last:  # only the least value can be a new best
-                    step_walk = [f, lo, f(lo), lo + 1, None, False]
-                else:
-                    step_walk = [f, lo, f(lo), lo + 1, f(lo + 1) if lo < hi else None, not was_nz]
-                walk[depth] = step_walk
+                more = depth < last  # at the last step only the least value can be a new best
+                fup = f(lo + 1) if more and lo < hi else None
+                step_walk = walk[depth] = [f, lo, f(lo), lo + 1, fup, more and not was_nz]
             f, down, fdown, up, fup, zero = step_walk
             while True:
                 if fdown is not None and (fup is None or fdown <= fup):
@@ -453,11 +432,6 @@ def frontier_search(plan, c, p, budget, digits=None, below=None, memo=False):
                     elif side:
                         fup = None
                     continue
-                if depth == last:
-                    coeffs[depth] = t
-                    best, vec, same = v, tuple(coeffs), m
-                    t = None
-                    break
                 if side < 0:
                     down -= 1
                     fdown = f(down) if down >= -c else None
@@ -466,59 +440,22 @@ def frontier_search(plan, c, p, budget, digits=None, below=None, memo=False):
                     fup = f(up) if up <= hi else None
                 break
             step_walk[1:] = down, fdown, up, fup, zero
-            if t is not None:
-                nf = v
-                if not inf:
-                    nf = into
-                    for j, x in closes:
-                        x = acc[j] + t * x
-                        nf += (x if x >= 0 else -x) ** p
         else:
-            seq, i = seqs[depth], pos[depth]
-            end = len(seq)
-            opens, cols = opening[depth], every[depth]
-            while i < end:
-                t = seq[i]
-                i += 1
-                # the bound after this step, from acc + t * value per column
-                if inf:
-                    # closing columns have reach 0; the max absorbs the open ones
-                    nf = into
-                    for j, x, r in cols:
-                        x = acc[j] + t * x
-                        if x < 0:
-                            x = -x
-                        if x - r > nf:
-                            nf = x - r
-                    lb = nf
-                else:
-                    nf = into
-                    for j, x in closes:
-                        x = acc[j] + t * x
-                        if x < 0:
-                            x = -x
-                        nf += x**p
-                    lb = nf
-                    if nf < best:
-                        # add what the later steps cannot take off the open columns
-                        for j, x, r in opens:
-                            x = acc[j] + t * x
-                            if x < 0:
-                                x = -x
-                            if x > r:
-                                lb += (x - r) ** p
-                if lb >= best:
-                    continue
-                if depth == last:
-                    coeffs[depth] = t
-                    best, vec = nf, tuple(coeffs)
-                    if not nf:
-                        return best, vec, states
-                    continue
-                break
+            if step_walk is None:
+                step_walk = walk[depth] = iter(digits if was_nz else firsts[depth])
+            f = bounds[depth]
+            for t in step_walk:
+                v = f(into, t)
+                if v < best:
+                    break
             else:
                 t = None
-            pos[depth] = i
+        if t is not None and depth == last:
+            coeffs[depth] = t
+            best, vec, same = v, tuple(coeffs), m
+            if not ranged:
+                return best, vec, states
+            t = None  # the last step's other digits are cut
         if t is None:
             # the step is done: back to the step above, less its digit
             if not depth:
@@ -531,88 +468,88 @@ def frontier_search(plan, c, p, budget, digits=None, below=None, memo=False):
                 for j, x in steps[depth]:
                     acc[j] -= t * x
             continue
+        nf = v
+        if p is not None:
+            nf = into
+            for j, x, _r in shut[depth]:
+                x = acc[j] + t * x
+                nf += (x if x >= 0 else -x) ** p
         nz = was_nz or t != 0
         step = steps[depth]
         if t:
             for j, x in step:
                 acc[j] += t * x
         coeffs[depth] = t
-        if memo and nz:
+        if not ranged and nz:
             state = keys[depth](acc)
             known = tables[depth + 1]
-            # (value, prefix): with explicit digits every earlier entry came first
-            here = (nf, tuple(coeffs[: depth + 1]) if ranged else None)
             seen = known.get(state)
             if seen is None:
-                size = sizes[depth] + (depth + 1 if ranged else 0)
-                if size <= room:
-                    room -= size
-                    known[state] = here
-            elif seen[0] <= nf and (not ranged or seen[1] < here[1] or not inf and seen[0] < nf):
+                if sizes[depth] <= room:
+                    room -= sizes[depth]
+                    known[state] = nf
+            elif seen <= nf:
                 for j, x in step:
                     acc[j] -= t * x
                 continue
             else:
-                known[state] = here
+                known[state] = nf
         states += 1
         if states > budget:
             raise BudgetExceededError(f"search exceeded {budget} states")
         depth += 1
         carried[depth] = nf
         nonzero[depth] = nz
-        if ranged:
-            walk[depth] = None
-        else:
-            seqs[depth] = digits if nz else firsts[depth]
-            pos[depth] = 0
+        walk[depth] = None
 
 
-def _no_sums(acc):
-    return ()
-
-
-def _step_bound(acc, into, closes, opens, cols, p):
-    """The bound a step judges a digit t by, as a function of t: the value
-    carried in plus |acc + t*x|**p over ``closes`` and
+def _step_bound(acc, closes, opens, p):
+    """The bound a step judges a digit t by, as a function of the value
+    carried in and t: the value plus |acc + t*x|**p over ``closes`` and
     max(0, |acc + t*x| - reach)**p over ``opens``, or for the max-norm (p
-    None) the max of it and |acc + t*x| - reach over every column,
-    ``cols``.  A sum or max of convex functions of t, so convex.  Each
-    value is computed once."""
-    values = {}
+    None) the max of the value and |acc + t*x| - reach over both, reach 0
+    for ``closes``.  A sum or max of convex functions of t, so convex."""
     if p is None:
+        cols = closes + opens
 
-        def bound(t):
-            v = values.get(t)
-            if v is None:
-                v = into
-                for j, x, r in cols:
-                    x = acc[j] + t * x
-                    if x < 0:
-                        x = -x
-                    if x - r > v:
-                        v = x - r
-                values[t] = v
+        def bound(into, t):
+            v = into
+            for j, x, r in cols:
+                x = acc[j] + t * x
+                if x < 0:
+                    x = -x
+                if x - r > v:
+                    v = x - r
             return v
 
     else:
 
-        def bound(t):
-            v = values.get(t)
-            if v is None:
-                v = into
-                for j, x in closes:
-                    x = acc[j] + t * x
-                    v += (x if x >= 0 else -x) ** p
-                for j, x, r in opens:
-                    x = acc[j] + t * x
-                    if x < 0:
-                        x = -x
-                    if x > r:
-                        v += (x - r) ** p
-                values[t] = v
+        def bound(into, t):
+            v = into
+            for j, x, _r in closes:
+                x = acc[j] + t * x
+                v += (x if x >= 0 else -x) ** p
+            for j, x, r in opens:
+                x = acc[j] + t * x
+                if x < 0:
+                    x = -x
+                if x > r:
+                    v += (x - r) ** p
             return v
 
     return bound
+
+
+def _cached(bound, into):
+    """bound(into, t) as a function of t, each value computed once."""
+    values = {}
+
+    def cached(t):
+        if t not in values:
+            values[t] = bound(into, t)
+        return values[t]
+
+    return cached
 
 
 def _least(f, lo, hi):

@@ -94,14 +94,14 @@ def witness_from_assignment(
 
     The rows are visited in ``kernels.rcm_order``'s reverse Cuthill–McKee order
     over the constraints that share a variable (the selected rows meet in a
-    consistency column exactly then).  ``kernels.frontier_search`` runs on
-    their scaled entries in the max-norm, with the signs tried in the order
-    0, +1, -1 and the exclusive bound 1, so it looks for a zero image: a
-    closed column must be zero, and an open one within its reach.  Its memo
-    skips a state that led nowhere before (until the memo is full).  The
-    result is the first solution that search reaches, negated if needed so
-    that its first nonzero coefficient in row order is +1.  ``budget``
-    bounds the states entered.
+    consistency column exactly then).  ``kernels.frontier_search``'s listed
+    search runs on their scaled entries in the max-norm, with the signs
+    tried in the order 0, +1, -1 and the exclusive bound 1, so it looks for
+    a zero image: the shared step bound lets a closed column only be zero,
+    and an open one only within its reach.  Its memo skips a state that led
+    nowhere before (until the memo is full).  The result is the first
+    solution in that order, negated if needed so that its first nonzero
+    coefficient in row order is +1.  ``budget`` bounds the states entered.
     """
     csp = inst.csp
     if evaluate(csp, assignment) != 1:
@@ -118,9 +118,7 @@ def witness_from_assignment(
         scaled, kernels.rcm_order(scaled, range(*inst.consistency_span))
     )
     try:
-        _power, signs, _states = kernels.frontier_search(
-            plan, 1, None, budget, (0, 1, -1), 1, memo=True
-        )
+        _power, signs, _states = kernels.frontier_search(plan, 1, None, budget, (0, 1, -1), 1)
     except BudgetExceededError:
         raise BudgetExceededError(f"witness search exceeded {budget} states") from None
     if signs is None:

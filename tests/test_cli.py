@@ -937,6 +937,40 @@ def test_witness_bad_assignment_is_an_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["con 0 1_0", "csp 1_1 2 2 2", "s 1/1_0", "con 0 \uff11"]
+)
+def test_csp_text_outside_ascii_or_with_underscores_exits_2(tmp_path, capsys, text):
+    # each line replaces its directive in a valid instance; int() or
+    # Fraction() would read it
+    lines = ["csp 2 1 2 2", "s 1/2", "con 0 1", "acc 0 0"]
+    lines[{"csp": 0, "s": 1, "con": 2}[text.split()[0]]] = text
+    path = tmp_path / "bad.csp"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert "bad token" in err and "directives are ASCII, without '_'" in err
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("witness", "--assignment", "0 0_0"),
+        ("witness", "--assignment", "0 \uff10"),
+        ("extract", "--vector", "1 0 -1_0"),
+        ("extract", "--vector", "1 0 -\uff11"),
+    ],
+)
+def test_integer_lists_outside_ascii_or_with_underscores_exit_2(
+    tmp_path, capsys, command, option, value
+):
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    code, out, err = run(capsys, command, str(basis), option, value)
+    assert code == 2 and out == ""
+    assert err == f"error: not an ASCII integer list: {value!r}\n"
+
+
 def test_witness_budget_refusal_without_asserts(tmp_path, capsys):
     # python -O strips assert statements; the refusal must not rest on one
     basis = tmp_path / "toy1.basis"

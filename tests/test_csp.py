@@ -68,6 +68,14 @@ def test_emit_omits_trivial_soundness(toy1):
         # the other shape checks the parser leaves to the end
         ("csp 0 0 2 2\n", "need at least one variable", False),
         ("csp 2 0 2 0\n", "alphabet must be nonempty", False),
+        # int() and Fraction() read '1_0' as 10 and a full-width digit as its value
+        ("csp 2 1 2 2\ncon 0 1_0\n", "line 2: bad token '1_0': directives are ASCII", True),
+        ("csp 1_1 1 2 2\n", "line 1: bad token '1_1'", True),
+        ("csp 2 1 2 2\ns 1/1_0\n", "line 2: bad token '1/1_0'", True),
+        ("csp 2 1 2 2\ncon 0 \uff11\n", "line 2: bad token '\uff11'", True),
+        ("csp 2 1 2 2\ncon 0\u30001\n", "line 2: bad character '\\u3000'", True),
+        # a new acc line after one the map already holds is still checked
+        ("csp 2 2 2 2\ncon 0 1\nacc 0 0\ncon 1 0\nacc 0 0\nacc 0 0_0\n", "line 6: bad token", True),
     ],
 )
 def test_parse_errors(text, fragment, has_line):
@@ -105,7 +113,18 @@ def _reference_parse_csp(text):
             raise CspParseError(f"expected integer, got {token!r}", lineno) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0]
+        for token in line.split():
+            if "_" in token or not token.isascii():
+                raise CspParseError(
+                    f"bad token {token!r}: directives are ASCII, without '_'", lineno
+                )
+        for char in line:
+            if not char.isascii():
+                raise CspParseError(
+                    f"bad character {char!r}: directives are ASCII, without '_'", lineno
+                )
+        line = line.strip()
         if not line:
             continue
         tokens = line.split()
@@ -182,8 +201,9 @@ def _outcome(parse, text):
         return "error", str(exc), exc.line
 
 
-# Integer spellings int() accepts (+1, 01, 1_0), a non-integer, a digit
-# outside ASCII that int() also accepts, values out of range, a rational
+# Integer spellings int() accepts (+1, 01), two more it reads that the
+# format refuses (1_0, a digit outside ASCII), a non-integer, values out of
+# range, a rational
 _ODD_TOKENS = ("+1", "01", "1_0", "x", "-1", "3", "1/2", "\u0661")
 
 
@@ -289,11 +309,12 @@ def test_emit_matches_the_line_per_tuple_reference(inst):
     assert parse_csp(text) == inst
 
 
-def test_parse_accepts_every_integer_spelling_int_reads():
+def test_parse_reads_a_sign_and_leading_zeros():
     assert parse_csp("csp 2 1 2 2\ncon 0 1\nacc +1 01\n").constraints[0].accepted == ((1, 1),)
-    inst = parse_csp("csp 11 1 2 12\ncon 1_0 0\nacc 1_0 0\n")
-    assert inst.constraints[0].variables == (10, 0)
-    assert inst.constraints[0].accepted == ((10, 0),)
+
+
+def test_parse_allows_any_comment_text():
+    assert parse_csp("csp 2 1 2 2 # \u00fc_1\ncon 0 1\nacc 0 0\n").num_constraints == 1
 
 
 def test_validation_rejects_bad_scope():

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svpforge import kernels
@@ -593,9 +593,6 @@ def _assert_matches_reference(case):
     want = _reference_box_dfs(rows, c, p, 10**9)
     got = _assert_count_consistent(rows, c, p)
     assert got[:2] == want[:2]
-    # the memo drops only subtrees without a strict improvement
-    plan = kernels.frontier_plan(rows, range(len(rows)))
-    assert kernels.frontier_search(plan, c, p, 10**9, memo=True)[:2] == want[:2]
     if got[2] > budget:
         with pytest.raises(BudgetExceededError):
             kernels.box_minimum(*case)
@@ -781,17 +778,15 @@ def _tied_box_inputs(draw):
 @given(_tied_box_inputs())
 def test_box_minimum_breaks_ties_lexicographically(case):
     # the best-first order meets equal powers out of lexicographic order;
-    # the result is still the brute force's first argmin, with the memo too
+    # the result is still the brute force's first argmin
     rows, c, p = case
     got = _assert_count_consistent(rows, c, p)
     assert got[:2] == _naive_box_minimum(rows, c, p)
-    plan = kernels.frontier_plan(rows, range(len(rows)))
-    assert kernels.frontier_search(plan, c, p, 10**9, memo=True)[:2] == got[:2]
 
 
-# A state entered again under a lexicographically earlier prefix must not
-# be skipped: a memo that skips on the carried value alone (first case), or
-# at the max-norm on a smaller one (second), returns a later argmin.
+# Max-norm bases where a state is entered again under a lexicographically
+# earlier prefix, with the same value (first case) or a larger one (second):
+# a search that skipped such a state would return a later argmin.
 _MEMO_ORDER_CASES = [
     ([((2, 2),), ((0, 2), (2, 2)), ((2, 1), (3, -1)), ((0, -1), (1, 2), (2, -1), (3, 2)),
       ((0, 2), (1, 1), (2, 2), (3, 2)), ((0, 1), (1, -1))], 1),
@@ -800,11 +795,48 @@ _MEMO_ORDER_CASES = [
 
 
 @pytest.mark.parametrize("rows, c", _MEMO_ORDER_CASES)
-def test_memo_keeps_a_state_entered_under_an_earlier_prefix(rows, c):
+def test_box_minimum_keeps_a_state_entered_under_an_earlier_prefix(rows, c):
     want = _naive_box_minimum(rows, c, None)
     assert _assert_count_consistent(rows, c, None)[:2] == want
+
+
+def _first_listed_below(rows, digits, p, below):
+    """The listed search by brute force: over every vector of ``digits`` in
+    their order, whose first nonzero digit's negation does not come earlier
+    in ``digits``, the first with power below ``below``, or (below, None)."""
+    for v in itertools.product(digits, repeat=len(rows)):
+        lead = next((t for t in v if t), None)
+        if lead is None or -lead in digits[: digits.index(lead)]:
+            continue
+        mags = [abs(x) for x in _image(v, rows).values()]
+        power = max(mags, default=0) if p is None else sum(a**p for a in mags)
+        if power < below:
+            return power, v
+    return below, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _tied_box_inputs(),
+    st.sampled_from([(0, 1, -1), (1, 0, -1), (0, -1, 1), (0, 1, -1, 2, -2), (2, -1, 0, 1)]),
+    st.integers(1, 12),
+)
+# the state after rows 0 and 1 (column 1 at 1) is entered at (0, 1) with
+# closed value 2 and leads nowhere below 3, then at (1, 0) with 1, where
+# (1, 0, 0) has power 2: the memo must not skip it
+@example(([((0, 1), (1, 1)), ((1, 1), (2, 2)), ((1, -1), (3, 2))], 1, 1), (0, 1, -1), 3)
+def test_listed_search_finds_the_first_vector_below_the_bound(case, digits, below):
+    # the memo fires on these rows (copies and negations of earlier ones);
+    # it and the bound drop only subtrees with no vector below ``below``,
+    # and the state count is the search's exact budget
+    rows, _c, p = case
+    c = max(map(abs, digits))
     plan = kernels.frontier_plan(rows, range(len(rows)))
-    assert kernels.frontier_search(plan, c, None, 10**9, memo=True)[:2] == want
+    power, vec, states = kernels.frontier_search(plan, c, p, 10**9, digits, below)
+    assert (power, vec) == _first_listed_below(rows, digits, p, below)
+    assert kernels.frontier_search(plan, c, p, states, digits, below) == (power, vec, states)
+    with pytest.raises(BudgetExceededError, match=f"exceeded {states - 1} states"):
+        kernels.frontier_search(plan, c, p, states - 1, digits, below)
 
 
 def _small_box(case):
@@ -820,8 +852,8 @@ def _small_box(case):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_box_inputs(), _sparse_box_inputs(), _scaled_box_inputs()).map(_small_box))
 def test_box_minimum_look_ahead_matches_brute_force(case):
-    # the brute force prunes nothing, so the look-ahead bound, the mirror
-    # rule and the memo drop no strict improvement
+    # the brute force prunes nothing, so the look-ahead bound and the mirror
+    # rule drop no strict improvement
     rows, c, p = case
     power, vec, _states = _assert_count_consistent(rows, c, p)
     assert (power, vec) == _naive_box_minimum(rows, c, p)

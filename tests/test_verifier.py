@@ -397,6 +397,22 @@ def test_witness_at_wider_blocks(b_var, b_x, found):
                 search(out, assignment, 10**6)
 
 
+def test_witness_state_count_is_its_exact_budget():
+    # cyclic N=8 at support width 3 under the all-zero assignment: the
+    # search enters 1,731 states and fills its memo with them; the witness
+    # passes with that budget and is refused with one less
+    csp, _vec = _bench_pipeline().cyclic_instance(8)
+    prof = derive_profile(
+        csp, p=3, mode="explicit", consistency_width=1, support_width=3, scale=SCALE
+    )
+    out = reduce_csp(csp, prof)
+    want = (1, 0, -1, 0, 1, 0, -1, 0, -1, 0, 1, 0, -1, 0, 1, 0,
+            -1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0)
+    assert witness_from_assignment(out, (0,) * 8, budget=1731) == want
+    with pytest.raises(BudgetExceededError, match="witness search exceeded 1730 states"):
+        witness_from_assignment(out, (0,) * 8, budget=1730)
+
+
 def _frontier_plan_directly(rows, order):
     """Per step of ``order``: the columns it closes, its open columns' reach,
     and the columns open after it, by column index and straight from the
@@ -579,40 +595,25 @@ def _with_memo_sums(fn):
     return result, held
 
 
-def test_memo_cap_bounds_the_memo_and_keeps_the_results(monkeypatch, unsat_reduced):
-    # a box search with the memo and a witness search that store more sums
-    # than the cap: under it they give the same result, and never hold more
-    # than the cap
+def test_memo_cap_bounds_the_memo_and_keeps_the_results(monkeypatch):
+    # a witness search that stores more sums than the cap: under it the
+    # search gives the same witness, and never holds more than the cap
     csp, _vec = _bench_pipeline().cyclic_instance(5)
     prof = derive_profile(
         csp, p=3, mode="explicit", consistency_width=1, support_width=2, scale=SCALE
     )
     wit = reduce_csp(csp, prof)
-    plan = kernels.frontier_plan(unsat_reduced.rows, range(unsat_reduced.num_rows))
-    searches = [
-        lambda: kernels.frontier_search(plan, 3, 3, 10**9, memo=True),
-        lambda: witness_from_assignment(wit, (0,) * 5),
-    ]
+
+    def search():
+        return witness_from_assignment(wit, (0,) * 5)
+
+    want, (free,) = _with_memo_sums(search)
     cap = 40
-    results = []
-    for search in searches:
-        want, (free,) = _with_memo_sums(search)
-        assert free > cap
-        monkeypatch.setattr(kernels, "_MEMO_SUMS", cap)
-        got, (capped,) = _with_memo_sums(search)
-        monkeypatch.undo()
-        assert 0 < capped <= cap
-        results.append((want, got))
-    (box, capped_box), (witness, capped_witness) = results
-    assert capped_box[:2] == box[:2] == kernels.box_minimum(unsat_reduced.rows, 3, 3, 10**9)[:2]
-    assert capped_box[2] >= box[2]
-    assert capped_witness == witness
-
-
-def test_box_search_keeps_no_memo(unsat_reduced):
-    # over rows in order states rarely repeat, so enumerate stores none
-    _res, (held,) = _with_memo_sums(lambda: enumerate_box(unsat_reduced, 3))
-    assert held == 0
+    assert free > cap
+    monkeypatch.setattr(kernels, "_MEMO_SUMS", cap)
+    got, (capped,) = _with_memo_sums(search)
+    assert 0 < capped <= cap
+    assert got == want
 
 
 def test_enumerate_budget(unsat_reduced):
