@@ -17,8 +17,11 @@ what the later rows can still take off each open column prunes; the
 grouped one prunes on each group's private columns the way spread blocks
 do, and on each shared column before and after its last nonzero entry; and
 the p=3 odd-cycle basis at scale 10**6 is the 12-row unsatisfiable basis
-``enumerate`` reads in the verify benchmark.  The witness search must reach
-max-norm 1.  The kernel-support search must certify vm(13, 3) as given and
+``enumerate`` reads in the verify benchmark.  Each witness must reach
+max-norm 1 and report a state count that is its exact budget the same way:
+on M = 20 rows that each close a column at once, and on ``bench_pipeline``'s
+cyclic N=8 rung at support width 3, where open support columns let it enter
+1,731 states.  The kernel-support search must certify vm(13, 3) as given and
 scaled by 2**48 and 2**58, whose bounds pass 2**53 and 2**63 (scaling keeps
 the kernel), and the Gram check must pass the Hadamard matrices of orders 1
 to 128.  The last column names the arithmetic each certification product
@@ -46,6 +49,8 @@ from svpforge.gadgets import (
 )
 from svpforge.reduction import derive_profile, reduce_csp
 from svpforge.verifier import apply_coefficients, lp_norm_power, witness_from_assignment
+
+import bench_pipeline
 
 
 ARITHMETIC = {"float64": "float64", "int64": "int64", "object": "python int"}
@@ -81,6 +86,25 @@ def _time_products(fn, repeat):
     finally:
         kernels.exact_dtype = real
     return dt, result, "+".join(ARITHMETIC[name] for name in dict.fromkeys(seen))
+
+
+def _time_states(fn, repeat):
+    """_time(fn, repeat), plus the state count of the last
+    ``kernels.frontier_search`` call fn made."""
+    states = []
+    real = kernels.frontier_search
+
+    def spy(*args):
+        result = real(*args)
+        states.append(result[2])
+        return result
+
+    kernels.frontier_search = spy
+    try:
+        dt, result = _time(fn, repeat)
+    finally:
+        kernels.frontier_search = real
+    return dt, result, states[-1]
 
 
 def det_workloads():
@@ -185,17 +209,20 @@ def odd_cycle_instance():
     return reduce_csp(inst, prof)
 
 
-def witness_instance():
-    """20 binary constraints on scopes (i, i+1) and (i, i+2) of a 10-cycle,
-    each accepting (0, 0) and (1, 1): the all-zero assignment satisfies it,
-    and the witness search runs over its M = 20 selected rows."""
+def witness_workloads():
+    """(name, reduced instance, satisfying assignment).  The first is 20
+    binary constraints on scopes (i, i+1) and (i, i+2) of a 10-cycle, each
+    accepting (0, 0) and (1, 1); the second is ``bench_pipeline``'s cyclic
+    N=8 rung at support width 3.  The all-zero assignment satisfies both."""
     n = 10
     scopes = [(i, (i + s) % n) for s in (1, 2) for i in range(n)]
     inst = CspInstance(n, 2, 2, tuple(Constraint(sc, ((0, 0), (1, 1))) for sc in scopes))
-    prof = derive_profile(
-        inst, p=3, mode="explicit", consistency_width=1, support_width=1, scale=10**6
-    )
-    return reduce_csp(inst, prof), (0,) * n
+    cyclic, _vec = bench_pipeline.cyclic_instance(8)
+    for name, csp, width in (("witness M=20", inst, 1), ("witness cyclic 8, b_x=3", cyclic, 3)):
+        prof = derive_profile(
+            csp, p=3, mode="explicit", consistency_width=1, support_width=width, scale=10**6
+        )
+        yield name, reduce_csp(csp, prof), (0,) * csp.num_vars
 
 
 def main():
@@ -224,10 +251,17 @@ def main():
             raise AssertionError(f"{name}: a budget of {states - 1} states did not refuse")
         print(rows_fmt.format(name, f"{dt*1e3:.1f} ms", f"python int, {states} states"))
 
-    out, assignment = witness_instance()
-    dt, v = _time(lambda: witness_from_assignment(out, assignment), args.repeat)
-    assert lp_norm_power(apply_coefficients(v, out.rows, out.num_cols), None) == 1, "witness M=20"
-    print(rows_fmt.format("witness M=20", f"{dt*1e3:.1f} ms", "python int"))
+    for name, out, assignment in witness_workloads():
+        dt, v, states = _time_states(lambda: witness_from_assignment(out, assignment), args.repeat)
+        assert lp_norm_power(apply_coefficients(v, out.rows, out.num_cols), None) == 1, name
+        assert witness_from_assignment(out, assignment, states) == v, name
+        try:
+            witness_from_assignment(out, assignment, states - 1)
+        except BudgetExceededError:
+            pass
+        else:
+            raise AssertionError(f"{name}: a budget of {states - 1} states did not refuse")
+        print(rows_fmt.format(name, f"{dt*1e3:.1f} ms", f"python int, {states} states"))
 
     rows = reduced_vandermonde(13, 3).rows
     for name, scale in (("", 1), (" x2^48", 2**48), (" x2^58", 2**58)):

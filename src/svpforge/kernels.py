@@ -34,17 +34,17 @@ open ones) and skips mirrored vectors.  The box search visits each step's
 digits -c..c best-first by that convex bound, from its least minimiser
 outwards (the zig-zag of Schnorr-Euchner enumeration), and a tie in power
 goes to the lexicographically first vector.  The listed search, the
-witness's, tries its digits in their order, stops at the first vector
-below its bound and skips a state that led nowhere before.
+witness's, tries its digits in their order and stops at the first vector
+below its bound.  Neither keeps a table: a search holds its plan and a few
+arrays as long as the steps, and its state budget bounds both its work and
+its memory.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from svpforge.errors import BudgetExceededError
 
@@ -57,11 +57,6 @@ INT64_EXACT = 1 << 63
 # one product is then at most 2 * width * this many multiply-adds, at or
 # below OpenBLAS's one-thread size of 2**18 for widths up to 4.
 _SLOPE_BATCH_CELLS = 1 << 15
-
-# A search's memo takes no new state once it holds this many open-column
-# sums (a refused witness search on cyclic N=32 at b_x=5 then peaks at about
-# 50 MB max RSS).
-_MEMO_SUMS = 1 << 20
 
 
 def backend_name() -> str:
@@ -346,11 +341,7 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
       comes after the best vector's prefix.
     - listed search (``digits`` given): the first vector, each step trying
       ``digits`` in their order, whose power is below ``below``; a digit is
-      cut when its bound is not.  A state (the sums of ``plan.frontier[k]``
-      after step k, with a nonzero coefficient so far) entered again with
-      no smaller value than before is skipped: every leaf below adds terms
-      the state and the later digits fix, and none was below ``below``
-      (the memo takes no state past ``_MEMO_SUMS`` sums).
+      cut when its bound is not.
 
     ``_step_bound`` judges every digit from acc + t*val: the closed value
     plus a term for each open column from its least final magnitude,
@@ -361,10 +352,14 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
     and the box search tries 0 last, so a chain of rows whose bound is 0 at
     digit 0 is not walked all-zero first.
 
-    ``budget`` counts states, the start and each step gone down.  A box
+    ``budget`` counts states, the start and each step gone down, and a
+    search that would enter more raises ``BudgetExceededError``.  A box
     search state costs O(log c) bounds, so the budget bounds the work;
-    listed digits are tried in full, so keep them few.
+    listed digits are tried in full, so keep them few.  Neither search keeps
+    a table, so past the plan its memory is O(steps) whatever the budget.
     """
+    if budget < 0:
+        raise ValueError("budget must be at least 0")
     ranged = digits is None
     steps, m = plan.entries, len(plan.entries)
     last = m - 1
@@ -377,11 +372,6 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
         # came earlier, nor 0 at the last step
         first = [t for i, t in enumerate(digits) if not t or -t not in digits[:i]]
         firsts = [first] * last + [[t for t in first if t]]
-        sizes = [len(f) for f in plan.frontier]
-        keys = [itemgetter(*f) if f else lambda acc: () for f in plan.frontier]
-        # tables[d]: by state, the least value it was entered into step d with
-        tables = [{} for _ in range(m + 1)]
-        room = _MEMO_SUMS
     acc = [0] * plan.num_slots  # each column's sum over the steps above
     bounds = [_step_bound(acc, s, o, p) for s, o in zip(shut, opening)]
     coeffs = [0] * m
@@ -474,32 +464,16 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
             for j, x, _r in shut[depth]:
                 x = acc[j] + t * x
                 nf += (x if x >= 0 else -x) ** p
-        nz = was_nz or t != 0
-        step = steps[depth]
         if t:
-            for j, x in step:
+            for j, x in steps[depth]:
                 acc[j] += t * x
         coeffs[depth] = t
-        if not ranged and nz:
-            state = keys[depth](acc)
-            known = tables[depth + 1]
-            seen = known.get(state)
-            if seen is None:
-                if sizes[depth] <= room:
-                    room -= sizes[depth]
-                    known[state] = nf
-            elif seen <= nf:
-                for j, x in step:
-                    acc[j] -= t * x
-                continue
-            else:
-                known[state] = nf
         states += 1
         if states > budget:
             raise BudgetExceededError(f"search exceeded {budget} states")
         depth += 1
         carried[depth] = nf
-        nonzero[depth] = nz
+        nonzero[depth] = was_nz or t != 0
         walk[depth] = None
 
 
@@ -574,10 +548,7 @@ class FrontierPlan:
       values of a column listed twice added, and no zero value;
     - ``closing[k]``: the slots it touches last (the column is final after it);
     - ``reach[k]``: (slot, reach) for its other slots, where reach is the sum
-      of the column's |value| over the later steps;
-    - ``frontier[k]``: the slots open after it, touched at or before step k
-      and again later, ascending: the sums that make up the search's state
-      after step k (built on first use).
+      of the column's |value| over the later steps.
     """
 
     order: tuple[int, ...]
@@ -588,16 +559,6 @@ class FrontierPlan:
     @property
     def num_slots(self) -> int:
         return sum(map(len, self.closing))
-
-    @functools.cached_property
-    def frontier(self) -> tuple[tuple[int, ...], ...]:
-        live = set()
-        out = []
-        for step, shut in zip(self.entries, self.closing):
-            live.update(s for s, _x in step)
-            live.difference_update(shut)
-            out.append(tuple(sorted(live)))
-        return tuple(out)
 
 
 def rcm_order(rows, links: range) -> tuple[int, ...]:

@@ -98,10 +98,11 @@ def witness_from_assignment(
     search runs on their scaled entries in the max-norm, with the signs
     tried in the order 0, +1, -1 and the exclusive bound 1, so it looks for
     a zero image: the shared step bound lets a closed column only be zero,
-    and an open one only within its reach.  Its memo skips a state that led
-    nowhere before (until the memo is full).  The result is the first
+    and an open one only within its reach.  The result is the first
     solution in that order, negated if needed so that its first nonzero
-    coefficient in row order is +1.  ``budget`` bounds the states entered.
+    coefficient in row order is +1.  ``budget`` bounds the states entered,
+    and so the work; the search keeps no table, so beyond the plan its
+    memory is O(rows).
     """
     csp = inst.csp
     if evaluate(csp, assignment) != 1:

@@ -986,6 +986,20 @@ def test_witness_budget_refusal_without_asserts(tmp_path, capsys):
     assert not proc.stdout
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("witness", "--assignment", "0 0"), ("enumerate", "--box", "1")],
+)
+def test_negative_budget_exits_2(tmp_path, capsys, command, option, value):
+    # no search can enter fewer than 0 states: a negative budget is a bad
+    # value, not a search that exceeded it
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    code, out, err = run(capsys, command, str(basis), option, value, "--budget", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: budget must be at least 0\n"
+
+
 @pytest.mark.parametrize("degree", ["0", "-3"])
 def test_regularize_refuses_a_right_degree_below_1(capsys, degree):
     code, out, err = run(capsys, "regularize", TOY1, "--right-degree", degree)

@@ -787,14 +787,14 @@ def test_box_minimum_breaks_ties_lexicographically(case):
 # Max-norm bases where a state is entered again under a lexicographically
 # earlier prefix, with the same value (first case) or a larger one (second):
 # a search that skipped such a state would return a later argmin.
-_MEMO_ORDER_CASES = [
+_REENTERED_STATE_CASES = [
     ([((2, 2),), ((0, 2), (2, 2)), ((2, 1), (3, -1)), ((0, -1), (1, 2), (2, -1), (3, 2)),
       ((0, 2), (1, 1), (2, 2), (3, 2)), ((0, 1), (1, -1))], 1),
     ([((0, 2), (1, 2), (2, 2), (3, 2)), ((2, 1), (3, 1)), ((3, 1),), ((1, 2), (2, 2))], 2),
 ]
 
 
-@pytest.mark.parametrize("rows, c", _MEMO_ORDER_CASES)
+@pytest.mark.parametrize("rows, c", _REENTERED_STATE_CASES)
 def test_box_minimum_keeps_a_state_entered_under_an_earlier_prefix(rows, c):
     want = _naive_box_minimum(rows, c, None)
     assert _assert_count_consistent(rows, c, None)[:2] == want
@@ -823,12 +823,12 @@ def _first_listed_below(rows, digits, p, below):
 )
 # the state after rows 0 and 1 (column 1 at 1) is entered at (0, 1) with
 # closed value 2 and leads nowhere below 3, then at (1, 0) with 1, where
-# (1, 0, 0) has power 2: the memo must not skip it
+# (1, 0, 0) has power 2: the search must not skip it
 @example(([((0, 1), (1, 1)), ((1, 1), (2, 2)), ((1, -1), (3, 2))], 1, 1), (0, 1, -1), 3)
 def test_listed_search_finds_the_first_vector_below_the_bound(case, digits, below):
-    # the memo fires on these rows (copies and negations of earlier ones);
-    # it and the bound drop only subtrees with no vector below ``below``,
-    # and the state count is the search's exact budget
+    # the rows copy and negate earlier ones, so states are entered again;
+    # the bound drops only subtrees with no vector below ``below``, and the
+    # state count is the search's exact budget
     rows, _c, p = case
     c = max(map(abs, digits))
     plan = kernels.frontier_plan(rows, range(len(rows)))

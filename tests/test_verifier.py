@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import pathlib
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svpforge import kernels
 from svpforge.basisio import load_instance, save_instance
 from svpforge.csp import Constraint, CspInstance, evaluate, parse_csp
 from svpforge.errors import BudgetExceededError, WitnessNotFoundError
@@ -33,6 +33,7 @@ from svpforge.verifier import (
 
 from conftest import explicit_profile, sparse_rows
 from test_kernels import _reference_box_dfs
+from test_regularize import _perfbench_gen
 
 SCALE = 10**6
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -94,7 +95,7 @@ def test_witness_rejects_bad_assignment(toy1_reduced):
 
 
 def test_witness_budget(toy1_reduced):
-    # the starting state counts too, so a budget below 1 refuses at once
+    # the starting state counts too, so a budget of 0 refuses at once
     with pytest.raises(BudgetExceededError, match="exceeded 0 states"):
         witness_from_assignment(toy1_reduced, (0, 0), budget=0)
 
@@ -288,7 +289,7 @@ def _first_in_search_order(out, assignment):
 @settings(max_examples=40, deadline=None)
 @given(_satisfiable_reductions())
 def test_witness_is_the_first_in_search_order(case):
-    # memo and pruning drop only subtrees without a solution
+    # pruning drops only subtrees without a solution
     out, assignment = case
     assume(out.csp.num_constraints <= 8)
     got = _outcome(witness_from_assignment, out, assignment, 10**6)
@@ -330,16 +331,16 @@ def test_witness_rule_on_doctored_images():
     assert _reference_witness(doctored, (0,) * 4, 10**6) == (0, 1, -1, 0)
 
 
-def test_witness_expands_each_dead_state_once():
+def test_witness_state_count_on_doctored_images():
     # Images 4, 1, 2, 1, visited as 1, 2, 1, 4 with reaches 7, 5, 4.  Sums 1,
-    # 2 and 3 before the last row are dead once tried; -1 on row 1 after +1
-    # on row 2 reaches sum 1 again, and so do 0 and +1 on row 1 after +1 on
-    # row 3 (sums 1 and 2).  Those three are not expanded: 11 states in
-    # all, where expanding them again would take 14.
+    # 2 and 3 before the last row are dead; -1 on row 1 after +1 on row 2
+    # reaches sum 1 again, and so do 0 and +1 on row 1 after +1 on row 3
+    # (sums 1 and 2).  The search keeps no record of dead sums, so it enters
+    # all three again: 14 states in all, the start included
     doctored = _doctored((4, 1, 2, 1))
-    assert witness_from_assignment(doctored, (0,) * 4, budget=11) == (0, 1, 0, -1)
-    with pytest.raises(BudgetExceededError, match="exceeded 10 states"):
-        witness_from_assignment(doctored, (0,) * 4, budget=10)
+    assert witness_from_assignment(doctored, (0,) * 4, budget=14) == (0, 1, 0, -1)
+    with pytest.raises(BudgetExceededError, match="exceeded 13 states"):
+        witness_from_assignment(doctored, (0,) * 4, budget=13)
 
 
 def test_witness_exact_integer_path():
@@ -399,8 +400,8 @@ def test_witness_at_wider_blocks(b_var, b_x, found):
 
 def test_witness_state_count_is_its_exact_budget():
     # cyclic N=8 at support width 3 under the all-zero assignment: the
-    # search enters 1,731 states and fills its memo with them; the witness
-    # passes with that budget and is refused with one less
+    # search enters 1,731 states; the witness passes with that budget and
+    # is refused with one less
     csp, _vec = _bench_pipeline().cyclic_instance(8)
     prof = derive_profile(
         csp, p=3, mode="explicit", consistency_width=1, support_width=3, scale=SCALE
@@ -413,19 +414,34 @@ def test_witness_state_count_is_its_exact_budget():
         witness_from_assignment(out, (0,) * 8, budget=1730)
 
 
+def test_refused_witness_search_keeps_flat_memory():
+    # cyclic N=32 at support width 5 has no witness within 10,000 states;
+    # what the search holds must not grow with the states it enters
+    csp = parse_csp(_perfbench_gen().cyclic_regular(32, 1))
+    prof = derive_profile(
+        csp, p=3, mode="explicit", consistency_width=1, support_width=5, scale=SCALE
+    )
+    out = reduce_csp(csp, prof)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="exceeded 10000 states"):
+            witness_from_assignment(out, (0,) * 32, budget=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def _frontier_plan_directly(rows, order):
-    """Per step of ``order``: the columns it closes, its open columns' reach,
-    and the columns open after it, by column index and straight from the
-    definitions."""
+    """Per step of ``order``: the columns it closes and its open columns'
+    reach, by column index and straight from the definitions."""
     steps = [{j: x for j, x in rows[r] if x} for r in order]
-    closing, reach, frontier = [], [], []
+    closing, reach = [], []
     for k, step in enumerate(steps):
-        later = steps[k + 1 :]
-        tail = {j: sum(abs(s.get(j, 0)) for s in later) for j in step}
+        tail = {j: sum(abs(s.get(j, 0)) for s in steps[k + 1 :]) for j in step}
         closing.append({j for j in step if not tail[j]})
         reach.append({j: t for j, t in tail.items() if t})
-        frontier.append({j for s in steps[: k + 1] for j in s if any(j in t for t in later)})
-    return closing, reach, frontier
+    return closing, reach
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,11 +461,9 @@ def test_frontier_plan_against_the_definitions(dicts):
         for (s, _x), (j, _y) in zip(plan.entries[k], [e for e in rows[r] if e[1]]):
             assert column.setdefault(s, j) == j
     assert sorted(column) == list(range(plan.num_slots))
-    closing, reach, frontier = _frontier_plan_directly(rows, plan.order)
+    closing, reach = _frontier_plan_directly(rows, plan.order)
     assert [{column[s] for s in c} for c in plan.closing] == closing
     assert [{column[s]: t for s, t in r} for r in plan.reach] == reach
-    assert [{column[s] for s in f} for f in plan.frontier] == frontier
-    assert all(list(f) == sorted(f) for f in plan.frontier)
 
 
 def test_frontier_plan_is_reverse_cuthill_mckee():
@@ -466,7 +480,6 @@ def test_frontier_plan_is_reverse_cuthill_mckee():
     # degrees 2, 1, 0, 1, 2: start at row 2 (degree 0), then at row 1, the
     # least-degree row left, and walk 1, 4, 0, 3
     assert plan.order == (3, 0, 4, 1, 2)
-    assert plan.frontier[0] == (0, 1)  # columns 10 and 20, both touched again
 
 
 def test_no_check_builds_the_dense_view(tmp_path, toy1):
@@ -574,46 +587,6 @@ def test_enumerate_node_counts_pinned(request, fixture, box, power, spans_only):
     with pytest.raises(BudgetExceededError, match=f"exceeded {res.states - 1} states"):
         enumerate_box(inst, box, budget=res.states - 1)
     assert res.states <= spans_only
-
-
-def _with_memo_sums(fn):
-    """fn()'s result, and the open-column sums each ``frontier_search`` it
-    ran held in its memo when it returned (tables[d] keys the states entered
-    into step d by the sums of the columns open after step d - 1)."""
-    held = []
-
-    def spy(frame, event, arg):
-        if event == "return" and frame.f_code is kernels.frontier_search.__code__:
-            tables, sizes = frame.f_locals["tables"], frame.f_locals["sizes"]
-            held.append(sum(sizes[d - 1] * len(known) for d, known in enumerate(tables) if d))
-
-    sys.setprofile(spy)
-    try:
-        result = fn()
-    finally:
-        sys.setprofile(None)
-    return result, held
-
-
-def test_memo_cap_bounds_the_memo_and_keeps_the_results(monkeypatch):
-    # a witness search that stores more sums than the cap: under it the
-    # search gives the same witness, and never holds more than the cap
-    csp, _vec = _bench_pipeline().cyclic_instance(5)
-    prof = derive_profile(
-        csp, p=3, mode="explicit", consistency_width=1, support_width=2, scale=SCALE
-    )
-    wit = reduce_csp(csp, prof)
-
-    def search():
-        return witness_from_assignment(wit, (0,) * 5)
-
-    want, (free,) = _with_memo_sums(search)
-    cap = 40
-    assert free > cap
-    monkeypatch.setattr(kernels, "_MEMO_SUMS", cap)
-    got, (capped,) = _with_memo_sums(search)
-    assert 0 < capped <= cap
-    assert got == want
 
 
 def test_enumerate_budget(unsat_reduced):
