@@ -4,17 +4,25 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_pipeline.py [--repeat N] [--out F
 
 Each rung is a cyclic regular CSP on N variables: M = 2N binary constraints
 with scopes (i, i+1) and (i, i+2) mod N, each accepting (0, 0) and one seeded
-other tuple, reduced under the default profile at p = inf.  For every rung it
-prints best-of-N wall times of ``parse_csp`` (of ``emit_csp``'s text, as a
-load parses the sidecar's instance), ``emit_csp``, ``reduce_csp``,
-``emit_basis``, the emitter as first written (``str`` of every entry of the
-dense basis, the "before" column), ``sidecar_text``, ``save_instance``,
-``load_instance``, ``witness_from_assignment`` under the all-zero assignment
-and ``audit_vector`` on the known short vector, plus the basis rows, columns
-and nonzeros.  After the
-timed passes, a separate pass runs each stage once under tracemalloc and
-records its peak, in MB above the memory traced when the call started
-(tracemalloc slows allocation, so it never runs during the timed passes).
+other tuple, reduced under the default profile at p = inf.  The stages are
+``parse_csp`` (of ``emit_csp``'s text, as a load parses the sidecar's
+instance), ``emit_csp``, ``reduce_csp``, ``emit_basis``, the emitter as first
+written (``str`` of every entry of the dense basis, the "before" column),
+``sidecar_text``, ``save_instance``, ``load_instance``,
+``witness_from_assignment`` under the all-zero assignment and
+``audit_vector`` on the known short vector.  Each stage is first called once
+and its output checked, which also warms the caches.  Then N rounds each
+call every stage once, in turn, and the table holds each stage's median
+over the rounds.  A full garbage collection and then a fixed pure-Python
+loop (``calibrate``, as in perfbench) run just before every timed call, and
+the call's time is scaled by CALIBRATION_S / the loop's time, so the
+numbers are those of a machine on which the loop takes 10 ms; a shared
+machine that slows both reads about the same, and no stage pays for
+collecting an earlier stage's garbage.  The basis rows, columns and nonzeros and the median raw loop
+time (``calibrate_s``) are recorded too.  After the timed rounds, a separate
+pass runs each stage once under tracemalloc and records its peak, in MB
+above the memory traced when the call started (tracemalloc slows
+allocation, so it never runs during the timed rounds).
 
 Checks: the instance text parses back to the instance, the sidecar text is
 ``json.dumps(sidecar_json(...), indent=2)`` plus a newline, both basis
@@ -27,10 +35,12 @@ written as JSON.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import platform
 import random
+import statistics
 import tempfile
 import time
 import tracemalloc
@@ -48,16 +58,42 @@ STAGES = ("parse_csp", "emit_csp", "reduce_csp", "emit_basis", "emit_basis_befor
           "audit_vector")
 
 
-def _time(fn, repeat):
-    best = None
-    result = None
+# calibrate()'s loop copies perfbench's workloads.calibrate, and every time is
+# scaled to a machine on which it takes CALIBRATION_S: on a shared machine the
+# loop slows with the stages, so a scaled time moves less than a raw one.
+CALIBRATION_S = 0.010
+
+
+def calibrate():
+    """Seconds taken by a fixed pure-Python loop of integer arithmetic and
+    tuple and dict churn, the kind of work the pure backend does."""
+    t0 = time.perf_counter()
+    d = {}
+    for i in range(16000):
+        k = (i % 97, i * i % 101)
+        d[k] = d.get(k, 0) + pow(i, 3, 65537)
+    return time.perf_counter() - t0
+
+
+def _time_alternated(stages, repeat):
+    """Median calibrated seconds of each stage over ``repeat`` rounds; every
+    round calls each stage once, in turn, with a full collection and then
+    calibrate() run just before the call, and the call's time scaled by
+    CALIBRATION_S / that run.  Also returns the median calibrate() time,
+    unscaled."""
+    samples = {name: [] for name in stages}
+    calibration = []
     for _ in range(repeat):
-        result = None  # one large result alive at a time
-        t0 = time.perf_counter()
-        result = fn()
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return best, result
+        for name, fn in stages.items():
+            gc.collect()  # an earlier call's garbage is not collected in this one
+            cal = calibrate()
+            t0 = time.perf_counter()
+            fn()  # dropped at once: one large result alive at a time
+            dt = time.perf_counter() - t0
+            calibration.append(cal)
+            samples[name].append(dt * CALIBRATION_S / cal)
+    medians = {name: statistics.median(ts) for name, ts in samples.items()}
+    return medians, statistics.median(calibration)
 
 
 def _emit_basis_before(basis):
@@ -98,15 +134,31 @@ def bench_rung(n, repeat, workdir):
     prof = derive_profile(csp, p=None)
     path = Path(workdir) / f"c{n}.basis"
     row = {"n": n}
-    row["emit_csp"], csp_text = _time(lambda: emit_csp(csp), repeat)
-    row["parse_csp"], parsed = _time(lambda: parse_csp(csp_text), repeat)
-    assert parsed == csp, f"N={n}: the instance text does not parse back to the instance"
-    row["reduce_csp"], out = _time(lambda: reduce_csp(csp, prof), repeat)
+
+    # one checked call of each stage first, which also warms the caches
+    csp_text = emit_csp(csp)
+    assert parse_csp(csp_text) == csp, f"N={n}: the instance text does not parse back to the instance"
+    out = reduce_csp(csp, prof)
     row["rows"], row["cols"] = out.num_rows, out.num_cols
     row["nnz"] = sum(map(len, out.rows))
-    row["sidecar_text"], sidecar = _time(lambda: sidecar_text(out, path.name), repeat)
+    sidecar = sidecar_text(out, path.name)
     expected = json.dumps(sidecar_json(out, path.name), indent=2) + "\n"
     assert sidecar == expected, f"N={n}: sidecar_text is not json.dumps of sidecar_json"
+    text = emit_basis(out.rows, out.num_cols)
+    if n <= 512:
+        assert _sha(text) == _sha(_emit_basis_before(out.basis)), f"N={n}: the two emitters differ"
+    row["text_bytes"] = len(text)
+    del text  # save and load each build the text again
+    save_instance(out, path)
+    assert load_instance(path).rows == out.rows, f"N={n}: loaded basis differs"
+    wit = witness_from_assignment(out, (0,) * n)
+    image = apply_coefficients(wit, out.rows, out.num_cols)
+    scaled = image[out.consistency_span[0] : out.support_span[1]]
+    assert not any(scaled), f"N={n}: witness leaves a scaled column nonzero"
+    assert max(map(abs, image)) == 1, f"N={n}: witness image max-norm is not 1"
+    report = audit_vector(vec, out)
+    assert report.max_abs == 1 and report.support == 2 * n, f"N={n}: audit {report}"
+
     stages = {
         "parse_csp": lambda: parse_csp(csp_text),
         "emit_csp": lambda: emit_csp(csp),
@@ -119,35 +171,17 @@ def bench_rung(n, repeat, workdir):
         "witness_from_assignment": lambda: witness_from_assignment(out, (0,) * n),
         "audit_vector": lambda: audit_vector(vec, out),
     }
-
-    row["emit_basis"], text = _time(stages["emit_basis"], repeat)
-    row["emit_basis_before"] = None
-    if n <= 512:
-        row["emit_basis_before"], before = _time(stages["emit_basis_before"], repeat)
-        assert _sha(text) == _sha(before), f"N={n}: the two emitters differ"
-        del before
-    row["text_bytes"] = len(text)
-    del text  # save and load each build the text again
-
-    row["save_instance"], _ = _time(stages["save_instance"], repeat)
-    row["load_instance"], loaded = _time(stages["load_instance"], repeat)
-    assert loaded.rows == out.rows, f"N={n}: loaded basis differs"
-    del loaded
-    row["witness_from_assignment"], wit = _time(stages["witness_from_assignment"], repeat)
-    image = apply_coefficients(wit, out.rows, out.num_cols)
-    scaled = image[out.consistency_span[0] : out.support_span[1]]
-    assert not any(scaled), f"N={n}: witness leaves a scaled column nonzero"
-    assert max(map(abs, image)) == 1, f"N={n}: witness image max-norm is not 1"
-    row["audit_vector"], report = _time(stages["audit_vector"], repeat)
-    assert report.max_abs == 1 and report.support == 2 * n, f"N={n}: audit {report}"
-
+    timed = {name: fn for name, fn in stages.items() if fn is not None}
+    medians, row["calibrate_s"] = _time_alternated(timed, repeat)
+    for name in STAGES:
+        row[name] = medians.get(name)
     row["peak_mb"] = {name: None if fn is None else _peak_mb(fn) for name, fn in stages.items()}
     return row
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=3, help="timing repetitions")
+    parser.add_argument("--repeat", type=int, default=5, help="alternated timing rounds")
     parser.add_argument("--out", type=Path, help="also write the table as JSON here")
     args = parser.parse_args()
 
@@ -170,7 +204,12 @@ def main():
             "repeat": args.repeat,
             "backend": kernels.backend_name(),
             "python": platform.python_version(),
-            "unit": "s, best of repeat; peak_mb: MB, one call under tracemalloc",
+            "calibration_s": CALIBRATION_S,
+            "unit": (
+                "s, median of repeat alternated rounds, each call scaled by "
+                "calibration_s / calibrate() run before it; calibrate_s: s, median "
+                "calibrate(), unscaled; peak_mb: MB, one call under tracemalloc"
+            ),
             "rungs": rungs,
         }
         args.out.write_text(json.dumps(payload, indent=2) + "\n")

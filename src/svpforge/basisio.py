@@ -47,6 +47,10 @@ FORMAT_VERSION = 1
 
 _ROW_RE = re.compile(r"\[([^\[\]]*)\]")
 
+# save_instance's write unit; open()'s default is the file system's block
+# size (st_blksize, often 4096 bytes), about one write per row of a large basis
+WRITE_BUFFER = 64 * 1024
+
 
 def emit_basis(rows: Sequence[Sequence], width: Optional[int] = None) -> str:
     """The basis as text: one bracketed row per line, entries separated by
@@ -266,8 +270,10 @@ def save_instance(
     the bytes of ``sidecar_text``, the fixed-schema writer that gives
     ``json.dumps(indent=2)``.  An empty basis or one past the cell budget is
     refused before anything is written.  The basis is streamed one row at a
-    time, so its full text is never held; each file goes to a temporary
-    file beside its target and is moved into place once both are written.
+    time through a write buffer of ``WRITE_BUFFER`` bytes (64 KiB), so its
+    full text is never held and the disk sees one write per 64 KiB, not one
+    per row; each file goes to a temporary file beside its target and is
+    moved into place once both are written.
     A failure removes the temporary files; one before the first move, such
     as a failed write, leaves the targets as they were.
     """
@@ -292,12 +298,12 @@ def save_instance(
 
 
 def _create_beside(path: Path):
-    """A new hidden file in ``path``'s directory, opened for binary writing,
-    and its path."""
+    """A new hidden file in ``path``'s directory, opened for binary writing
+    through a ``WRITE_BUFFER``-byte buffer, and its path."""
     for k in itertools.count():
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{k}.tmp")
         try:
-            return tmp, open(tmp, "xb")
+            return tmp, open(tmp, "xb", buffering=WRITE_BUFFER)
         except FileExistsError:
             pass
 

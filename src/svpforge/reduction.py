@@ -341,8 +341,7 @@ def build_consistency_block(
                     x, a = divmod(col, sigma)
                     raise ProfileError(f"column {(x, a)} has more than {vm.num_rows} occurrences")
                 scaled.append(tuple(prof.scale * v for v in vm.row(occ - 1)))
-            lo = col * width
-            row += zip(range(lo, lo + width), scaled[occ - 1])
+            row += enumerate(scaled[occ - 1], col * width)
         out.append(tuple(row))
     return out
 
@@ -354,18 +353,26 @@ def build_support_block(
     kept row, at their basis columns: the row of candidate index
     t * SIGMA**q + rank(tuple), so each kept row carries the row it has among
     all rows_full candidates.  ``reduced_vandermonde`` validates the prime
-    and width; the entries ``scale * pow(i, j, prime)`` are computed here."""
+    and width; the entries, ``scale`` times the powers ``i**j`` mod prime,
+    are computed here, each power from the one before it."""
     vm = reduced_vandermonde(prof.prime, prof.support_width)
     if prof.rows_full > vm.num_rows:
         raise ProfileError("prime too small for the support block")
     sigma, stride = inst.alphabet_size, inst.alphabet_size**inst.arity
     prime, scale = prof.prime, prof.scale
-    powers = range(prof.support_width)
     lo = prof.consistency_cols
-    return [
-        tuple([(lo + j, scale * pow(i, j, prime)) for j in powers])
-        for i in (t * stride + tuple_rank(tup, sigma) + 1 for t, tup in kept)
-    ]
+    first = (lo, scale)  # the zeroth power is 1 in every row
+    later = range(lo + 1, lo + prof.support_width)
+    out = []
+    for t, tup in kept:
+        i = t * stride + tuple_rank(tup, sigma) + 1
+        row = [first]
+        x = 1
+        for j in later:
+            x = x * i % prime
+            row.append((j, scale * x))
+        out.append(tuple(row))
+    return out
 
 
 def tuple_rank(tup: Sequence[int], sigma: int) -> int:
@@ -400,8 +407,7 @@ def build_spread_block(
         h = h_rows.get(tup)
         if h is None:
             h = h_rows[tup] = hadamard_row(k, tuple_rank(tup, sigma))
-        start = lo + t * per
-        out.append(tuple(zip(range(start, start + per), h)))
+        out.append(tuple(enumerate(h, lo + t * per)))
     return out
 
 

@@ -540,7 +540,7 @@ def test_save_that_fails_partway_leaves_no_file(tmp_path, monkeypatch, fail_at, 
         basis.write_bytes(b"earlier basis")
         sidecar.write_bytes(b"earlier sidecar")
     if fail_at == "basis-rows":
-        # the write fails after 100 rows are on disk, as a full disk would
+        # the write fails after 100 rows are written, as a full disk would
         pieces = basisio._basis_pieces
 
         def failing(rows, width):

@@ -461,9 +461,24 @@ def _padded_wide_case():
     return inst, prof
 
 
+def _small_prime_case():
+    """Every tuple accepted on the cyclic N=4 binary instance (32 support
+    rows), both widths above 2 and the smallest prime the support block
+    allows, so the support powers i**j and the consistency powers wrap mod
+    the prime."""
+    tuples = list(itertools.product(range(2), repeat=2))
+    scopes = [(i, (i + s) % 4) for s in (1, 2) for i in range(4)]
+    inst = CspInstance(4, 2, 2, tuple(Constraint(sc, tuple(tuples)) for sc in scopes))
+    prof = derive_profile(
+        inst, p="inf", mode="explicit", prime=37, consistency_width=3, support_width=5, scale=7
+    )
+    return inst, prof
+
+
 @settings(max_examples=150, deadline=None)
 @given(_regular_reductions())
 @example(_padded_wide_case())
+@example(_small_prime_case())
 def test_builders_place_entries_at_basis_columns(case):
     inst, prof = case
     out = reduce_csp(inst, prof)
