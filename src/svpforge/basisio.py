@@ -10,8 +10,10 @@ A basis file holds one bracketed row per line inside an outer bracket pair
 The sidecar is a JSON object describing the reduction output: the profile,
 the embedded source instance text, row provenance, and column spans.  All
 rationals are serialized as "numerator/denominator" strings.  It is written
-by ``sidecar_text``, a fixed-schema writer whose bytes are those of
-``json.dumps(indent=2)``.
+by ``sidecar_text``, one fixed template whose bytes are those of
+``json.dumps(sidecar_json(...), indent=2)``; ``sidecar_json`` builds the
+same object as a dict, the oracle for the template and what a load's
+mismatch message is found from.
 
 The sidecar's instance and profile knobs fix both files: ``load_instance``
 rebuilds the reduction and accepts the pair only when each file is, byte for
@@ -28,6 +30,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -199,13 +202,8 @@ def profile_from_json(d: dict, csp: CspInstance) -> ReductionProfile:
 def sidecar_json(
     inst: GapSvpInstance, basis_file: str, seed: Optional[int] = None
 ) -> dict:
-    payload = _sidecar_fields(inst, basis_file, seed)
-    payload["row_provenance"] = [[t, list(tup)] for t, tup in inst.row_provenance]
-    return payload
-
-
-def _sidecar_fields(inst: GapSvpInstance, basis_file: str, seed: Optional[int]) -> dict:
-    """``sidecar_json`` with ``row_provenance`` left empty, keys in order."""
+    """The sidecar as a JSON object, keys in file order: the oracle that
+    ``sidecar_text`` writes and that ``load_instance`` names a mismatch by."""
     prof = inst.profile
     gap = prof.gap_factor
     return {
@@ -226,31 +224,31 @@ def _sidecar_fields(inst: GapSvpInstance, basis_file: str, seed: Optional[int]) 
             "support": list(inst.support_span),
             "spread": list(inst.spread_span),
         },
-        "row_provenance": [],
+        "row_provenance": [[t, list(tup)] for t, tup in inst.row_provenance],
         "csp": emit_csp(inst.csp),
         "seed": seed,
     }
 
 
-# Where json.dumps(indent=2) puts the empty provenance list: a JSON string
-# holds no raw newline, so the first match is the top-level key.
-_PROVENANCE_SLOT = '\n  "row_provenance": []'
-
-
 def sidecar_text(inst: GapSvpInstance, basis_file: str, seed: Optional[int] = None) -> str:
     """The sidecar file: ``json.dumps(sidecar_json(...), indent=2) + "\\n"``.
 
-    Only ``row_provenance`` is large, and its layout is fixed: one
-    ``[t, [a, b, ...]]`` pair of integers per row, at 4, 6 and 8 spaces.  It
-    is written from that template and spliced into ``json.dumps`` of the
-    other fields, so strings and floats keep the standard library's escaping
-    and repr while the pure-Python indenting encoder sees only a few keys.
-    A row's text after its constraint index depends only on its tuple, so
-    each distinct tuple's tail is built once per call.
+    The schema is fixed, so the whole file is one template in
+    ``json.dumps(indent=2)``'s layout.  Strings go through
+    ``json.encoder.encode_basestring_ascii``, the escaping ``json.dumps``
+    uses, the ``approx`` float through ``float.__repr__``, integers through
+    ``str``, and a missing seed is ``null``.  The one large field,
+    ``row_provenance``, is one ``[t, [a, b, ...]]`` pair of integers per
+    row, at 4, 6 and 8 spaces; a row's text after its constraint index
+    depends only on its tuple, so each distinct tuple's tail is built once
+    per call.
     """
-    head, _, tail = json.dumps(_sidecar_fields(inst, basis_file, seed), indent=2).partition(
-        _PROVENANCE_SLOT
-    )
+    prof = inst.profile
+    gap = prof.gap_factor
+    p = '"inf"' if prof.p is None else prof.p
+    nprime = prof.nprime
+    support = prof.consistency_cols
+    spread = support + prof.support_cols
     sep = ",\n        "
     tup_text = {}
     for _, tup in inst.row_provenance:
@@ -258,7 +256,58 @@ def sidecar_text(inst: GapSvpInstance, basis_file: str, seed: Optional[int] = No
             tup_text[tup] = f",\n      [\n        {sep.join(map(str, tup))}\n      ]\n    ]"
     rows = ",\n".join([f"    [\n      {t}{tup_text[tup]}" for t, tup in inst.row_provenance])
     provenance = f"[\n{rows}\n  ]" if rows else "[]"
-    return f'{head}\n  "row_provenance": {provenance}{tail}\n'
+    return f"""{{
+  "format": "{FORMAT_NAME}",
+  "version": {FORMAT_VERSION},
+  "basis_file": {_json_str(basis_file)},
+  "profile": {{
+    "p": {p},
+    "prime": {prof.prime},
+    "scale": {prof.scale},
+    "consistency_width": {prof.consistency_width},
+    "support_width": {prof.support_width},
+    "mode": {_json_str(prof.mode)},
+    "soundness": "{_frac_str(prof.soundness)}",
+    "num_vars": {prof.num_vars},
+    "num_constraints": {prof.num_constraints},
+    "arity": {prof.arity},
+    "alphabet_size": {prof.alphabet_size},
+    "degree": {prof.degree},
+    "padded_alphabet": {prof.padded_alphabet}
+  }},
+  "threshold": {{
+    "nprime": {nprime},
+    "p": {p}
+  }},
+  "gap_factor": {{
+    "base": "{_frac_str(gap.base)}",
+    "exponent": "{_frac_str(gap.exponent)}",
+    "floor": {gap.floor()},
+    "approx": {gap.as_float()!r}
+  }},
+  "shape": {{
+    "rows": {len(inst.rows)},
+    "cols": {nprime}
+  }},
+  "col_spans": {{
+    "consistency": [
+      0,
+      {support}
+    ],
+    "support": [
+      {support},
+      {spread}
+    ],
+    "spread": [
+      {spread},
+      {nprime}
+    ]
+  }},
+  "row_provenance": {provenance},
+  "csp": {_json_str(emit_csp(inst.csp))},
+  "seed": {"null" if seed is None else seed}
+}}
+"""
 
 
 def save_instance(

@@ -54,13 +54,27 @@ acc 0 0
 """
 
 
+def _ascii(text: str, what: str) -> str:
+    """``text``, refused unless it is ASCII with no '_': ``int`` and
+    ``Fraction`` would also read digits outside ASCII and '_' between
+    digits, which the README's text rule refuses."""
+    if "_" in text or not text.isascii():
+        raise SvpforgeError(f"not an ASCII {what}: {text!r}")
+    return text
+
+
+def _parse_int(text: str) -> int:
+    """The type of every integer option."""
+    try:
+        return int(_ascii(text, "integer"))
+    except ValueError:
+        raise SvpforgeError(f"not an integer: {text!r}") from None
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
-    toks = text.replace(",", " ").split()
+    toks = _ascii(text, "integer list").replace(",", " ").split()
     if not toks:
         raise SvpforgeError("expected at least one integer")
-    # int() would also read digits outside ASCII and '_' between digits
-    if "_" in text or not text.isascii():
-        raise SvpforgeError(f"not an ASCII integer list: {text!r}")
     try:
         return tuple(int(t) for t in toks)
     except ValueError:
@@ -71,14 +85,14 @@ def _parse_p(text: str):
     if text in ("inf", "profile"):
         return text
     try:
-        return int(text)
+        return int(_ascii(text, "norm index"))
     except ValueError:
         raise SvpforgeError(f"norm index must be an integer or 'inf': {text!r}") from None
 
 
 def _parse_beta(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return Fraction(_ascii(text, "fraction"))
     except (ValueError, ZeroDivisionError):
         raise SvpforgeError(f"beta must be a fraction NUM/DEN: {text!r}") from None
 
@@ -362,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--out", help="write the rewritten instance here (default stdout)")
     sp.add_argument("--lineage", help="write the variable/constraint lineage as JSON")
-    sp.add_argument("--duplication", type=int, help="copies of each constraint")
-    sp.add_argument("--spread", type=int, help="copies of each scope variable read")
+    sp.add_argument("--duplication", type=_parse_int, help="copies of each constraint")
+    sp.add_argument("--spread", type=_parse_int, help="copies of each scope variable read")
     sp.add_argument("--beta", type=_parse_beta, help="disperser parameter as NUM/DEN")
-    sp.add_argument("--right-degree", type=int, help="common output degree")
+    sp.add_argument("--right-degree", type=_parse_int, help="common output degree")
     sp.set_defaults(func=cmd_regularize)
 
     sp = sub.add_parser("reduce", help="compile an instance into a lattice basis")
@@ -377,28 +391,28 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("asymptotic-default", "explicit"),
         help="default: explicit when any knob is overridden",
     )
-    sp.add_argument("--b-var", dest="b_var", type=int, help="consistency block width")
-    sp.add_argument("--b-x", dest="b_x", type=int, help="support block width")
-    sp.add_argument("--scale", type=int, help="scaling factor for the exact blocks")
-    sp.add_argument("--prime", type=int, help="modulus for the derivative gadget rows")
-    sp.add_argument("--seed", type=int, default=None, help="recorded in the sidecar")
+    sp.add_argument("--b-var", dest="b_var", type=_parse_int, help="consistency block width")
+    sp.add_argument("--b-x", dest="b_x", type=_parse_int, help="support block width")
+    sp.add_argument("--scale", type=_parse_int, help="scaling factor for the exact blocks")
+    sp.add_argument("--prime", type=_parse_int, help="modulus for the derivative gadget rows")
+    sp.add_argument("--seed", type=_parse_int, default=None, help="recorded in the sidecar")
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("witness", help="short vector from a satisfying assignment")
     sp.add_argument("basis")
     sp.add_argument("--assignment", required=True, help="symbols, space separated")
     sp.add_argument(
-        "--budget", type=int, default=DEFAULT_WITNESS_BUDGET,
+        "--budget", type=_parse_int, default=DEFAULT_WITNESS_BUDGET,
         help="most search states to enter",
     )
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("enumerate", help="exact minimum over a coefficient box")
     sp.add_argument("basis")
-    sp.add_argument("--box", type=int, default=1, help="coefficient bound")
+    sp.add_argument("--box", type=_parse_int, default=1, help="coefficient bound")
     sp.add_argument("--p", type=_parse_p, default="profile")
     sp.add_argument(
-        "--budget", type=int, default=DEFAULT_BOX_BUDGET,
+        "--budget", type=_parse_int, default=DEFAULT_BOX_BUDGET,
         help="most search states to enter",
     )
     sp.set_defaults(func=cmd_enumerate)
@@ -407,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("basis")
     sp.add_argument("--vector", required=True, help="coefficients, space separated")
     sp.add_argument("--mode", default="auto", choices=("auto", "exhaustive", "sampled"))
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_parse_int, default=0)
     sp.set_defaults(func=cmd_extract)
 
     sp = sub.add_parser("audit", help="evaluate every bound for one vector")
@@ -416,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_audit)
 
     sp = sub.add_parser("selftest", help="run the built-in invariant checks")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_parse_int, default=0)
     sp.set_defaults(func=cmd_selftest)
 
     return parser

@@ -29,13 +29,22 @@ _KERNEL_CHUNK_CELLS = 1 << 15
 # OpenBLAS's one-thread size, so the check never wakes a second BLAS thread.
 _GRAM_BLOCK_MULADDS = 1 << 18
 
-# Deterministic Miller-Rabin witness set, valid for all n below 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_VALID_BELOW = 3_317_044_064_679_887_385_961_981
+# Deterministic Miller-Rabin: the first k primes as witnesses decide every
+# n below psi_k, the least strong pseudoprime to all of them (Jaeschke 1993;
+# Sorenson and Webster 2015).  _MR_PREFIXES pairs each psi_k used with k, so
+# n is tested with the shortest prefix that decides it.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PREFIXES = (
+    (3_215_031_751, 4),  # psi_4
+    (341_550_071_728_321, 7),  # psi_7 = psi_8
+    (318_665_857_834_031_151_167_461, 12),  # psi_12
+    (3_317_044_064_679_887_385_961_981, 13),  # psi_13
+)
+_MR_VALID_BELOW = _MR_PREFIXES[-1][0]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n below 3.3e24."""
+    """Deterministic primality test for n below 3.3e24 (psi_13)."""
     if n >= _MR_VALID_BELOW:
         raise ValueError("deterministic witness set only covers n < 3.3e24")
     if n < 2:
@@ -48,9 +57,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    k = next(k for below, k in _MR_PREFIXES if n < below)
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
         for _ in range(r - 1):
             x = x * x % n

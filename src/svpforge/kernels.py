@@ -378,8 +378,9 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
     carried = [0] * m  # carried[d]: the value carried into step d
     nonzero = [False] * m  # nonzero[d]: whether a coefficient before step d is
     # walk[d]: step d's digits to come (None before it starts): an iterator
-    # over listed digits, or the box search's cached bound, next digits down
-    # and up with their bounds (None once cut) and whether 0 is to come
+    # over listed digits, or the box search's bound values from its
+    # bisection, next digits down and up with their bounds (None once cut)
+    # and whether 0 is to come
     walk = [None] * m
     best = math.inf if below is None else below
     vec = None
@@ -396,20 +397,36 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
         step_walk = walk[depth]
         if ranged:
             hi = c if was_nz else -1
+            f = bounds[depth]
             if step_walk is None:
-                f = _cached(bounds[depth], into)
-                lo = _least(f, -c, hi)
+                # bisect -c..hi to the bound's least minimiser, where it
+                # stops falling; `seen` keeps every bound value computed
+                seen = {}
+                lo, top = -c, hi
+                while lo < top:
+                    mid = (lo + top) // 2
+                    if mid not in seen:
+                        seen[mid] = f(into, mid)
+                    if mid + 1 not in seen:
+                        seen[mid + 1] = f(into, mid + 1)
+                    if seen[mid + 1] >= seen[mid]:
+                        top = mid
+                    else:
+                        lo = mid + 1
                 more = depth < last  # at the last step only the least value can be a new best
-                fup = f(lo + 1) if more and lo < hi else None
-                step_walk = walk[depth] = [f, lo, f(lo), lo + 1, fup, more and not was_nz]
-            f, down, fdown, up, fup, zero = step_walk
+                fdown = seen[lo] if lo in seen else f(into, lo)
+                fup = None
+                if more and lo < hi:
+                    fup = seen[lo + 1] if lo + 1 in seen else f(into, lo + 1)
+                step_walk = walk[depth] = [seen, lo, fdown, lo + 1, fup, more and not was_nz]
+            seen, down, fdown, up, fup, zero = step_walk
             while True:
                 if fdown is not None and (fup is None or fdown <= fup):
                     t, v, side = down, fdown, -1
                 elif fup is not None:
                     t, v, side = up, fup, 1
                 elif zero:
-                    t, v, side, zero = 0, f(0), 0, False
+                    t, v, side, zero = 0, f(into, 0), 0, False
                 else:
                     t = None
                     break
@@ -424,10 +441,14 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
                     continue
                 if side < 0:
                     down -= 1
-                    fdown = f(down) if down >= -c else None
+                    fdown = None
+                    if down >= -c:
+                        fdown = seen[down] if down in seen else f(into, down)
                 elif side:
                     up += 1
-                    fup = f(up) if up <= hi else None
+                    fup = None
+                    if up <= hi:
+                        fup = seen[up] if up in seen else f(into, up)
                 break
             step_walk[1:] = down, fdown, up, fup, zero
         else:
@@ -512,29 +533,6 @@ def _step_bound(acc, closes, opens, p):
             return v
 
     return bound
-
-
-def _cached(bound, into):
-    """bound(into, t) as a function of t, each value computed once."""
-    values = {}
-
-    def cached(t):
-        if t not in values:
-            values[t] = bound(into, t)
-        return values[t]
-
-    return cached
-
-
-def _least(f, lo, hi):
-    """The least minimiser over [lo, hi] of f, convex: where it stops falling."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if f(mid + 1) >= f(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 @dataclass(frozen=True)

@@ -109,14 +109,39 @@ class GapFactor:
         return (left > right) - (left < right)
 
     def floor(self) -> int:
-        """Exact integer floor of the value."""
-        n = 1
-        while self.cmp_power(n + 1, 1) <= 0:
-            n += 1
-        return n
+        """Exact integer floor of the value: a bisection on ``cmp_power``
+        between brackets taken from ``as_float``, widened if they miss."""
+        guess = int(self.as_float())
+        slack = guess >> 40
+        lo, hi = max(1, guess - slack), guess + slack + 1
+        if lo > 1 and self.cmp_power(lo, 1) > 0:
+            lo = 1  # the value is at least 1
+        while self.cmp_power(hi, 1) <= 0:
+            hi *= 2
+        # lo <= value < hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.cmp_power(mid, 1) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def as_float(self) -> float:
-        return math.exp(float(self.exponent) * math.log(float(self.base)))
+        """The value as a float; a value past the float range is refused.
+
+        A base past the float range is taken through the logarithms of its
+        numerator and denominator, which ``math.log`` reads as integers.
+        """
+        try:
+            ln = math.log(float(self.base))
+        except OverflowError:
+            ln = math.log(self.base.numerator) - math.log(self.base.denominator)
+        ln *= float(self.exponent)
+        try:
+            return math.exp(ln)
+        except OverflowError:
+            raise ProfileError(f"gap factor e**{ln:.1f} exceeds the float range") from None
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import kernels
@@ -243,10 +244,17 @@ class IndicatedView:
     def num_distinct_tuples(self) -> int:
         return len(self.tuple_multiplicity)
 
+    @cached_property
+    def symbols_by_variable(self) -> dict[int, tuple[int, ...]]:
+        """Each indicated variable's distinct symbols, ascending, grouped
+        in one pass over the (variable, symbol) pairs."""
+        grouped = {}
+        for x, a in sorted(self.tuple_multiplicity):
+            grouped.setdefault(x, []).append(a)
+        return {x: tuple(syms) for x, syms in grouped.items()}
+
     def distinct_symbols(self, var: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(a for (x, a) in self.tuple_multiplicity if x == var)
-        )
+        return self.symbols_by_variable.get(var, ())
 
 
 def indicated_view(v: Sequence[int], inst: GapSvpInstance) -> IndicatedView:
@@ -437,11 +445,8 @@ def extract_assignment(
     draws from a seeded generator and keeps the best draw.
     """
     csp = inst.csp
-    view = indicated_view(v, inst)
-    candidates = []
-    for x in range(csp.num_vars):
-        syms = view.distinct_symbols(x)
-        candidates.append(syms if syms else (0,))
+    by_variable = indicated_view(v, inst).symbols_by_variable
+    candidates = [by_variable.get(x, (0,)) for x in range(csp.num_vars)]
     combos = 1
     for c in candidates:
         combos *= len(c)

@@ -7,7 +7,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -777,13 +779,56 @@ def test_regularize_command(tmp_path, capsys):
         ["regularize", TOY1, "--beta", "1/0"],
         ["regularize", TOY1, "--beta", "x"],
         ["reduce", TOY1, "--out", "unused.basis", "--p", "foo"],
+        ["reduce", TOY1, "--out", "unused.basis", "--scale", "1_000_000"],
+        ["enumerate", "unused.basis", "--box", "\uff11"],
+        ["regularize", TOY1, "--beta", "1_0/2_0"],
+        ["regularize", TOY1, "--beta", "\uff11/2"],
+        ["reduce", TOY1, "--out", "unused.basis", "--p", "\uff13"],
+        ["selftest", "--seed", "1_0"],
     ],
-    ids=["beta-zero-denominator", "beta-not-a-fraction", "p-not-an-integer"],
+    ids=[
+        "beta-zero-denominator",
+        "beta-not-a-fraction",
+        "p-not-an-integer",
+        "scale-with-underscores",
+        "box-full-width",
+        "beta-with-underscores",
+        "beta-full-width",
+        "p-full-width",
+        "seed-with-underscore",
+    ],
 )
-def test_bad_option_values_exit_2(capsys, argv):
+def test_bad_option_values_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # a value wrongly accepted writes no file here
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_a_composite_prime_is_refused(tmp_path, capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin for every
+    # base 2..37; base 41 refuses it
+    code, out, err = run(
+        capsys, "reduce", TOY1, "--out", str(tmp_path / "x.basis"), *REDUCE_FLAGS,
+        "--prime", "318665857834031151167461",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: 318665857834031151167461 is not prime\n"
+    assert not (tmp_path / "x.basis").exists()
+
+
+@pytest.mark.parametrize("zeros", [400, 1000])
+@pytest.mark.parametrize("p", ["inf", "3"])
+def test_a_tiny_soundness_reduces_quickly_or_exits_2(tmp_path, capsys, zeros, p):
+    # soundness 1/10**zeros: float(1/soundness) overflowed at 400 zeros, and
+    # the gap factor's floor counted up to 10**10 at 1,000
+    src = tmp_path / "tiny.csp"
+    header = "csp 2 2 2 2\n"
+    src.write_text(Path(TOY1).read_text().replace(header, f"{header}s 1/1{'0' * zeros}\n"))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "reduce", str(src), "--out", str(tmp_path / "x.basis"), "--p", p)
+    assert time.perf_counter() - start < 1
+    assert code == 0 or (code == 2 and err.startswith("error: ")), err
 
 
 def test_regularize_to_stdout(capsys):
@@ -1009,7 +1054,10 @@ def test_regularize_refuses_a_right_degree_below_1(capsys, degree):
 
 # Option values of every kind: zero, negative, small, huge, fractional and
 # malformed.  Vectors and assignments are drawn from their own lists.
-_FUZZ_VALUES = ["0", "-1", "-3", "1", "2", "3", str(10**18), "1.5", "1/2", "x", "", "inf"]
+_FUZZ_VALUES = [
+    "0", "-1", "-3", "1", "2", "3", str(10**18), "1.5", "1/2", "x", "", "inf",
+    "1_0", "\uff11", "1_0/2", "\uff11/\uff12",
+]
 _FUZZ_VECTORS = ["1 0 -1", "0 0 0", "0 0", "1", "1 x", "", f"{10**18} 0 -1", "1.5 0 0"]
 # Each subcommand's positional arguments and required options (a value of
 # None is drawn), then its optional options.  enumerate always gets a small

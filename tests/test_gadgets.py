@@ -40,6 +40,49 @@ def test_is_prime_carmichael():
     assert is_prime(2_147_483_647)  # 2**31 - 1
 
 
+# psi_k: the least strong pseudoprime to the first k prime bases (Jaeschke
+# 1993; Sorenson and Webster 2015).  Each is composite, and a test that ran
+# only those k witnesses on it would call it prime.
+_PSI = {
+    4: 3_215_031_751,
+    5: 2_152_302_898_747,
+    6: 3_474_749_660_383,
+    7: 341_550_071_728_321,
+    9: 3_825_123_056_546_413_051,
+    12: 318_665_857_834_031_151_167_461,  # 399,165,290,221 * 798,330,580,441
+}
+
+
+@pytest.mark.parametrize("k", sorted(_PSI))
+def test_is_prime_refuses_the_strong_pseudoprimes_of_each_witness_prefix(k):
+    assert not is_prime(_PSI[k])
+
+
+@pytest.mark.parametrize(
+    "prime",
+    [
+        3_215_031_749,  # below psi_4
+        341_550_071_728_289,  # below psi_7
+        318_665_857_834_031_151_167_441,  # below psi_12
+        3_317_044_064_679_887_385_961_813,  # below psi_13, the largest prime tested
+    ],
+)
+def test_is_prime_accepts_a_prime_just_below_each_range_bound(prime):
+    assert is_prime(prime)
+
+
+def test_is_prime_refuses_moduli_past_psi_13():
+    with pytest.raises(ValueError):
+        is_prime(3_317_044_064_679_887_385_961_981)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-5, max_value=20_000))
+def test_is_prime_matches_trial_division(n):
+    expected = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+    assert is_prime(n) == expected
+
+
 def test_smallest_prime_geq():
     assert smallest_prime_geq(1) == 2
     assert smallest_prime_geq(8) == 11

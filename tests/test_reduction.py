@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -69,6 +70,52 @@ def test_gap_factor_trivial_base():
     g = GapFactor(Fraction(1), Fraction(1, 50))
     assert g.cmp_power(1, 1) == 0
     assert g.floor() == 1
+
+
+def _linear_floor(g):
+    """The gap factor's floor by counting up one integer at a time."""
+    n = 1
+    while g.cmp_power(n + 1, 1) <= 0:
+        n += 1
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.integers(0, 3),
+    st.integers(1, 8),
+)
+def test_gap_factor_floor_is_the_linear_count(num, den, en, ed):
+    assume(num >= den)
+    g = GapFactor(Fraction(num, den), Fraction(en, ed))
+    assert g.floor() == _linear_floor(g)
+
+
+@pytest.mark.parametrize("zeros", [300, 400, 1000])
+def test_gap_factor_floor_of_a_small_soundness_is_quick(zeros):
+    # 10**(zeros/100): counting up to it took 0.5 s at 500 zeros
+    g = GapFactor(Fraction(10**zeros), Fraction(1, 100))
+    start = time.perf_counter()
+    assert g.floor() == 10 ** (zeros // 100)
+    assert time.perf_counter() - start < 0.5
+    assert g.as_float() == pytest.approx(10 ** (zeros / 100))
+
+
+def test_gap_factor_past_the_float_range_is_refused():
+    # float(10**400) overflows, and so does the value itself
+    g = GapFactor(Fraction(10**400), Fraction(1))
+    with pytest.raises(ProfileError, match="exceeds the float range"):
+        g.as_float()
+    with pytest.raises(ProfileError, match="exceeds the float range"):
+        g.floor()
+
+
+def test_gap_factor_floor_at_the_largest_float():
+    # the float bracket around the largest float must not round to inf
+    top = int(sys.float_info.max)
+    assert GapFactor(Fraction(top), Fraction(1)).floor() == top
 
 
 def test_explicit_profile_values(toy1):

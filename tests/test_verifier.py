@@ -18,6 +18,7 @@ from svpforge.errors import BudgetExceededError, WitnessNotFoundError
 from svpforge.kernels import frontier_plan, rcm_order
 from svpforge.reduction import GapSvpInstance, derive_profile, reduce_csp
 from svpforge.verifier import (
+    IndicatedView,
     apply_coefficients,
     audit_vector,
     certifying_box,
@@ -606,6 +607,17 @@ def test_indicated_view(toy1_reduced):
     view = indicated_view((1, 1, 0), toy1_reduced)
     assert view.constraints == frozenset({0})
     assert view.distinct_symbols(0) == (0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 5)), st.integers(1, 4)))
+def test_symbols_by_variable_matches_the_per_variable_scan(multiplicity):
+    view = IndicatedView(frozenset(), multiplicity)
+    for x in range(14):
+        scan = tuple(sorted(a for (y, a) in multiplicity if y == x))
+        assert view.distinct_symbols(x) == scan
+        assert view.symbols_by_variable.get(x, ()) == scan
+    assert all(view.symbols_by_variable.values())
 
 
 def test_structural_facts_on_kernel_vector(toy1_reduced):
