@@ -21,10 +21,12 @@ the p=3 odd-cycle basis at scale 10**6 is the 12-row unsatisfiable basis
 max-norm 1 and report a state count that is its exact budget the same way:
 on M = 20 rows that each close a column at once, and on ``bench_pipeline``'s
 cyclic N=8 rung at support width 3, where open support columns let it enter
-1,731 states.  The kernel-support search must certify vm(13, 3) as given and
-scaled by 2**48 and 2**58, whose bounds pass 2**53 and 2**63 (scaling keeps
-the kernel), and the Gram check must pass the Hadamard matrices of orders 1
-to 128.  The last column names the arithmetic each certification product
+1,731 states.  The Vandermonde row build must give vm(101, 4) and
+vm(211, 3), each built afresh, as the ``pow`` definition ``i**j mod a``
+does.  The kernel-support search must certify vm(13, 3) as given and scaled
+by 2**48 and 2**58, whose bounds pass 2**53 and 2**63 (scaling keeps the
+kernel), and the Gram check must pass the Hadamard matrices of orders 1 to
+128.  The last column names the arithmetic each certification product
 ran, as ``kernels.exact_dtype`` picked it; the box and witness searches run
 in Python integers.
 """
@@ -262,6 +264,12 @@ def main():
         else:
             raise AssertionError(f"{name}: a budget of {states - 1} states did not refuse")
         print(rows_fmt.format(name, f"{dt*1e3:.1f} ms", f"python int, {states} states"))
+
+    shapes = ((101, 4), (211, 3))
+    dt, built = _time(lambda: [reduced_vandermonde(a, b).rows for a, b in shapes], args.repeat)
+    assert built == [tuple(tuple(pow(i, j, a) for j in range(b)) for i in range(1, a))
+                     for a, b in shapes], "vandermonde rows"
+    print(rows_fmt.format("vandermonde rows", f"{dt*1e3:.2f} ms", "python int"))
 
     rows = reduced_vandermonde(13, 3).rows
     for name, scale in (("", 1), (" x2^48", 2**48), (" x2^58", 2**58)):

@@ -89,8 +89,11 @@ class ReducedVandermonde:
     Rows are computed on demand: ``row(i)`` costs O(b) and ``num_rows`` costs
     nothing, so a caller that reads k rows pays for k rows, not for a-1.
     ``rows`` materializes the whole matrix on first access and caches it;
-    only the certification helpers, which sweep every row, need it.  Rows
-    passed to the constructor (a doctored matrix, say) are used as given.
+    only the certification helpers, which sweep every row, need it.  It
+    builds the matrix a column at a time, each column the one before it
+    times i, mod a (a running product, not a ``pow`` per entry), and
+    transposes once.  Rows passed to the constructor (a doctored matrix,
+    say) are used as given.
     """
 
     __slots__ = ("modulus", "width", "_rows")
@@ -124,7 +127,17 @@ class ReducedVandermonde:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Every row, built on first access and cached."""
         if self._rows is None:
-            self._rows = tuple(self.row(i) for i in range(self.modulus - 1))
+            a, b = self.modulus, self.width
+            if b < 1:
+                self._rows = ((),) * (a - 1)
+            else:
+                bases = range(1, a)
+                column = [1] * (a - 1)
+                columns = [column]
+                for _ in range(b - 1):
+                    column = [x * i % a for x, i in zip(column, bases)]
+                    columns.append(column)
+                self._rows = tuple(zip(*columns))
         return self._rows
 
 
@@ -156,14 +169,17 @@ def search_kernel_support_counterexample(
     Entries range over [-entry_bound, entry_bound].  Returns the first
     counterexample found or None; None is a certification over the whole box.
     Candidates are taken support size k ascending, supports in lexicographic
-    order, nonzero values in ``itertools.product`` order.  Each batch of
+    order, nonzero values in ``itertools.product`` order.  The value tuples
+    of size k are one table, the nonzero entries indexed by an
+    ``np.indices`` grid, with no Python tuple per candidate.  Each batch of
     supports of one size (about _KERNEL_CHUNK_CELLS candidates, so memory
     stays flat) is one (supports x k) by (k x value tuples) product per
     column of V; the columns' zero masks are combined with ``&``, and the
     first candidate whose image is zero on every column is a flat argmax.
     Every product and partial sum of size k is an integer of magnitude at
     most ``k * entry_bound * max|entry|``, and ``kernels.exact_dtype`` picks
-    the arithmetic from that bound.
+    the arithmetic from that bound.  Rows that are not exactly ``width``
+    long raise ``det_sweep``'s ValueError before any array is built.
     """
     import numpy as np  # only certification needs it; compiling and checking do not
 
@@ -174,13 +190,18 @@ def search_kernel_support_counterexample(
     )
     if work > budget:
         raise BudgetExceededError(f"{work} candidate vectors exceed budget {budget}")
+    if any(len(r) != vm.width for r in vm.rows):
+        raise ValueError("rows must be exactly width long")
     if not nonzero_entries:
         return None
     columns, maxabs = _integer_array(vm.rows)
     columns = columns.reshape(n, vm.width).T  # one row per column of V
     for k in range(1, min(max_support, n) + 1):
         dtype = kernels.exact_dtype(k * entry_bound * maxabs)
-        values = np.array(list(itertools.product(nonzero_entries, repeat=k)), dtype=dtype)
+        # row r of the grid holds the entry indices of value tuple r, the
+        # last index fastest: itertools.product order
+        grid = np.indices((len(nonzero_entries),) * k).reshape(k, -1).T
+        values = np.array(nonzero_entries, dtype=dtype)[grid]
         cols = columns.astype(dtype)
         chunk = max(1, _KERNEL_CHUNK_CELLS // len(values))
         supports = itertools.combinations(range(n), k)
@@ -225,13 +246,19 @@ class HadamardMatrix:
 
 
 def hadamard(k: int) -> HadamardMatrix:
-    """Order 2**k matrix from the recursion H_{i+1} = [[H_i, -H_i], [H_i, H_i]]."""
+    """Order 2**k matrix from the recursion H_{i+1} = [[H_i, -H_i], [H_i, H_i]].
+
+    The recursion carries -H_i = [[-H_i, H_i], [-H_i, -H_i]] beside H_i, so
+    each step only concatenates tuples and negates no entry."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rows = [[1]]
+    rows, negs = [(1,)], [(-1,)]
     for _ in range(k):
-        rows = [r + [-x for x in r] for r in rows] + [r + r for r in rows]
-    return HadamardMatrix(k, tuple(tuple(r) for r in rows))
+        rows, negs = (
+            [r + n for r, n in zip(rows, negs)] + [r + r for r in rows],
+            [n + r for r, n in zip(rows, negs)] + [n + n for n in negs],
+        )
+    return HadamardMatrix(k, tuple(rows))
 
 
 def hadamard_row(k: int, r: int) -> tuple[int, ...]:
@@ -250,17 +277,18 @@ def hadamard_gram_ok(h: HadamardMatrix) -> bool:
 
     Products of row blocks with H^T in the arithmetic ``kernels.exact_dtype``
     picks: every product and partial sum of a dot product of two rows is an
-    integer of magnitude at most ``width * max|entry|**2``.  A block takes
-    at most _GRAM_BLOCK_MULADDS multiply-adds.
+    integer of magnitude at most ``order * max|entry|**2``.  A block takes
+    at most _GRAM_BLOCK_MULADDS multiply-adds.  A matrix that is not
+    order x order, ragged rows included, fails before any array is built.
     """
     import numpy as np
 
     n = h.order
-    mat, maxabs = _integer_array(h.rows)
-    mat = mat.astype(kernels.exact_dtype(mat.shape[-1] * maxabs**2))
-    if len(mat) != n:
+    if len(h.rows) != n or any(len(r) != n for r in h.rows):
         return False
-    step = max(1, _GRAM_BLOCK_MULADDS // max(1, mat.size))
+    mat, maxabs = _integer_array(h.rows)
+    mat = mat.astype(kernels.exact_dtype(n * maxabs**2))
+    step = max(1, _GRAM_BLOCK_MULADDS // mat.size)
     for r in range(0, n, step):
         block = mat[r : r + step] @ mat.T
         # n on the diagonal and no other nonzero entry

@@ -130,7 +130,12 @@ def _det_sweep_slopes(rows, b):
     c < c', only when a < a* (for b = 3, never), so later batches keep only
     those prefixes, and the search ends when none are left.  Every batch
     works in the same two arrays, sized for the largest: fresh arrays would
-    cost a page fault per 4 KiB on every batch.
+    cost a page fault per 4 KiB on every batch.  A batch sorts its keys in
+    place, in the half of the work array that held X: only the sorted keys
+    are read, to flag prefixes, and ``_first_singular_pair`` projects a
+    flagged prefix afresh.  A prefix is flagged when two neighbours in its
+    row of keys are equal or its last key is NaN; one comparison runs over
+    the batch's rows end to end, and drops the pairs that straddle two rows.
     """
     import numpy as np  # only certification sweeps need it
 
@@ -149,8 +154,9 @@ def _det_sweep_slopes(rows, b):
     best = None
     while len(prefixes):
         lo = int(prefixes[0, -1]) + 1 if b > 2 else 0
-        batch, prefixes = np.split(prefixes, [max(1, _SLOPE_BATCH_CELLS // (n - lo))])
-        p, cells = len(batch), len(batch) * (n - lo)
+        m = n - lo
+        batch, prefixes = np.split(prefixes, [max(1, _SLOPE_BATCH_CELLS // m)])
+        p, cells = len(batch), len(batch) * m
         xy = work[: 2 * cells].reshape(2 * p, -1)
         mask = flags[:cells].reshape(p, -1)
         keys = _slope_keys(arr, arr[batch], lo, (0, 1), xy, mask)
@@ -160,11 +166,12 @@ def _det_sweep_slopes(rows, b):
             below = np.arange(lo, n)
             np.less_equal(below, batch[:, -1:], out=mask)
             np.copyto(keys, -(2.0**54) * (1 + below), where=mask)
-        ordered = xy[p:]
-        ordered[:] = keys
-        ordered.sort(axis=1)  # NaNs last
-        same = np.equal(ordered[:, 1:], ordered[:, :-1], out=flags[: cells - p].reshape(p, -1))
-        flagged = same.any(axis=1) | np.isnan(ordered[:, -1])
+        keys.sort(axis=1)  # NaNs last
+        # equal neighbours in one prefix's row (not across two), or a NaN
+        flat = keys.reshape(-1)
+        same = np.flatnonzero(np.equal(flat[1:], flat[:-1], out=flags[: cells - 1]))
+        flagged = np.isnan(keys[:, -1])
+        flagged[same[same % m != m - 1] // m] = True
         for i in np.flatnonzero(flagged).tolist():
             prefix = tuple(batch[i].tolist())
             if best is None or prefix < best[:-2]:

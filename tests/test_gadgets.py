@@ -114,6 +114,15 @@ def test_vandermonde_lazy_rows_match_materialized():
     assert big.row(1_000_000_005) == (1, 1_000_000_006, 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 6))
+def test_vandermonde_rows_match_the_pow_definition(a, b):
+    # modulus 1 and composites too, and width 0, whose rows are empty
+    want = tuple(tuple(pow(i, j, a) for j in range(b)) for i in range(1, a))
+    assert tuple(ReducedVandermonde(a, b).row(i) for i in range(a - 1)) == want
+    assert ReducedVandermonde(a, b).rows == want
+
+
 def test_vandermonde_explicit_rows_are_used_as_given():
     given = ((1, 1), (1, 1), (1, 2))
     positional = ReducedVandermonde(5, 2, given)
@@ -160,6 +169,14 @@ def test_kernel_support_counterexample_search():
     assert all(
         sum(x * row[j] for x, row in zip(v, bad.rows)) == 0 for j in range(2)
     )
+
+
+def test_kernel_support_refuses_ragged_rows():
+    ragged = ReducedVandermonde(5, 2, ((1, 1), (1,)))
+    with pytest.raises(ValueError, match="^rows must be exactly width long$"):
+        search_kernel_support_counterexample(ragged, 2, 2)
+    with pytest.raises(ValueError, match="^rows must be exactly width long$"):
+        first_singular_submatrix(ragged)
 
 
 def test_kernel_search_budget():
@@ -385,6 +402,11 @@ def test_hadamard_gram_on_doctored_rows():
         tuple(2 * (i == j) for j in range(4)) for i in range(4)
     )))
     assert not hadamard_gram_ok(HadamardMatrix(2, hadamard(2).rows[:3] + ((1, 1, 1, -1),)))
+    # a short last row, a fifth row, and order-4 rows padded to 5 columns
+    # (orthogonal, squared norms 4) are not an order-4 matrix
+    assert not hadamard_gram_ok(HadamardMatrix(2, hadamard(2).rows[:3] + ((1, 1, 1),)))
+    assert not hadamard_gram_ok(HadamardMatrix(2, hadamard(2).rows + ((1, 1, 1, 1),)))
+    assert not hadamard_gram_ok(HadamardMatrix(2, tuple(r + (0,) for r in hadamard(2).rows)))
     # each squared row norm is 2 * 2**64 + 2, which int64 would wrap to 2
     a, b = 2**32 + 1, 2**32 - 1
     assert not hadamard_gram_ok(HadamardMatrix(1, ((a, b), (-b, a))))
