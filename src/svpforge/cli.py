@@ -158,9 +158,7 @@ def cmd_reduce(args) -> int:
         overrides["scale"] = args.scale
     if args.prime is not None:
         overrides["prime"] = args.prime
-    mode = args.mode
-    if mode is None:
-        mode = "explicit" if overrides else "asymptotic-default"
+    mode = "explicit" if overrides else "asymptotic-default"
     prof = derive_profile(inst, p=args.p, mode=mode, **overrides)
     out = reduce_csp(inst, prof)
     basis_path, sidecar_path = basisio.save_instance(out, args.out, seed=args.seed)
@@ -210,7 +208,7 @@ def cmd_enumerate(args) -> int:
 def cmd_extract(args) -> int:
     inst = basisio.load_instance(args.basis)
     v = _parse_ints(args.vector)
-    res = extract_assignment(v, inst, mode=args.mode, seed=args.seed)
+    res = extract_assignment(v, inst, seed=args.seed)
     print("assignment:", " ".join(str(x) for x in res.assignment))
     print(f"satisfied fraction: {res.fraction}")
     print(f"mode: {res.mode}, seed: {res.seed}, candidates: {res.combinations}")
@@ -386,11 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--out", required=True, help="basis output path")
     sp.add_argument("--p", type=_parse_p, default="inf", help="norm index or 'inf'")
-    sp.add_argument(
-        "--mode",
-        choices=("asymptotic-default", "explicit"),
-        help="default: explicit when any knob is overridden",
-    )
     sp.add_argument("--b-var", dest="b_var", type=_parse_int, help="consistency block width")
     sp.add_argument("--b-x", dest="b_x", type=_parse_int, help="support block width")
     sp.add_argument("--scale", type=_parse_int, help="scaling factor for the exact blocks")
@@ -420,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("extract", help="round a coefficient vector to an assignment")
     sp.add_argument("basis")
     sp.add_argument("--vector", required=True, help="coefficients, space separated")
-    sp.add_argument("--mode", default="auto", choices=("auto", "exhaustive", "sampled"))
     sp.add_argument("--seed", type=_parse_int, default=0)
     sp.set_defaults(func=cmd_extract)
 

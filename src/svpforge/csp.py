@@ -26,6 +26,11 @@ from .errors import BudgetExceededError, CspParseError, CspValidationError
 
 DEFAULT_ASSIGNMENT_BUDGET = 1 << 21
 DEFAULT_MATRIX_CELL_BUDGET = 1 << 24
+# Most variables an instance may have: a per-variable table (``degrees``)
+# is built for every instance, and 2**22 is past what ``reduce`` (bounded
+# by its cell budget) or ``regularize`` (bounded by its scope entries) can
+# build.
+MAX_VARIABLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -109,26 +114,12 @@ class CspInstance:
                 counts[x] += 1
         return tuple(counts)
 
-    @property
-    def degree(self) -> Optional[int]:
-        """The common variable degree, or None when the instance is irregular."""
-        degs = set(self.degrees())
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    @property
-    def randomness_bits(self) -> Optional[int]:
-        """log2 of the constraint count, exact powers of two only."""
-        m = self.num_constraints
-        if m >= 1 and m & (m - 1) == 0:
-            return m.bit_length() - 1
-        return None
-
 
 def _check_shape(n: int, sigma: int, q: int) -> None:
     if n < 1:
         raise CspValidationError("need at least one variable")
+    if n > MAX_VARIABLES:
+        raise CspValidationError(f"{n} variables exceed the limit of {MAX_VARIABLES}")
     if sigma < 1:
         raise CspValidationError("alphabet must be nonempty")
     if q < 1:
@@ -262,7 +253,8 @@ def parse_csp(text: str) -> CspInstance:
     to its tuple, and a later line with the same text, which the one header
     makes valid too, pays only for the constraint's duplicate check.  The
     instance is built from the checked values without checking them again;
-    only its shape (N, SIGMA, q at least 1) is checked at the end.
+    only its shape (N, SIGMA, q at least 1) is checked at the end.  An N past
+    MAX_VARIABLES is refused at the header, naming its line.
 
     Directive text is ASCII without '_': ``int`` and ``Fraction`` would
     also read digits outside ASCII and '_' between digits (``1_0`` as 10).
@@ -333,6 +325,8 @@ def parse_csp(text: str) -> CspInstance:
                 header = n, _m, q, sigma = tuple(map(int, args))
             except ValueError:
                 raise _bad_token(args, lineno) from None
+            if n > MAX_VARIABLES:
+                raise CspParseError(f"{n} variables exceed the limit of {MAX_VARIABLES}", lineno)
         elif kind == "s":
             if header is None:
                 raise CspParseError("soundness tag before header", lineno)

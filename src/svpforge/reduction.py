@@ -241,7 +241,8 @@ def derive_profile(
         raise ProfileError("the reduction needs arity >= 2")
     report = validate_regular(inst)
     if not report.is_regular:
-        raise ProfileError(f"instance is irregular (degrees {report.degrees})")
+        degs = ",".join(map(str, sorted(set(report.degrees))))
+        raise ProfileError(f"instance is irregular (distinct degrees: {degs})")
     d = report.degree
     m, n, q, sigma = (
         inst.num_constraints,
@@ -491,16 +492,6 @@ class GapSvpInstance:
     def spread_span(self) -> tuple[int, int]:
         lo = self.profile.consistency_cols + self.profile.support_cols
         return lo, self.profile.nprime
-
-    def consistency_col_span(self, var: int, symbol: int) -> tuple[int, int]:
-        w = self.profile.consistency_width
-        base = (var * self.profile.alphabet_size + symbol) * w
-        return base, base + w
-
-    def spread_col_span(self, constraint: int) -> tuple[int, int]:
-        per = self.profile.spread_cols_per_constraint
-        lo = self.spread_span[0] + constraint * per
-        return lo, lo + per
 
 
 def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:

@@ -253,9 +253,6 @@ class IndicatedView:
             grouped.setdefault(x, []).append(a)
         return {x: tuple(syms) for x, syms in grouped.items()}
 
-    def distinct_symbols(self, var: int) -> tuple[int, ...]:
-        return self.symbols_by_variable.get(var, ())
-
 
 def indicated_view(v: Sequence[int], inst: GapSvpInstance) -> IndicatedView:
     if len(v) != inst.num_rows:
@@ -432,7 +429,6 @@ class ExtractionResult:
 def extract_assignment(
     v: Sequence[int],
     inst: GapSvpInstance,
-    mode: str = "auto",
     seed: int = 0,
     exhaustive_budget: int = DEFAULT_EXHAUSTIVE_COMBOS,
     samples: int = DEFAULT_SAMPLES,
@@ -440,9 +436,11 @@ def extract_assignment(
     """Round a coefficient vector to an assignment.
 
     Per variable, candidates are the symbols its indicated tuples mention
-    (falling back to symbol 0 when none).  Exhaustive mode scans the whole
-    product and returns the lexicographically smallest optimum; sampled mode
-    draws from a seeded generator and keeps the best draw.
+    (falling back to symbol 0 when none).  When the candidate product has
+    at most ``exhaustive_budget`` assignments it is scanned whole and the
+    lexicographically smallest optimum is returned; otherwise ``samples``
+    draws from a generator seeded with ``seed`` are made and the best draw
+    is kept.  The result's ``mode`` says which ran.
     """
     csp = inst.csp
     by_variable = indicated_view(v, inst).symbols_by_variable
@@ -451,31 +449,24 @@ def extract_assignment(
     for c in candidates:
         combos *= len(c)
 
-    if mode == "auto":
-        mode = "exhaustive" if combos <= exhaustive_budget else "sampled"
-    if mode == "exhaustive" and combos > exhaustive_budget:
-        raise BudgetExceededError(
-            f"{combos} candidate assignments exceed budget {exhaustive_budget}"
-        )
-
     best = Fraction(-1)
     best_assignment = None
-    if mode == "exhaustive":
+    if combos <= exhaustive_budget:
+        mode = "exhaustive"
         for values in itertools.product(*candidates):
             frac = evaluate(csp, values)
             if frac > best:
                 best, best_assignment = frac, values
                 if best == 1:
                     break
-    elif mode == "sampled":
+    else:
+        mode = "sampled"
         rng = random.Random(seed)
         for _ in range(samples):
             values = tuple(rng.choice(c) for c in candidates)
             frac = evaluate(csp, values)
             if frac > best:
                 best, best_assignment = frac, values
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return ExtractionResult(
         assignment=best_assignment,
         fraction=best,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from svpforge import basisio, cli
 from svpforge.cli import main
-from svpforge.csp import emit_csp, parse_csp
+from svpforge.csp import MAX_VARIABLES, emit_csp, parse_csp
 from svpforge.errors import SvpforgeError
 from svpforge.reduction import derive_profile, reduce_csp
 
@@ -101,6 +101,66 @@ def test_reduce_is_deterministic(tmp_path, capsys):
     b_json = json.loads((tmp_path / "b.basis.json").read_text())
     a_json.pop("basis_file"), b_json.pop("basis_file")
     assert a_json == b_json
+
+
+@pytest.mark.parametrize(
+    "knobs,mode",
+    [
+        ([], "asymptotic-default"),
+        (["--p", "3", "--seed", "5"], "asymptotic-default"),
+        (["--b-var", "1"], "explicit"),
+        (["--b-x", "1"], "explicit"),
+        (["--scale", "1000000"], "explicit"),
+        (["--prime", "67"], "explicit"),
+    ],
+)
+def test_reduce_labels_the_mode_explicit_exactly_when_a_knob_is_given(
+    tmp_path, capsys, knobs, mode
+):
+    basis = tmp_path / "toy1.basis"
+    assert run(capsys, "reduce", TOY1, "--out", str(basis), *knobs)[0] == 0
+    payload = json.loads((tmp_path / "toy1.basis.json").read_text())
+    assert payload["profile"]["mode"] == mode
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", TOY1, "--out", "{dir}/out.basis", "--mode", "explicit"],
+        ["extract", "{basis}", "--vector", "1 0 -1", "--mode", "exhaustive"],
+    ],
+)
+def test_mode_is_not_an_option(fuzz_files, capsys, argv):
+    # reduce labels the mode from the knobs given, extract from the
+    # candidate count; neither takes it as an option
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**fuzz_files) for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+HUGE_HEADER = f"csp {10**20} 1 2 2\ncon 0 1\nacc 0 0\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "reduce", "regularize"])
+def test_a_huge_variable_count_is_refused_at_the_header(tmp_path, capsys, command):
+    # ``degrees`` sizes a table from the header's N, so N is refused at the
+    # header, with exit 2 and no traceback, asserts stripped or not
+    csp = tmp_path / "huge.csp"
+    csp.write_text(HUGE_HEADER)
+    argv = [command, str(csp)]
+    if command == "reduce":
+        argv += ["--out", str(tmp_path / "out.basis")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: line 1: {10**20} variables exceed the limit of {MAX_VARIABLES}\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "svpforge.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+    assert not (tmp_path / "out.basis").exists()
 
 
 def test_basis_round_trip(tmp_path, capsys):
@@ -1070,11 +1130,11 @@ _FUZZ_COMMANDS = {
     ),
     "reduce": (
         ["{csp}", "--out", "{dir}/out.basis"],
-        ["--p", "--mode", "--b-var", "--b-x", "--scale", "--prime", "--seed"],
+        ["--p", "--b-var", "--b-x", "--scale", "--prime", "--seed"],
     ),
     "witness": (["{basis}", "--assignment", None], ["--budget"]),
     "enumerate": (["{basis}", "--budget", "1000"], ["--box", "--p"]),
-    "extract": (["{basis}", "--vector", None], ["--mode", "--seed"]),
+    "extract": (["{basis}", "--vector", None], ["--seed"]),
     "audit": (["{basis}", "--vector", None], []),
     "selftest": ([], ["--seed"]),
 }
@@ -1089,10 +1149,7 @@ def _cli_argv(draw):
         argv.append(draw(st.sampled_from(_FUZZ_VECTORS)) if arg is None else arg)
     for option in optional:
         if draw(st.booleans()):
-            values = _FUZZ_VALUES
-            if option == "--mode":
-                values = values + ["explicit", "asymptotic-default", "exhaustive", "sampled"]
-            argv += [option, draw(st.sampled_from(values))]
+            argv += [option, draw(st.sampled_from(_FUZZ_VALUES))]
     return argv
 
 

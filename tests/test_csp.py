@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svpforge.csp import (
+    MAX_VARIABLES,
     Constraint,
     CspInstance,
     candidate_rows,
@@ -68,6 +69,8 @@ def test_emit_omits_trivial_soundness(toy1):
         # the other shape checks the parser leaves to the end
         ("csp 0 0 2 2\n", "need at least one variable", False),
         ("csp 2 0 2 0\n", "alphabet must be nonempty", False),
+        # N is bounded at the header, before any line reads it
+        (f"csp {10**20} 1 2 2\ncon 0 1\n", f"line 1: {10**20} variables exceed the limit", True),
         # int() and Fraction() read '1_0' as 10 and a full-width digit as its value
         ("csp 2 1 2 2\ncon 0 1_0\n", "line 2: bad token '1_0': directives are ASCII", True),
         ("csp 1_1 1 2 2\n", "line 1: bad token '1_1'", True),
@@ -135,6 +138,10 @@ def _reference_parse_csp(text):
             if len(args) != 4:
                 raise CspParseError("header needs exactly N M q SIGMA", lineno)
             header = tuple(int_token(a, lineno) for a in args)
+            if header[0] > MAX_VARIABLES:
+                raise CspParseError(
+                    f"{header[0]} variables exceed the limit of {MAX_VARIABLES}", lineno
+                )
         elif kind == "s":
             if header is None:
                 raise CspParseError("soundness tag before header", lineno)
@@ -258,6 +265,7 @@ def _csp_texts(draw):
 @example("csp 2 1 2 2\ncon 0 1\nacc 0 -1\n")
 @example("csp 2 1 2 2\ncon 2 1\n")
 @example("csp 1 1 0 1\ncon\nacc\n")
+@example("csp 4194305 1 2 2\ncon 0 1\n")
 @example("csp 1 1 0 1\ncon\nacc\nacc\n")  # the arity-0 tuple () repeated
 @example("csp 1 2 0 1\ncon\nacc\ncon\nacc\n")
 @example("csp 2 1 2 2\nacc 0 0\nacc 0 0\ncon 0 1\n")  # repeated before any con
@@ -361,12 +369,10 @@ def test_degrees_and_regularity(toy1):
     assert report.degrees == (2, 1, 1)
 
 
-def test_randomness_bits(toy1):
-    assert toy1.randomness_bits == 1
-    three = parse_csp(
-        "csp 2 3 2 2\ncon 0 1\nacc 0 0\ncon 0 1\nacc 0 0\ncon 0 1\nacc 0 0\n"
-    )
-    assert three.randomness_bits is None
+def test_the_variable_bound_holds_on_both_construction_paths():
+    assert parse_csp(f"csp {MAX_VARIABLES} 0 2 2\n").num_vars == MAX_VARIABLES
+    with pytest.raises(CspValidationError, match=f"^{MAX_VARIABLES + 1} variables exceed"):
+        CspInstance(num_vars=MAX_VARIABLES + 1, alphabet_size=2, arity=2, constraints=())
 
 
 def test_evaluate(toy1):

@@ -173,6 +173,15 @@ def test_profile_rejections(toy1):
         derive_profile(toy1, consistency_width=3)  # exceeds degree 2
 
 
+def test_an_irregular_profile_names_the_distinct_degrees():
+    # one constraint over 1,000 variables: the message names degrees 0 and 1,
+    # not a tuple with an entry per variable
+    spread = parse_csp("csp 1000 1 2 2\ncon 0 1\nacc 0 0\n")
+    with pytest.raises(ProfileError) as exc:
+        derive_profile(spread)
+    assert str(exc.value) == "instance is irregular (distinct degrees: 0,1)"
+
+
 def test_tuple_rank():
     assert tuple_rank((0, 0), 2) == 0
     assert tuple_rank((1, 0), 2) == 2
@@ -224,8 +233,13 @@ def test_spans_and_groups(toy1_reduced):
     assert inst.consistency_span == (0, 4)
     assert inst.support_span == (4, 5)
     assert inst.spread_span == (5, 13)
-    assert inst.consistency_col_span(1, 0) == (2, 3)
-    assert inst.spread_col_span(1) == (9, 13)
+    # variable 1's symbol 0 owns consistency column (1 * 2 + 0) * 1, and
+    # constraint 1 owns the second run of 4 spread columns
+    prof = inst.profile
+    assert (1 * prof.alphabet_size + 0) * prof.consistency_width == 2
+    per = prof.spread_cols_per_constraint
+    assert per == 4
+    assert inst.spread_span[0] + 1 * per == 9
 
 
 def test_spread_block_padding():

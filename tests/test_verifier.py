@@ -317,7 +317,7 @@ def _doctored(images):
     for t, image in enumerate(images):
         row = [0] * out.num_cols
         row[0] = image
-        row[out.spread_col_span(t)[0]] = 1
+        row[out.spread_span[0] + t * out.profile.spread_cols_per_constraint] = 1
         basis.append(tuple(row))
     return replace(out, rows=sparse_rows(basis))
 
@@ -601,12 +601,11 @@ def test_indicated_view(toy1_reduced):
     assert view.tuple_multiplicity == {(0, 0): 2, (1, 0): 2}
     assert view.num_constraints == 2
     assert view.num_distinct_tuples == 2
-    assert view.distinct_symbols(0) == (0,)
-    assert view.distinct_symbols(1) == (0,)
+    assert view.symbols_by_variable == {0: (0,), 1: (0,)}
 
     view = indicated_view((1, 1, 0), toy1_reduced)
     assert view.constraints == frozenset({0})
-    assert view.distinct_symbols(0) == (0, 1)
+    assert view.symbols_by_variable == {0: (0, 1), 1: (0, 1)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -615,7 +614,6 @@ def test_symbols_by_variable_matches_the_per_variable_scan(multiplicity):
     view = IndicatedView(frozenset(), multiplicity)
     for x in range(14):
         scan = tuple(sorted(a for (y, a) in multiplicity if y == x))
-        assert view.distinct_symbols(x) == scan
         assert view.symbols_by_variable.get(x, ()) == scan
     assert all(view.symbols_by_variable.values())
 
@@ -761,22 +759,16 @@ def test_extract_lex_smallest_optimum(unsat_reduced):
 
 
 def test_extract_sampled_is_deterministic(unsat_reduced):
-    a = extract_assignment((1, 1, 1, 1), unsat_reduced, mode="sampled", seed=11)
-    b = extract_assignment((1, 1, 1, 1), unsat_reduced, mode="sampled", seed=11)
+    a = extract_assignment((1, 1, 1, 1), unsat_reduced, seed=11, exhaustive_budget=3)
+    b = extract_assignment((1, 1, 1, 1), unsat_reduced, seed=11, exhaustive_budget=3)
     assert a == b
     assert a.mode == "sampled" and a.seed == 11
 
 
-def test_extract_exhaustive_budget(unsat_reduced):
-    with pytest.raises(BudgetExceededError):
-        extract_assignment(
-            (1, 1, 1, 1), unsat_reduced, mode="exhaustive", exhaustive_budget=3
-        )
-
-
 def test_extract_auto_switches_to_sampled(unsat_reduced):
-    res = extract_assignment(
-        (1, 1, 1, 1), unsat_reduced, mode="auto", exhaustive_budget=3, seed=5
-    )
+    # 4 candidate assignments: exhaustive at a budget of 4, sampled below it
+    exhaustive = extract_assignment((1, 1, 1, 1), unsat_reduced, exhaustive_budget=4)
+    assert exhaustive.mode == "exhaustive"
+    res = extract_assignment((1, 1, 1, 1), unsat_reduced, exhaustive_budget=3, seed=5)
     assert res.mode == "sampled"
     assert res.fraction <= Fraction(1, 2)
