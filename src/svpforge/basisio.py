@@ -18,9 +18,9 @@ mismatch message is found from.
 The sidecar's instance and profile knobs fix both files: ``load_instance``
 rebuilds the reduction and accepts the pair only when each file is, byte for
 byte, what ``save_instance`` writes for it (the sidecar's ``basis_file`` and
-``seed`` aside).  Both files are ASCII, written and compared as bytes, never
-decoded with the platform's newline translation: a file whose newlines were
-rewritten to CRLF, or that holds any byte outside ASCII, is refused.
+``seed`` aside), reading the basis file once, forward, no further than the
+first row that differs.  Both files are ASCII, compared as bytes, never
+decoded with newline translation: CRLF newlines or a non-ASCII byte are refused.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .csp import CspInstance, emit_csp, parse_csp
 from .errors import ProfileError, SvpforgeError
@@ -50,8 +50,8 @@ FORMAT_VERSION = 1
 
 _ROW_RE = re.compile(r"\[([^\[\]]*)\]")
 
-# save_instance's write unit; open()'s default is the file system's block
-# size (st_blksize, often 4096 bytes), about one write per row of a large basis
+# the write unit of save_instance and the read unit of load_instance; open()'s
+# default is st_blksize (often 4096 bytes), about one call per row of a large basis
 WRITE_BUFFER = 64 * 1024
 
 
@@ -63,11 +63,11 @@ def emit_basis(rows: Sequence[Sequence], width: Optional[int] = None) -> str:
     ascending and below ``width``, values nonzero, as ``GapSvpInstance.rows``
     does.  The text is the same as joining ``str`` of every entry of the
     dense rows; it is the ``_basis_pieces`` that ``save_instance`` writes and
-    ``load_instance`` compares, joined and decoded.  Called without a width,
-    ``rows`` are dense rows of one width, every entry listed, and are reduced
-    to their entries first.  A basis of more than ``CELL_BUDGET`` rows x
+    ``load_instance`` reads against, joined and decoded.  Called without a
+    width, ``rows`` are dense rows of one width, every entry listed, and are
+    reduced to their entries first.  A basis of more than ``CELL_BUDGET`` rows x
     width cells is refused before any text is built, which bounds what
-    ``save_instance`` writes and ``load_instance`` compares.
+    ``save_instance`` writes and ``load_instance`` reads.
     """
     if width is None and rows:
         width = len(rows[0])
@@ -367,12 +367,10 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
     sidecar's ``basis_file`` and ``seed`` are the only free fields, so a pair
     renamed together still loads.  Files are read as bytes and never decoded
     with newline translation, so CRLF newlines or a byte outside ASCII are
-    refused.  The basis bytes are compared with the rebuilt rows one emitted
-    row at a time, so no second copy of the basis is held beside the file's;
-    they are parsed only to report a mismatch.  A basis file too short or too
-    long for any basis of the sidecar's shape is refused from its size,
-    before the rebuild and before it is read; one that grows after that
-    check is refused after reading one byte past its checked size.
+    refused.  The basis file is compared with the rebuilt rows one emitted
+    piece at a time, and read no further than the first piece that differs,
+    whose line alone names the mismatch, or one byte past its closing bracket.
+    A file too short for the sidecar's shape is refused before the rebuild.
     """
     basis_path = Path(basis_path)
     if sidecar_path is None:
@@ -402,62 +400,61 @@ def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
         raise SvpforgeError("sidecar 'csp' must be the instance text")
     csp = parse_csp(payload["csp"])
     prof = profile_from_json(payload["profile"], csp)
-    size = basis_path.stat().st_size
     rows = sum(len(con.accepted_set) for con in csp.constraints)
     if rows == 0:
         raise SvpforgeError("the sidecar's instance accepts no tuple, so it has no basis")
-    # An emitted row takes at least 2 * nprime + 1 bytes, and at most
-    # nprime entries of at most len(str(-max_abs_entry)) bytes each, separated
-    # by spaces, inside "[" and "]\n"; the outer pair adds 3.
-    # Refusing a shorter file before the rebuild keeps a small file next to
-    # a large sidecar cheap, and refusing a longer one before it is read
-    # keeps a huge file from being read at all.  The read stops one byte
-    # past the checked size, so a file that grows during the rebuild is
-    # refused, not read whole.
-    shape = f"the {rows} x {prof.nprime} basis its sidecar describes"
-    if size < rows * (2 * prof.nprime + 1):
-        raise SvpforgeError(f"basis file is too short for {shape}")
-    longest = len(str(-prof.max_abs_entry))
-    if size > rows * (prof.nprime * (longest + 1) + 3) + 3:
-        raise SvpforgeError(f"basis file is too long for {shape}")
+    # an emitted row takes at least 2 * nprime + 1 bytes
+    if basis_path.stat().st_size < rows * (2 * prof.nprime + 1):
+        raise SvpforgeError(
+            f"basis file is too short for the {rows} x {prof.nprime} basis its sidecar describes"
+        )
     basis_file, seed = payload.get("basis_file"), payload.get("seed")
     if not isinstance(basis_file, str):
         raise SvpforgeError(f"sidecar 'basis_file' must be a string, got {basis_file!r}")
     if seed is not None and type(seed) is not int:
         raise SvpforgeError(f"sidecar 'seed' must be an integer or null, got {seed!r}")
     out = reduce_csp(csp, prof)
-    with basis_path.open("rb") as f:
-        data = f.read(size + 1)  # read(n) allocates n bytes before it reads
-    if len(data) > size:
-        raise SvpforgeError(f"basis file grew past the {size} bytes its size check saw")
-    if not _is_concatenation(data, _basis_pieces(out.rows, out.num_cols)):
-        # a byte outside ASCII becomes U+FFFD, which no integer or bracket is
-        text = data.decode("ascii", errors="replace")
-        raise SvpforgeError(_basis_mismatch(parse_basis(text), out.rows, out.num_cols))
+    with basis_path.open("rb", buffering=WRITE_BUFFER) as f:
+        for r, piece in enumerate(_basis_pieces(out.rows, out.num_cols), -1):
+            got = f.read(len(piece))
+            if got != piece:
+                raise SvpforgeError(_basis_mismatch(f, got, r, out))
+        if f.read(1):
+            raise SvpforgeError(
+                "basis text is not laid out as emit_basis writes it: "
+                "bytes follow its closing bracket"
+            )
     if sidecar != sidecar_text(out, basis_file, seed):
         raise SvpforgeError(_sidecar_mismatch(payload, sidecar_json(out, basis_file, seed)))
     return out
 
 
-def _is_concatenation(data: bytes, pieces: Iterable[bytes]) -> bool:
-    """Whether ``data`` is the pieces joined, checked one piece at a time."""
-    pos = 0
-    for piece in pieces:
-        if not data.startswith(piece, pos):
-            return False
-        pos += len(piece)
-    return pos == len(data)
-
-
-def _basis_mismatch(rows, expected, width) -> str:
-    """Why parsed dense ``rows`` are not the ``width``-column basis whose
-    rows have the (column, value) entries ``expected``."""
-    for r, (got, want) in enumerate(zip(rows, expected)):
-        if len(got) != width or tuple((j, x) for j, x in enumerate(got) if x) != want:
-            return f"basis row {r} is not row {r} of the sidecar's reduction"
-    if len(rows) != len(expected):
-        return f"basis has {len(rows)} rows; the sidecar's reduction has {len(expected)}"
-    return "basis text is not laid out as emit_basis writes it"
+def _basis_mismatch(f, got: bytes, r: int, out: GapSvpInstance) -> str:
+    """Why ``got``, read from ``f`` where ``save_instance`` writes row ``r``
+    of ``out`` (-1 for the opening bracket, ``len(out.rows)`` for the closing
+    one), is not that piece: the rest of its line, at most one row's longest
+    line, is read and parsed alone."""
+    n = len(out.rows)
+    if b"\n" not in got:
+        got += f.readline(out.num_cols * (len(str(-out.profile.max_abs_entry)) + 1) + 3 - len(got))
+    # a byte outside ASCII becomes U+FFFD, which no integer or bracket is
+    line = got.split(b"\n", 1)[0].decode("ascii", errors="replace").strip()
+    if r < 0 or (r == n and line.startswith("]")):
+        return "basis text is not laid out as emit_basis writes it"
+    if line.startswith("]"):
+        return f"basis has {r} rows; the sidecar's reduction has {n}"
+    m = _ROW_RE.fullmatch(line)
+    if m is None:
+        return "unexpected text between basis rows"
+    try:
+        row = tuple(int(tok) for tok in m.group(1).split())
+    except ValueError:
+        return f"non-integer basis entry in row {r}"
+    if r == n:
+        return f"basis has more than {n} rows; the sidecar's reduction has {n}"
+    if len(row) == out.num_cols and tuple((j, x) for j, x in enumerate(row) if x) == out.rows[r]:
+        return "basis text is not laid out as emit_basis writes it"
+    return f"basis row {r} is not row {r} of the sidecar's reduction"
 
 
 def _sidecar_mismatch(payload: dict, expected: dict) -> str:

@@ -29,7 +29,7 @@ from .gadgets import (
     search_kernel_support_counterexample,
 )
 from .reduction import derive_profile, reduce_csp
-from .regularize import RegularizeParams, lineage_json, regularize
+from .regularize import RegularizeParams, lineage_json, occurring_degrees, regularize
 from .verifier import (
     DEFAULT_BOX_BUDGET,
     DEFAULT_WITNESS_BUDGET,
@@ -118,6 +118,7 @@ def cmd_validate(args) -> int:
 
 def cmd_regularize(args) -> int:
     inst = _read_csp(args.file)
+    occurring_degrees(inst)  # regularize's refusal, before any default is derived
     overrides = {}
     if args.duplication is not None:
         overrides["duplication"] = args.duplication

@@ -204,11 +204,6 @@ class ReductionProfile:
         return GapFactor(1 / self.soundness, exponent)
 
     @property
-    def threshold(self) -> tuple[int, Optional[int]]:
-        """The length threshold (N')**(1/p), symbolically as (N', p)."""
-        return self.nprime, self.p
-
-    @property
     def threshold_power(self) -> int:
         """threshold**p for finite p; the threshold itself (exactly 1) for max-norm."""
         if self.p is None:
@@ -239,6 +234,10 @@ def derive_profile(
         raise ProfileError(f"unknown mode {mode!r}")
     if inst.arity < 2:
         raise ProfileError("the reduction needs arity >= 2")
+    if not inst.constraints:
+        # before the row count m * sigma**q is formed: with no constraints
+        # the arity q is bounded by nothing
+        raise ProfileError("the reduction needs at least one constraint")
     report = validate_regular(inst)
     if not report.is_regular:
         degs = ",".join(map(str, sorted(set(report.degrees))))

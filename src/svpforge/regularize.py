@@ -256,6 +256,16 @@ def _search_certified(a, b, w, f, delta, beta):
     return None
 
 
+def occurring_degrees(inst: CspInstance) -> tuple[int, ...]:
+    """The variables' degrees, refused if one occurs in no constraint, as
+    ``regularize`` refuses it.  With no constraints nothing bounds the arity
+    q, and the default beta takes a root of 64**(2q): call this first."""
+    degrees = inst.degrees()
+    if 0 in degrees:
+        raise RegularizeError(f"variable {degrees.index(0)} occurs in no constraint")
+    return degrees
+
+
 def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
     """Full regularization; the output passes validate_regular exactly."""
     q = inst.arity
@@ -263,7 +273,7 @@ def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
     _warn_on_weak_soundness(inst.soundness, q, sigma)
     # the output reads one copy per disperser edge: duplication * degree(x)
     # left vertices of degree spread for each variable x
-    entries = params.duplication * sum(inst.degrees()) * params.spread
+    entries = params.duplication * sum(occurring_degrees(inst)) * params.spread
     if entries > MAX_SCOPE_ENTRIES:
         raise RegularizeError(
             f"the regularized instance would have {entries} scope entries, "
@@ -272,9 +282,6 @@ def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
 
     dup, con_lineage = duplicate_constraints(inst, params.duplication)
     degrees = dup.degrees()
-    if min(degrees) == 0:
-        bad = degrees.index(0)
-        raise RegularizeError(f"variable {bad} occurs in no constraint")
 
     w = params.spread
     fprime = params.right_degree

@@ -163,6 +163,33 @@ def test_a_huge_variable_count_is_refused_at_the_header(tmp_path, capsys, comman
     assert not (tmp_path / "out.basis").exists()
 
 
+@pytest.mark.parametrize("command", ["reduce", "regularize"])
+@pytest.mark.parametrize(
+    "header", [f"csp 1 0 {10**20} 2\n", f"csp 1 0 {10**20} 2\ns 1/2\n", "csp 2 0 2 2\n"]
+)
+def test_a_header_with_no_constraints_is_refused_at_once(tmp_path, capsys, header, command):
+    # with no constraints nothing bounds the arity q: reduce refuses before
+    # its row count m * sigma**q is formed, regularize before the default
+    # beta's 64**(2q) is; exit 2 within the timeout, asserts stripped or not
+    csp = tmp_path / "empty.csp"
+    csp.write_text(header)
+    argv = [command, str(csp)]
+    if command == "reduce":
+        argv += ["--out", str(tmp_path / "out.basis")]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "svpforge.cli", *argv],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    message = {
+        "reduce": "error: the reduction needs at least one constraint\n",
+        "regularize": "error: variable 0 occurs in no constraint\n",
+    }[command]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+    assert run(capsys, *argv) == (2, "", message)
+    assert not (tmp_path / "out.basis").exists()
+
+
 def test_basis_round_trip(tmp_path, capsys):
     basis = tmp_path / "toy1.basis"
     run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
@@ -369,6 +396,12 @@ def _drop_closing_bracket(basis, sidecar):
     basis.write_text(text[: -len("]\n")])
 
 
+def _append_a_row(basis, sidecar):
+    # a copy of the last row before the closing bracket
+    text = basis.read_text()
+    basis.write_text(text[: -len("]\n")] + text.splitlines(keepends=True)[-2] + "]\n")
+
+
 def _append_a_newline(basis, sidecar):
     basis.write_text(basis.read_text() + "\n")
 
@@ -428,6 +461,7 @@ def _invalid_utf8_in_sidecar(basis, sidecar):
         (_edit_one_entry, "basis row 0 is not row 0"),
         (_swap_two_rows, "basis row 0 is not row 0"),
         (_drop_last_row, "basis has 2 rows; the sidecar's reduction has 3"),
+        (_append_a_row, "basis has more than 3 rows; the sidecar's reduction has 3"),
         (_drop_a_zero_from_each_row, "basis row 0 is not row 0"),
         (_drop_closing_bracket, "unexpected text between basis rows"),
         (_append_a_newline, "not laid out as emit_basis writes it"),
@@ -444,6 +478,7 @@ def _invalid_utf8_in_sidecar(basis, sidecar):
         "one-entry-edited",
         "rows-swapped-with-provenance",
         "row-dropped",
+        "row-appended",
         "zero-column-dropped",
         "closing-bracket-dropped",
         "newline-appended",
@@ -501,15 +536,18 @@ def test_short_basis_next_to_large_sidecar_is_refused(tmp_path, capsys):
     assert peak < 5_000_000
 
 
-def test_oversized_basis_is_refused_before_it_is_read(tmp_path, capsys):
-    # a sparse 64 MB file beside toy1's sidecar: its size alone rules it
-    # out, so none of it is read and the load stays small
+TRAILING_BYTES = "basis text is not laid out as emit_basis writes it: bytes follow its closing"
+
+
+def test_oversized_basis_is_read_no_further_than_its_closing_bracket(tmp_path, capsys):
+    # toy1's basis padded to a sparse 64 MB file: the read stops one byte
+    # past the closing bracket, so the load stays small
     basis = tmp_path / "toy1.basis"
     run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
     os.truncate(basis, 64 << 20)
     tracemalloc.start()
     try:
-        with pytest.raises(SvpforgeError, match="^basis file is too long for the 3 x 13 basis"):
+        with pytest.raises(SvpforgeError, match=f"^{TRAILING_BYTES}"):
             basisio.load_instance(basis)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -517,12 +555,12 @@ def test_oversized_basis_is_refused_before_it_is_read(tmp_path, capsys):
     assert peak < 1_000_000
     code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
     assert code == 2 and not out
-    assert err.startswith("error: basis file is too long") and "Traceback" not in err
+    assert err.startswith(f"error: {TRAILING_BYTES}") and "Traceback" not in err
 
 
 def test_basis_grown_during_the_rebuild_is_read_no_further(tmp_path, capsys, monkeypatch):
     # the file passes the size check, then grows to 64 MB while the
-    # reduction is rebuilt: the read stops one byte past the checked size
+    # reduction is rebuilt: the read stops one byte past the closing bracket
     basis = tmp_path / "toy1.basis"
     run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
     rebuild = basisio.reduce_csp
@@ -532,10 +570,29 @@ def test_basis_grown_during_the_rebuild_is_read_no_further(tmp_path, capsys, mon
         return rebuild(csp, prof)
 
     monkeypatch.setattr(basisio, "reduce_csp", grow_then_rebuild)
-    size = basis.stat().st_size
     tracemalloc.start()
     try:
-        with pytest.raises(SvpforgeError, match=f"^basis file grew past the {size} bytes"):
+        with pytest.raises(SvpforgeError, match=f"^{TRAILING_BYTES}"):
+            basisio.load_instance(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_a_row_with_no_newline_is_read_no_further_than_one_row(tmp_path, capsys):
+    # the last row loses its "]\n" and the outer bracket, and the file is
+    # padded to a sparse 64 MB with no newline: naming the mismatch reads at
+    # most one row's longest line
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    text = basis.read_bytes()
+    assert text.endswith(b"]\n]\n")
+    basis.write_bytes(text[: -len(b"]\n]\n")])
+    os.truncate(basis, 64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SvpforgeError, match="^unexpected text between basis rows$"):
             basisio.load_instance(basis)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -565,17 +622,38 @@ def _traced_peak(fn):
     return result, peak
 
 
-def test_load_holds_one_copy_of_the_basis_text(tmp_path):
-    # the file is read as bytes and never decoded, and the rebuilt basis is
-    # compared one emitted row at a time, so the file's bytes are the only
-    # full copy of the text
+def test_load_streams_the_basis_text(tmp_path):
+    # the file is read one emitted piece at a time against the rebuilt rows,
+    # so no full copy of its text is ever held
     out = _ladder_256()
     basis, _ = basisio.save_instance(out, tmp_path / "c256.basis")
     size = basis.stat().st_size
     assert size > 5_000_000
     loaded, peak = _traced_peak(lambda: basisio.load_instance(basis))
     assert loaded == out
-    assert peak < 1.5 * size
+    assert peak < size / 2
+
+
+def test_last_row_tamper_is_refused_from_that_row_alone(tmp_path):
+    # one entry of the last row edited: the mismatch is named from that
+    # row's line, with no second reading or parse of the whole file
+    out = _ladder_256()
+    basis, _ = basisio.save_instance(out, tmp_path / "c256.basis")
+    data = basis.read_bytes()
+    last = data.rindex(b"\n[") + 1
+    edited = data[last:].replace(b" 1 ", b" 2 ", 1)
+    assert edited != data[last:]
+    basis.write_bytes(data[:last] + edited)
+    del data, edited
+    r = len(out.rows) - 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(SvpforgeError, match=f"^basis row {r} is not row {r} of the sidecar's"):
+            basisio.load_instance(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_save_streams_the_basis_text(tmp_path):
