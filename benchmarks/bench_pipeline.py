@@ -6,8 +6,7 @@ Each rung is a cyclic regular CSP on N variables: M = 2N binary constraints
 with scopes (i, i+1) and (i, i+2) mod N, each accepting (0, 0) and one seeded
 other tuple, reduced under the default profile at p = inf.  The stages are
 ``parse_csp`` (of ``emit_csp``'s text, as a load parses the sidecar's
-instance), ``emit_csp``, ``reduce_csp``, ``emit_basis``, the emitter as first
-written (``str`` of every entry of the dense basis, the "before" column),
+instance), ``emit_csp``, ``reduce_csp``, ``emit_basis``,
 ``sidecar_text``, ``save_instance``, ``load_instance``,
 ``witness_from_assignment`` under the all-zero assignment and
 ``audit_vector`` on the known short vector.  Each stage is first called once
@@ -24,23 +23,28 @@ pass runs each stage once under tracemalloc and records its peak, in MB
 above the memory traced when the call started (tracemalloc slows
 allocation, so it never runs during the timed rounds).
 
+Where glibc's malloc is used, a stage's time also depends on the allocator
+state earlier stages leave: a large freed buffer raises glibc's dynamic
+mmap threshold, and later stages' large allocations then come from the heap.
+So the script runs itself again with ``MALLOC_MMAP_THRESHOLD_`` pinned
+(32 MiB) when that variable is unset, and records its value.
+
 Checks: the instance text parses back to the instance, the sidecar text is
-``json.dumps(sidecar_json(...), indent=2)`` plus a newline, both basis
-emitters give text with the same sha256, the loaded rows are the built ones,
-the witness cancels the scaled columns and reaches max-norm 1,
-and the known vector audits to max-norm 1 with support M.  The
-"before" emitter needs the dense basis (42M cells at N=1024), so it runs only
-up to N=512 and is recorded as null above.  With ``--out`` the table is also
-written as JSON.
+``json.dumps(sidecar_json(...), indent=2)`` plus a newline, the loaded rows
+are the built ones, the witness cancels the scaled columns and reaches
+max-norm 1, and the known vector audits to max-norm 1 with support M.  The
+basis text itself is checked against the dense ``str`` emitter by
+``tests/test_cli.py``.  With ``--out`` the table is also written as JSON.
 """
 
 import argparse
 import gc
-import hashlib
 import json
+import os
 import platform
 import random
 import statistics
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -53,9 +57,8 @@ from svpforge.reduction import derive_profile, reduce_csp
 from svpforge.verifier import apply_coefficients, audit_vector, witness_from_assignment
 
 LADDER = (32, 128, 512, 1024)
-STAGES = ("parse_csp", "emit_csp", "reduce_csp", "emit_basis", "emit_basis_before",
-          "sidecar_text", "save_instance", "load_instance", "witness_from_assignment",
-          "audit_vector")
+STAGES = ("parse_csp", "emit_csp", "reduce_csp", "emit_basis", "sidecar_text",
+          "save_instance", "load_instance", "witness_from_assignment", "audit_vector")
 
 
 # calibrate()'s loop copies perfbench's workloads.calibrate, and every time is
@@ -96,11 +99,6 @@ def _time_alternated(stages, repeat):
     return medians, statistics.median(calibration)
 
 
-def _emit_basis_before(basis):
-    lines = ["[" + " ".join(str(x) for x in row) + "]" for row in basis]
-    return "[" + "\n".join(lines) + "\n]\n"
-
-
 def cyclic_instance(n):
     """The cyclic regular CSP on n variables and its known short vector:
     +1 on the (0, 0) row of every step-1 constraint, -1 on that of every
@@ -111,10 +109,6 @@ def cyclic_instance(n):
     cons = tuple(Constraint(sc, ((0, 0), rng.choice(others))) for sc in scopes)
     vec = tuple(x for t in range(2 * n) for x in ((1 if t < n else -1), 0))
     return CspInstance(n, 2, 2, cons), vec
-
-
-def _sha(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _peak_mb(fn):
@@ -144,11 +138,7 @@ def bench_rung(n, repeat, workdir):
     sidecar = sidecar_text(out, path.name)
     expected = json.dumps(sidecar_json(out, path.name), indent=2) + "\n"
     assert sidecar == expected, f"N={n}: sidecar_text is not json.dumps of sidecar_json"
-    text = emit_basis(out.rows, out.num_cols)
-    if n <= 512:
-        assert _sha(text) == _sha(_emit_basis_before(out.basis)), f"N={n}: the two emitters differ"
-    row["text_bytes"] = len(text)
-    del text  # save and load each build the text again
+    row["text_bytes"] = len(emit_basis(out.rows, out.num_cols))
     save_instance(out, path)
     assert load_instance(path).rows == out.rows, f"N={n}: loaded basis differs"
     wit = witness_from_assignment(out, (0,) * n)
@@ -164,18 +154,15 @@ def bench_rung(n, repeat, workdir):
         "emit_csp": lambda: emit_csp(csp),
         "reduce_csp": lambda: reduce_csp(csp, prof),
         "emit_basis": lambda: emit_basis(out.rows, out.num_cols),
-        "emit_basis_before": (lambda: _emit_basis_before(out.basis)) if n <= 512 else None,
         "sidecar_text": lambda: sidecar_text(out, path.name),
         "save_instance": lambda: save_instance(out, path),
         "load_instance": lambda: load_instance(path),
         "witness_from_assignment": lambda: witness_from_assignment(out, (0,) * n),
         "audit_vector": lambda: audit_vector(vec, out),
     }
-    timed = {name: fn for name, fn in stages.items() if fn is not None}
-    medians, row["calibrate_s"] = _time_alternated(timed, repeat)
-    for name in STAGES:
-        row[name] = medians.get(name)
-    row["peak_mb"] = {name: None if fn is None else _peak_mb(fn) for name, fn in stages.items()}
+    medians, row["calibrate_s"] = _time_alternated(stages, repeat)
+    row.update(medians)
+    row["peak_mb"] = {name: _peak_mb(fn) for name, fn in stages.items()}
     return row
 
 
@@ -184,6 +171,10 @@ def main():
     parser.add_argument("--repeat", type=int, default=5, help="alternated timing rounds")
     parser.add_argument("--out", type=Path, help="also write the table as JSON here")
     args = parser.parse_args()
+    if "MALLOC_MMAP_THRESHOLD_" not in os.environ:
+        # 32 MiB, fixed, so that no stage moves glibc's threshold for the later ones
+        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": str(32 * 2**20)}
+        os.execve(sys.executable, [sys.executable, *sys.argv], env)
 
     fmt = "{:>5} {:>14} {:>8}" + " {:>17}" * len(STAGES)
     print(fmt.format("N", "rows x cols", "nnz", *STAGES))
@@ -192,10 +183,9 @@ def main():
         for n in LADDER:
             row = bench_rung(n, args.repeat, workdir)
             rungs.append(row)
-            times = ["-" if row[s] is None else f"{row[s] * 1e3:.1f} ms" for s in STAGES]
+            times = [f"{row[s] * 1e3:.1f} ms" for s in STAGES]
             print(fmt.format(n, f"{row['rows']} x {row['cols']}", row["nnz"], *times))
-            peaks = row["peak_mb"]
-            peaks = ["-" if peaks[s] is None else f"{peaks[s]:.1f} MB" for s in STAGES]
+            peaks = [f"{row['peak_mb'][s]:.1f} MB" for s in STAGES]
             print(fmt.format("", "tracemalloc peak", "", *peaks))
 
     if args.out:
@@ -205,6 +195,7 @@ def main():
             "backend": kernels.backend_name(),
             "python": platform.python_version(),
             "calibration_s": CALIBRATION_S,
+            "malloc_mmap_threshold": os.environ["MALLOC_MMAP_THRESHOLD_"],
             "unit": (
                 "s, median of repeat alternated rounds, each call scaled by "
                 "calibration_s / calibrate() run before it; calibrate_s: s, median "

@@ -171,31 +171,27 @@ def profile_to_json(prof: ReductionProfile) -> dict:
     }
 
 
-_KNOB_INTS = ("prime", "scale", "consistency_width", "support_width")
+_KNOBS = ("prime", "scale", "consistency_width", "support_width")
 
 
 def profile_from_json(d: dict, csp: CspInstance) -> ReductionProfile:
-    """Type-check a sidecar profile's six knobs and derive the profile they
-    give for ``csp``.
+    """The profile a sidecar's six knobs give for ``csp``.
 
-    Only p, mode, prime, scale, consistency_width and support_width are read;
-    the stored soundness and shape fields are checked by ``load_instance``,
-    which compares the whole sidecar with the one the rebuilt reduction gives.
+    Only p, mode, prime, scale, consistency_width and support_width are read,
+    and ``ReductionProfile`` checks them, their types included; a null knob
+    is refused here, since ``derive_profile`` would derive it.  The stored
+    soundness and shape fields are checked by ``load_instance``, which
+    compares the whole sidecar with the one the rebuilt reduction gives.
     """
     if not isinstance(d, dict):
         raise SvpforgeError("sidecar profile must be a JSON object")
-    missing = [k for k in ("p", "mode", *_KNOB_INTS) if k not in d]
+    missing = [k for k in ("p", "mode", *_KNOBS) if d.get(k) is None]
     if missing:
-        raise SvpforgeError(f"sidecar profile is missing {missing[0]!r}")
-    for key in _KNOB_INTS:
-        if type(d[key]) is not int:  # bool is an int subclass; reject it too
-            raise SvpforgeError(f"sidecar profile {key!r} must be an integer, got {d[key]!r}")
-    if d["mode"] not in ("asymptotic-default", "explicit"):
-        raise SvpforgeError(f"sidecar profile has unknown mode {d['mode']!r}")
+        raise SvpforgeError(f"sidecar profile {missing[0]!r} is missing or null")
     p = _p_from_json(d["p"])
     try:
-        return derive_profile(csp, p=p, mode=d["mode"], **{key: d[key] for key in _KNOB_INTS})
-    except (ProfileError, ValueError) as exc:  # is_prime refuses moduli >= 3.3e24
+        return derive_profile(csp, p=p, mode=d["mode"], **{key: d[key] for key in _KNOBS})
+    except ProfileError as exc:
         raise SvpforgeError(f"sidecar profile is invalid: {exc}") from None
 
 

@@ -119,16 +119,10 @@ def cmd_validate(args) -> int:
 def cmd_regularize(args) -> int:
     inst = _read_csp(args.file)
     occurring_degrees(inst)  # regularize's refusal, before any default is derived
-    overrides = {}
-    if args.duplication is not None:
-        overrides["duplication"] = args.duplication
-    if args.spread is not None:
-        overrides["spread"] = args.spread
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    if args.right_degree is not None:
-        overrides["right_degree"] = args.right_degree
-    params = RegularizeParams.defaults(inst, **overrides)
+    params = RegularizeParams.defaults(
+        inst, duplication=args.duplication, spread=args.spread, beta=args.beta,
+        right_degree=args.right_degree,
+    )
     reg = regularize(inst, params)
     out = reg.instance
     text = emit_csp(out)
@@ -150,17 +144,12 @@ def cmd_regularize(args) -> int:
 
 def cmd_reduce(args) -> int:
     inst = _read_csp(args.file)
-    overrides = {}
-    if args.b_var is not None:
-        overrides["consistency_width"] = args.b_var
-    if args.b_x is not None:
-        overrides["support_width"] = args.b_x
-    if args.scale is not None:
-        overrides["scale"] = args.scale
-    if args.prime is not None:
-        overrides["prime"] = args.prime
-    mode = "explicit" if overrides else "asymptotic-default"
-    prof = derive_profile(inst, p=args.p, mode=mode, **overrides)
+    knobs = (args.prime, args.scale, args.b_var, args.b_x)
+    mode = "asymptotic-default" if knobs == (None,) * 4 else "explicit"
+    prof = derive_profile(
+        inst, p=args.p, mode=mode, prime=args.prime, scale=args.scale,
+        consistency_width=args.b_var, support_width=args.b_x,
+    )
     out = reduce_csp(inst, prof)
     basis_path, sidecar_path = basisio.save_instance(out, args.out, seed=args.seed)
     print(f"wrote {basis_path} ({out.num_rows} rows x {out.num_cols} cols)")

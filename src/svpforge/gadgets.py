@@ -40,12 +40,12 @@ _MR_PREFIXES = (
     (318_665_857_834_031_151_167_461, 12),  # psi_12
     (3_317_044_064_679_887_385_961_981, 13),  # psi_13
 )
-_MR_VALID_BELOW = _MR_PREFIXES[-1][0]
+MR_VALID_BELOW = _MR_PREFIXES[-1][0]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below 3.3e24 (psi_13)."""
-    if n >= _MR_VALID_BELOW:
+    if n >= MR_VALID_BELOW:
         raise ValueError("deterministic witness set only covers n < 3.3e24")
     if n < 2:
         return False

@@ -36,7 +36,8 @@ from typing import Optional, Sequence
 
 from .csp import CspInstance, validate_regular
 from .errors import BudgetExceededError, ProfileError
-from .gadgets import hadamard_row, is_prime, reduced_vandermonde, smallest_prime_geq
+from .gadgets import MR_VALID_BELOW, hadamard_row, is_prime, reduced_vandermonde
+from .gadgets import smallest_prime_geq
 
 log = logging.getLogger(__name__)
 
@@ -146,7 +147,11 @@ class GapFactor:
 
 @dataclass(frozen=True)
 class ReductionProfile:
-    """All knobs of one reduction, plus the source instance's shape."""
+    """All knobs of one reduction, plus the source instance's shape.
+
+    Checked when built, however built (derived, loaded, by hand or through
+    ``dataclasses.replace``), so a profile that exists is valid and nothing
+    downstream checks it again."""
 
     p: Optional[int]  # None is the max-norm
     prime: int
@@ -161,6 +166,42 @@ class ReductionProfile:
     alphabet_size: int
     degree: int
     padded_alphabet: int
+
+    def __post_init__(self):
+        if self.p is not None and not (type(self.p) is int and 3 <= self.p <= MAX_NORM_INDEX):
+            raise ProfileError(f"profiles need p in 3..{MAX_NORM_INDEX} or the max-norm")
+        if self.mode not in ("asymptotic-default", "explicit"):
+            raise ProfileError(f"unknown mode {self.mode!r}")
+        for key in ("prime", "scale", "consistency_width", "support_width"):
+            value = getattr(self, key)
+            if type(value) is not int:  # bool is an int subclass; refuse it too
+                raise ProfileError(f"{key} must be an integer, got {value!r}")
+        if self.prime >= MR_VALID_BELOW:
+            raise ProfileError(
+                f"prime {self.prime} is past the primality test's range n < {MR_VALID_BELOW}"
+            )
+        if not is_prime(self.prime):
+            raise ProfileError(f"{self.prime} is not prime")
+        if self.prime < self.rows_full + 1:
+            raise ProfileError(
+                f"prime {self.prime} too small: the support block needs "
+                f"{self.rows_full} distinct rows"
+            )
+        if self.scale < 1:
+            raise ProfileError("scale must be positive")
+        if not (1 <= self.consistency_width <= self.degree):
+            raise ProfileError(f"consistency width must lie in [1, degree {self.degree}]")
+        if not (1 <= self.support_width <= self.num_constraints):
+            raise ProfileError(
+                f"support width must lie in [1, constraint count {self.num_constraints}]"
+            )
+        if self.consistency_width >= self.prime or self.support_width >= self.prime:
+            raise ProfileError("widths must stay below the prime")
+        padded = 1 << max(0, (self.alphabet_size - 1).bit_length())  # the Hadamard order
+        if self.padded_alphabet != padded:
+            raise ProfileError(
+                f"padded alphabet must be {padded} for alphabet size {self.alphabet_size}"
+            )
 
     @property
     def rows_full(self) -> int:
@@ -225,13 +266,10 @@ def derive_profile(
 
     asymptotic-default instantiates the generic choices at log-cube scaling;
     explicit mode records that knobs were pinned by hand.  Either way the
-    overrides win, and the result is validated as a whole.
+    overrides win (None derives a knob), and ``ReductionProfile`` checks
+    the result as a whole.
     """
     pn = normalize_p(p)
-    if pn is not None and pn < 3:
-        raise ProfileError("profiles need p >= 3 or the max-norm")
-    if mode not in ("asymptotic-default", "explicit"):
-        raise ProfileError(f"unknown mode {mode!r}")
     if inst.arity < 2:
         raise ProfileError("the reduction needs arity >= 2")
     if not inst.constraints:
@@ -271,13 +309,18 @@ def derive_profile(
     if scale is None:
         scale = (rows_full * math.ceil(1 / inst.soundness)) ** 2
     if prime is None:
+        if rows_full**2 >= MR_VALID_BELOW:  # below it, a prime lies past the largest square
+            raise ProfileError(
+                f"the default prime, at least the square of the {rows_full} candidate rows (M * "
+                f"SIGMA**q), is past the primality test's range n < {MR_VALID_BELOW}; pass --prime"
+            )
         prime = smallest_prime_geq(max(rows_full**2, rows_full + 1))
 
     padded = 1 << max(0, (sigma - 1).bit_length())
     if padded != sigma:
         log.info("alphabet size %d padded to %d for the spread block", sigma, padded)
 
-    profile = ReductionProfile(
+    return ReductionProfile(
         p=pn,
         prime=prime,
         scale=scale,
@@ -292,29 +335,6 @@ def derive_profile(
         degree=d,
         padded_alphabet=padded,
     )
-    _validate_profile(profile)
-    return profile
-
-
-def _validate_profile(prof: ReductionProfile) -> None:
-    if not is_prime(prof.prime):
-        raise ProfileError(f"{prof.prime} is not prime")
-    if prof.prime < prof.rows_full + 1:
-        raise ProfileError(
-            f"prime {prof.prime} too small: the support block needs {prof.rows_full} distinct rows"
-        )
-    if prof.scale < 1:
-        raise ProfileError("scale must be positive")
-    if not (1 <= prof.consistency_width <= prof.degree):
-        raise ProfileError(
-            f"consistency width must lie in [1, degree {prof.degree}]"
-        )
-    if not (1 <= prof.support_width <= prof.num_constraints):
-        raise ProfileError(
-            f"support width must lie in [1, constraint count {prof.num_constraints}]"
-        )
-    if prof.consistency_width >= prof.prime or prof.support_width >= prof.prime:
-        raise ProfileError("widths must stay below the prime")
 
 
 KeptRows = tuple[tuple[int, tuple[int, ...]], ...]
@@ -340,6 +360,8 @@ def build_consistency_block(
     Vandermonde row j there (j is 1-based, rows of the same block distinct).
     The consistency block starts the basis, so these are basis columns.
     ``kept`` is ``_kept_rows(inst)``, as for the other two block builders.
+    A column is placed at most once per kept row (a scope names distinct
+    variables), so at most rows_full < prime times, and vm has prime - 1 rows.
     """
     width = prof.consistency_width
     sigma = inst.alphabet_size
@@ -362,9 +384,6 @@ def build_consistency_block(
             col = base + tup[i]
             occ = occurrences[col] = occurrences[col] + 1
             if occ > len(scaled):
-                if occ > vm.num_rows:
-                    x, a = divmod(col, sigma)
-                    raise ProfileError(f"column {(x, a)} has more than {vm.num_rows} occurrences")
                 scaled.append(tuple(prof.scale * v for v in vm.row(occ - 1)))
             row += enumerate(scaled[occ - 1], col * width)
         out.append(tuple(row))
@@ -377,12 +396,10 @@ def build_support_block(
     """Scaled rows of the (prime, support_width) reduced Vandermonde, one per
     kept row, at their basis columns: the row of candidate index
     t * SIGMA**q + rank(tuple), so each kept row carries the row it has among
-    all rows_full candidates.  ``reduced_vandermonde`` validates the prime
-    and width; the entries, ``scale`` times the powers ``i**j`` mod prime,
-    are computed here, each power from the one before it."""
-    vm = reduced_vandermonde(prof.prime, prof.support_width)
-    if prof.rows_full > vm.num_rows:
-        raise ProfileError("prime too small for the support block")
+    all rows_full < prime candidates.  The entries, ``scale`` times the powers
+    ``i**j`` mod prime, are computed here, each power from the one before it;
+    ``reduced_vandermonde`` is called as in the consistency block."""
+    reduced_vandermonde(prof.prime, prof.support_width)
     sigma, stride = inst.alphabet_size, inst.alphabet_size**inst.arity
     prime, scale = prof.prime, prof.scale
     lo = prof.consistency_cols
@@ -420,10 +437,8 @@ def build_spread_block(
     Only the rows that kept tuples index are built, each once, so the cost
     is that of the entries placed, not the order**2 of the whole matrix.
     """
-    per = prof.spread_cols_per_constraint
+    per = prof.spread_cols_per_constraint  # a power of two: padded_alphabet**q
     k = per.bit_length() - 1
-    if 1 << k != per:
-        raise ProfileError("spread block width per constraint must be a power of two")
     lo = prof.consistency_cols + prof.support_cols
     sigma = inst.alphabet_size
     h_rows = {}  # tuple -> its Hadamard row, built once per distinct tuple
@@ -498,10 +513,10 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
 
     Every placed Vandermonde row starts with a 1 (the zeroth power), so a
     kept row's consistency part is nonzero, and only a rejected tuple's
-    would vanish; the first is checked.  Each block builder gives a row as
-    its (column, value) entries at their basis columns, so a row is the
-    concatenation of its three parts.  The entries are counted before any
-    is built, and more than ENTRY_BUDGET are refused.
+    would vanish.  Each block builder gives a row as its (column, value)
+    entries at their basis columns, so a row is the concatenation of its
+    three parts, and its last column is at most nprime - 1.  The entries
+    are counted before any is built, and more than ENTRY_BUDGET are refused.
     """
     if (
         prof.num_vars,
@@ -523,10 +538,5 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
     consistency = build_consistency_block(inst, prof, kept)
     support = build_support_block(inst, prof, kept)
     spread = build_spread_block(inst, prof, kept)
-    if not all(consistency):
-        raise ProfileError("zero-row deletion must match the accept sets")
     rows = tuple(c + s + h for c, s, h in zip(consistency, support, spread))
-    nprime = prof.nprime
-    if any(row[-1][0] >= nprime for row in rows):
-        raise ProfileError("basis entries must lie within the profile's column count")
     return GapSvpInstance(csp=inst, profile=prof, rows=rows, row_provenance=kept)

@@ -70,16 +70,18 @@ class RegularizeParams:
             raise RegularizeError("right degree must be at least 1")
 
     @classmethod
-    def defaults(cls, inst: CspInstance, **overrides) -> "RegularizeParams":
-        """Instance-derived defaults, individually overridable by keyword."""
-        s = inst.soundness
-        q = inst.arity
-        t = overrides.pop("duplication", math.ceil(1 / s))
-        w = overrides.pop("spread", 6 * q)
-        beta = overrides.pop("beta", None)
+    def defaults(
+        cls, inst: CspInstance, duplication: Optional[int] = None, spread: Optional[int] = None,
+        beta: Optional[Fraction] = None, right_degree: Optional[int] = None,
+    ) -> "RegularizeParams":
+        """Instance-derived defaults; a parameter given (not None) wins."""
+        if duplication is None:
+            duplication = math.ceil(1 / inst.soundness)
+        if spread is None:
+            spread = 6 * inst.arity
         if beta is None:
-            beta = _default_beta(s, q)
-        return cls(duplication=t, spread=w, beta=beta, **overrides)
+            beta = _default_beta(inst.soundness, inst.arity)
+        return cls(duplication=duplication, spread=spread, beta=beta, right_degree=right_degree)
 
 
 def _default_beta(s: Fraction, q: int) -> Fraction:

@@ -207,10 +207,8 @@ def enumerate_box(
     when it holds no vector of smaller power, or of equal power and
     lexicographically earlier, so the result is the true box minimum and
     its lexicographically first argmin.  ``floor`` is ``outside_box_floor``
-    for the norm used.
+    for the norm used.  A basis with no rows is refused by ``box_minimum``.
     """
-    if inst.num_rows == 0:
-        raise ValueError("the basis has no rows")
     pn = inst.profile.p if p == "profile" else normalize_p(p)
     power, vector, states = kernels.box_minimum(inst.rows, box, pn, budget)
     return EnumerationResult(

@@ -274,6 +274,7 @@ def test_sidecar_mismatch_detected(tmp_path, capsys):
         ("profile.prime", 69),  # not prime
         ("profile.p", True),
         ("profile.mode", "fast"),
+        ("profile.mode", "bogus"),
         ("profile.degree", 3),  # the embedded instance has degree 2
         ("profile.soundness", "1/2"),  # the embedded instance claims 1
     ],
@@ -296,6 +297,20 @@ def test_sidecar_schema_errors_exit_2(tmp_path, capsys, key, value):
     code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("knob", ["p", "mode", "prime", "scale", "consistency_width", "support_width"])
+def test_a_null_sidecar_knob_is_named(tmp_path, capsys, knob):
+    # derive_profile reads None as "derive", so a null knob would be derived
+    # and the rebuilt basis blamed; it is refused by name before the rebuild
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    sidecar = tmp_path / "toy1.basis.json"
+    payload = json.loads(sidecar.read_text())
+    payload["profile"][knob] = None
+    sidecar.write_text(json.dumps(payload, indent=2) + "\n")
+    code, out, err = run(capsys, "enumerate", str(basis), "--box", "1")
+    assert (code, out, err) == (2, "", f"error: sidecar profile '{knob}' is missing or null\n")
 
 
 @pytest.mark.parametrize(
@@ -953,6 +968,46 @@ def test_a_composite_prime_is_refused(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "error: 318665857834031151167461 is not prime\n"
     assert not (tmp_path / "x.basis").exists()
+
+
+_PAST_THE_TEST = "past the primality test's range n < 3317044064679887385961981"
+
+
+@pytest.mark.parametrize("case", ["default-prime", "explicit-prime", "sidecar-prime"])
+def test_a_prime_past_the_primality_test_exits_2(tmp_path, capsys, case):
+    # Miller-Rabin decides n < psi_13 only; a prime that large, however it
+    # comes in, is refused as a profile error naming that limit, asserts
+    # stripped or not
+    basis = tmp_path / "x.basis"
+    if case == "default-prime":
+        # 10**11 symbols at arity 2: 10**22 candidate rows, a default prime >= 10**44
+        src = tmp_path / "huge.csp"
+        src.write_text("csp 2 1 2 100000000000\ncon 0 1\nacc 0 0\n")
+        argv = ["reduce", str(src), "--out", str(basis)]
+        message = (
+            f"the default prime, at least the square of the {10**22} candidate rows "
+            f"(M * SIGMA**q), is {_PAST_THE_TEST}; pass --prime"
+        )
+    elif case == "explicit-prime":
+        argv = ["reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS, "--prime", str(10**25)]
+        message = f"prime {10**25} is {_PAST_THE_TEST}"
+    else:
+        run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+        sidecar = tmp_path / "x.basis.json"
+        payload = json.loads(sidecar.read_text())
+        payload["profile"]["prime"] = 10**25
+        sidecar.write_text(json.dumps(payload, indent=2) + "\n")
+        argv = ["enumerate", str(basis), "--box", "1"]
+        message = f"sidecar profile is invalid: prime {10**25} is {_PAST_THE_TEST}"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "svpforge.cli", *argv],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    expected = (2, "", f"error: {message}\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert run(capsys, *argv) == expected
+    assert basis.exists() == (case == "sidecar-prime")
 
 
 @pytest.mark.parametrize("zeros", [400, 1000])

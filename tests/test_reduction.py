@@ -329,19 +329,74 @@ def test_reduce_budgets_the_entries_it_builds(monkeypatch):
         reduce_csp(inst, prof)
 
 
-def test_consistency_occurrence_guard():
-    # prime 3 leaves a 2-row consistency Vandermonde, and column (0, 0) is
-    # placed by all three rows; derive_profile never picks such a prime, so
-    # only a hand-built profile reaches the guard
-    cons = tuple(Constraint(scope, ((0, 0),)) for scope in ((0, 1), (0, 2), (0, 1)))
-    inst = CspInstance(3, 2, 2, cons)
-    prof = ReductionProfile(
-        p=3, prime=3, scale=1, consistency_width=1, support_width=1, mode="explicit",
-        soundness=Fraction(1), num_vars=3, num_constraints=3, arity=2, alphabet_size=2,
-        degree=3, padded_alphabet=2,
-    )
-    with pytest.raises(ProfileError, match=r"^column \(0, 0\) has more than 2 occurrences$"):
-        reduce_csp(inst, prof)
+def test_a_profile_with_a_prime_below_its_rows_is_refused_when_built():
+    # prime 3 leaves 2 Vandermonde rows for 3 * 2**2 = 12 candidate rows;
+    # the profile itself refuses it, so no block builder ever sees it
+    with pytest.raises(ProfileError, match=r"^prime 3 too small: the support block needs 12 "):
+        ReductionProfile(
+            p=3, prime=3, scale=1, consistency_width=1, support_width=1, mode="explicit",
+            soundness=Fraction(1), num_vars=3, num_constraints=3, arity=2, alphabet_size=2,
+            degree=3, padded_alphabet=2,
+        )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param({"prime": 69}, r"^69 is not prime$", id="composite-prime"),
+        # toy1 has 8 candidate rows
+        pytest.param({"prime": 7}, r"^prime 7 too small", id="prime-too-small"),
+        pytest.param(
+            {"prime": 10**25}, r"^prime 10{25} is past the primality test's range n < 3317",
+            id="prime-past-the-test",
+        ),
+        pytest.param(
+            {"prime": 67.0}, r"^prime must be an integer, got 67\.0$", id="float-prime"
+        ),
+        pytest.param({"scale": True}, r"^scale must be an integer, got True$", id="bool-scale"),
+        pytest.param({"scale": 0}, r"^scale must be positive$", id="scale-0"),
+        pytest.param(
+            {"consistency_width": 0}, r"^consistency width must lie in \[1, degree 2\]$",
+            id="consistency-width-0",
+        ),
+        pytest.param(
+            {"consistency_width": 3}, r"^consistency width must lie in \[1, degree 2\]$",
+            id="consistency-width-past-degree",
+        ),
+        pytest.param(
+            {"consistency_width": 67, "degree": 100}, r"^widths must stay below the prime$",
+            id="consistency-width-at-prime",
+        ),
+        pytest.param(
+            {"support_width": 0}, r"^support width must lie in \[1, constraint count 2\]$",
+            id="support-width-0",
+        ),
+        pytest.param(
+            {"support_width": 3}, r"^support width must lie in \[1, constraint count 2\]$",
+            id="support-width-past-count",
+        ),
+        pytest.param(
+            {"support_width": "1"}, r"^support_width must be an integer, got '1'$",
+            id="str-support-width",
+        ),
+        pytest.param({"p": 2}, r"^profiles need p in 3\.\.64 or the max-norm$", id="p-2"),
+        pytest.param({"p": 65}, r"^profiles need p in 3\.\.64 or the max-norm$", id="p-65"),
+        pytest.param({"mode": "bogus"}, r"^unknown mode 'bogus'$", id="unknown-mode"),
+        pytest.param(
+            {"padded_alphabet": 4}, r"^padded alphabet must be 2 for alphabet size 2$",
+            id="padded-alphabet-too-large",
+        ),
+        pytest.param(
+            {"padded_alphabet": 3, "alphabet_size": 3},
+            r"^padded alphabet must be 4 for alphabet size 3$", id="padded-alphabet-not-a-power",
+        ),
+    ],
+)
+def test_a_replaced_profile_is_checked_again(toy1, change, message):
+    prof = explicit_profile(toy1)
+    assert (prof.prime, prof.degree, prof.num_constraints, prof.rows_full) == (67, 2, 2, 8)
+    with pytest.raises(ProfileError, match=message):
+        replace(prof, **change)
 
 
 def test_reduce_rejects_profile_mismatch(toy1, toy_unsat):
