@@ -25,9 +25,11 @@ allocation, so it never runs during the timed rounds).
 
 Where glibc's malloc is used, a stage's time also depends on the allocator
 state earlier stages leave: a large freed buffer raises glibc's dynamic
-mmap threshold, and later stages' large allocations then come from the heap.
-So the script runs itself again with ``MALLOC_MMAP_THRESHOLD_`` pinned
-(32 MiB) when that variable is unset, and records its value.
+mmap threshold, and later stages' large allocations then come from the heap;
+and with that threshold pinned, glibc trims the heap top after each large
+free, so the next stage grows the heap again.  So the script runs itself
+again with ``MALLOC_MMAP_THRESHOLD_`` (32 MiB) and ``MALLOC_TRIM_THRESHOLD_``
+(256 MiB) pinned when either is unset, and records both values.
 
 Checks: the instance text parses back to the instance, the sidecar text is
 ``json.dumps(sidecar_json(...), indent=2)`` plus a newline, the loaded rows
@@ -57,6 +59,11 @@ from svpforge.reduction import derive_profile, reduce_csp
 from svpforge.verifier import apply_coefficients, audit_vector, witness_from_assignment
 
 LADDER = (32, 128, 512, 1024)
+# glibc's mmap threshold (32 MiB) and heap-top trim threshold (256 MiB)
+MALLOC_ENV = {
+    "MALLOC_MMAP_THRESHOLD_": str(32 * 2**20),
+    "MALLOC_TRIM_THRESHOLD_": str(256 * 2**20),
+}
 STAGES = ("parse_csp", "emit_csp", "reduce_csp", "emit_basis", "sidecar_text",
           "save_instance", "load_instance", "witness_from_assignment", "audit_vector")
 
@@ -171,9 +178,10 @@ def main():
     parser.add_argument("--repeat", type=int, default=5, help="alternated timing rounds")
     parser.add_argument("--out", type=Path, help="also write the table as JSON here")
     args = parser.parse_args()
-    if "MALLOC_MMAP_THRESHOLD_" not in os.environ:
-        # 32 MiB, fixed, so that no stage moves glibc's threshold for the later ones
-        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": str(32 * 2**20)}
+    if not MALLOC_ENV.keys() <= os.environ.keys():
+        # fixed, so that no stage moves glibc's thresholds for the later ones;
+        # a value already set is kept
+        env = {**MALLOC_ENV, **os.environ}
         os.execve(sys.executable, [sys.executable, *sys.argv], env)
 
     fmt = "{:>5} {:>14} {:>8}" + " {:>17}" * len(STAGES)
@@ -196,6 +204,7 @@ def main():
             "python": platform.python_version(),
             "calibration_s": CALIBRATION_S,
             "malloc_mmap_threshold": os.environ["MALLOC_MMAP_THRESHOLD_"],
+            "malloc_trim_threshold": os.environ["MALLOC_TRIM_THRESHOLD_"],
             "unit": (
                 "s, median of repeat alternated rounds, each call scaled by "
                 "calibration_s / calibrate() run before it; calibrate_s: s, median "

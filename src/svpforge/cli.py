@@ -137,7 +137,7 @@ def cmd_regularize(args) -> int:
     print(
         f"regularized: {inst.num_vars} vars -> {out.num_vars}, "
         f"{inst.num_constraints} constraints -> {out.num_constraints}, "
-        f"arity {inst.arity} -> {out.arity}, degree {reg.right_degree}"
+        f"arity {inst.arity} -> {out.arity}, degree {reg.params.right_degree}"
     )
     return 0
 

@@ -79,6 +79,21 @@ def smallest_prime_geq(n: int) -> int:
     return cand
 
 
+def iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of a nonnegative integer."""
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    if n == 0:
+        return 0
+    x = 1 << (-(-n.bit_length() // k))
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x
+
+
 class ReducedVandermonde:
     """The (a-1) x b matrix with row i (1-based) equal to (i**0, ..., i**(b-1)) mod a.
 

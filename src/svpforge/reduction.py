@@ -165,7 +165,6 @@ class ReductionProfile:
     arity: int
     alphabet_size: int
     degree: int
-    padded_alphabet: int
 
     def __post_init__(self):
         if self.p is not None and not (type(self.p) is int and 3 <= self.p <= MAX_NORM_INDEX):
@@ -197,11 +196,11 @@ class ReductionProfile:
             )
         if self.consistency_width >= self.prime or self.support_width >= self.prime:
             raise ProfileError("widths must stay below the prime")
-        padded = 1 << max(0, (self.alphabet_size - 1).bit_length())  # the Hadamard order
-        if self.padded_alphabet != padded:
-            raise ProfileError(
-                f"padded alphabet must be {padded} for alphabet size {self.alphabet_size}"
-            )
+
+    @property
+    def padded_alphabet(self) -> int:
+        """The least power of two >= SIGMA: the Hadamard order per symbol."""
+        return 1 << max(0, (self.alphabet_size - 1).bit_length())
 
     @property
     def rows_full(self) -> int:
@@ -252,6 +251,30 @@ class ReductionProfile:
         return self.nprime
 
 
+def _instance_fields(inst: CspInstance) -> dict:
+    """The profile fields an instance fixes, by field name.  An instance
+    the reduction cannot take is refused: arity below 2, no constraints, or
+    irregular."""
+    if inst.arity < 2:
+        raise ProfileError("the reduction needs arity >= 2")
+    if not inst.constraints:
+        # before the row count m * sigma**q is formed: with no constraints
+        # the arity q is bounded by nothing
+        raise ProfileError("the reduction needs at least one constraint")
+    report = validate_regular(inst)
+    if not report.is_regular:
+        degs = ",".join(map(str, sorted(set(report.degrees))))
+        raise ProfileError(f"instance is irregular (distinct degrees: {degs})")
+    return {
+        "soundness": inst.soundness,
+        "num_vars": inst.num_vars,
+        "num_constraints": inst.num_constraints,
+        "arity": inst.arity,
+        "alphabet_size": inst.alphabet_size,
+        "degree": report.degree,
+    }
+
+
 def derive_profile(
     inst: CspInstance,
     p="inf",
@@ -270,23 +293,8 @@ def derive_profile(
     the result as a whole.
     """
     pn = normalize_p(p)
-    if inst.arity < 2:
-        raise ProfileError("the reduction needs arity >= 2")
-    if not inst.constraints:
-        # before the row count m * sigma**q is formed: with no constraints
-        # the arity q is bounded by nothing
-        raise ProfileError("the reduction needs at least one constraint")
-    report = validate_regular(inst)
-    if not report.is_regular:
-        degs = ",".join(map(str, sorted(set(report.degrees))))
-        raise ProfileError(f"instance is irregular (distinct degrees: {degs})")
-    d = report.degree
-    m, n, q, sigma = (
-        inst.num_constraints,
-        inst.num_vars,
-        inst.arity,
-        inst.alphabet_size,
-    )
+    fields = _instance_fields(inst)
+    d, m, q, sigma = (fields[k] for k in ("degree", "num_constraints", "arity", "alphabet_size"))
     rows_full = m * sigma**q
     logcube = max(1, (m - 1).bit_length()) ** 3
 
@@ -316,25 +324,18 @@ def derive_profile(
             )
         prime = smallest_prime_geq(max(rows_full**2, rows_full + 1))
 
-    padded = 1 << max(0, (sigma - 1).bit_length())
-    if padded != sigma:
-        log.info("alphabet size %d padded to %d for the spread block", sigma, padded)
-
-    return ReductionProfile(
+    prof = ReductionProfile(
         p=pn,
         prime=prime,
         scale=scale,
         consistency_width=consistency_width,
         support_width=support_width,
         mode=mode,
-        soundness=inst.soundness,
-        num_vars=n,
-        num_constraints=m,
-        arity=q,
-        alphabet_size=sigma,
-        degree=d,
-        padded_alphabet=padded,
+        **fields,
     )
+    if prof.padded_alphabet != sigma:
+        log.info("alphabet size %d padded to %d for the spread block", sigma, prof.padded_alphabet)
+    return prof
 
 
 KeptRows = tuple[tuple[int, tuple[int, ...]], ...]
@@ -517,14 +518,15 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
     entries at their basis columns, so a row is the concatenation of its
     three parts, and its last column is at most nprime - 1.  The entries
     are counted before any is built, and more than ENTRY_BUDGET are refused.
+    The profile must be the one ``derive_profile`` gives ``inst`` in every
+    field the instance fixes, so its gap factor is the instance's.
     """
-    if (
-        prof.num_vars,
-        prof.num_constraints,
-        prof.arity,
-        prof.alphabet_size,
-    ) != (inst.num_vars, inst.num_constraints, inst.arity, inst.alphabet_size):
-        raise ProfileError("profile was derived for a different instance shape")
+    for key, value in _instance_fields(inst).items():
+        if getattr(prof, key) != value:
+            raise ProfileError(
+                f"profile was derived for another instance: its {key} is "
+                f"{getattr(prof, key)}, the instance's is {value}"
+            )
     num_rows = sum(len(con.accepted_set) for con in inst.constraints)
     per_row = (
         prof.arity * prof.consistency_width + prof.support_cols + prof.spread_cols_per_constraint

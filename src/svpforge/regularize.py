@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .csp import Constraint, CspInstance
 from .errors import BudgetExceededError, DisperserCertificationError, RegularizeError
-from .gadgets import BipartiteBiregular, verify_disperser
+from .gadgets import BipartiteBiregular, iroot, verify_disperser
 
 log = logging.getLogger(__name__)
 
@@ -90,23 +90,8 @@ def _default_beta(s: Fraction, q: int) -> Fraction:
         return Fraction(1, 2)
     k = 64
     scaled = (s.numerator * k ** (2 * q)) // s.denominator
-    root = _iroot(scaled, 2 * q)
+    root = iroot(scaled, 2 * q)
     return Fraction(max(root, 1), k)
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer."""
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    if n == 0:
-        return 0
-    x = 1 << (-(-n.bit_length() // k))
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x
 
 
 @dataclass(frozen=True)
@@ -118,8 +103,7 @@ class RegularizedCsp:
     var_lineage: tuple[tuple[int, int], ...]  # new variable -> (original, copy)
     con_lineage: tuple[tuple[int, int], ...]  # new constraint -> (original, duplicate)
     dispersers: tuple[BipartiteBiregular, ...]  # one per original variable
-    params: RegularizeParams
-    right_degree: int
+    params: RegularizeParams  # right_degree filled in
 
     def lift_assignment(self, values: Sequence[int]) -> tuple[int, ...]:
         """Copy each original value onto all copies of its variable."""
@@ -136,24 +120,6 @@ class RegularizedCsp:
             if copy == 0:
                 out[orig] = values[new_idx]
         return tuple(out)
-
-
-def duplicate_constraints(
-    inst: CspInstance, t: int
-) -> tuple[CspInstance, tuple[tuple[int, int], ...]]:
-    """Repeat each constraint t times (duplicates adjacent, order preserved)."""
-    if t < 1:
-        raise RegularizeError("duplication must be at least 1")
-    cons = []
-    lineage = []
-    for idx, con in enumerate(inst.constraints):
-        for dup in range(t):
-            cons.append(con)
-            lineage.append((idx, dup))
-    out = CspInstance(
-        inst.num_vars, inst.alphabet_size, inst.arity, tuple(cons), inst.soundness
-    )
-    return out, tuple(lineage)
 
 
 def build_disperser(
@@ -269,23 +235,28 @@ def occurring_degrees(inst: CspInstance) -> tuple[int, ...]:
 
 
 def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
-    """Full regularization; the output passes validate_regular exactly."""
+    """Full regularization; the output passes validate_regular exactly.
+
+    Each source constraint is repeated ``duplication`` times, copies
+    adjacent, so a variable of degree d is read duplication * d times.  Its
+    disperser has that many left vertices, and the j-th reading takes the
+    j-th adjacency set.  The search is deterministic, so variables of one
+    degree share one graph, searched once.
+    """
     q = inst.arity
     sigma = inst.alphabet_size
     _warn_on_weak_soundness(inst.soundness, q, sigma)
-    # the output reads one copy per disperser edge: duplication * degree(x)
-    # left vertices of degree spread for each variable x
-    entries = params.duplication * sum(occurring_degrees(inst)) * params.spread
+    t, w = params.duplication, params.spread
+    degrees = [t * d for d in occurring_degrees(inst)]
+    # the output reads one copy per disperser edge: each variable x has
+    # degrees[x] left vertices of degree spread
+    entries = sum(degrees) * w
     if entries > MAX_SCOPE_ENTRIES:
         raise RegularizeError(
             f"the regularized instance would have {entries} scope entries, "
             f"past the size limit of {MAX_SCOPE_ENTRIES}"
         )
 
-    dup, con_lineage = duplicate_constraints(inst, params.duplication)
-    degrees = dup.degrees()
-
-    w = params.spread
     fprime = params.right_degree
     if fprime is None:
         fprime = _default_right_degree(degrees, w, params.beta)
@@ -299,37 +270,35 @@ def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
                 f"right degree {fprime} exceeds degree {d} of variable {x}"
             )
 
-    dispersers = [
-        build_disperser(d, w, params.beta, right_size=(w * d) // fprime) for d in degrees
-    ]
+    # in order of first occurrence, so the first refusal is the first variable's
+    graphs = {
+        d: build_disperser(d, w, params.beta, right_size=(w * d) // fprime)
+        for d in dict.fromkeys(degrees)
+    }
+    dispersers = [graphs[d] for d in degrees]
 
     offsets = []
     total = 0
-    for x in range(dup.num_vars):
+    for g in dispersers:
         offsets.append(total)
-        total += dispersers[x].right_size
+        total += g.right_size
     var_lineage = tuple(
-        (x, copy)
-        for x in range(dup.num_vars)
-        for copy in range(dispersers[x].right_size)
+        (x, copy) for x, g in enumerate(dispersers) for copy in range(g.right_size)
     )
 
-    # occurrence rank of each (constraint, variable) pair, in constraint order
-    seen = [0] * dup.num_vars
+    # occurrence rank of each (constraint copy, variable) pair, in output order
+    seen = [0] * inst.num_vars
     new_constraints = []
-    for con in dup.constraints:
-        scope = []
-        for x in con.variables:
-            nbrs = dispersers[x].adjacency[seen[x]]
-            seen[x] += 1
-            scope.extend(offsets[x] + r for r in nbrs)
-        accepted = tuple(
-            tuple(a for a in tup for _ in range(w)) for tup in con.accepted
-        )
-        new_constraints.append(Constraint(tuple(scope), accepted))
-    for x, d in enumerate(degrees):
-        if seen[x] != d:
-            raise RegularizeError(f"variable {x} occurs {seen[x]} times, expected degree {d}")
+    con_lineage = []
+    for idx, con in enumerate(inst.constraints):
+        accepted = tuple(tuple(a for a in tup for _ in range(w)) for tup in con.accepted)
+        for dup in range(t):
+            scope = []
+            for x in con.variables:
+                scope.extend(offsets[x] + r for r in dispersers[x].adjacency[seen[x]])
+                seen[x] += 1
+            new_constraints.append(Constraint(tuple(scope), accepted))
+            con_lineage.append((idx, dup))
 
     out = CspInstance(
         total, sigma, q * w, tuple(new_constraints), inst.soundness
@@ -341,10 +310,9 @@ def regularize(inst: CspInstance, params: RegularizeParams) -> RegularizedCsp:
         instance=out,
         source=inst,
         var_lineage=var_lineage,
-        con_lineage=con_lineage,
+        con_lineage=tuple(con_lineage),
         dispersers=tuple(dispersers),
         params=replace(params, right_degree=fprime),
-        right_degree=fprime,
     )
 
 
@@ -381,7 +349,7 @@ def lineage_json(reg: RegularizedCsp) -> dict:
         "duplication": reg.params.duplication,
         "spread": reg.params.spread,
         "beta": [reg.params.beta.numerator, reg.params.beta.denominator],
-        "right_degree": reg.right_degree,
+        "right_degree": reg.params.right_degree,
         "variables": [list(pair) for pair in reg.var_lineage],
         "constraints": [list(pair) for pair in reg.con_lineage],
         "dispersers": [

@@ -9,7 +9,6 @@ appear only in report fields.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -20,6 +19,7 @@ from typing import Optional, Sequence
 from . import kernels
 from .csp import evaluate
 from .errors import BudgetExceededError, SvpforgeError, WitnessNotFoundError
+from .gadgets import iroot
 from .reduction import GapSvpInstance, normalize_p
 
 DEFAULT_WITNESS_BUDGET = 1_000_000
@@ -168,16 +168,17 @@ def outside_box_floor(inst: GapSvpInstance, p, box: int) -> Optional[int]:
     multiple of ``scale``, so the power is at least scale**p.  Otherwise
     take a constraint with a row whose |v_r| > box: its spread columns hold
     sum_r v_r*h_r over distinct rows of a Hadamard matrix of order ``per``,
-    whose squared 2-norm is per * sum_r v_r**2 >= per * (box+1)**2.  An
-    integer x has |x|**p >= x**2 for p >= 2, and the largest of per entries
-    with that squared sum is at least box+1.
+    whose squared 2-norm is per * sum_r v_r**2 >= per * (box+1)**2.  Over
+    those per entries w, the power mean gives, for p >= 2,
+    sum |w|**p >= per * (||w||**2 / per)**(p/2) >= per * (box+1)**p, and
+    the largest entry is at least box+1.
     """
     prof = inst.profile
     if p is None:
         return min(prof.scale, box + 1)
     if p < 2:
         return None
-    return min(prof.scale**p, prof.spread_cols_per_constraint * (box + 1) ** 2)
+    return min(prof.scale**p, prof.spread_cols_per_constraint * (box + 1) ** p)
 
 
 def certifying_box(inst: GapSvpInstance, p, power: int) -> Optional[int]:
@@ -189,9 +190,9 @@ def certifying_box(inst: GapSvpInstance, p, power: int) -> Optional[int]:
         return max(power - 1, 1) if power <= prof.scale else None
     if p < 2 or power > prof.scale**p:
         return None
-    # the least k >= 1 with per * (k+1)**2 >= power
+    # the least k >= 1 with per * (k+1)**p >= power
     need = -(-power // prof.spread_cols_per_constraint)
-    return max(math.isqrt(need - 1), 1) if need > 1 else 1
+    return max(iroot(need - 1, p), 1) if need > 1 else 1
 
 
 def enumerate_box(

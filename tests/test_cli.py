@@ -864,26 +864,37 @@ def test_enumerate_separates_unsat(tmp_path, capsys):
     assert "minimum power 32 > threshold power 13" in out
 
 
+def _reduce_sigma3(tmp_path, capsys):
+    """SIGMA3 reduced with REDUCE_FLAGS: its box-1 minimum at p=3, 240, is
+    above the box-1 floor 16 * 2**3 = 128, so it is not certified."""
+    csp, basis = tmp_path / "sigma3.csp", tmp_path / "sigma3.basis"
+    csp.write_text(SIGMA3)
+    run(capsys, "reduce", str(csp), "--out", str(basis), *REDUCE_FLAGS)
+    return basis
+
+
 def test_enumerate_says_whether_the_minimum_is_certified(tmp_path, capsys):
     toy1, unsat = tmp_path / "toy1.basis", tmp_path / "unsat.basis"
     run(capsys, "reduce", TOY1, "--out", str(toy1), *REDUCE_FLAGS)
     run(capsys, "reduce", TOY_UNSAT, "--out", str(unsat), *REDUCE_FLAGS)
+    sigma3 = _reduce_sigma3(tmp_path, capsys)
     lines = {
         (basis.name, box): run(capsys, "enumerate", str(basis), "--box", box)[1].splitlines()
-        for basis, box in ((toy1, "1"), (unsat, "1"), (unsat, "2"))
+        for basis, box in ((toy1, "1"), (unsat, "1"), (unsat, "2"), (sigma3, "1"))
     }
     want = {
-        ("toy1.basis", "1"): "lattice minimum: certified, every vector outside box 1 has power >= 16",
-        ("unsat.basis", "1"): "lattice minimum: not certified, every vector outside box 1 "
-        "has power >= 16 < 32; box 2 would certify",
-        ("unsat.basis", "2"): "lattice minimum: certified, every vector outside box 2 has power >= 36",
+        ("toy1.basis", "1"): "lattice minimum: certified, every vector outside box 1 has power >= 32",
+        ("unsat.basis", "1"): "lattice minimum: certified, every vector outside box 1 has power >= 32",
+        ("unsat.basis", "2"): "lattice minimum: certified, every vector outside box 2 has power >= 108",
+        ("sigma3.basis", "1"): "lattice minimum: not certified, every vector outside box 1 "
+        "has power >= 128 < 240; box 2 would certify",
     }
     for key, out in lines.items():
         # the line comes after the backend line; the box-only note follows
         # the verdict only when the minimum is not certified
         assert out[3] == want[key]
         fields = ["minimum power", "argmin", "backend", "lattice minimum", "verdict"]
-        if key == ("unsat.basis", "1"):
+        if key == ("sigma3.basis", "1"):
             fields.append("note")
         assert [line.split(":")[0] for line in out] == fields
     # below p = 2 no floor is known, and nothing is printed
@@ -892,13 +903,13 @@ def test_enumerate_says_whether_the_minimum_is_certified(tmp_path, capsys):
 
 
 def test_enumerate_notes_the_box_only_when_uncertified(tmp_path, capsys):
-    toy1, unsat = tmp_path / "toy1.basis", tmp_path / "unsat.basis"
+    toy1 = tmp_path / "toy1.basis"
     run(capsys, "reduce", TOY1, "--out", str(toy1), *REDUCE_FLAGS)
-    run(capsys, "reduce", TOY_UNSAT, "--out", str(unsat), *REDUCE_FLAGS)
+    sigma3 = _reduce_sigma3(tmp_path, capsys)
     note = "note: minimum over the coefficient box only, not a certified lattice minimum"
     _, out, _ = run(capsys, "enumerate", str(toy1), "--box", "1")
     assert "lattice minimum: certified" in out and "note:" not in out
-    _, out, _ = run(capsys, "enumerate", str(unsat), "--box", "1")
+    _, out, _ = run(capsys, "enumerate", str(sigma3), "--box", "1")
     assert "lattice minimum: not certified" in out and out.splitlines()[-1] == note
     # p = 1 has no floor, so nothing certifies the box minimum
     _, out, _ = run(capsys, "enumerate", str(toy1), "--box", "1", "--p", "1")

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -336,7 +338,7 @@ def test_a_profile_with_a_prime_below_its_rows_is_refused_when_built():
         ReductionProfile(
             p=3, prime=3, scale=1, consistency_width=1, support_width=1, mode="explicit",
             soundness=Fraction(1), num_vars=3, num_constraints=3, arity=2, alphabet_size=2,
-            degree=3, padded_alphabet=2,
+            degree=3,
         )
 
 
@@ -382,14 +384,6 @@ def test_a_profile_with_a_prime_below_its_rows_is_refused_when_built():
         pytest.param({"p": 2}, r"^profiles need p in 3\.\.64 or the max-norm$", id="p-2"),
         pytest.param({"p": 65}, r"^profiles need p in 3\.\.64 or the max-norm$", id="p-65"),
         pytest.param({"mode": "bogus"}, r"^unknown mode 'bogus'$", id="unknown-mode"),
-        pytest.param(
-            {"padded_alphabet": 4}, r"^padded alphabet must be 2 for alphabet size 2$",
-            id="padded-alphabet-too-large",
-        ),
-        pytest.param(
-            {"padded_alphabet": 3, "alphabet_size": 3},
-            r"^padded alphabet must be 4 for alphabet size 3$", id="padded-alphabet-not-a-power",
-        ),
     ],
 )
 def test_a_replaced_profile_is_checked_again(toy1, change, message):
@@ -406,6 +400,60 @@ def test_reduce_rejects_profile_mismatch(toy1, toy_unsat):
             parse_csp("csp 3 3 2 2\ncon 0 1\nacc 0 0\ncon 1 2\nacc 0 0\ncon 0 2\nacc 0 0\n"),
             prof,
         )
+
+
+MISMATCH_MESSAGES = {
+    "degree": "profile was derived for another instance: its degree is 3, the instance's is 2",
+    "soundness": "profile was derived for another instance: its soundness is 1/2, "
+    "the instance's is 1",
+    "irregular": "instance is irregular (distinct degrees: 1,2,3)",
+}
+
+
+def _mismatch_refusals():
+    """How ``reduce_csp`` answers a profile that fits an instance's shape
+    (N, M, q, SIGMA) but not the instance: another degree, another
+    soundness, or an irregular instance of the 4-cycle's shape."""
+
+    def scopes(*pairs):
+        lines = [f"csp 4 {len(pairs)} 2 2"]
+        for a, b in pairs:
+            lines += [f"con {a} {b}", "acc 0 0"]
+        return parse_csp("\n".join(lines) + "\n")
+
+    toy1 = parse_csp((Path(__file__).resolve().parent.parent / "data" / "toy1.csp").read_text())
+    pairs = {
+        "degree": (toy1, replace(explicit_profile(toy1), degree=3)),
+        "soundness": (toy1, replace(explicit_profile(toy1), soundness=Fraction(1, 2))),
+        "irregular": (
+            scopes((0, 1), (0, 2), (0, 3), (1, 2)),
+            explicit_profile(scopes((0, 1), (1, 2), (2, 3), (3, 0))),
+        ),
+    }
+    out = {}
+    for name, (inst, prof) in pairs.items():
+        try:
+            reduce_csp(inst, prof)
+            out[name] = "reduced"
+        except ProfileError as exc:
+            out[name] = str(exc)
+    return out
+
+
+def test_reduce_refuses_a_profile_derived_for_another_instance():
+    assert _mismatch_refusals() == MISMATCH_MESSAGES
+
+
+def test_reduce_refuses_a_profile_derived_for_another_instance_without_asserts():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import json, test_reduction; print(json.dumps(test_reduction._mismatch_refusals()))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root / 'tests'}"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == MISMATCH_MESSAGES
 
 
 def test_scaled_blocks_dominate(toy1_reduced):

@@ -1,8 +1,10 @@
 """Degree regularization: duplication, dispersers, lifting."""
 
+import hashlib
 import importlib
 import importlib.util
 import itertools
+import json
 import math
 import pathlib
 import time
@@ -10,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from svpforge.csp import evaluate, max_sat_bruteforce, parse_csp, validate_regular
+from svpforge.csp import emit_csp, evaluate, max_sat_bruteforce, parse_csp, validate_regular
 from svpforge.errors import (
     BudgetExceededError,
     DisperserCertificationError,
@@ -22,7 +24,6 @@ from svpforge.regularize import (
     RegularizeParams,
     _search_certified,
     build_disperser,
-    duplicate_constraints,
     lineage_json,
     regularize,
 )
@@ -159,13 +160,75 @@ def test_the_size_limit_admits_an_output_of_exactly_its_size(toy1, monkeypatch):
         regularize(toy1, params)
 
 
-def test_duplicate_constraints(toy1):
-    dup, lineage = duplicate_constraints(toy1, 3)
-    assert dup.num_constraints == 6
-    assert lineage == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
-    # copies are adjacent and identical
-    assert dup.constraints[0] == dup.constraints[1] == dup.constraints[2]
-    assert dup.constraints[3] == toy1.constraints[1]
+def test_duplicate_constraints(toy1, reg_toy1):
+    # duplication 2: each source constraint's copies are adjacent, and they
+    # accept the same (symbol-repeated) tuples
+    assert reg_toy1.con_lineage == ((0, 0), (0, 1), (1, 0), (1, 1))
+    out = reg_toy1.instance.constraints
+    for (src, _dup), con in zip(reg_toy1.con_lineage, out):
+        assert con.accepted == tuple(
+            tuple(a for a in tup for _ in range(2)) for tup in toy1.constraints[src].accepted
+        )
+    assert out[0].accepted == out[1].accepted != out[2].accepted == out[3].accepted
+
+
+# sha256 of emit_csp(reg.instance) + the lineage file's text, at duplication
+# 2, spread 2, beta 1/2: the output of the regularizer that built a
+# duplicated instance and searched one disperser per variable
+REGULARIZED_DIGESTS = [
+    ("toy1", "13ca9121b90cdea0587e5d0c2a1612bc1fca6c082edbc1edc2645989fa4668e6"),
+    ("toy_unsat", "264c8523f7f3b2dd55abc160533346c6f12e2f35190bd74d4a05c86fbe674405"),
+    ("irregular(1)", "3806c931ecd551e412361f531e1b271c87b066601cfdaf8d11229691aaba3622"),
+    ("irregular(2)", "3af078a0eeb073134e01fe2c81b017805d42ac6610beae6e847254aa650e502b"),
+    ("irregular(3)", "97b55de44a131813b93486c7ab68c5779ef77a426a0354933016abb56f25221b"),
+    ("irregular(4)", "5754a00cb12b9607ff3ab2d4887e2b19877d7812db032061c042e214f5de4ff5"),
+    ("irregular(5)", "9efbf1df9d4f9a09e64b602972f984534d932e8968ecd8ac21416ec1907fb0b4"),
+    ("cyclic(64)", "194af6d033da433b49d6be72ea015940de3dcff7d0713074ace73fed06c3091e"),
+]
+
+
+def _digest_input(name):
+    """toy1, toy_unsat, irregular(seed) or cyclic(n) (seed 1), parsed."""
+    if name.startswith("toy"):
+        return parse_csp((ROOT / "data" / f"{name}.csp").read_text())
+    family, arg = name.rstrip(")").split("(")
+    gen = _perfbench_gen()
+    text = gen.irregular(int(arg)) if family == "irregular" else gen.cyclic_regular(int(arg), 1)
+    return parse_csp(text)
+
+
+@pytest.mark.parametrize("name, digest", REGULARIZED_DIGESTS)
+def test_regularized_output_is_pinned(name, digest):
+    inst = _digest_input(name)
+    reg = regularize(
+        inst, RegularizeParams.defaults(inst, duplication=2, spread=2, beta=Fraction(1, 2))
+    )
+    text = emit_csp(reg.instance) + json.dumps(lineage_json(reg), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, searches", [("irregular(1)", 3), ("cyclic(64)", 1)])
+def test_one_disperser_search_per_distinct_degree(monkeypatch, name, searches):
+    # irregular(1)'s degrees 6,4,4,4,3,3 double to three distinct degrees;
+    # every variable of cyclic(64) has degree 4
+    inst = _digest_input(name)
+    calls = []
+    build = regularize_module.build_disperser
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(regularize_module, "build_disperser", counting)
+    reg = regularize(
+        inst, RegularizeParams.defaults(inst, duplication=2, spread=2, beta=Fraction(1, 2))
+    )
+    assert len(calls) == searches == len(set(calls))
+    degrees = [2 * d for d in inst.degrees()]
+    assert calls == list(dict.fromkeys(degrees))
+    # variables of one degree share that degree's graph
+    for x, y in itertools.combinations(range(inst.num_vars), 2):
+        assert (reg.dispersers[x] is reg.dispersers[y]) == (degrees[x] == degrees[y])
 
 
 def test_regularize_toy1_shape(toy1, reg_toy1):
@@ -173,7 +236,7 @@ def test_regularize_toy1_shape(toy1, reg_toy1):
     assert (out.num_vars, out.num_constraints, out.arity) == (4, 4, 4)
     report = validate_regular(out)
     assert report.is_regular and report.degree == 4
-    assert reg_toy1.right_degree == 4
+    assert reg_toy1.params.right_degree == 4
     # scopes repeat each original variable's copies, in ascending copy order
     for con in out.constraints:
         assert len(set(con.variables)) == 4

@@ -531,9 +531,9 @@ def _outside_box_minimum(inst, p, box, outer):
 @pytest.mark.parametrize(
     "name, p, box, floor, certified, hint",
     [
-        ("toy1", 3, 1, 16, True, 1),  # 8 <= 4 * 2**2
-        ("unsat", 3, 1, 16, False, 2),  # 32 > 16; box 2 gives 4 * 3**2 = 36
-        ("unsat", 3, 2, 36, True, 2),
+        ("toy1", 3, 1, 32, True, 1),  # 8 <= 4 * 2**3
+        ("unsat", 3, 1, 32, True, 1),  # the minimum is 32 itself
+        ("unsat", 3, 2, 108, True, 1),  # 4 * 3**3
         ("unsat", 2, 1, 16, True, 1),  # at p=2 the minimum is 16 itself
         ("toy1", None, 1, 2, True, 1),
         ("unsat", None, 1, 2, True, 1),
@@ -562,6 +562,17 @@ def test_outside_box_floor_needs_p_at_least_2(toy1_reduced):
     # past scale**p no box floor reaches the power
     assert certifying_box(toy1_reduced, 3, SCALE**3 + 1) is None
     assert certifying_box(toy1_reduced, None, SCALE + 1) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 7])
+def test_certifying_box_is_the_least_box_whose_floor_reaches_the_power(toy1_reduced, p):
+    # per = 4: the floors are 4 * (k+1)**p, so every power up to past box
+    # 6's floor, and each floor and its neighbours, is a case
+    floors = [outside_box_floor(toy1_reduced, p, k) for k in range(1, 8)]
+    powers = set(range(1, 200)) | {f + d for f in floors for d in (-1, 0, 1)}
+    for power in sorted(powers):
+        want = next(k for k in itertools.count(1) if outside_box_floor(toy1_reduced, p, k) >= power)
+        assert certifying_box(toy1_reduced, p, power) == want, power
 
 
 @pytest.mark.parametrize(
