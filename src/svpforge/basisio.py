@@ -15,7 +15,9 @@ by ``sidecar_text``, one fixed template whose bytes are those of
 same object as a dict, the oracle for the template and what a load's
 mismatch message is found from.
 
-The sidecar's instance and profile knobs fix both files: ``load_instance``
+The sidecar's instance and profile knobs fix both files.  Its norm index,
+mode and ``reduction.KNOBS`` are read by ``derive_profile`` alone, which
+refuses a bad one as it refuses a bad argument.  ``load_instance``
 rebuilds the reduction and accepts the pair only when each file is, byte for
 byte, what ``save_instance`` writes for it (the sidecar's ``basis_file`` and
 ``seed`` aside), reading the basis file once, forward, no further than the
@@ -38,6 +40,7 @@ from .csp import CspInstance, emit_csp, parse_csp
 from .errors import ProfileError, SvpforgeError
 from .reduction import (
     INFINITY,
+    KNOBS,
     GapSvpInstance,
     ReductionProfile,
     check_cell_budget,
@@ -145,14 +148,6 @@ def _p_json(p: Optional[int]):
     return INFINITY if p is None else p
 
 
-def _p_from_json(value) -> Optional[int]:
-    if value == INFINITY:
-        return None
-    if type(value) is int and value >= 1:
-        return value
-    raise SvpforgeError(f"bad norm index {value!r} in sidecar")
-
-
 def profile_to_json(prof: ReductionProfile) -> dict:
     return {
         "p": _p_json(prof.p),
@@ -171,26 +166,23 @@ def profile_to_json(prof: ReductionProfile) -> dict:
     }
 
 
-_KNOBS = ("prime", "scale", "consistency_width", "support_width")
-
-
 def profile_from_json(d: dict, csp: CspInstance) -> ReductionProfile:
     """The profile a sidecar's six knobs give for ``csp``.
 
     Only p, mode, prime, scale, consistency_width and support_width are read,
-    and ``ReductionProfile`` checks them, their types included; a null knob
-    is refused here, since ``derive_profile`` would derive it.  The stored
+    and ``derive_profile`` checks them, their types included: ``normalize_p``
+    reads p, and ``ReductionProfile`` the rest.  A null knob is refused
+    here, since ``derive_profile`` would derive it.  The stored
     soundness and shape fields are checked by ``load_instance``, which
     compares the whole sidecar with the one the rebuilt reduction gives.
     """
     if not isinstance(d, dict):
         raise SvpforgeError("sidecar profile must be a JSON object")
-    missing = [k for k in ("p", "mode", *_KNOBS) if d.get(k) is None]
+    missing = [k for k in ("p", "mode", *KNOBS) if d.get(k) is None]
     if missing:
         raise SvpforgeError(f"sidecar profile {missing[0]!r} is missing or null")
-    p = _p_from_json(d["p"])
     try:
-        return derive_profile(csp, p=p, mode=d["mode"], **{key: d[key] for key in _KNOBS})
+        return derive_profile(csp, p=d["p"], mode=d["mode"], **{key: d[key] for key in KNOBS})
     except ProfileError as exc:
         raise SvpforgeError(f"sidecar profile is invalid: {exc}") from None
 
@@ -244,7 +236,7 @@ def sidecar_text(inst: GapSvpInstance, basis_file: str, seed: Optional[int] = No
     p = '"inf"' if prof.p is None else prof.p
     nprime = prof.nprime
     support = prof.consistency_cols
-    spread = support + prof.support_cols
+    spread = support + prof.support_width
     sep = ",\n        "
     tup_text = {}
     for _, tup in inst.row_provenance:

@@ -29,7 +29,7 @@ from .gadgets import (
     search_kernel_support_counterexample,
 )
 from .reduction import derive_profile, reduce_csp
-from .regularize import RegularizeParams, lineage_json, occurring_degrees, regularize
+from .regularize import RegularizeParams, lineage_json, regularize
 from .verifier import (
     DEFAULT_BOX_BUDGET,
     DEFAULT_WITNESS_BUDGET,
@@ -118,7 +118,6 @@ def cmd_validate(args) -> int:
 
 def cmd_regularize(args) -> int:
     inst = _read_csp(args.file)
-    occurring_degrees(inst)  # regularize's refusal, before any default is derived
     params = RegularizeParams.defaults(
         inst, duplication=args.duplication, spread=args.spread, beta=args.beta,
         right_degree=args.right_degree,
@@ -144,10 +143,8 @@ def cmd_regularize(args) -> int:
 
 def cmd_reduce(args) -> int:
     inst = _read_csp(args.file)
-    knobs = (args.prime, args.scale, args.b_var, args.b_x)
-    mode = "asymptotic-default" if knobs == (None,) * 4 else "explicit"
     prof = derive_profile(
-        inst, p=args.p, mode=mode, prime=args.prime, scale=args.scale,
+        inst, p=args.p, prime=args.prime, scale=args.scale,
         consistency_width=args.b_var, support_width=args.b_x,
     )
     out = reduce_csp(inst, prof)
@@ -236,10 +233,7 @@ def _selftest_checks(seed: int):
 
     def toy_pipeline() -> bool:
         inst = parse_csp(_SELFTEST_CSP)
-        prof = derive_profile(
-            inst, p=3, mode="explicit",
-            consistency_width=1, support_width=1, scale=10**6,
-        )
+        prof = derive_profile(inst, p=3, consistency_width=1, support_width=1, scale=10**6)
         out = reduce_csp(inst, prof)
         if (out.num_rows, out.num_cols) != (3, 13):
             return False

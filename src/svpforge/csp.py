@@ -71,6 +71,8 @@ class CspInstance:
     def __post_init__(self):
         n, sigma, q = self.num_vars, self.alphabet_size, self.arity
         _check_shape(n, sigma, q)
+        if not isinstance(self.soundness, Fraction):  # emit_csp writes NUM/DEN
+            raise CspValidationError(f"soundness tag must be a Fraction, got {self.soundness!r}")
         if not (0 < self.soundness <= 1):
             raise CspValidationError("soundness tag must lie in (0, 1]")
         for idx, con in enumerate(self.constraints):
@@ -79,14 +81,20 @@ class CspInstance:
             if len(set(con.variables)) != q:
                 raise CspValidationError(f"constraint {idx} repeats a variable")
             for x in con.variables:
+                if type(x) is not int:  # bool is an int subclass; refuse it too
+                    raise CspValidationError(f"constraint {idx} uses non-int variable {x!r}")
                 if not (0 <= x < n):
                     raise CspValidationError(f"constraint {idx} uses variable {x} out of range")
             for tup in con.accepted:
                 if len(tup) != q:
                     raise CspValidationError(f"constraint {idx} has an accepted tuple of wrong arity")
                 for a in tup:
+                    if type(a) is not int:
+                        raise CspValidationError(f"constraint {idx} accepts non-int symbol {a!r}")
                     if not (0 <= a < sigma):
                         raise CspValidationError(f"constraint {idx} accepts symbol {a} out of range")
+            if len(con.accepted_set) != len(con.accepted):
+                raise CspValidationError(f"constraint {idx} accepts a tuple twice")
 
     @classmethod
     def _parsed(cls, num_vars, alphabet_size, arity, constraints, soundness) -> "CspInstance":
@@ -174,16 +182,26 @@ def max_sat_bruteforce(
         raise BudgetExceededError(
             f"{total} assignments exceed the budget of {budget}"
         )
-    best = Fraction(-1)
-    best_assignment = None
-    for values in itertools.product(range(inst.alphabet_size), repeat=inst.num_vars):
+    return best_assignment(
+        inst, itertools.product(range(inst.alphabet_size), repeat=inst.num_vars)
+    )
+
+
+def best_assignment(
+    inst: CspInstance, assignments: Iterable[Sequence[int]]
+) -> tuple[Fraction, Optional[Sequence[int]]]:
+    """The largest satisfied fraction over ``assignments`` and the first
+    assignment that reaches it, or (-1, None) when there is none.  The scan
+    stops at an assignment that satisfies every constraint: no later one
+    can replace it."""
+    best, best_values = Fraction(-1), None
+    for values in assignments:
         frac = evaluate(inst, values)
         if frac > best:
-            best = frac
-            best_assignment = values
+            best, best_values = frac, values
             if best == 1:
                 break
-    return best, best_assignment
+    return best, best_values
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ dense row width.  A basis is a function of (CSP, profile), which is how
 ``basisio.load_instance`` checks a saved basis and its sidecar.  Short
 lattice vectors correspond to consistent assignments: the scaled blocks are
 expensive to touch, and the spread block prices whatever cannot cancel.
+
+``derive_profile`` fixes the four ``KNOBS`` a caller leaves None and labels
+the profile ``explicit`` exactly when one was given.  The gap factor stays
+symbolic: its exponent is built from integers, and its floor is an integer
+root, so only ``GapFactor.as_float``, a report field, forms a float.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Optional, Sequence
 
 from .csp import CspInstance, validate_regular
 from .errors import BudgetExceededError, ProfileError
-from .gadgets import MR_VALID_BELOW, hadamard_row, is_prime, reduced_vandermonde
+from .gadgets import MR_VALID_BELOW, hadamard_row, iroot, is_prime, reduced_vandermonde
 from .gadgets import smallest_prime_geq
 
 log = logging.getLogger(__name__)
@@ -58,6 +63,10 @@ ENTRY_BUDGET = 1 << 24
 # Most rows x cols cells a basis may have to be written as text or viewed
 # densely: the text takes about two bytes per cell.
 CELL_BUDGET = 1 << 26
+
+# The profile's four knobs: each may be pinned by hand or left to
+# ``derive_profile``, and a sidecar records all four.
+KNOBS = ("prime", "scale", "consistency_width", "support_width")
 
 
 def check_cell_budget(rows: int, cols: int) -> None:
@@ -110,23 +119,11 @@ class GapFactor:
         return (left > right) - (left < right)
 
     def floor(self) -> int:
-        """Exact integer floor of the value: a bisection on ``cmp_power``
-        between brackets taken from ``as_float``, widened if they miss."""
-        guess = int(self.as_float())
-        slack = guess >> 40
-        lo, hi = max(1, guess - slack), guess + slack + 1
-        if lo > 1 and self.cmp_power(lo, 1) > 0:
-            lo = 1  # the value is at least 1
-        while self.cmp_power(hi, 1) <= 0:
-            hi *= 2
-        # lo <= value < hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.cmp_power(mid, 1) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """Exact integer floor of the value (n/d)**(en/ed): the largest k
+        with k**ed <= n**en / d**en, that is the integer ed-th root of
+        n**en // d**en, since k**ed is an integer."""
+        b, e = self.base, self.exponent
+        return iroot(b.numerator**e.numerator // b.denominator**e.numerator, e.denominator)
 
     def as_float(self) -> float:
         """The value as a float; a value past the float range is refused.
@@ -171,7 +168,7 @@ class ReductionProfile:
             raise ProfileError(f"profiles need p in 3..{MAX_NORM_INDEX} or the max-norm")
         if self.mode not in ("asymptotic-default", "explicit"):
             raise ProfileError(f"unknown mode {self.mode!r}")
-        for key in ("prime", "scale", "consistency_width", "support_width"):
+        for key in KNOBS:
             value = getattr(self, key)
             if type(value) is not int:  # bool is an int subclass; refuse it too
                 raise ProfileError(f"{key} must be an integer, got {value!r}")
@@ -216,16 +213,12 @@ class ReductionProfile:
         return self.num_vars * self.alphabet_size * self.consistency_width
 
     @property
-    def support_cols(self) -> int:
-        return self.support_width
-
-    @property
     def spread_cols(self) -> int:
         return self.num_constraints * self.spread_cols_per_constraint
 
     @property
     def nprime(self) -> int:
-        return self.consistency_cols + self.support_cols + self.spread_cols
+        return self.consistency_cols + self.support_width + self.spread_cols
 
     @property
     def max_abs_entry(self) -> int:
@@ -240,7 +233,7 @@ class ReductionProfile:
         if self.p is None:
             exponent = Fraction(1, 50 * q)
         else:
-            exponent = (Fraction(1, 2) - Fraction(1, self.p)) / (25 * q)
+            exponent = Fraction(self.p - 2, 50 * self.p * q)  # (1/2 - 1/p) / (25 q)
         return GapFactor(1 / self.soundness, exponent)
 
     @property
@@ -275,10 +268,18 @@ def _instance_fields(inst: CspInstance) -> dict:
     }
 
 
+def _log_cube_width(count: int, logcube: int, counted: str, width: str) -> int:
+    """count // logcube, clamped to 1 with a warning when count < logcube."""
+    if count >= logcube:
+        return count // logcube
+    log.warning("%s %d below log-cube %d; clamping %s width to 1", counted, count, logcube, width)
+    return 1
+
+
 def derive_profile(
     inst: CspInstance,
     p="inf",
-    mode: str = "asymptotic-default",
+    mode: Optional[str] = None,
     *,
     prime: Optional[int] = None,
     scale: Optional[int] = None,
@@ -287,11 +288,15 @@ def derive_profile(
 ) -> ReductionProfile:
     """Fix every reduction parameter for ``inst``.
 
-    asymptotic-default instantiates the generic choices at log-cube scaling;
-    explicit mode records that knobs were pinned by hand.  Either way the
-    overrides win (None derives a knob), and ``ReductionProfile`` checks
-    the result as a whole.
+    A knob left None is derived: the generic choices at log-cube scaling.
+    With no ``mode`` given the label says what happened: ``explicit`` when
+    any knob was pinned by hand, ``asymptotic-default`` when none was.  A
+    mode that is given is kept as given, so a loaded sidecar's recorded
+    label is rebuilt.  ``ReductionProfile`` checks the result as a whole.
     """
+    if mode is None:
+        pinned = (prime, scale, consistency_width, support_width) != (None,) * 4
+        mode = "explicit" if pinned else "asymptotic-default"
     pn = normalize_p(p)
     fields = _instance_fields(inst)
     d, m, q, sigma = (fields[k] for k in ("degree", "num_constraints", "arity", "alphabet_size"))
@@ -299,21 +304,9 @@ def derive_profile(
     logcube = max(1, (m - 1).bit_length()) ** 3
 
     if consistency_width is None:
-        consistency_width = d // logcube
-        if consistency_width < 1:
-            log.warning(
-                "degree %d below log-cube %d; clamping consistency width to 1", d, logcube
-            )
-            consistency_width = 1
+        consistency_width = _log_cube_width(d, logcube, "degree", "consistency")
     if support_width is None:
-        support_width = m // logcube
-        if support_width < 1:
-            log.warning(
-                "constraint count %d below log-cube %d; clamping support width to 1",
-                m,
-                logcube,
-            )
-            support_width = 1
+        support_width = _log_cube_width(m, logcube, "constraint count", "support")
     if scale is None:
         scale = (rows_full * math.ceil(1 / inst.soundness)) ** 2
     if prime is None:
@@ -440,7 +433,7 @@ def build_spread_block(
     """
     per = prof.spread_cols_per_constraint  # a power of two: padded_alphabet**q
     k = per.bit_length() - 1
-    lo = prof.consistency_cols + prof.support_cols
+    lo = prof.consistency_cols + prof.support_width
     sigma = inst.alphabet_size
     h_rows = {}  # tuple -> its Hadamard row, built once per distinct tuple
     out = []
@@ -501,11 +494,11 @@ class GapSvpInstance:
     @property
     def support_span(self) -> tuple[int, int]:
         lo = self.profile.consistency_cols
-        return lo, lo + self.profile.support_cols
+        return lo, lo + self.profile.support_width
 
     @property
     def spread_span(self) -> tuple[int, int]:
-        lo = self.profile.consistency_cols + self.profile.support_cols
+        lo = self.profile.consistency_cols + self.profile.support_width
         return lo, self.profile.nprime
 
 
@@ -529,7 +522,7 @@ def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:
             )
     num_rows = sum(len(con.accepted_set) for con in inst.constraints)
     per_row = (
-        prof.arity * prof.consistency_width + prof.support_cols + prof.spread_cols_per_constraint
+        prof.arity * prof.consistency_width + prof.support_width + prof.spread_cols_per_constraint
     )
     if num_rows * per_row > ENTRY_BUDGET:
         raise BudgetExceededError(

@@ -14,7 +14,9 @@ exhaustive subset check in gadgets.verify_disperser.  One exhaustive search
 makes every disperser, under one work budget, SEARCH_BUDGET.
 
 The paper's precondition s <= min(1/(3q), 1/SIGMA**c) and its default spread
-ceil(6q/c) are used with c = 1.
+ceil(6q/c) are used with c = 1.  ``RegularizeParams.defaults`` refuses an
+instance with a variable in no constraint, as ``regularize`` does, before
+it derives any default.
 """
 
 from __future__ import annotations
@@ -74,7 +76,12 @@ class RegularizeParams:
         cls, inst: CspInstance, duplication: Optional[int] = None, spread: Optional[int] = None,
         beta: Optional[Fraction] = None, right_degree: Optional[int] = None,
     ) -> "RegularizeParams":
-        """Instance-derived defaults; a parameter given (not None) wins."""
+        """Instance-derived defaults; a parameter given (not None) wins.
+
+        An instance ``regularize`` refuses, one with a variable in no
+        constraint, is refused first: with no constraints nothing bounds
+        the arity q, and the default beta takes a root of 64**(2q)."""
+        occurring_degrees(inst)
         if duplication is None:
             duplication = math.ceil(1 / inst.soundness)
         if spread is None:
@@ -225,9 +232,7 @@ def _search_certified(a, b, w, f, delta, beta):
 
 
 def occurring_degrees(inst: CspInstance) -> tuple[int, ...]:
-    """The variables' degrees, refused if one occurs in no constraint, as
-    ``regularize`` refuses it.  With no constraints nothing bounds the arity
-    q, and the default beta takes a root of 64**(2q): call this first."""
+    """The variables' degrees, refused if one occurs in no constraint."""
     degrees = inst.degrees()
     if 0 in degrees:
         raise RegularizeError(f"variable {degrees.index(0)} occurs in no constraint")

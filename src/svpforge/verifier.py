@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import kernels
-from .csp import evaluate
+from .csp import best_assignment, evaluate
 from .errors import BudgetExceededError, SvpforgeError, WitnessNotFoundError
 from .gadgets import iroot
 from .reduction import GapSvpInstance, normalize_p
@@ -438,8 +438,10 @@ def extract_assignment(
     (falling back to symbol 0 when none).  When the candidate product has
     at most ``exhaustive_budget`` assignments it is scanned whole and the
     lexicographically smallest optimum is returned; otherwise ``samples``
-    draws from a generator seeded with ``seed`` are made and the best draw
-    is kept.  The result's ``mode`` says which ran.
+    draws from a generator seeded with ``seed`` are made and the first best
+    draw is kept.  Both scans are ``csp.best_assignment``, which stops at an
+    assignment that satisfies every constraint.  The result's ``mode`` says
+    which ran.
     """
     csp = inst.csp
     by_variable = indicated_view(v, inst).symbols_by_variable
@@ -448,27 +450,17 @@ def extract_assignment(
     for c in candidates:
         combos *= len(c)
 
-    best = Fraction(-1)
-    best_assignment = None
     if combos <= exhaustive_budget:
         mode = "exhaustive"
-        for values in itertools.product(*candidates):
-            frac = evaluate(csp, values)
-            if frac > best:
-                best, best_assignment = frac, values
-                if best == 1:
-                    break
+        assignments = itertools.product(*candidates)
     else:
         mode = "sampled"
         rng = random.Random(seed)
-        for _ in range(samples):
-            values = tuple(rng.choice(c) for c in candidates)
-            frac = evaluate(csp, values)
-            if frac > best:
-                best, best_assignment = frac, values
+        assignments = (tuple(rng.choice(c) for c in candidates) for _ in range(samples))
+    fraction, assignment = best_assignment(csp, assignments)
     return ExtractionResult(
-        assignment=best_assignment,
-        fraction=best,
+        assignment=assignment,
+        fraction=fraction,
         mode=mode,
         seed=seed,
         combinations=combos,

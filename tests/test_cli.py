@@ -455,6 +455,12 @@ def _digit_outside_ascii(basis, sidecar):
     basis.write_bytes(text[: -len("1]\n]\n")].encode() + "\u0661]\n]\n".encode())
 
 
+def _change_opening_bracket(basis, sidecar):
+    text = basis.read_text()
+    assert text.startswith("[[")
+    basis.write_text("([" + text[2:])
+
+
 def _invalid_utf8_in_basis(basis, sidecar):
     basis.write_bytes(basis.read_bytes().replace(b" 0 ", b" \xff ", 1))
 
@@ -483,6 +489,7 @@ def _invalid_utf8_in_sidecar(basis, sidecar):
         (_double_spaces, "not laid out as emit_basis writes it"),
         (_sign_a_zero_in_a_run, "not laid out as emit_basis writes it"),
         (_basis_to_crlf, "not laid out as emit_basis writes it"),
+        (_change_opening_bracket, "^basis text is not laid out as emit_basis writes it$"),
         (_sidecar_to_crlf, "sidecar is not laid out as save_instance writes it"),
         (_digit_outside_ascii, "non-integer basis entry in row 2"),
         (_invalid_utf8_in_basis, "non-integer basis entry in row 0"),
@@ -500,6 +507,7 @@ def _invalid_utf8_in_sidecar(basis, sidecar):
         "reformatted",
         "zero-in-run-signed",
         "basis-crlf",
+        "opening-bracket-changed",
         "sidecar-crlf",
         "digit-outside-ascii",
         "invalid-utf8-in-basis",
@@ -1123,6 +1131,24 @@ def test_enumerate_huge_box_refuses_on_budget(tmp_path, capsys):
     assert code == 2
     assert "error: box enumeration exceeded 1000 states" in err
     assert peak < 5_000_000
+
+
+def test_enumerate_refuses_a_box_of_radius_zero(tmp_path, capsys):
+    basis = tmp_path / "toy1.basis"
+    run(capsys, "reduce", TOY1, "--out", str(basis), *REDUCE_FLAGS)
+    assert run(capsys, "enumerate", str(basis), "--box", "0") == (
+        2, "", "error: box radius must be at least 1\n"
+    )
+
+
+def test_save_refuses_an_instance_that_accepts_no_tuple(tmp_path):
+    csp = parse_csp("csp 2 1 2 2\ncon 0 1\n")
+    out = reduce_csp(csp, derive_profile(
+        csp, p=3, consistency_width=1, support_width=1, scale=10**6
+    ))
+    with pytest.raises(SvpforgeError, match="^refusing to emit an empty basis$"):
+        basisio.save_instance(out, tmp_path / "empty.basis")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _cyclic_csp(n):

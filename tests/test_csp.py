@@ -1,7 +1,12 @@
 """Instance model, parser, brute-force oracle, indicator matrix."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +16,7 @@ from svpforge.csp import (
     MAX_VARIABLES,
     Constraint,
     CspInstance,
+    best_assignment,
     candidate_rows,
     emit_csp,
     evaluate,
@@ -393,6 +399,75 @@ def test_max_sat_bruteforce(toy1, toy_unsat):
 def test_max_sat_budget(toy1):
     with pytest.raises(BudgetExceededError):
         max_sat_bruteforce(toy1, budget=3)
+
+
+def _reference_best(inst, assignments):
+    """The best fraction and its first assignment, by a scan of every one."""
+    best, first = Fraction(-1), None
+    for values in assignments:
+        frac = evaluate(inst, values)
+        if frac > best:
+            best, first = frac, values
+    return best, first
+
+
+def test_best_assignment_matches_a_full_scan(toy1, toy_unsat):
+    space = list(itertools.product(range(2), repeat=2))
+    for inst in (toy1, toy_unsat):
+        for order in (space, space[::-1]):
+            assert best_assignment(inst, order) == _reference_best(inst, order)
+    assert best_assignment(toy1, []) == (Fraction(-1), None)
+
+
+def test_best_assignment_stops_at_a_satisfying_assignment(toy1):
+    # (0, 0) satisfies both constraints, so the two after it are never read
+    rest = iter([(1, 1), (0, 0), (0, 1), (1, 0)])
+    assert best_assignment(toy1, rest) == (Fraction(1), (0, 0))
+    assert list(rest) == [(0, 1), (1, 0)]
+
+
+def _hand_built_refusals():
+    """The error each hand-built instance whose text would not round-trip
+    through ``parse_csp`` is refused with, by name."""
+    con = Constraint((0, 1), ((0, 0),))
+    builds = {
+        "duplicate-tuple": lambda: CspInstance(2, 2, 2, (Constraint((0, 1), ((0, 0), (0, 0))),)),
+        "bool-variable": lambda: CspInstance(2, 2, 2, (Constraint((True, 0), ((0, 0),)),)),
+        "float-symbol": lambda: CspInstance(2, 2, 2, (Constraint((0, 1), ((1.0, 0),)),)),
+        "float-soundness": lambda: CspInstance(2, 2, 2, (con,), 0.5),
+    }
+    out = {}
+    for name, build in builds.items():
+        try:
+            build()
+            out[name] = "built"
+        except CspValidationError as exc:
+            out[name] = str(exc)
+    return out
+
+
+HAND_BUILT_REFUSALS = {
+    "duplicate-tuple": "constraint 0 accepts a tuple twice",
+    "bool-variable": "constraint 0 uses non-int variable True",
+    "float-symbol": "constraint 0 accepts non-int symbol 1.0",
+    "float-soundness": "soundness tag must be a Fraction, got 0.5",
+}
+
+
+def test_a_built_instance_refuses_what_parse_csp_refuses():
+    assert _hand_built_refusals() == HAND_BUILT_REFUSALS
+
+
+def test_a_built_instance_refuses_what_parse_csp_refuses_without_asserts():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import json, test_csp; print(json.dumps(test_csp._hand_built_refusals()))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root / 'tests'}"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == HAND_BUILT_REFUSALS
 
 
 def test_candidate_rows_order(toy1):

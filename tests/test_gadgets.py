@@ -179,6 +179,19 @@ def test_kernel_support_refuses_ragged_rows():
         first_singular_submatrix(ragged)
 
 
+def test_kernel_support_with_no_nonzero_entries_is_empty():
+    assert search_kernel_support_counterexample(reduced_vandermonde(13, 3), 3, 0) is None
+
+
+@pytest.mark.parametrize("scale", [2**58, 2**62])
+def test_kernel_support_of_a_scaled_vandermonde(scale):
+    # scaling keeps the kernel; at 2**58 the products pass int64 and run in
+    # Python integers, and at 2**62 the entries themselves do
+    rows = reduced_vandermonde(13, 3).rows
+    vm = ReducedVandermonde(13, 3, tuple(tuple(scale * x for x in r) for r in rows))
+    assert search_kernel_support_counterexample(vm, 3, 5) is None
+
+
 def test_kernel_search_budget():
     vm = reduced_vandermonde(13, 3)
     with pytest.raises(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from svpforge import reduction
 from svpforge.basisio import load_instance, save_instance, sidecar_json, sidecar_text
-from svpforge.csp import Constraint, CspInstance, indicator_matrix, parse_csp
+from svpforge.csp import Constraint, CspInstance, emit_csp, indicator_matrix, parse_csp
 from svpforge.errors import BudgetExceededError, ProfileError, SvpforgeError
 from svpforge.gadgets import hadamard, hadamard_row, reduced_vandermonde
 from svpforge.reduction import (
@@ -106,12 +106,12 @@ def test_gap_factor_floor_of_a_small_soundness_is_quick(zeros):
 
 
 def test_gap_factor_past_the_float_range_is_refused():
-    # float(10**400) overflows, and so does the value itself
+    # float(10**400) overflows, and so does the value itself; the floor is
+    # an integer root and needs no float
     g = GapFactor(Fraction(10**400), Fraction(1))
     with pytest.raises(ProfileError, match="exceeds the float range"):
         g.as_float()
-    with pytest.raises(ProfileError, match="exceeds the float range"):
-        g.floor()
+    assert g.floor() == 10**400
 
 
 def test_gap_factor_floor_at_the_largest_float():
@@ -129,11 +129,28 @@ def test_explicit_profile_values(toy1):
     assert prof.support_width == 1
     assert prof.rows_full == 8
     assert prof.consistency_cols == 4
-    assert prof.support_cols == 1
     assert prof.spread_cols == 8
     assert prof.nprime == 13
     assert prof.padded_alphabet == 2
     assert prof.threshold_power == 13
+
+
+def test_derive_profile_labels_pinned_knobs_explicit(toy1):
+    derived = derive_profile(toy1)
+    assert derived.mode == "asymptotic-default"
+    assert derive_profile(toy1, prime=67).mode == "explicit"
+    for knob in reduction.KNOBS:
+        pin = {knob: getattr(derived, knob)}
+        assert derive_profile(toy1, **pin).mode == "explicit"
+        # a mode that is given is kept, as a loaded sidecar's label is
+        assert derive_profile(toy1, mode="asymptotic-default", **pin).mode == "asymptotic-default"
+
+
+def test_gap_factor_exponent_is_half_less_one_over_p_over_25q(toy1):
+    for p in range(3, reduction.MAX_NORM_INDEX + 1):
+        want = (Fraction(1, 2) - Fraction(1, p)) / (25 * toy1.arity)
+        assert derive_profile(toy1, p=p).gap_factor.exponent == want
+    assert derive_profile(toy1, p="inf").gap_factor.exponent == Fraction(1, 50 * toy1.arity)
 
 
 def test_asymptotic_profile_values(toy1):
@@ -604,7 +621,7 @@ def _block_relative_rows(inst, prof):
         for t, tup in kept
     ]
     s_lo = prof.consistency_cols
-    h_lo = s_lo + prof.support_cols
+    h_lo = s_lo + prof.support_width
     return tuple(
         (*c, *[(s_lo + j, x) for j, x in s], *[(h_lo + j, x) for j, x in h])
         for c, s, h in zip(consistency, support, spread)
@@ -753,3 +770,29 @@ def test_sidecar_text_matches_the_row_per_tuple_reference(case, seed):
     # at most 2**3 tuples over up to 12 constraints, so tuples recur
     out = reduce_csp(*case)
     assert sidecar_text(out, "case.basis", seed) == _reference_sidecar_text(out, "case.basis", seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_regular_reductions())
+def test_emit_parse_round_trips_a_built_instance(case):
+    inst, _ = case
+    assert parse_csp(emit_csp(inst)) == inst
+
+
+@pytest.mark.parametrize(
+    "p, reason",
+    [
+        (3.0, "non-integer norms are only available as 'inf'"),
+        (True, r"profiles need p in 3\.\.64 or the max-norm"),
+        ("3", r"unsupported norm index '3': use 1 to 64, or 'inf'"),
+        (1, r"profiles need p in 3\.\.64 or the max-norm"),
+        (2, r"profiles need p in 3\.\.64 or the max-norm"),
+    ],
+)
+def test_a_sidecar_norm_index_is_read_by_derive_profile(toy1_reduced, tmp_path, p, reason):
+    basis_path, sidecar_path = save_instance(toy1_reduced, tmp_path / "toy1.basis")
+    payload = json.loads(sidecar_path.read_text())
+    payload["profile"]["p"] = p
+    sidecar_path.write_text(json.dumps(payload, indent=2) + "\n")
+    with pytest.raises(SvpforgeError, match=f"^sidecar profile is invalid: {reason}$"):
+        load_instance(basis_path)

@@ -289,9 +289,24 @@ def test_regularize_rejects_bad_right_degree(toy1):
 
 def test_regularize_rejects_unused_variable():
     inst = parse_csp("csp 3 1 2 2\ncon 0 1\nacc 0 0\n")
-    params = RegularizeParams.defaults(inst, duplication=1, spread=1)
-    with pytest.raises(RegularizeError):
-        regularize(inst, params)  # variable 2 has degree zero
+    with pytest.raises(RegularizeError, match="^variable 2 occurs in no constraint$"):
+        RegularizeParams.defaults(inst, duplication=1, spread=1)
+    params = RegularizeParams(duplication=1, spread=1, beta=Fraction(1, 2))
+    with pytest.raises(RegularizeError, match="^variable 2 occurs in no constraint$"):
+        regularize(inst, params)
+
+
+@pytest.mark.parametrize(
+    "header", [f"csp 1 0 {10**20} 2\n", f"csp 1 0 {10**20} 2\ns 1/2\n", "csp 2 0 2 2\n"]
+)
+def test_defaults_refuse_an_unused_variable_at_once(header):
+    # with no constraints nothing bounds the arity q, and the default beta
+    # would take a root of 64**(2q)
+    inst = parse_csp(header)
+    start = time.perf_counter()
+    with pytest.raises(RegularizeError, match="^variable 0 occurs in no constraint$"):
+        RegularizeParams.defaults(inst)
+    assert time.perf_counter() - start < 1
 
 
 def test_build_disperser_small_sizes():

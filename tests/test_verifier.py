@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import pathlib
+import random
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -783,3 +784,38 @@ def test_extract_auto_switches_to_sampled(unsat_reduced):
     res = extract_assignment((1, 1, 1, 1), unsat_reduced, exhaustive_budget=3, seed=5)
     assert res.mode == "sampled"
     assert res.fraction <= Fraction(1, 2)
+
+
+@pytest.mark.parametrize("fixture, v", [("unsat_reduced", (1, 1, 1, 1)), ("toy1_reduced", (1, 1, 1))])
+def test_extract_sampled_matches_a_scan_of_every_draw(request, fixture, v):
+    # below the 4 candidate assignments, so the draws are sampled; toy1's
+    # draws reach a satisfying one, where the scan stops
+    inst = request.getfixturevalue(fixture)
+    res = extract_assignment(v, inst, seed=3, exhaustive_budget=3, samples=40)
+    assert res.mode == "sampled"
+    by_variable = indicated_view(v, inst).symbols_by_variable
+    candidates = [by_variable.get(x, (0,)) for x in range(inst.csp.num_vars)]
+    rng = random.Random(3)
+    draws = [tuple(rng.choice(c) for c in candidates) for _ in range(40)]
+    best = max(evaluate(inst.csp, d) for d in draws)
+    first = next(d for d in draws if evaluate(inst.csp, d) == best)
+    assert (res.fraction, res.assignment) == (best, first)
+
+
+def test_audit_on_a_max_norm_basis(toy1):
+    prof = derive_profile(toy1, p="inf", consistency_width=1, support_width=1, scale=SCALE)
+    inst = reduce_csp(toy1, prof)
+    witness = audit_vector((1, 0, -1), inst)
+    assert (witness.max_abs, witness.norm_power, witness.exceeds_threshold) == (1, 1, False)
+    single = audit_vector((1, 0, 0), inst)
+    assert (single.max_abs, single.exceeds_threshold) == (SCALE, True)
+    small = next(c for c in single.checks if c.name == "small-support-blowup")
+    assert small.hypothesis and small.conclusion
+
+
+def test_enumerate_refuses_a_basis_with_no_rows():
+    csp = parse_csp("csp 2 1 2 2\ncon 0 1\n")
+    inst = reduce_csp(csp, explicit_profile(csp))
+    assert inst.num_rows == 0
+    with pytest.raises(ValueError, match="^need at least one row$"):
+        enumerate_box(inst, 1)
