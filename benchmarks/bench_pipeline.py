@@ -150,7 +150,7 @@ def bench_rung(n, repeat, workdir):
     assert load_instance(path).rows == out.rows, f"N={n}: loaded basis differs"
     wit = witness_from_assignment(out, (0,) * n)
     image = apply_coefficients(wit, out.rows, out.num_cols)
-    scaled = image[out.consistency_span[0] : out.support_span[1]]
+    scaled = image[prof.consistency_span[0] : prof.support_span[1]]
     assert not any(scaled), f"N={n}: witness leaves a scaled column nonzero"
     assert max(map(abs, image)) == 1, f"N={n}: witness image max-norm is not 1"
     report = audit_vector(vec, out)

@@ -27,6 +27,7 @@ decoded with newline translation: CRLF newlines or a non-ASCII byte are refused.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -149,21 +150,11 @@ def _p_json(p: Optional[int]):
 
 
 def profile_to_json(prof: ReductionProfile) -> dict:
-    return {
-        "p": _p_json(prof.p),
-        "prime": prof.prime,
-        "scale": prof.scale,
-        "consistency_width": prof.consistency_width,
-        "support_width": prof.support_width,
-        "mode": prof.mode,
-        "soundness": _frac_str(prof.soundness),
-        "num_vars": prof.num_vars,
-        "num_constraints": prof.num_constraints,
-        "arity": prof.arity,
-        "alphabet_size": prof.alphabet_size,
-        "degree": prof.degree,
-        "padded_alphabet": prof.padded_alphabet,
-    }
+    """The profile's fields in declaration order, p and soundness as JSON
+    values, then ``padded_alphabet``."""
+    d = {f.name: getattr(prof, f.name) for f in dataclasses.fields(prof)}
+    d.update(p=_p_json(prof.p), soundness=_frac_str(prof.soundness))
+    return {**d, "padded_alphabet": prof.padded_alphabet}
 
 
 def profile_from_json(d: dict, csp: CspInstance) -> ReductionProfile:
@@ -208,9 +199,9 @@ def sidecar_json(
         },
         "shape": {"rows": inst.num_rows, "cols": inst.num_cols},
         "col_spans": {
-            "consistency": list(inst.consistency_span),
-            "support": list(inst.support_span),
-            "spread": list(inst.spread_span),
+            "consistency": list(prof.consistency_span),
+            "support": list(prof.support_span),
+            "spread": list(prof.spread_span),
         },
         "row_provenance": [[t, list(tup)] for t, tup in inst.row_provenance],
         "csp": emit_csp(inst.csp),
@@ -234,9 +225,8 @@ def sidecar_text(inst: GapSvpInstance, basis_file: str, seed: Optional[int] = No
     prof = inst.profile
     gap = prof.gap_factor
     p = '"inf"' if prof.p is None else prof.p
+    support, spread = prof.support_span
     nprime = prof.nprime
-    support = prof.consistency_cols
-    spread = support + prof.support_width
     sep = ",\n        "
     tup_text = {}
     for _, tup in inst.row_provenance:

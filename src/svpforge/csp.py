@@ -139,18 +139,13 @@ class RegularityReport:
     is_regular: bool
     degree: Optional[int]
     degrees: tuple[int, ...]
-    handshake_holds: Optional[bool]  # N*d == M*q, defined only when regular
 
 
 def validate_regular(inst: CspInstance) -> RegularityReport:
     """Check that every variable occurs in the same number of constraints."""
     degs = inst.degrees()
     regular = len(set(degs)) == 1
-    d = degs[0] if regular else None
-    handshake = None
-    if regular:
-        handshake = inst.num_vars * d == inst.num_constraints * inst.arity
-    return RegularityReport(regular, d, degs, handshake)
+    return RegularityReport(regular, degs[0] if regular else None, degs)
 
 
 def evaluate(inst: CspInstance, assignment: Sequence[int]) -> Fraction:

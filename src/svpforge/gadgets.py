@@ -358,8 +358,12 @@ def verify_disperser(
 
     The absorbed-count is monotone under subset inclusion, so only subsets of
     size exactly floor(beta*B) are enumerated.  Returns (True, None) on
-    success or (False, violating_subset) on failure.
+    success or (False, violating_subset) on failure.  delta and beta must be
+    an int or a Fraction: a float floor(beta*B) may fall one short.
     """
+    for name, value in (("delta", delta), ("beta", beta)):
+        if type(value) not in (int, Fraction):
+            raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
     a, b = graph.left_size, graph.right_size
     m = int(beta * b)  # floor for nonnegative rationals
     if m <= 0:

@@ -323,6 +323,8 @@ def box_minimum(rows, c, p, budget):
     m = len(rows)
     if m == 0:
         raise ValueError("need at least one row")
+    if type(c) is not int:  # a float radius would give float digits and powers
+        raise ValueError(f"box radius must be an integer, got {c!r}")
     if c < 1:
         raise ValueError("box radius must be at least 1")
     try:
@@ -365,6 +367,8 @@ def frontier_search(plan, c, p, budget, digits=None, below=None):
     listed digits are tried in full, so keep them few.  Neither search keeps
     a table, so past the plan its memory is O(steps) whatever the budget.
     """
+    if type(budget) is not int:
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 0:
         raise ValueError("budget must be at least 0")
     ranged = digits is None

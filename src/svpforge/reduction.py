@@ -85,7 +85,7 @@ def normalize_p(p) -> Optional[int]:
         if math.isinf(p) and p > 0:
             return None
         raise ProfileError("non-integer norms are only available as 'inf'")
-    if isinstance(p, int) and 1 <= p <= MAX_NORM_INDEX:
+    if type(p) is int and 1 <= p <= MAX_NORM_INDEX:  # not a bool
         return p
     raise ProfileError(f"unsupported norm index {p!r}: use 1 to {MAX_NORM_INDEX}, or 'inf'")
 
@@ -209,16 +209,24 @@ class ReductionProfile:
         return self.padded_alphabet**self.arity
 
     @property
-    def consistency_cols(self) -> int:
-        return self.num_vars * self.alphabet_size * self.consistency_width
+    def consistency_span(self) -> tuple[int, int]:
+        """The basis columns [lo, hi) of the consistency block, and so of
+        ``support_span`` and ``spread_span``: the blocks in basis order."""
+        return 0, self.num_vars * self.alphabet_size * self.consistency_width
 
     @property
-    def spread_cols(self) -> int:
-        return self.num_constraints * self.spread_cols_per_constraint
+    def support_span(self) -> tuple[int, int]:
+        lo = self.consistency_span[1]
+        return lo, lo + self.support_width
+
+    @property
+    def spread_span(self) -> tuple[int, int]:
+        lo = self.support_span[1]
+        return lo, lo + self.num_constraints * self.spread_cols_per_constraint
 
     @property
     def nprime(self) -> int:
-        return self.consistency_cols + self.support_width + self.spread_cols
+        return self.spread_span[1]
 
     @property
     def max_abs_entry(self) -> int:
@@ -396,7 +404,7 @@ def build_support_block(
     reduced_vandermonde(prof.prime, prof.support_width)
     sigma, stride = inst.alphabet_size, inst.alphabet_size**inst.arity
     prime, scale = prof.prime, prof.scale
-    lo = prof.consistency_cols
+    lo = prof.support_span[0]
     first = (lo, scale)  # the zeroth power is 1 in every row
     later = range(lo + 1, lo + prof.support_width)
     out = []
@@ -433,7 +441,7 @@ def build_spread_block(
     """
     per = prof.spread_cols_per_constraint  # a power of two: padded_alphabet**q
     k = per.bit_length() - 1
-    lo = prof.consistency_cols + prof.support_width
+    lo = prof.spread_span[0]
     sigma = inst.alphabet_size
     h_rows = {}  # tuple -> its Hadamard row, built once per distinct tuple
     out = []
@@ -486,20 +494,6 @@ class GapSvpInstance:
     @property
     def num_cols(self) -> int:
         return self.profile.nprime
-
-    @property
-    def consistency_span(self) -> tuple[int, int]:
-        return 0, self.profile.consistency_cols
-
-    @property
-    def support_span(self) -> tuple[int, int]:
-        lo = self.profile.consistency_cols
-        return lo, lo + self.profile.support_width
-
-    @property
-    def spread_span(self) -> tuple[int, int]:
-        lo = self.profile.consistency_cols + self.profile.support_width
-        return lo, self.profile.nprime
 
 
 def reduce_csp(inst: CspInstance, prof: ReductionProfile) -> GapSvpInstance:

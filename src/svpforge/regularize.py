@@ -62,6 +62,13 @@ class RegularizeParams:
     right_degree: Optional[int] = None
 
     def __post_init__(self):
+        optional = () if self.right_degree is None else ("right_degree",)
+        for key in ("duplication", "spread", *optional):
+            value = getattr(self, key)
+            if type(value) is not int:  # bool is an int subclass; refuse it too
+                raise RegularizeError(f"{key} must be an integer, got {value!r}")
+        if type(self.beta) is not Fraction:  # a float beta is certified in floats
+            raise RegularizeError(f"beta must be a Fraction, got {self.beta!r}")
         if self.duplication < 1:
             raise RegularizeError("duplication must be at least 1")
         if self.spread < 1:

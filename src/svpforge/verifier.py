@@ -114,11 +114,10 @@ def witness_from_assignment(
         tup = tuple(assignment[x] for x in con.variables)
         selected.append(row_of[(t, tup)])
 
-    lo, hi = inst.consistency_span[0], inst.support_span[1]
+    prof = inst.profile
+    lo, hi = prof.consistency_span[0], prof.support_span[1]
     scaled = [[(j, x) for j, x in inst.rows[r] if lo <= j < hi] for r in selected]
-    plan = kernels.frontier_plan(
-        scaled, kernels.rcm_order(scaled, range(*inst.consistency_span))
-    )
+    plan = kernels.frontier_plan(scaled, kernels.rcm_order(scaled, range(*prof.consistency_span)))
     try:
         _power, signs, _states = kernels.frontier_search(plan, 1, None, budget, (0, 1, -1), 1)
     except BudgetExceededError:
@@ -134,7 +133,7 @@ def witness_from_assignment(
     if next(x for x in v if x) < 0:
         v = [-x for x in v]
     image = apply_coefficients(v, inst.rows, inst.num_cols)
-    if any(image[j] for j in range(lo, hi)):
+    if any(image[lo:hi]):
         raise SvpforgeError("scaled blocks must cancel")
     if lp_norm_power(image, None) != 1:
         raise SvpforgeError("witness must reach max-norm exactly 1")
@@ -287,20 +286,20 @@ def structural_facts(v: Sequence[int], inst: GapSvpInstance) -> StructuralFacts:
 def _structural_facts(
     image: Sequence[int], view: IndicatedView, inst: GapSvpInstance
 ) -> StructuralFacts:
-    scale = inst.profile.scale
-    s_lo, s_hi = inst.support_span
-    c_lo, c_hi = inst.consistency_span
+    prof = inst.profile
+    s_lo, s_hi = prof.support_span
+    c_lo, c_hi = prof.consistency_span
 
-    support_nonzero = any(image[j] for j in range(s_lo, s_hi))
+    support_nonzero = any(image[s_lo:s_hi])
     support_holds = True
     if support_nonzero:
-        support_holds = max(abs(x) for x in image) >= scale
+        support_holds = max(abs(x) for x in image) >= prof.scale
 
-    consistency_zero = all(image[j] == 0 for j in range(c_lo, c_hi))
+    consistency_zero = not any(image[c_lo:c_hi])
     block_holds = True
     offending = []
     if consistency_zero:
-        width = inst.profile.consistency_width
+        width = prof.consistency_width
         for pair, cnt in sorted(view.tuple_multiplicity.items()):
             if 0 < cnt <= width:
                 offending.append(pair)
@@ -357,12 +356,10 @@ def audit_vector(v: Sequence[int], inst: GapSvpInstance) -> AuditReport:
     view = indicated_view(v, inst)
     m, n = prof.num_constraints, prof.num_vars
 
-    if p is None:
-        exceeds = gap.cmp_power(max_abs, 1, Fraction(1)) > 0
-        at_least_scale = max_abs >= prof.scale
-    else:
-        exceeds = gap.cmp_power(power, prof.nprime, Fraction(p)) > 0
-        at_least_scale = power >= prof.scale**p
+    # the max-norm's power is its largest entry, compared as a first power
+    e = 1 if p is None else p
+    exceeds = gap.cmp_power(power, prof.threshold_power, Fraction(e)) > 0
+    at_least_scale = power >= prof.scale**e
 
     checks = [
         BoundCheck(

@@ -1,7 +1,11 @@
 """Shared fixtures: the two bundled toy instances and their explicit-profile
 reductions, built once per session."""
 
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +19,19 @@ def sparse_rows(dense):
     """Dense rows as ``GapSvpInstance.rows`` holds them: the (column, value)
     pairs of each row's nonzero entries, columns ascending."""
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in dense)
+
+
+def without_asserts(module, helper):
+    """``module.helper()``'s result, a JSON value, computed in a ``python -O``
+    subprocess, which strips ``assert``: a refusal must not rest on one."""
+    root = DATA.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", f"import json, {module}; print(json.dumps({module}.{helper}()))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root / 'tests'}"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def explicit_profile(inst, p=3):

@@ -26,6 +26,8 @@ from svpforge.gadgets import (
     verify_disperser,
 )
 
+from conftest import without_asserts
+
 
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
@@ -483,6 +485,42 @@ def test_verify_disperser_trivial_subset_size():
     # floor(beta * B) == 0 leaves nothing to check
     ok, cert = verify_disperser(_cycle_graph(4), Fraction(1, 2), Fraction(1, 8))
     assert ok and cert is None
+
+
+def _disperser_refusals():
+    """verify_disperser's delta and beta given as a float or a string,
+    mapped to the refusal's message; an int delta is rational and checked."""
+    beta, delta = Fraction(1, 4), Fraction(3, 16)
+    cases = {
+        "float-beta": (delta, 0.25),
+        "float-delta": (0.1875, beta),
+        "string-beta": (delta, "1/4"),
+        "int-delta": (1, beta),
+    }
+    out = {}
+    for name, (d, b) in cases.items():
+        try:
+            out[name] = list(verify_disperser(_cycle_graph(8), d, b))
+        except ValueError as exc:
+            out[name] = str(exc)
+    return out
+
+
+DISPERSER_REFUSALS = {
+    "float-beta": "beta must be an int or a Fraction, got 0.25",
+    "float-delta": "delta must be an int or a Fraction, got 0.1875",
+    "string-beta": "beta must be an int or a Fraction, got '1/4'",
+    "int-delta": [True, None],
+}
+
+
+def test_verify_disperser_refuses_a_float_delta_or_beta():
+    # a float floor(beta*B) can fall one short: int(0.29 * 100) == 28
+    assert _disperser_refusals() == DISPERSER_REFUSALS
+
+
+def test_verify_disperser_refuses_a_float_delta_or_beta_without_asserts():
+    assert without_asserts("test_gadgets", "_disperser_refusals") == DISPERSER_REFUSALS
 
 
 def test_verify_disperser_budget():

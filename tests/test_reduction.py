@@ -2,8 +2,6 @@
 
 import itertools
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -31,7 +29,7 @@ from svpforge.reduction import (
     tuple_rank,
 )
 
-from conftest import explicit_profile
+from conftest import explicit_profile, without_asserts
 
 SCALE = 10**6
 
@@ -128,8 +126,9 @@ def test_explicit_profile_values(toy1):
     assert prof.consistency_width == 1
     assert prof.support_width == 1
     assert prof.rows_full == 8
-    assert prof.consistency_cols == 4
-    assert prof.spread_cols == 8
+    assert prof.consistency_span == (0, 4)
+    assert prof.support_span == (4, 5)
+    assert prof.spread_span == (5, 13)
     assert prof.nprime == 13
     assert prof.padded_alphabet == 2
     assert prof.threshold_power == 13
@@ -249,16 +248,16 @@ def test_reduce_unsat_shape(unsat_reduced):
 
 def test_spans_and_groups(toy1_reduced):
     inst = toy1_reduced
-    assert inst.consistency_span == (0, 4)
-    assert inst.support_span == (4, 5)
-    assert inst.spread_span == (5, 13)
+    assert inst.profile.consistency_span == (0, 4)
+    assert inst.profile.support_span == (4, 5)
+    assert inst.profile.spread_span == (5, 13)
     # variable 1's symbol 0 owns consistency column (1 * 2 + 0) * 1, and
     # constraint 1 owns the second run of 4 spread columns
     prof = inst.profile
     assert (1 * prof.alphabet_size + 0) * prof.consistency_width == 2
     per = prof.spread_cols_per_constraint
     assert per == 4
-    assert inst.spread_span[0] + 1 * per == 9
+    assert inst.profile.spread_span[0] + 1 * per == 9
 
 
 def test_spread_block_padding():
@@ -277,7 +276,7 @@ def test_spread_block_padding():
     rows = build_spread_block(inst, prof, reduction._kept_rows(inst))
     assert len(rows) == 6  # one per kept row: rejected tuples get none
     h = hadamard(4)
-    lo = out.spread_span[0]
+    lo = out.profile.spread_span[0]
     blocks = {0: set(), 1: set()}
     for entries, (t, (a, b)) in zip(rows, out.row_provenance):
         # the Hadamard row of the tuple's rank over the original alphabet 3,
@@ -301,7 +300,7 @@ def test_spread_block_builds_only_the_rows_it_places():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
-    lo = out.spread_span[0]
+    lo = out.profile.spread_span[0]
     assert out.rows[0][-(1 << q):] == tuple(zip(range(lo, lo + (1 << q)), hadamard_row(q, (1 << q) - 1)))
 
 
@@ -462,28 +461,20 @@ def test_reduce_refuses_a_profile_derived_for_another_instance():
 
 
 def test_reduce_refuses_a_profile_derived_for_another_instance_without_asserts():
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c",
-         "import json, test_reduction; print(json.dumps(test_reduction._mismatch_refusals()))"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root / 'tests'}"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == MISMATCH_MESSAGES
+    assert without_asserts("test_reduction", "_mismatch_refusals") == MISMATCH_MESSAGES
 
 
 def test_scaled_blocks_dominate(toy1_reduced):
     # every consistency or support entry is 0 or a multiple of the scale
     inst = toy1_reduced
-    lo, hi = inst.consistency_span[0], inst.support_span[1]
+    lo, hi = inst.profile.consistency_span[0], inst.profile.support_span[1]
     for row in inst.basis:
         for j in range(lo, hi):
             assert row[j] == 0 or abs(row[j]) >= SCALE
             assert row[j] % SCALE == 0
     # spread entries stay in {-1, 0, 1}
     for row in inst.basis:
-        for j in range(*inst.spread_span):
+        for j in range(*inst.profile.spread_span):
             assert row[j] in (-1, 0, 1)
 
 
@@ -620,7 +611,7 @@ def _block_relative_rows(inst, prof):
         tuple(zip(range(t * per, (t + 1) * per), h.rows[tuple_rank(tup, sigma)]))
         for t, tup in kept
     ]
-    s_lo = prof.consistency_cols
+    s_lo = inst.num_vars * sigma * width
     h_lo = s_lo + prof.support_width
     return tuple(
         (*c, *[(s_lo + j, x) for j, x in s], *[(h_lo + j, x) for j, x in h])
@@ -670,7 +661,7 @@ def test_builders_place_entries_at_basis_columns(case):
         reduction.build_support_block(inst, prof, kept),
         reduction.build_spread_block(inst, prof, kept),
     )
-    spans = (out.consistency_span, out.support_span, out.spread_span)
+    spans = (out.profile.consistency_span, out.profile.support_span, out.profile.spread_span)
     for row, blocks in zip(out.rows, parts):
         assert row == sum(blocks, ())
         for entries, (lo, hi) in zip(blocks, spans):
@@ -783,7 +774,7 @@ def test_emit_parse_round_trips_a_built_instance(case):
     "p, reason",
     [
         (3.0, "non-integer norms are only available as 'inf'"),
-        (True, r"profiles need p in 3\.\.64 or the max-norm"),
+        (True, r"unsupported norm index True: use 1 to 64, or 'inf'"),
         ("3", r"unsupported norm index '3': use 1 to 64, or 'inf'"),
         (1, r"profiles need p in 3\.\.64 or the max-norm"),
         (2, r"profiles need p in 3\.\.64 or the max-norm"),

@@ -28,6 +28,8 @@ from svpforge.regularize import (
     regularize,
 )
 
+from conftest import without_asserts
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # the package re-exports the function regularize() under the submodule's name
@@ -136,6 +138,50 @@ def test_right_degree_below_1_is_refused():
     for degree in (0, -3):
         with pytest.raises(RegularizeError, match="right degree must be at least 1"):
             RegularizeParams(duplication=1, spread=1, beta=Fraction(1, 2), right_degree=degree)
+
+
+def _param_refusals():
+    """Each parameter of a wrong type, built directly, mapped to the
+    refusal's message.  Unrefused, an int field given as a float ended
+    ``regularize`` in a raw TypeError, a bool one was written to the
+    lineage as ``true``, and a float beta was certified in float arithmetic."""
+    good = {"duplication": 1, "spread": 1, "beta": Fraction(1, 2)}
+    cases = {
+        "float-duplication": {"duplication": 2.0},
+        "bool-duplication": {"duplication": True},
+        "float-spread": {"spread": 2.0},
+        "float-right-degree": {"right_degree": 2.0},
+        "bool-right-degree": {"right_degree": True},
+        "float-beta": {"beta": 0.5},
+        "string-beta": {"beta": "1/2"},
+    }
+    out = {}
+    for name, change in cases.items():
+        try:
+            RegularizeParams(**{**good, **change})
+            out[name] = "built"
+        except RegularizeError as exc:
+            out[name] = str(exc)
+    return out
+
+
+PARAM_REFUSALS = {
+    "float-duplication": "duplication must be an integer, got 2.0",
+    "bool-duplication": "duplication must be an integer, got True",
+    "float-spread": "spread must be an integer, got 2.0",
+    "float-right-degree": "right_degree must be an integer, got 2.0",
+    "bool-right-degree": "right_degree must be an integer, got True",
+    "float-beta": "beta must be a Fraction, got 0.5",
+    "string-beta": "beta must be a Fraction, got '1/2'",
+}
+
+
+def test_params_of_a_wrong_type_are_refused():
+    assert _param_refusals() == PARAM_REFUSALS
+
+
+def test_params_of_a_wrong_type_are_refused_without_asserts():
+    assert without_asserts("test_regularize", "_param_refusals") == PARAM_REFUSALS
 
 
 @pytest.mark.parametrize("knob", ["duplication", "spread"])

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from svpforge.basisio import load_instance, save_instance
 from svpforge.csp import Constraint, CspInstance, evaluate, parse_csp
-from svpforge.errors import BudgetExceededError, WitnessNotFoundError
+from svpforge.errors import BudgetExceededError, ProfileError, WitnessNotFoundError
 from svpforge.kernels import frontier_plan, rcm_order
-from svpforge.reduction import GapSvpInstance, derive_profile, reduce_csp
+from svpforge.reduction import GapSvpInstance, derive_profile, normalize_p, reduce_csp
 from svpforge.verifier import (
     IndicatedView,
     apply_coefficients,
@@ -33,7 +33,7 @@ from svpforge.verifier import (
     witness_from_assignment,
 )
 
-from conftest import explicit_profile, sparse_rows
+from conftest import DATA, explicit_profile, sparse_rows, without_asserts
 from test_kernels import _reference_box_dfs
 from test_regularize import _perfbench_gen
 
@@ -124,7 +124,7 @@ def _reference_witness(inst, assignment, budget):
         row_of[(t, tuple(assignment[x] for x in con.variables))]
         for t, con in enumerate(csp.constraints)
     ]
-    lo, hi = inst.consistency_span[0], inst.support_span[1]
+    lo, hi = inst.profile.consistency_span[0], inst.profile.support_span[1]
     cols = [j for j in range(lo, hi) if any(inst.basis[r][j] for r in selected)]
     images = [tuple(inst.basis[r][j] for j in cols) for r in selected]
     half = len(selected) // 2
@@ -239,7 +239,7 @@ def _check_witness(out, assignment, v):
     selected = _selected_signs(out, assignment, v)
     assert sum(1 for x in v if x) == sum(1 for x in selected if x) > 0
     image = apply_coefficients(v, out.rows, out.num_cols)
-    lo, hi = out.consistency_span[0], out.support_span[1]
+    lo, hi = out.profile.consistency_span[0], out.profile.support_span[1]
     assert not any(image[lo:hi])
     assert lp_norm_power(image, None) == 1
     assert next(x for x in v if x) == 1
@@ -269,9 +269,9 @@ def _first_in_search_order(out, assignment):
         row_of[(t, tuple(assignment[x] for x in con.variables))]
         for t, con in enumerate(out.csp.constraints)
     ]
-    lo, hi = out.consistency_span[0], out.support_span[1]
+    lo, hi = out.profile.consistency_span[0], out.profile.support_span[1]
     scaled = [[(j, x) for j, x in out.rows[r] if lo <= j < hi] for r in selected]
-    order = rcm_order(scaled, range(*out.consistency_span))
+    order = rcm_order(scaled, range(*out.profile.consistency_span))
     for signs in itertools.product((0, 1, -1), repeat=len(order)):
         if not any(signs):
             continue
@@ -318,7 +318,7 @@ def _doctored(images):
     for t, image in enumerate(images):
         row = [0] * out.num_cols
         row[0] = image
-        row[out.spread_span[0] + t * out.profile.spread_cols_per_constraint] = 1
+        row[out.profile.spread_span[0] + t * out.profile.spread_cols_per_constraint] = 1
         basis.append(tuple(row))
     return replace(out, rows=sparse_rows(basis))
 
@@ -354,7 +354,7 @@ def test_witness_exact_integer_path():
     )
     out = reduce_csp(inst, prof)
     selected = [out.row_provenance.index((t, (0, 0))) for t in range(8)]
-    lo, hi = out.consistency_span[0], out.support_span[1]
+    lo, hi = out.profile.consistency_span[0], out.profile.support_span[1]
     assert 4 * max(abs(out.basis[r][j]) for r in selected for j in range(lo, hi)) >= 2**63
     v = witness_from_assignment(out, (0,) * 4)
     _check_witness(out, (0,) * 4, v)
@@ -648,7 +648,7 @@ def test_structural_facts_on_non_kernel_vector(toy1_reduced):
 def test_structural_facts_flag_doctored_instance(toy1_reduced):
     # zero out one row's scaled blocks; a lone coefficient there now cancels
     # the consistency block while indicating blocks with a single coefficient
-    spread_lo = toy1_reduced.spread_span[0]
+    spread_lo = toy1_reduced.profile.spread_span[0]
     rows = [list(r) for r in toy1_reduced.basis]
     rows[2] = [0] * spread_lo + rows[2][spread_lo:]
     doctored = GapSvpInstance(
@@ -736,7 +736,7 @@ def test_audit_json_writes_offending_blocks_as_arrays(toy1_reduced):
     import json
 
     # the doctored row of test_structural_facts_flag_doctored_instance
-    spread_lo = toy1_reduced.spread_span[0]
+    spread_lo = toy1_reduced.profile.spread_span[0]
     rows = list(toy1_reduced.rows)
     rows[2] = tuple((j, x) for j, x in rows[2] if j >= spread_lo)
     doctored = replace(toy1_reduced, rows=tuple(rows))
@@ -819,3 +819,46 @@ def test_enumerate_refuses_a_basis_with_no_rows():
     assert inst.num_rows == 0
     with pytest.raises(ValueError, match="^need at least one row$"):
         enumerate_box(inst, 1)
+
+
+def _integer_refusals():
+    """The norm index, box radius and budgets given as a bool or a float,
+    mapped to the refusal's message.  Unrefused, a bool p ran as p=1, and
+    box 1.5 on toy1 at p=3 gave the float power 8.0 with the floor 62.5,
+    though a coefficient outside the box has magnitude at least 2."""
+    toy1 = parse_csp((DATA / "toy1.csp").read_text())
+    out = reduce_csp(toy1, explicit_profile(toy1))
+    cases = {
+        "bool-p": lambda: normalize_p(True),
+        "bool-p-norm": lambda: lp_norm_power([2, -3], True),
+        "bool-p-box": lambda: enumerate_box(out, 1, p=True),
+        "float-box": lambda: enumerate_box(out, 1.5),
+        "float-box-budget": lambda: enumerate_box(out, 1, budget=2.5),
+        "float-witness-budget": lambda: witness_from_assignment(out, (0, 0), budget=1e6),
+    }
+    got = {}
+    for name, call in cases.items():
+        try:
+            call()
+            got[name] = "accepted"
+        except (ProfileError, ValueError) as exc:
+            got[name] = str(exc)
+    return got
+
+
+INTEGER_REFUSALS = {
+    "bool-p": "unsupported norm index True: use 1 to 64, or 'inf'",
+    "bool-p-norm": "unsupported norm index True: use 1 to 64, or 'inf'",
+    "bool-p-box": "unsupported norm index True: use 1 to 64, or 'inf'",
+    "float-box": "box radius must be an integer, got 1.5",
+    "float-box-budget": "budget must be an integer, got 2.5",
+    "float-witness-budget": "budget must be an integer, got 1000000.0",
+}
+
+
+def test_a_bool_norm_index_or_a_float_box_or_budget_is_refused():
+    assert _integer_refusals() == INTEGER_REFUSALS
+
+
+def test_a_bool_norm_index_or_a_float_box_or_budget_is_refused_without_asserts():
+    assert without_asserts("test_verifier", "_integer_refusals") == INTEGER_REFUSALS
