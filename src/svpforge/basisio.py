@@ -335,26 +335,26 @@ def _create_beside(path: Path):
             pass
 
 
-def load_instance(basis_path, sidecar_path=None) -> GapSvpInstance:
+def load_instance(basis_path) -> GapSvpInstance:
     """Rebuild a reduction output from its sidecar's instance and profile knobs.
 
-    Both files must be, byte for byte, what ``save_instance`` writes for the
-    rebuilt reduction: the basis file the bytes of ``emit_basis`` of its
-    rows, and the sidecar those of ``sidecar_text`` of it, the fixed-schema
-    writer that gives ``json.dumps(sidecar_json(...), indent=2)``.  The
-    sidecar's ``basis_file`` and ``seed`` are the only free fields, so a pair
-    renamed together still loads.  Files are read as bytes and never decoded
-    with newline translation, so CRLF newlines or a byte outside ASCII are
+    The sidecar is ``<basis_path>.json``.  Both files must be, byte for byte,
+    what ``save_instance`` writes for the rebuilt reduction: the basis file
+    the bytes of ``emit_basis`` of its rows, and the sidecar those of
+    ``sidecar_text`` of it, the fixed-schema writer that gives
+    ``json.dumps(sidecar_json(...), indent=2)``.  The sidecar's
+    ``basis_file`` and ``seed`` are the only free fields, so a pair renamed
+    together still loads.  Files are read as bytes and never decoded with
+    newline translation, so CRLF newlines or a byte outside ASCII are
     refused.  The basis file is compared with the rebuilt rows one emitted
     piece at a time, and read no further than the first piece that differs,
-    whose line alone names the mismatch, or one byte past its closing bracket.
-    A file too short for the sidecar's shape is refused before the rebuild.
+    whose line alone names the mismatch, or one byte past its closing
+    bracket.  A file too short for the sidecar's shape is refused before the
+    rebuild.
     """
     basis_path = Path(basis_path)
-    if sidecar_path is None:
-        sidecar_path = basis_path.with_name(basis_path.name + ".json")
     try:
-        sidecar = Path(sidecar_path).read_bytes().decode("ascii")
+        sidecar = basis_path.with_name(basis_path.name + ".json").read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
         raise SvpforgeError(
             f"sidecar holds byte {exc.object[exc.start]:#04x} at offset {exc.start}, "

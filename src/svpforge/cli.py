@@ -31,6 +31,7 @@ from .gadgets import (
 from .reduction import derive_profile, reduce_csp
 from .regularize import RegularizeParams, lineage_json, regularize
 from .verifier import (
+    BOX_CAVEAT,
     DEFAULT_BOX_BUDGET,
     DEFAULT_WITNESS_BUDGET,
     apply_coefficients,
@@ -188,7 +189,7 @@ def cmd_enumerate(args) -> int:
         rel = "<=" if res.power <= thr else ">"
         print(f"verdict: minimum power {res.power} {rel} threshold power {thr}")
     if not res.certified:
-        print(f"note: {res.caveat}")
+        print(f"note: {BOX_CAVEAT}")
     return 0
 
 

@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, CspParseError, CspValidationError
 
-DEFAULT_ASSIGNMENT_BUDGET = 1 << 21
-DEFAULT_MATRIX_CELL_BUDGET = 1 << 24
+ASSIGNMENT_BUDGET = 1 << 21
+MATRIX_CELL_BUDGET = 1 << 24
 # Most variables an instance may have: a per-variable table (``degrees``)
 # is built for every instance, and 2**22 is past what ``reduce`` (bounded
 # by its cell budget) or ``regularize`` (bounded by its scope entries) can
@@ -155,6 +155,8 @@ def evaluate(inst: CspInstance, assignment: Sequence[int]) -> Fraction:
             f"assignment length {len(assignment)} != variable count {inst.num_vars}"
         )
     for a in assignment:
+        if type(a) is not int:  # bool is an int subclass; refuse it too
+            raise CspValidationError(f"assignment value must be an integer, got {a!r}")
         if not (0 <= a < inst.alphabet_size):
             raise CspValidationError(f"assignment value {a} out of range")
     if inst.num_constraints == 0:
@@ -163,20 +165,16 @@ def evaluate(inst: CspInstance, assignment: Sequence[int]) -> Fraction:
     return Fraction(hits, inst.num_constraints)
 
 
-def max_sat_bruteforce(
-    inst: CspInstance, budget: int = DEFAULT_ASSIGNMENT_BUDGET
-) -> tuple[Fraction, tuple[int, ...]]:
+def max_sat_bruteforce(inst: CspInstance) -> tuple[Fraction, tuple[int, ...]]:
     """Exhaustive maximum satisfiable fraction and its first witness.
 
     Enumerates all SIGMA**N assignments in lexicographic order, so the
     returned witness is the lexicographically smallest optimum.  Raises
-    BudgetExceededError before starting if the space is too large.
+    BudgetExceededError before starting past ASSIGNMENT_BUDGET assignments.
     """
     total = inst.alphabet_size ** inst.num_vars
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} assignments exceed the budget of {budget}"
-        )
+    if total > ASSIGNMENT_BUDGET:
+        raise BudgetExceededError(f"{total} assignments exceed the budget of {ASSIGNMENT_BUDGET}")
     return best_assignment(
         inst, itertools.product(range(inst.alphabet_size), repeat=inst.num_vars)
     )
@@ -231,17 +229,15 @@ def candidate_rows(inst: CspInstance) -> Iterable[tuple[int, tuple[int, ...]]]:
             yield t, tup
 
 
-def indicator_matrix(
-    inst: CspInstance, cell_budget: int = DEFAULT_MATRIX_CELL_BUDGET
-) -> IndicatorMatrix:
-    """Build the dense indicator matrix for ``inst``."""
+def indicator_matrix(inst: CspInstance) -> IndicatorMatrix:
+    """Build the dense indicator matrix for ``inst``, of at most
+    MATRIX_CELL_BUDGET cells."""
     sigma, q = inst.alphabet_size, inst.arity
     num_rows = inst.num_constraints * sigma**q
     num_cols = inst.num_vars * sigma
-    if num_rows * num_cols > cell_budget:
-        raise BudgetExceededError(
-            f"indicator matrix with {num_rows * num_cols} cells exceeds budget {cell_budget}"
-        )
+    if num_rows * num_cols > MATRIX_CELL_BUDGET:
+        raise BudgetExceededError(f"indicator matrix with {num_rows * num_cols} cells "
+                                  f"exceeds budget {MATRIX_CELL_BUDGET}")
     rows = []
     row_index = []
     for t, tup in candidate_rows(inst):

@@ -19,7 +19,7 @@ from typing import Optional
 from . import kernels
 from .errors import BudgetExceededError
 
-DEFAULT_SUBSET_BUDGET = 1 << 22
+SUBSET_BUDGET = 1 << 22
 
 # Candidates (support, value tuple) evaluated per batch of a kernel-support
 # search: each column's image and the zero mask hold this many cells.
@@ -174,10 +174,7 @@ def first_singular_submatrix(vm: ReducedVandermonde) -> Optional[tuple[int, ...]
 
 
 def search_kernel_support_counterexample(
-    vm: ReducedVandermonde,
-    max_support: int,
-    entry_bound: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    vm: ReducedVandermonde, max_support: int, entry_bound: int
 ) -> Optional[tuple[int, ...]]:
     """Exhaustive search for a nonzero v with v*V == 0 and support <= max_support.
 
@@ -203,8 +200,8 @@ def search_kernel_support_counterexample(
     work = sum(
         comb(n, k) * len(nonzero_entries) ** k for k in range(1, max_support + 1)
     )
-    if work > budget:
-        raise BudgetExceededError(f"{work} candidate vectors exceed budget {budget}")
+    if work > SUBSET_BUDGET:
+        raise BudgetExceededError(f"{work} candidate vectors exceed budget {SUBSET_BUDGET}")
     if any(len(r) != vm.width for r in vm.rows):
         raise ValueError("rows must be exactly width long")
     if not nonzero_entries:
@@ -348,10 +345,7 @@ class BipartiteBiregular:
 
 
 def verify_disperser(
-    graph: BipartiteBiregular,
-    delta: Fraction,
-    beta: Fraction,
-    budget: int = DEFAULT_SUBSET_BUDGET,
+    graph: BipartiteBiregular, delta: Fraction, beta: Fraction
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Certify: no right subset of size <= beta*B absorbs the full neighborhood
     of more than delta*A left vertices.
@@ -369,8 +363,8 @@ def verify_disperser(
     if m <= 0:
         return True, None
     m = min(m, b)
-    if comb(b, m) > budget:
-        raise BudgetExceededError(f"{comb(b, m)} subsets exceed budget {budget}")
+    if comb(b, m) > SUBSET_BUDGET:
+        raise BudgetExceededError(f"{comb(b, m)} subsets exceed budget {SUBSET_BUDGET}")
     neighbor_sets = [frozenset(nbrs) for nbrs in graph.adjacency]
     threshold = delta * a
     for subset in itertools.combinations(range(b), m):

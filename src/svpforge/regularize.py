@@ -45,6 +45,19 @@ SEARCH_BUDGET = 1 << 20
 MAX_SCOPE_ENTRIES = 1 << 22
 
 
+def _check_types(beta, optional: dict, **integers) -> None:
+    """The type rule of regularize's knobs, refused naming the argument: each
+    of ``integers``, and each of ``optional`` that is not None, must be an
+    ``int`` (a bool, an int subclass, is refused), and ``beta`` a
+    ``Fraction``, since a float beta would be certified in floats."""
+    given = {key: value for key, value in optional.items() if value is not None}
+    for key, value in {**integers, **given}.items():
+        if type(value) is not int:
+            raise RegularizeError(f"{key} must be an integer, got {value!r}")
+    if type(beta) is not Fraction:
+        raise RegularizeError(f"beta must be a Fraction, got {beta!r}")
+
+
 @dataclass(frozen=True)
 class RegularizeParams:
     """Parameters for regularize().
@@ -62,13 +75,8 @@ class RegularizeParams:
     right_degree: Optional[int] = None
 
     def __post_init__(self):
-        optional = () if self.right_degree is None else ("right_degree",)
-        for key in ("duplication", "spread", *optional):
-            value = getattr(self, key)
-            if type(value) is not int:  # bool is an int subclass; refuse it too
-                raise RegularizeError(f"{key} must be an integer, got {value!r}")
-        if type(self.beta) is not Fraction:  # a float beta is certified in floats
-            raise RegularizeError(f"beta must be a Fraction, got {self.beta!r}")
+        _check_types(self.beta, {"right_degree": self.right_degree},
+                     duplication=self.duplication, spread=self.spread)
         if self.duplication < 1:
             raise RegularizeError("duplication must be at least 1")
         if self.spread < 1:
@@ -150,8 +158,10 @@ def build_disperser(
     which no graph can certify is refused before the search: when spread <=
     floor(beta*B) and delta*A < 1, every left vertex's neighbourhood lies in
     a right subset of size floor(beta*B), which absorbs at least that one
-    vertex, more than delta*A.
+    vertex, more than delta*A.  Every argument is type-checked as
+    ``RegularizeParams``' fields are.
     """
+    _check_types(beta, {"right_size": right_size}, left_size=left_size, spread=spread)
     a, w = left_size, spread
     if a < 1 or w < 1:
         raise RegularizeError("need at least one left vertex and spread >= 1")

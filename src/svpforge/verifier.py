@@ -31,8 +31,8 @@ DEFAULT_WITNESS_BUDGET = 1_000_000
 # 2,035), while verify's seed-1 enumerations take 1.0 to 8.1 times fewer.
 # So a box that order finished just inside this budget may now be refused.
 DEFAULT_BOX_BUDGET = 20_000_000 // 3
-DEFAULT_EXHAUSTIVE_COMBOS = 1 << 16
-DEFAULT_SAMPLES = 1024
+EXHAUSTIVE_COMBOS = 1 << 16
+SAMPLES = 1024
 
 BOX_CAVEAT = "minimum over the coefficient box only, not a certified lattice minimum"
 
@@ -69,11 +69,14 @@ def apply_coefficients(
     v: Sequence[int], rows: Sequence[Sequence[tuple[int, int]]], width: int
 ) -> tuple[int, ...]:
     """The row vector v * G, exactly, for the ``width``-column basis G whose
-    row r has the (column, value) entries ``rows[r]`` (``GapSvpInstance.rows``)."""
+    row r has the (column, value) entries ``rows[r]`` (``GapSvpInstance.rows``).
+    Every coefficient must be an ``int``: a fractional one names no lattice vector."""
     if len(v) != len(rows):
         raise ValueError("coefficient count must match the row count")
     out = [0] * width
     for coeff, entries in zip(v, rows):
+        if type(coeff) is not int:  # bool is an int subclass; refuse it too
+            raise ValueError(f"coefficient must be an integer, got {coeff!r}")
         if coeff:
             for j, x in entries:
                 out[j] += coeff * x
@@ -148,7 +151,6 @@ class EnumerationResult:
     box: int
     states: int
     backend: str
-    caveat: str = BOX_CAVEAT
     # least power outside the box (``outside_box_floor``), None for p < 2
     floor: Optional[int] = None
 
@@ -422,19 +424,13 @@ class ExtractionResult:
     combinations: int
 
 
-def extract_assignment(
-    v: Sequence[int],
-    inst: GapSvpInstance,
-    seed: int = 0,
-    exhaustive_budget: int = DEFAULT_EXHAUSTIVE_COMBOS,
-    samples: int = DEFAULT_SAMPLES,
-) -> ExtractionResult:
+def extract_assignment(v: Sequence[int], inst: GapSvpInstance, seed: int = 0) -> ExtractionResult:
     """Round a coefficient vector to an assignment.
 
     Per variable, candidates are the symbols its indicated tuples mention
     (falling back to symbol 0 when none).  When the candidate product has
-    at most ``exhaustive_budget`` assignments it is scanned whole and the
-    lexicographically smallest optimum is returned; otherwise ``samples``
+    at most EXHAUSTIVE_COMBOS assignments it is scanned whole and the
+    lexicographically smallest optimum is returned; otherwise SAMPLES
     draws from a generator seeded with ``seed`` are made and the first best
     draw is kept.  Both scans are ``csp.best_assignment``, which stops at an
     assignment that satisfies every constraint.  The result's ``mode`` says
@@ -447,13 +443,13 @@ def extract_assignment(
     for c in candidates:
         combos *= len(c)
 
-    if combos <= exhaustive_budget:
+    if combos <= EXHAUSTIVE_COMBOS:
         mode = "exhaustive"
         assignments = itertools.product(*candidates)
     else:
         mode = "sampled"
         rng = random.Random(seed)
-        assignments = (tuple(rng.choice(c) for c in candidates) for _ in range(samples))
+        assignments = (tuple(rng.choice(c) for c in candidates) for _ in range(SAMPLES))
     fraction, assignment = best_assignment(csp, assignments)
     return ExtractionResult(
         assignment=assignment,

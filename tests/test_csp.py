@@ -392,9 +392,10 @@ def test_max_sat_bruteforce(toy1, toy_unsat):
     assert max_sat_bruteforce(toy_unsat) == (Fraction(1, 2), (0, 0))
 
 
-def test_max_sat_budget(toy1):
+def test_max_sat_budget(toy1, monkeypatch):
+    monkeypatch.setattr("svpforge.csp.ASSIGNMENT_BUDGET", 3)
     with pytest.raises(BudgetExceededError):
-        max_sat_bruteforce(toy1, budget=3)
+        max_sat_bruteforce(toy1)
 
 
 def _reference_best(inst, assignments):
@@ -480,6 +481,7 @@ def test_indicator_matrix(toy1):
     assert mat.entries[r][c01] == 1 and mat.entries[r][c11] == 1
 
 
-def test_indicator_matrix_budget(toy1):
+def test_indicator_matrix_budget(toy1, monkeypatch):
+    monkeypatch.setattr("svpforge.csp.MATRIX_CELL_BUDGET", 4)
     with pytest.raises(BudgetExceededError):
-        indicator_matrix(toy1, cell_budget=4)
+        indicator_matrix(toy1)

@@ -194,12 +194,13 @@ def test_kernel_support_of_a_scaled_vandermonde(scale):
     assert search_kernel_support_counterexample(vm, 3, 5) is None
 
 
-def test_kernel_search_budget():
+def test_kernel_search_budget(monkeypatch):
     vm = reduced_vandermonde(13, 3)
+    monkeypatch.setattr(gadgets, "SUBSET_BUDGET", 10)
     with pytest.raises(
         BudgetExceededError, match="^226720 candidate vectors exceed budget 10$"
     ):
-        search_kernel_support_counterexample(vm, 3, 5, budget=10)
+        search_kernel_support_counterexample(vm, 3, 5)
 
 
 def _reference_kernel_support_search(vm, max_support, entry_bound):
@@ -523,6 +524,7 @@ def test_verify_disperser_refuses_a_float_delta_or_beta_without_asserts():
     assert without_asserts("test_gadgets", "_disperser_refusals") == DISPERSER_REFUSALS
 
 
-def test_verify_disperser_budget():
+def test_verify_disperser_budget(monkeypatch):
+    monkeypatch.setattr(gadgets, "SUBSET_BUDGET", 3)
     with pytest.raises(BudgetExceededError):
-        verify_disperser(_cycle_graph(12), Fraction(1, 4), Fraction(1, 2), budget=3)
+        verify_disperser(_cycle_graph(12), Fraction(1, 4), Fraction(1, 2))

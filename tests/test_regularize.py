@@ -49,9 +49,7 @@ def _perfbench_gen():
     return module
 
 
-def _reference_search_certified(
-    a, b, w, f, delta, beta, leaf_budget, subset_budget, counts=None
-):
+def _reference_search_certified(a, b, w, f, delta, beta, leaf_budget, counts=None):
     """Backtracking over left adjacency choices in lex order; first graph to
     pass certification wins, so the result is deterministic.  The recursive
     search ``regularize._search_certified`` replaced; ``counts``, when given,
@@ -71,7 +69,7 @@ def _reference_search_certified(
                     f"disperser search exceeded {leaf_budget} candidate graphs"
                 )
             graph = BipartiteBiregular(a, b, w, f, tuple(adj))
-            ok, _cert = verify_disperser(graph, delta, beta, subset_budget)
+            ok, _cert = verify_disperser(graph, delta, beta)
             return graph if ok else None
         open_rights = sum(1 for r in range(b) if caps[r] > 0)
         if open_rights < w:
@@ -141,12 +139,15 @@ def test_right_degree_below_1_is_refused():
 
 
 def _param_refusals():
-    """Each parameter of a wrong type, built directly, mapped to the
-    refusal's message.  Unrefused, an int field given as a float ended
-    ``regularize`` in a raw TypeError, a bool one was written to the
-    lineage as ``true``, and a float beta was certified in float arithmetic."""
+    """Each ``RegularizeParams`` field or ``build_disperser`` argument of a
+    wrong type mapped to the refusal's message.  Unrefused, an int field
+    given as a float ended ``regularize`` in a raw TypeError, a bool one was
+    written to the lineage as ``true``, and a float beta was certified in
+    float arithmetic; ``build_disperser`` ended in a raw TypeError on a float
+    size or spread, refused a float beta by naming the delta it derived, and
+    returned a graph with ``left_degree=True`` for a bool spread."""
     good = {"duplication": 1, "spread": 1, "beta": Fraction(1, 2)}
-    cases = {
+    params = {
         "float-duplication": {"duplication": 2.0},
         "bool-duplication": {"duplication": True},
         "float-spread": {"spread": 2.0},
@@ -155,10 +156,20 @@ def _param_refusals():
         "float-beta": {"beta": 0.5},
         "string-beta": {"beta": "1/2"},
     }
+    half = Fraction(1, 2)
+    disperser = {
+        "disperser-float-spread": (4, 2.0, half),
+        "disperser-float-left-size": (4.0, 2, half),
+        "disperser-float-beta": (4, 2, 0.5),
+        "disperser-bool-spread": (4, True, half),
+        "disperser-float-right-size": (4, 2, half, 4.0),
+    }
+    calls = {name: lambda c=c: RegularizeParams(**{**good, **c}) for name, c in params.items()}
+    calls.update({name: lambda a=args: build_disperser(*a) for name, args in disperser.items()})
     out = {}
-    for name, change in cases.items():
+    for name, call in calls.items():
         try:
-            RegularizeParams(**{**good, **change})
+            call()
             out[name] = "built"
         except RegularizeError as exc:
             out[name] = str(exc)
@@ -173,6 +184,11 @@ PARAM_REFUSALS = {
     "bool-right-degree": "right_degree must be an integer, got True",
     "float-beta": "beta must be a Fraction, got 0.5",
     "string-beta": "beta must be a Fraction, got '1/2'",
+    "disperser-float-spread": "spread must be an integer, got 2.0",
+    "disperser-float-left-size": "left_size must be an integer, got 4.0",
+    "disperser-float-beta": "beta must be a Fraction, got 0.5",
+    "disperser-bool-spread": "spread must be an integer, got True",
+    "disperser-float-right-size": "right_size must be an integer, got 4.0",
 }
 
 
@@ -368,7 +384,7 @@ def test_search_matches_the_recursive_reference():
     failing = []
     for a, b, w, f, beta in _search_grid():
         delta = 3 * beta**w
-        want = _reference_search_certified(a, b, w, f, delta, beta, 10**6, 10**6)
+        want = _reference_search_certified(a, b, w, f, delta, beta, 10**6)
         assert _search_certified(a, b, w, f, delta, beta) == want, (a, b, w, f, beta)
         if want is None:
             failing.append((a, b, w, f, beta))
@@ -391,7 +407,7 @@ def test_search_budget_counts_candidates_and_certified_subsets(monkeypatch, shap
     a, b, w, f, beta = shape
     delta = 3 * beta**w
     counts = {}
-    want = _reference_search_certified(a, b, w, f, delta, beta, 10**6, 10**6, counts)
+    want = _reference_search_certified(a, b, w, f, delta, beta, 10**6, counts)
     work = counts["tried"] + counts["leaves"] * math.comb(b, int(beta * b))
     monkeypatch.setattr(regularize_module, "SEARCH_BUDGET", work)
     assert _search_certified(a, b, w, f, delta, beta) == want

@@ -15,10 +15,16 @@ from hypothesis import strategies as st
 
 from svpforge.basisio import load_instance, save_instance
 from svpforge.csp import Constraint, CspInstance, evaluate, parse_csp
-from svpforge.errors import BudgetExceededError, ProfileError, WitnessNotFoundError
+from svpforge.errors import (
+    BudgetExceededError,
+    CspValidationError,
+    ProfileError,
+    WitnessNotFoundError,
+)
 from svpforge.kernels import frontier_plan, rcm_order
 from svpforge.reduction import GapSvpInstance, derive_profile, normalize_p, reduce_csp
 from svpforge.verifier import (
+    BOX_CAVEAT,
     IndicatedView,
     apply_coefficients,
     audit_vector,
@@ -503,7 +509,7 @@ def test_enumerate_toy1(toy1_reduced):
     assert res.vector == (-1, 0, 1)
     assert res.states > 0
     assert res.backend == "pure"
-    assert "not a certified lattice minimum" in res.caveat
+    assert "not a certified lattice minimum" in BOX_CAVEAT
 
 
 def test_enumerate_maxnorm_override(toy1_reduced):
@@ -770,28 +776,33 @@ def test_extract_lex_smallest_optimum(unsat_reduced):
     assert res.combinations == 4
 
 
-def test_extract_sampled_is_deterministic(unsat_reduced):
-    a = extract_assignment((1, 1, 1, 1), unsat_reduced, seed=11, exhaustive_budget=3)
-    b = extract_assignment((1, 1, 1, 1), unsat_reduced, seed=11, exhaustive_budget=3)
+def test_extract_sampled_is_deterministic(unsat_reduced, monkeypatch):
+    monkeypatch.setattr("svpforge.verifier.EXHAUSTIVE_COMBOS", 3)
+    a = extract_assignment((1, 1, 1, 1), unsat_reduced, seed=11)
+    b = extract_assignment((1, 1, 1, 1), unsat_reduced, seed=11)
     assert a == b
     assert a.mode == "sampled" and a.seed == 11
 
 
-def test_extract_auto_switches_to_sampled(unsat_reduced):
+def test_extract_auto_switches_to_sampled(unsat_reduced, monkeypatch):
     # 4 candidate assignments: exhaustive at a budget of 4, sampled below it
-    exhaustive = extract_assignment((1, 1, 1, 1), unsat_reduced, exhaustive_budget=4)
+    monkeypatch.setattr("svpforge.verifier.EXHAUSTIVE_COMBOS", 4)
+    exhaustive = extract_assignment((1, 1, 1, 1), unsat_reduced)
     assert exhaustive.mode == "exhaustive"
-    res = extract_assignment((1, 1, 1, 1), unsat_reduced, exhaustive_budget=3, seed=5)
+    monkeypatch.setattr("svpforge.verifier.EXHAUSTIVE_COMBOS", 3)
+    res = extract_assignment((1, 1, 1, 1), unsat_reduced, seed=5)
     assert res.mode == "sampled"
     assert res.fraction <= Fraction(1, 2)
 
 
 @pytest.mark.parametrize("fixture, v", [("unsat_reduced", (1, 1, 1, 1)), ("toy1_reduced", (1, 1, 1))])
-def test_extract_sampled_matches_a_scan_of_every_draw(request, fixture, v):
+def test_extract_sampled_matches_a_scan_of_every_draw(request, monkeypatch, fixture, v):
     # below the 4 candidate assignments, so the draws are sampled; toy1's
     # draws reach a satisfying one, where the scan stops
     inst = request.getfixturevalue(fixture)
-    res = extract_assignment(v, inst, seed=3, exhaustive_budget=3, samples=40)
+    monkeypatch.setattr("svpforge.verifier.EXHAUSTIVE_COMBOS", 3)
+    monkeypatch.setattr("svpforge.verifier.SAMPLES", 40)
+    res = extract_assignment(v, inst, seed=3)
     assert res.mode == "sampled"
     by_variable = indicated_view(v, inst).symbols_by_variable
     candidates = [by_variable.get(x, (0,)) for x in range(inst.csp.num_vars)]
@@ -822,10 +833,12 @@ def test_enumerate_refuses_a_basis_with_no_rows():
 
 
 def _integer_refusals():
-    """The norm index, box radius and budgets given as a bool or a float,
-    mapped to the refusal's message.  Unrefused, a bool p ran as p=1, and
-    box 1.5 on toy1 at p=3 gave the float power 8.0 with the floor 62.5,
-    though a coefficient outside the box has magnitude at least 2."""
+    """The norm index, box radius, budgets, coefficients and assignment
+    values given as a bool or a float, mapped to the refusal's message.
+    Unrefused, a bool p ran as p=1, box 1.5 on toy1 at p=3 gave the float
+    power 8.0 with the floor 62.5, though a coefficient outside the box has
+    magnitude at least 2, and the audit of (0.5, 0, -0.5), no lattice
+    vector, reported the power 1.0 below the threshold."""
     toy1 = parse_csp((DATA / "toy1.csp").read_text())
     out = reduce_csp(toy1, explicit_profile(toy1))
     cases = {
@@ -835,13 +848,19 @@ def _integer_refusals():
         "float-box": lambda: enumerate_box(out, 1.5),
         "float-box-budget": lambda: enumerate_box(out, 1, budget=2.5),
         "float-witness-budget": lambda: witness_from_assignment(out, (0, 0), budget=1e6),
+        "float-coefficient-audit": lambda: audit_vector((0.5, 0, -0.5), out),
+        "bool-coefficient-facts": lambda: structural_facts((True, 0, -1), out),
+        "float-coefficient-image":
+            lambda: apply_coefficients((1.0, 0, -1), out.rows, out.num_cols),
+        "float-assignment-witness": lambda: witness_from_assignment(out, (0.0, 0)),
+        "bool-assignment-evaluate": lambda: evaluate(toy1, (False, 0)),
     }
     got = {}
     for name, call in cases.items():
         try:
             call()
             got[name] = "accepted"
-        except (ProfileError, ValueError) as exc:
+        except (CspValidationError, ProfileError, ValueError) as exc:
             got[name] = str(exc)
     return got
 
@@ -853,6 +872,11 @@ INTEGER_REFUSALS = {
     "float-box": "box radius must be an integer, got 1.5",
     "float-box-budget": "budget must be an integer, got 2.5",
     "float-witness-budget": "budget must be an integer, got 1000000.0",
+    "float-coefficient-audit": "coefficient must be an integer, got 0.5",
+    "bool-coefficient-facts": "coefficient must be an integer, got True",
+    "float-coefficient-image": "coefficient must be an integer, got 1.0",
+    "float-assignment-witness": "assignment value must be an integer, got 0.0",
+    "bool-assignment-evaluate": "assignment value must be an integer, got False",
 }
 
 
